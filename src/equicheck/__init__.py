@@ -8,14 +8,13 @@ commutation oracles, empirical equivariance-error profiling, and a CLI.
 
 from .analyzer import (
     AnalysisReport,
-    LayerShapeSpec,
     LayerTrace,
     analyze,
     check_layer,
     output_size,
     suggest_input_sizes,
 )
-from .config import ArchitectureConfig, LayerConfig, build_network, shape_specs
+from .config import ArchitectureConfig, build_network
 from .group import (
     IDENTITY,
     MIRROR,

@@ -2,38 +2,24 @@
 
 A strided layer commutes with quarter-turn rotations and mirrors exactly
 when its padded input side satisfies (i + 2p - k) mod s = 0.  This module
-propagates spatial sizes through an architecture, applies that test to
-every layer with a spatial kernel, and searches nearby input sizes that
-make the whole network exact.
+runs the shape walk of ``layers.walk_shapes`` over an architecture config,
+which applies that test (``check_layer``) to every layer with a spatial
+kernel, and searches nearby input sizes that make the whole network exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import ArchitectureConfig, validate
 from .errors import ShapeError
-from .layers import SPATIAL_KINDS, LayerKind
+from .group import GroupKind
+# The rule itself lives beside the walk; it is re-exported as part of the
+# analyzer's interface.
+from .layers import check_layer, output_size, walk_shapes  # noqa: F401
 
 #: Half-width of the input-size window scanned for suggestions.
 DEFAULT_SUGGEST_RADIUS = 4
-
-_ALWAYS_OK_NOTES = {
-    LayerKind.RELU: "pointwise; commutes with any permutation of entries",
-    LayerKind.COSET_MAXPOOL: "group-axis max; permutation invariant",
-    LayerKind.GLOBAL_AVG_POOL: "spatial mean; invariant to spatial actions",
-    LayerKind.CIRCLE_CROP: "mask symmetric under all eight actions",
-    LayerKind.DENSE: "acts on the flattened invariant head",
-}
-
-
-@dataclass(frozen=True)
-class LayerShapeSpec:
-    """Shape-relevant view of a layer: kind plus kernel/stride/padding."""
-
-    kind: LayerKind
-    k: int | None = None
-    s: int = 1
-    p: int = 0
 
 
 @dataclass(frozen=True)
@@ -49,109 +35,71 @@ class LayerTrace:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Outcome of a static pass: per-layer trace, verdict and suggestions.
+    """Outcome of a static pass: verdict, suggestions and per-layer trace.
 
     ``exact`` is true iff ``violations`` is empty.  ``truncated_at`` marks a
     layer whose kernel exceeded the remaining spatial extent; such a layer
-    is also listed as a violation and ends the trace.
+    is also listed as a violation and ends the trace.  The field order is
+    the order of the ``analyze`` report document.
     """
 
     input_size: int
-    trace: tuple[LayerTrace, ...]
     exact: bool
     violations: tuple[int, ...]
-    truncated_at: int | None = None
-    suggested_sizes: tuple[int, ...] = ()
+    truncated_at: int | None
+    suggested_sizes: tuple[int, ...]
+    trace: tuple[LayerTrace, ...]
 
 
-def output_size(i: int, k: int, s: int, p: int = 0) -> int:
-    """Spatial output side of a strided kernel layer, padding folded in."""
-    padded = i + 2 * p
-    if padded < k:
-        raise ShapeError(f"kernel {k} exceeds padded input {padded}")
-    if s < 1:
-        raise ShapeError(f"stride must be >= 1, got {s}")
-    return (padded - k) // s + 1
+def _steps(config: ArchitectureConfig, input_size: int):
+    return walk_shapes(GroupKind.from_label(config.group), config.layers, input_size)
 
 
-def check_layer(i: int, k: int, s: int, p: int = 0) -> bool:
-    """True iff this layer subsamples without breaking the group actions,
-    i.e. (i + 2p - k) mod s = 0."""
-    padded = i + 2 * p
-    if padded < k:
-        raise ShapeError(f"kernel {k} exceeds padded input {padded}")
-    if s < 1:
-        raise ShapeError(f"stride must be >= 1, got {s}")
-    return (padded - k) % s == 0
+def _exact_sizes(config: ArchitectureConfig, lo: int, hi: int) -> list[int]:
+    return [i for i in range(lo, hi + 1)
+            if all(step.condition_ok for step in _steps(config, i))]
 
 
-def _trace(arch, input_size: int):
-    trace: list[LayerTrace] = []
-    violations: list[int] = []
-    truncated_at: int | None = None
-    side = input_size
-    for idx, spec in enumerate(arch):
-        if spec.kind in SPATIAL_KINDS:
-            padded = side + 2 * spec.p
-            if padded < spec.k:
-                trace.append(
-                    LayerTrace(
-                        idx, spec.kind.value, side, padded, 0, False,
-                        f"kernel {spec.k} exceeds padded input {padded}; trace stops",
-                    )
-                )
-                violations.append(idx)
-                truncated_at = idx
-                break
-            out = (padded - spec.k) // spec.s + 1
-            ok = (padded - spec.k) % spec.s == 0
-            note = "" if ok else f"({padded} - {spec.k}) mod {spec.s} = {(padded - spec.k) % spec.s}"
-            trace.append(LayerTrace(idx, spec.kind.value, side, padded, out, ok, note))
-            if not ok:
-                violations.append(idx)
-            side = out
-        else:
-            out = 1 if spec.kind in (LayerKind.GLOBAL_AVG_POOL, LayerKind.DENSE) else side
-            note = _ALWAYS_OK_NOTES.get(spec.kind, "size preserving")
-            trace.append(LayerTrace(idx, spec.kind.value, side, side, out, True, note))
-            side = out
-    return tuple(trace), tuple(violations), truncated_at
-
-
-def analyze(arch, input_size: int, suggest_window: tuple[int, int] | None = None) -> AnalysisReport:
+def analyze(config: ArchitectureConfig, input_size: int) -> AnalysisReport:
     """Run the size trace and exactness test on every layer.
 
     A mid-trace underflow (kernel larger than what is left) does not raise:
     it is recorded as a violation and truncates the trace, so oversized
-    architectures still get an inexact verdict.  ``suggest_window`` bounds
-    the input sizes scanned for exact alternatives; by default the window is
-    the requested size plus/minus DEFAULT_SUGGEST_RADIUS.
+    architectures still get an inexact verdict.  Input sizes within
+    DEFAULT_SUGGEST_RADIUS of the requested one are scanned for exact
+    alternatives.
     """
     if input_size < 1:
         raise ShapeError(f"input size must be >= 1, got {input_size}")
-    trace, violations, truncated_at = _trace(arch, input_size)
-    if suggest_window is None:
-        suggest_window = (max(1, input_size - DEFAULT_SUGGEST_RADIUS),
-                          input_size + DEFAULT_SUGGEST_RADIUS)
-    lo, hi = suggest_window
-    suggested = tuple(
-        i for i in range(max(1, lo), hi + 1)
-        if not _trace(arch, i)[1]
-    )
+    validate(config)
+    trace: list[LayerTrace] = []
+    truncated_at: int | None = None
+    for idx, step in enumerate(_steps(config, input_size)):
+        out_side = step.out_shape[2]
+        note = step.note if out_side else f"{step.note}; trace stops"
+        trace.append(LayerTrace(idx, step.layer.kind.value, step.in_shape[2], step.padded,
+                                out_side, step.condition_ok, note))
+        if not out_side:
+            truncated_at = idx
+            break
+    violations = tuple(t.index for t in trace if not t.condition_ok)
+    suggested = _exact_sizes(config, max(1, input_size - DEFAULT_SUGGEST_RADIUS),
+                             input_size + DEFAULT_SUGGEST_RADIUS)
     return AnalysisReport(
         input_size=input_size,
-        trace=trace,
         exact=not violations,
         violations=violations,
         truncated_at=truncated_at,
-        suggested_sizes=suggested,
+        suggested_sizes=tuple(suggested),
+        trace=tuple(trace),
     )
 
 
-def suggest_input_sizes(arch, lo: int, hi: int) -> list[int]:
+def suggest_input_sizes(config: ArchitectureConfig, lo: int, hi: int) -> list[int]:
     """All input sides in [lo, hi] for which the whole architecture is exact."""
     if lo > hi:
-        raise ValueError(f"empty range: lo={lo} > hi={hi}")
+        raise ShapeError(f"empty range: lo={lo} > hi={hi}")
     if lo < 1:
-        raise ValueError(f"input sizes start at 1, got lo={lo}")
-    return [i for i in range(lo, hi + 1) if not _trace(arch, i)[1]]
+        raise ShapeError(f"input sizes start at 1, got lo={lo}")
+    validate(config)
+    return _exact_sizes(config, lo, hi)

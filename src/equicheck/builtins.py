@@ -11,58 +11,59 @@ quarter-turn action.
 
 from __future__ import annotations
 
-from .config import ArchitectureConfig, LayerConfig
+from .config import ArchitectureConfig
+from .layers import Layer, LayerKind
 
 
-def _conv(kind: str, k: int, out_channels: int, s: int = 1, p: int = 0) -> LayerConfig:
-    return LayerConfig(kind=kind, k=k, s=s, p=p, out_channels=out_channels)
+def _conv(kind: LayerKind, k: int, out_channels: int, s: int = 1, p: int = 0) -> Layer:
+    return Layer(kind=kind, k=k, s=s, p=p, out_channels=out_channels)
 
 
-_RELU = LayerConfig(kind="relu")
+_RELU = Layer(LayerKind.RELU)
 
 TOY41 = ArchitectureConfig(
     name="toy41",
     group="p4",
     input_size=33,
     layers=(
-        _conv("gconv_lift", k=3, out_channels=1, s=2, p=1),
-        LayerConfig(kind="global_avg_pool"),
-        LayerConfig(kind="coset_maxpool"),
-        LayerConfig(kind="dense", out_channels=2),
+        _conv(LayerKind.GCONV_LIFT, k=3, out_channels=1, s=2, p=1),
+        Layer(LayerKind.GLOBAL_AVG_POOL),
+        Layer(LayerKind.COSET_MAXPOOL),
+        Layer(LayerKind.DENSE, out_channels=2),
     ),
 )
 
 
-def _cnn_stack(conv_kind: str, lift_kind: str, channels: int, classes: int,
+def _cnn_stack(conv_kind: LayerKind, lift_kind: LayerKind, channels: int, classes: int,
                name: str, group: str, with_coset: bool) -> ArchitectureConfig:
-    layers: list[LayerConfig] = [
+    layers: list[Layer] = [
         _conv(lift_kind, k=3, out_channels=channels), _RELU,
         _conv(conv_kind, k=3, out_channels=channels), _RELU,
-        LayerConfig(kind="maxpool", k=2, s=2),
+        Layer(LayerKind.MAXPOOL, k=2, s=2),
         _conv(conv_kind, k=3, out_channels=channels), _RELU,
         _conv(conv_kind, k=3, out_channels=channels), _RELU,
         _conv(conv_kind, k=3, out_channels=channels), _RELU,
         _conv(conv_kind, k=3, out_channels=channels), _RELU,
         _conv(conv_kind, k=4, out_channels=channels), _RELU,
-        LayerConfig(kind="global_avg_pool"),
+        Layer(LayerKind.GLOBAL_AVG_POOL),
     ]
     if with_coset:
-        layers.append(LayerConfig(kind="coset_maxpool"))
-    layers.append(LayerConfig(kind="dense", out_channels=classes))
+        layers.append(Layer(LayerKind.COSET_MAXPOOL))
+    layers.append(Layer(LayerKind.DENSE, out_channels=classes))
     return ArchitectureConfig(name=name, group=group, input_size=28, layers=tuple(layers))
 
 
-P4CNN = _cnn_stack("gconv", "gconv_lift", channels=10, classes=10,
+P4CNN = _cnn_stack(LayerKind.GCONV, LayerKind.GCONV_LIFT, channels=10, classes=10,
                    name="p4cnn", group="p4", with_coset=True)
 
-Z2CNN = _cnn_stack("conv2d", "conv2d", channels=20, classes=10,
+Z2CNN = _cnn_stack(LayerKind.CONV2D, LayerKind.CONV2D, channels=20, classes=10,
                    name="z2cnn", group="z2", with_coset=False)
 
 FIG1_MAXPOOL = ArchitectureConfig(
     name="fig1-maxpool",
     group="z2",
     input_size=5,
-    layers=(LayerConfig(kind="maxpool", k=2, s=2),),
+    layers=(Layer(LayerKind.MAXPOOL, k=2, s=2),),
 )
 
 BUILTINS: dict[str, ArchitectureConfig] = {

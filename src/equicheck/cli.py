@@ -13,15 +13,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .analyzer import AnalysisReport, analyze, check_layer, suggest_input_sizes
 from .builtins import BUILTINS
-from .config import ArchitectureConfig, build_network, load, shape_specs, to_dict
+from .config import ArchitectureConfig, build_network, load, to_dict
 from .errors import EquicheckError
 from .group import GroupElement, GroupKind, elements
 from .metrics import (
@@ -102,30 +104,6 @@ def _parse_elements(raw: str | None, kind: GroupKind) -> tuple[GroupElement, ...
     return tuple(out)
 
 
-def _analysis_payload(config: ArchitectureConfig, report: AnalysisReport) -> dict:
-    return {
-        "name": config.name,
-        "group": config.group,
-        "input_size": report.input_size,
-        "exact": report.exact,
-        "violations": list(report.violations),
-        "truncated_at": report.truncated_at,
-        "suggested_sizes": list(report.suggested_sizes),
-        "trace": [
-            {
-                "index": t.index,
-                "kind": t.kind,
-                "input_size": t.input_size,
-                "padded_size": t.padded_size,
-                "output_size": t.output_size,
-                "condition_ok": t.condition_ok,
-                "note": t.note,
-            }
-            for t in report.trace
-        ],
-    }
-
-
 def _analysis_text(config: ArchitectureConfig, report: AnalysisReport) -> str:
     lines = [
         f"architecture: {config.name}  group: {config.group}  "
@@ -150,16 +128,17 @@ def _analysis_text(config: ArchitectureConfig, report: AnalysisReport) -> str:
 
 def cmd_analyze(args) -> int:
     config = _resolve_config(args.config)
-    input_size = args.input_size or config.input_size
-    report = analyze(shape_specs(config), input_size)
-    doc = _document("analyze", _analysis_payload(config, report), config)
+    input_size = config.input_size if args.input_size is None else args.input_size
+    report = analyze(config, input_size)
+    payload = {"name": config.name, "group": config.group, **asdict(report)}
+    doc = _document("analyze", payload, config)
     _emit(doc, _analysis_text(config, report), args)
     return EXIT_OK if report.exact else EXIT_INEXACT
 
 
 def cmd_suggest(args) -> int:
     config = _resolve_config(args.config)
-    sizes = suggest_input_sizes(shape_specs(config), args.lo, args.hi)
+    sizes = suggest_input_sizes(config, args.lo, args.hi)
     payload = {"name": config.name, "lo": args.lo, "hi": args.hi, "exact_sizes": sizes}
     text = (
         f"exact input sizes for {config.name} in [{args.lo}, {args.hi}]: "
@@ -238,6 +217,10 @@ def cmd_oracle(args) -> int:
 def cmd_measure(args) -> int:
     config = _resolve_config(args.config)
     net = build_network(config, args.input_size)
+    # a kernel that outruns the input ends the network; profile what is before it
+    truncated_at = analyze(config, net.input_size).truncated_at
+    if truncated_at is not None:
+        net = replace(net, layers=net.layers[:truncated_at])
     group_elements = _parse_elements(args.elements, net.kind)
     profile = profile_equivariance(net, args.seed, group_elements, args.integer_weights)
     payload = {
@@ -252,6 +235,8 @@ def cmd_measure(args) -> int:
         ],
         "max_error": profile.max_error(),
     }
+    if truncated_at is not None:
+        payload["truncated_at"] = truncated_at
     lines = [
         f"equivariance profile: {config.name} at {net.input_size}x{net.input_size}, "
         f"seed {args.seed}, {'integer' if args.integer_weights else 'float'} weights",
@@ -262,15 +247,20 @@ def cmd_measure(args) -> int:
     if not profile.entries:
         lines.append("  (no group-valued depths in this network)")
     lines.append(f"max error: {profile.max_error():.6g}")
+    if truncated_at is not None:
+        lines.append(f"truncated at layer {truncated_at}: its kernel outruns the input, "
+                     "so only the layers before it were profiled")
     _emit(_document("measure", payload, config, args.seed), "\n".join(lines), args)
-    return EXIT_OK if profile.max_error() <= FLOAT_TOLERANCE else EXIT_INEXACT
+    if truncated_at is not None or profile.max_error() > FLOAT_TOLERANCE:
+        return EXIT_INEXACT
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args.config)
     net = build_network(config, args.input_size)
-    if args.angle_step <= 0:
-        raise EquicheckError(f"--angle-step must be positive, got {args.angle_step}")
+    if not (math.isfinite(args.angle_step) and args.angle_step > 0):
+        raise EquicheckError(f"--angle-step must be finite and positive, got {args.angle_step}")
     angles = list(np.arange(0.0, 360.0, args.angle_step))
     points = invariance_sweep(net, args.seed, angles, args.integer_weights)
     grid_aligned = [p for p in points if p.angle % 90 == 0]

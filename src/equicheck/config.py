@@ -1,9 +1,9 @@
 """Declarative architecture configs and their JSON serialization.
 
 A config is the on-disk form of a network: name, group label, input side
-and an ordered layer list.  Parsing validates field types, layer kinds and
-the group-axis chain, so a config that loads cleanly always builds into a
-runnable network skeleton.
+and an ordered list of ``layers.Layer`` specs.  Parsing validates field
+types, layer kinds and the group-axis chain, so a config that loads cleanly
+always builds into a runnable network skeleton.
 """
 
 from __future__ import annotations
@@ -11,24 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .analyzer import LayerShapeSpec
-from .errors import ConfigError
+from .errors import ConfigError, LayerError
 from .group import GroupKind
-from .layers import CONV_KINDS, Layer, LayerKind, Network
+from .layers import SPATIAL_KINDS, WEIGHTED_KINDS, Layer, LayerKind, Network, walk_shapes
 
 SCHEMA_VERSION = 1
-
-_NEEDS_KERNEL = frozenset({LayerKind.GCONV_LIFT, LayerKind.GCONV, LayerKind.CONV2D, LayerKind.MAXPOOL})
-_NEEDS_CHANNELS = frozenset({LayerKind.GCONV_LIFT, LayerKind.GCONV, LayerKind.CONV2D, LayerKind.DENSE})
-
-
-@dataclass(frozen=True)
-class LayerConfig:
-    kind: str
-    k: int | None = None
-    s: int = 1
-    p: int = 0
-    out_channels: int | None = None
 
 
 @dataclass(frozen=True)
@@ -36,7 +23,7 @@ class ArchitectureConfig:
     name: str
     group: str
     input_size: int
-    layers: tuple[LayerConfig, ...]
+    layers: tuple[Layer, ...]
 
 
 def _require_int(value, field: str, minimum: int):
@@ -62,52 +49,36 @@ def validate(config: ArchitectureConfig) -> None:
     _require_int(config.input_size, "input_size (square inputs only)", 1)
     if not config.layers:
         raise ConfigError("architecture needs at least one layer")
-    kind = GroupKind.from_label(config.group)
-    g = 1
-    for idx, lc in enumerate(config.layers):
+    for idx, layer in enumerate(config.layers):
         where = f"layer {idx}"
-        lk = _layer_kind(lc.kind, where)
-        if lk in _NEEDS_KERNEL:
-            _require_int(lc.k, f"{where}: k", 1)
-            _require_int(lc.s, f"{where}: s", 1)
-            _require_int(lc.p, f"{where}: p", 0)
-        if lk is LayerKind.MAXPOOL and lc.p != 0:
+        if layer.kind in SPATIAL_KINDS:
+            _require_int(layer.k, f"{where}: k", 1)
+            _require_int(layer.s, f"{where}: s", 1)
+            _require_int(layer.p, f"{where}: p", 0)
+        if layer.kind is LayerKind.MAXPOOL and layer.p != 0:
             raise ConfigError(f"{where}: maxpool takes no padding")
-        if lk in _NEEDS_CHANNELS:
-            _require_int(lc.out_channels, f"{where}: out_channels", 1)
-        # group-axis chain
-        if lk is LayerKind.GCONV_LIFT:
-            if kind is GroupKind.Z2:
-                raise ConfigError(f"{where}: lifting layer needs a p4 or p4m network")
-            if g != 1:
-                raise ConfigError(f"{where}: lifting expects a planar input")
-            g = kind.size
-        elif lk is LayerKind.GCONV:
-            if g != kind.size or g == 1:
-                raise ConfigError(f"{where}: group conv expects group axis {kind.size}, have {g}")
-        elif lk is LayerKind.CONV2D:
-            if g != 1:
-                raise ConfigError(f"{where}: plain conv expects a planar input, have group axis {g}")
-        elif lk is LayerKind.COSET_MAXPOOL:
-            if g == 1:
-                raise ConfigError(f"{where}: coset pooling needs a group axis")
-            g = 1
-        elif lk is LayerKind.DENSE:
-            g = 1
+        if layer.kind in WEIGHTED_KINDS:
+            _require_int(layer.out_channels, f"{where}: out_channels", 1)
+    # the group-axis chain, checked past any layer that truncates at this size
+    try:
+        for _ in walk_shapes(GroupKind.from_label(config.group), config.layers, config.input_size):
+            pass
+    except LayerError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def to_dict(config: ArchitectureConfig) -> dict:
     layers = []
-    for lc in config.layers:
-        entry: dict = {"kind": lc.kind}
-        if lc.k is not None:
-            entry["k"] = lc.k
-        if lc.s != 1:
-            entry["s"] = lc.s
-        if lc.p != 0:
-            entry["p"] = lc.p
-        if lc.out_channels is not None:
-            entry["out_channels"] = lc.out_channels
+    for layer in config.layers:
+        entry: dict = {"kind": layer.kind.value}
+        if layer.k is not None:
+            entry["k"] = layer.k
+        if layer.s != 1:
+            entry["s"] = layer.s
+        if layer.p != 0:
+            entry["p"] = layer.p
+        if layer.out_channels is not None:
+            entry["out_channels"] = layer.out_channels
         layers.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -138,8 +109,8 @@ def from_dict(data: dict) -> ArchitectureConfig:
         if unknown:
             raise ConfigError(f"layer {idx}: unknown fields {sorted(unknown)}")
         layers.append(
-            LayerConfig(
-                kind=entry["kind"],
+            Layer(
+                kind=_layer_kind(entry["kind"], f"layer {idx}"),
                 k=entry.get("k"),
                 s=entry.get("s", 1),
                 p=entry.get("p", 0),
@@ -177,28 +148,9 @@ def build_network(config: ArchitectureConfig, input_size: int | None = None) -> 
     """Weightless network skeleton for a validated config; ``input_size``
     overrides the declared side."""
     validate(config)
-    layers = [
-        Layer(
-            kind=LayerKind(lc.kind),
-            k=lc.k,
-            s=lc.s,
-            p=lc.p,
-            out_channels=lc.out_channels,
-        )
-        for lc in config.layers
-    ]
     return Network(
         kind=GroupKind.from_label(config.group),
-        layers=layers,
+        layers=config.layers,
         input_size=config.input_size if input_size is None else input_size,
         name=config.name,
-    )
-
-
-def shape_specs(config: ArchitectureConfig) -> tuple[LayerShapeSpec, ...]:
-    """Analyzer view of the config: kind/kernel/stride/padding per layer."""
-    validate(config)
-    return tuple(
-        LayerShapeSpec(kind=LayerKind(lc.kind), k=lc.k, s=lc.s, p=lc.p)
-        for lc in config.layers
     )

@@ -18,7 +18,7 @@ class PatchError(EquicheckError, ValueError):
 
 
 class GroupKindError(EquicheckError, ValueError):
-    """A group operation was requested for an unsupported group kind."""
+    """A group kind or element is unknown, or unsupported by the operation."""
 
 
 class ConfigError(EquicheckError, ValueError):

@@ -71,7 +71,7 @@ class GroupElement:
         try:
             slot = _NAMES.index(name)
         except ValueError:
-            raise ValueError(f"unknown group element {name!r} (expected one of {_NAMES})")
+            raise GroupKindError(f"unknown group element {name!r} (expected one of {_NAMES})")
         return cls(slot % 4, slot >= 4)
 
     def __str__(self) -> str:

@@ -13,19 +13,26 @@ parallel absolute-value accumulation verifies every partial sum stays below
 2**53, which makes the float64 result exact regardless of summation order.
 Integer-mode equivariance tests can therefore assert equality with zero
 tolerance.
+
+Layers are frozen specs; the weights a network is seeded with sit beside
+them on the Network, one entry per layer.  ``walk_shapes`` is the single
+place that propagates shapes through a layer list and applies the
+subsampling test, for the analyzer, config validation and the network
+helpers alike.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ExactnessOverflowError, LayerError, ShapeError
 from .group import GroupElement, GroupKind, act_spatial, elements, group_permutation
-from .tensor import EXACT_INT_LIMIT, FeatureMap, FilterBank
+from .tensor import EXACT_INT_LIMIT, FeatureMap, FilterBank, random_values
 
 
 class LayerKind(enum.Enum):
@@ -47,30 +54,130 @@ SPATIAL_KINDS = frozenset(
 
 CONV_KINDS = frozenset({LayerKind.GCONV_LIFT, LayerKind.GCONV, LayerKind.CONV2D})
 
+#: Layers that carry weights and an ``out_channels``.
+WEIGHTED_KINDS = CONV_KINDS | {LayerKind.DENSE}
 
-@dataclass
+_ALWAYS_OK_NOTES = {
+    LayerKind.RELU: "pointwise; commutes with any permutation of entries",
+    LayerKind.COSET_MAXPOOL: "group-axis max; permutation invariant",
+    LayerKind.GLOBAL_AVG_POOL: "spatial mean; invariant to spatial actions",
+    LayerKind.CIRCLE_CROP: "mask symmetric under all eight actions",
+    LayerKind.DENSE: "acts on the flattened invariant head",
+}
+
+
+@dataclass(frozen=True)
 class Layer:
-    """One network layer; ``k``/``s``/``p``/``out_channels`` apply only to the
-    kinds that use them, ``weights`` is a FilterBank (convs) or a 2-d matrix
-    (dense)."""
+    """One network layer; ``k``/``s``/``p`` apply only to the kinds in
+    SPATIAL_KINDS and ``out_channels`` only to those in WEIGHTED_KINDS."""
 
     kind: LayerKind
     k: int | None = None
     s: int = 1
     p: int = 0
     out_channels: int | None = None
-    weights: object = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
-    """Sequential architecture evaluated on square single-image inputs."""
+    """Sequential architecture evaluated on square single-image inputs.
+
+    ``weights`` is empty until :func:`seed_network` fills it with one entry
+    per layer: a FilterBank for convs, a 2-d matrix for dense layers and
+    None for the rest.
+    """
 
     kind: GroupKind
-    layers: list[Layer] = field(default_factory=list)
+    layers: tuple[Layer, ...] = ()
     input_size: int = 1
     in_channels: int = 1
     name: str = ""
+    weights: tuple = ()
+
+
+def output_size(i: int, k: int, s: int, p: int = 0) -> int:
+    """Spatial output side of a strided kernel layer, padding folded in."""
+    padded = i + 2 * p
+    if padded < k:
+        raise ShapeError(f"kernel {k} exceeds padded input {padded}")
+    if s < 1:
+        raise ShapeError(f"stride must be >= 1, got {s}")
+    return (padded - k) // s + 1
+
+
+def check_layer(i: int, k: int, s: int, p: int = 0) -> bool:
+    """True iff this layer subsamples without breaking the group actions,
+    i.e. (i + 2p - k) mod s = 0."""
+    padded = i + 2 * p
+    if padded < k:
+        raise ShapeError(f"kernel {k} exceeds padded input {padded}")
+    if s < 1:
+        raise ShapeError(f"stride must be >= 1, got {s}")
+    return (padded - k) % s == 0
+
+
+class ShapeStep(NamedTuple):
+    """One layer of a shape walk.  Shapes are (channels, group, side); an
+    output side of 0 marks the layer whose kernel outruns its padded input."""
+
+    layer: Layer
+    in_shape: tuple[int, int, int]
+    padded: int
+    out_shape: tuple[int, int, int]
+    condition_ok: bool
+    note: str
+
+
+def walk_shapes(group: GroupKind, layers, input_size: int, in_channels: int = 1):
+    """Yield one ShapeStep per layer, starting from a planar input of side
+    ``input_size``, and apply the exactness test to every spatial layer.
+
+    A layer whose kernel outruns its padded input fails the test, says so in
+    its note and leaves side 0; the walk goes on past it only so that the
+    group-axis chain of the later layers is still checked.  A broken chain
+    raises LayerError naming the layer.
+    """
+    c, g, side = in_channels, 1, input_size
+    for idx, layer in enumerate(layers):
+        kind = layer.kind
+        shape_in, padded, ok = (c, g, side), side, True
+        note = _ALWAYS_OK_NOTES.get(kind, "size preserving")
+        try:
+            if kind is LayerKind.GCONV_LIFT:
+                if group is GroupKind.Z2:
+                    raise ShapeError("lifting layer needs a p4 or p4m network")
+                if g != 1:
+                    raise ShapeError(f"lifting expects a planar input, group axis is {g}")
+                c, g = layer.out_channels, group.size
+            elif kind is LayerKind.GCONV:
+                if g != group.size or g == 1:
+                    raise ShapeError(f"group conv expects group axis {group.size}, have {g}")
+                c = layer.out_channels
+            elif kind is LayerKind.CONV2D:
+                if g != 1:
+                    raise ShapeError(f"plain conv expects a planar input, group axis is {g}")
+                c = layer.out_channels
+            elif kind is LayerKind.COSET_MAXPOOL:
+                if g == 1:
+                    raise ShapeError("coset pooling needs a group axis")
+                g = 1
+            elif kind is LayerKind.GLOBAL_AVG_POOL:
+                side = 1
+            elif kind is LayerKind.DENSE:
+                c, g, side = layer.out_channels, 1, 1
+        except ShapeError as exc:
+            raise LayerError(f"layer {idx} ({kind.value}): {exc}") from exc
+        if kind in SPATIAL_KINDS:
+            padded = side + 2 * layer.p
+            try:
+                ok = check_layer(side, layer.k, layer.s, layer.p)
+            except ShapeError as exc:
+                ok, note, side = False, str(exc), 0
+            else:
+                note = "" if ok else (
+                    f"({padded} - {layer.k}) mod {layer.s} = {(padded - layer.k) % layer.s}")
+                side = output_size(side, layer.k, layer.s, layer.p)
+        yield ShapeStep(layer, shape_in, padded, (c, g, side), ok, note)
 
 
 def _is_integral(arr: np.ndarray) -> bool:
@@ -244,58 +351,18 @@ def dense(fm: FeatureMap, weights: np.ndarray) -> FeatureMap:
     return FeatureMap(out.reshape(-1, 1, 1, 1))
 
 
-def _output_side(side: int, k: int, s: int, p: int) -> int:
-    padded = side + 2 * p
-    if padded < k:
-        raise ShapeError(f"kernel {k} exceeds padded input {padded}")
-    return (padded - k) // s + 1
-
-
-def _walk_shapes(net: Network):
-    """Yield (layer, in_shape, out_shape) with shapes (channels, group, side),
-    validating the chain as it goes."""
-    c, g, side = net.in_channels, 1, net.input_size
-    gsize = net.kind.size
-    for idx, layer in enumerate(net.layers):
-        shape_in = (c, g, side)
-        try:
-            kind = layer.kind
-            if kind is LayerKind.GCONV_LIFT:
-                if net.kind is GroupKind.Z2:
-                    raise ShapeError("lifting layer in a z2 network")
-                if g != 1:
-                    raise ShapeError(f"lifting expects a planar input, group axis is {g}")
-                c, g, side = layer.out_channels, gsize, _output_side(side, layer.k, layer.s, layer.p)
-            elif kind is LayerKind.GCONV:
-                if g != gsize or g == 1:
-                    raise ShapeError(f"group conv expects group axis {gsize}, got {g}")
-                c, side = layer.out_channels, _output_side(side, layer.k, layer.s, layer.p)
-            elif kind is LayerKind.CONV2D:
-                if g != 1:
-                    raise ShapeError(f"plain conv expects a planar input, group axis is {g}")
-                c, side = layer.out_channels, _output_side(side, layer.k, layer.s, layer.p)
-            elif kind is LayerKind.MAXPOOL:
-                side = _output_side(side, layer.k, layer.s, 0)
-            elif kind is LayerKind.COSET_MAXPOOL:
-                if g == 1:
-                    raise ShapeError("coset pooling needs a group axis of length > 1")
-                g = 1
-            elif kind is LayerKind.GLOBAL_AVG_POOL:
-                side = 1
-            elif kind is LayerKind.DENSE:
-                c, g, side = layer.out_channels, 1, 1
-            elif kind in (LayerKind.RELU, LayerKind.CIRCLE_CROP):
-                pass
-            else:  # pragma: no cover - enum is closed
-                raise ShapeError(f"unknown layer kind {kind}")
-        except ShapeError as exc:
-            raise LayerError(f"layer {idx} ({layer.kind.value}): {exc}") from exc
-        yield layer, shape_in, (c, g, side)
+def _network_steps(net: Network):
+    """walk_shapes over a network; a kernel that outruns its input is an error."""
+    steps = walk_shapes(net.kind, net.layers, net.input_size, net.in_channels)
+    for idx, step in enumerate(steps):
+        if step.out_shape[2] == 0:
+            raise LayerError(f"layer {idx} ({step.layer.kind.value}): {step.note}")
+        yield step
 
 
 def infer_shapes(net: Network) -> list[tuple[int, int, int]]:
     """Per-layer output shapes (channels, group, side), input excluded."""
-    return [out for _, _, out in _walk_shapes(net)]
+    return [step.out_shape for step in _network_steps(net)]
 
 
 def seed_network(net: Network, seed, integer_valued: bool = False) -> Network:
@@ -305,33 +372,28 @@ def seed_network(net: Network, seed, integer_valued: bool = False) -> Network:
     passes stay exact; otherwise weights are uniform in [-1, 1).
     """
     rng = np.random.default_rng([seed, 0])
-
-    def draw(shape):
-        if integer_valued:
-            return rng.integers(-4, 5, size=shape).astype(np.float64)
-        return rng.uniform(-1.0, 1.0, size=shape)
-
-    new_layers = []
-    for layer, (c, g, side), _ in _walk_shapes(net):
+    weights = []
+    for step in _network_steps(net):
+        layer, (c, g, side) = step.layer, step.in_shape
         if layer.kind in CONV_KINDS:
-            bank = FilterBank(draw((layer.out_channels, c, g, layer.k, layer.k)))
-            new_layers.append(replace(layer, weights=bank))
+            shape = (layer.out_channels, c, g, layer.k, layer.k)
+            weights.append(FilterBank(random_values(rng, shape, integer_valued)))
         elif layer.kind is LayerKind.DENSE:
-            mat = draw((layer.out_channels, c * g * side * side))
-            new_layers.append(replace(layer, weights=mat))
+            shape = (layer.out_channels, c * g * side * side)
+            weights.append(random_values(rng, shape, integer_valued))
         else:
-            new_layers.append(replace(layer))
-    return replace(net, layers=new_layers)
+            weights.append(None)
+    return replace(net, weights=tuple(weights))
 
 
-def _apply(layer: Layer, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
+def _apply(layer: Layer, weights, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
     lk = layer.kind
     if lk is LayerKind.GCONV_LIFT:
-        return gconv_lift(fm, layer.weights, kind, layer.s, layer.p)
+        return gconv_lift(fm, weights, kind, layer.s, layer.p)
     if lk is LayerKind.GCONV:
-        return gconv(fm, layer.weights, kind, layer.s, layer.p)
+        return gconv(fm, weights, kind, layer.s, layer.p)
     if lk is LayerKind.CONV2D:
-        return conv2d(fm, layer.weights, layer.s, layer.p)
+        return conv2d(fm, weights, layer.s, layer.p)
     if lk is LayerKind.MAXPOOL:
         return maxpool(fm, layer.k, layer.s)
     if lk is LayerKind.RELU:
@@ -343,7 +405,7 @@ def _apply(layer: Layer, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
     if lk is LayerKind.CIRCLE_CROP:
         return circle_crop(fm)
     if lk is LayerKind.DENSE:
-        return dense(fm, layer.weights)
+        return dense(fm, weights)
     raise ShapeError(f"unknown layer kind {lk}")  # pragma: no cover
 
 
@@ -359,12 +421,12 @@ def forward(net: Network, fm: FeatureMap) -> list[FeatureMap]:
         )
     acts: list[FeatureMap] = []
     current = fm
-    for idx, layer in enumerate(net.layers):
-        if layer.kind in CONV_KINDS or layer.kind is LayerKind.DENSE:
-            if layer.weights is None:
-                raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
+    weights = net.weights or (None,) * len(net.layers)
+    for idx, (layer, w) in enumerate(zip(net.layers, weights)):
+        if w is None and layer.kind in WEIGHTED_KINDS:
+            raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
         try:
-            current = _apply(layer, current, net.kind)
+            current = _apply(layer, w, current, net.kind)
         except (ShapeError, ExactnessOverflowError) as exc:
             raise LayerError(f"layer {idx} ({layer.kind.value}): {exc}") from exc
         acts.append(current)

@@ -141,11 +141,14 @@ def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
     """Rotate a square map counterclockwise about its center by any angle,
     sampling with bilinear interpolation and reading outside pixels as 0.
 
-    Angle 0 reproduces the input bit-for-bit; multiples of 90 degrees agree
-    with the exact grid action up to float rounding.
+    Multiples of 90 degrees, 0 included, are the exact grid action: there
+    cos and sin would leave ~1e-16 interpolation weights, which would make
+    an integer input fractional and switch the exactness guard off.
     """
     if not fm.is_square:
         raise ShapeError(f"rotation needs a square map, got {fm.height}x{fm.width}")
+    if angle_degrees % 90 == 0:
+        return act_spatial(GroupElement(int(angle_degrees // 90) % 4), fm)
     n = fm.height
     theta = math.radians(angle_degrees)
     cos_t, sin_t = math.cos(theta), math.sin(theta)

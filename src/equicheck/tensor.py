@@ -131,6 +131,14 @@ def make_feature_map(
     return FeatureMap(np.full((channels, group_size, height, width), fill, dtype=np.float64))
 
 
+def random_values(rng: np.random.Generator, shape, integer_valued: bool = False) -> np.ndarray:
+    """One draw from ``rng``: integers in [-4, 4] stored exactly as float64,
+    or floats uniform in [-1, 1)."""
+    if integer_valued:
+        return rng.integers(-4, 5, size=shape).astype(np.float64)
+    return rng.uniform(-1.0, 1.0, size=shape)
+
+
 def random_feature_map(
     seed,
     channels: int,
@@ -145,13 +153,8 @@ def random_feature_map(
     exactly, so sums of products stay exact in float64 at desk scale.
     Otherwise entries are uniform in [-1, 1).
     """
-    rng = np.random.default_rng(seed)
     shape = (channels, group_size, height, width)
-    if integer_valued:
-        vals = rng.integers(-4, 5, size=shape).astype(np.float64)
-    else:
-        vals = rng.uniform(-1.0, 1.0, size=shape)
-    return FeatureMap(vals)
+    return FeatureMap(random_values(np.random.default_rng(seed), shape, integer_valued))
 
 
 def random_filter_bank(
@@ -163,13 +166,8 @@ def random_filter_bank(
     integer_valued: bool = False,
 ) -> FilterBank:
     """Seeded random filter bank; value ranges as in :func:`random_feature_map`."""
-    rng = np.random.default_rng(seed)
     shape = (out_channels, in_channels, in_group_size, k, k)
-    if integer_valued:
-        vals = rng.integers(-4, 5, size=shape).astype(np.float64)
-    else:
-        vals = rng.uniform(-1.0, 1.0, size=shape)
-    return FilterBank(vals)
+    return FilterBank(random_values(np.random.default_rng(seed), shape, integer_valued))
 
 
 def max_abs_diff(a: FeatureMap, b: FeatureMap) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from equicheck.analyzer import analyze, check_layer
 from equicheck.builtins import BUILTINS, P4CNN, TOY41
-from equicheck.config import build_network, shape_specs
+from equicheck.config import build_network
 from equicheck.group import GroupElement, GroupKind, ROT90, act_full, act_spatial, elements
 from equicheck.layers import (
     circle_crop,
@@ -70,10 +70,9 @@ def test_criterion_2_paper_arithmetic():
 
 def test_criterion_3_p4cnn_input_size_facts():
     start = time.perf_counter()
-    specs = shape_specs(P4CNN)
-    r28 = analyze(specs, 28)
-    r27 = analyze(specs, 27)
-    r29 = analyze(specs, 29)
+    r28 = analyze(P4CNN, 28)
+    r27 = analyze(P4CNN, 27)
+    r29 = analyze(P4CNN, 29)
     elapsed = time.perf_counter() - start
     pool = next(t.index for t in r28.trace if t.kind == "maxpool")
     ok = (
@@ -95,7 +94,7 @@ def test_criterion_4_exact_builtins_zero_error():
     checked = []
     worst = 0.0
     for name, cfg in BUILTINS.items():
-        if not analyze(shape_specs(cfg), cfg.input_size).exact:
+        if not analyze(cfg, cfg.input_size).exact:
             continue
         net = build_network(cfg)
         for seed in range(5):

@@ -4,25 +4,24 @@ search, pinned against the built-in architectures."""
 import pytest
 
 from equicheck.analyzer import (
-    LayerShapeSpec,
     analyze,
     check_layer,
     output_size,
     suggest_input_sizes,
 )
 from equicheck.builtins import P4CNN
-from equicheck.config import shape_specs
+from equicheck.config import ArchitectureConfig
 from equicheck.errors import ShapeError
-from equicheck.layers import LayerKind
+from equicheck.layers import Layer, LayerKind
 from equicheck.metrics import rotation_commutation
 
-MAXPOOL_ONLY = (LayerShapeSpec(LayerKind.MAXPOOL, k=2, s=2),)
+MAXPOOL_ONLY = ArchitectureConfig("maxpool", "z2", 5, (Layer(LayerKind.MAXPOOL, k=2, s=2),))
 
-STRIDE1_STACK = (
-    LayerShapeSpec(LayerKind.GCONV_LIFT, k=3, s=1, p=0),
-    LayerShapeSpec(LayerKind.RELU),
-    LayerShapeSpec(LayerKind.GCONV, k=3, s=1, p=1),
-)
+STRIDE1_STACK = ArchitectureConfig("stride1", "p4", 9, (
+    Layer(LayerKind.GCONV_LIFT, k=3, s=1, p=0, out_channels=1),
+    Layer(LayerKind.RELU),
+    Layer(LayerKind.GCONV, k=3, s=1, p=1, out_channels=1),
+))
 
 
 class TestOutputSize:
@@ -62,7 +61,7 @@ class TestCheckLayer:
 
 class TestAnalyze:
     def test_p4cnn_exact_at_28(self):
-        report = analyze(shape_specs(P4CNN), 28)
+        report = analyze(P4CNN, 28)
         assert report.exact is True
         assert report.violations == ()
         assert report.truncated_at is None
@@ -71,7 +70,7 @@ class TestAnalyze:
         assert conv_outs == [26, 24, 12, 10, 8, 6, 4, 1]
 
     def test_p4cnn_approx_at_27_blames_the_pool(self):
-        report = analyze(shape_specs(P4CNN), 27)
+        report = analyze(P4CNN, 27)
         assert report.exact is False
         pool_idx = next(t.index for t in report.trace if t.kind == "maxpool")
         assert pool_idx in report.violations
@@ -83,13 +82,13 @@ class TestAnalyze:
         assert set(report.violations) == {pool_idx, report.truncated_at}
 
     def test_p4cnn_approx_at_29(self):
-        report = analyze(shape_specs(P4CNN), 29)
+        report = analyze(P4CNN, 29)
         assert report.exact is False
         assert report.truncated_at is None
         assert [report.trace[i].kind for i in report.violations] == ["maxpool"]
 
     def test_trace_chains_sizes(self):
-        report = analyze(shape_specs(P4CNN), 28)
+        report = analyze(P4CNN, 28)
         for prev, nxt in zip(report.trace, report.trace[1:]):
             assert nxt.input_size == prev.output_size
 
@@ -108,13 +107,13 @@ class TestAnalyze:
             analyze(MAXPOOL_ONLY, 0)
 
     def test_suggestions_in_default_window(self):
-        report = analyze(shape_specs(P4CNN), 27)
+        report = analyze(P4CNN, 27)
         assert report.suggested_sizes == (28, 30)
 
 
 class TestSuggestInputSizes:
     def test_p4cnn_window(self):
-        sizes = suggest_input_sizes(shape_specs(P4CNN), 26, 30)
+        sizes = suggest_input_sizes(P4CNN, 26, 30)
         assert 28 in sizes
         assert 27 not in sizes and 29 not in sizes
         assert sizes == [28, 30]
@@ -127,8 +126,7 @@ class TestSuggestInputSizes:
         assert sizes == list(range(7, 21))
 
     def test_empty_result_is_valid(self):
-        arch = (LayerShapeSpec(LayerKind.MAXPOOL, k=2, s=2),)
-        assert suggest_input_sizes(arch, 3, 3) == []
+        assert suggest_input_sizes(MAXPOOL_ONLY, 3, 3) == []
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):

@@ -2,15 +2,53 @@
 (subcommands, report documents, exit codes)."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import equicheck
 from equicheck.builtins import BUILTINS
 from equicheck.cli import run
-from equicheck.config import from_json, to_json
+from equicheck.config import ArchitectureConfig, build_network, from_json, to_json
 from equicheck.errors import ConfigError
+from equicheck.layers import Layer, LayerKind, forward, seed_network, walk_shapes
+from equicheck.tensor import random_feature_map
+
+
+@st.composite
+def valid_configs(draw):
+    """Small configs whose group-axis chain is valid by construction."""
+    group = draw(st.sampled_from(["z2", "p4", "p4m"]))
+
+    def kernel_layer(kind):
+        conv = kind is not LayerKind.MAXPOOL  # max pooling takes no padding or channels
+        return Layer(
+            kind,
+            k=draw(st.integers(1, 4)),
+            s=draw(st.integers(1, 3)),
+            p=draw(st.integers(0, 2)) if conv else 0,
+            out_channels=draw(st.integers(1, 2)) if conv else None,
+        )
+
+    body = LayerKind.CONV2D if group == "z2" else LayerKind.GCONV
+    layers = [] if group == "z2" else [kernel_layer(LayerKind.GCONV_LIFT)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from([body, LayerKind.MAXPOOL, LayerKind.RELU, LayerKind.CIRCLE_CROP]))
+        if kind in (LayerKind.RELU, LayerKind.CIRCLE_CROP):
+            layers.append(Layer(kind))
+        else:
+            layers.append(kernel_layer(kind))
+    if group != "z2" and draw(st.booleans()):
+        layers.append(Layer(LayerKind.COSET_MAXPOOL))
+    if draw(st.booleans()):
+        layers.append(Layer(LayerKind.GLOBAL_AVG_POOL))
+    if not layers or draw(st.booleans()):
+        layers.append(Layer(LayerKind.DENSE, out_channels=draw(st.integers(1, 2))))
+    return ArchitectureConfig("generated", group, draw(st.integers(1, 16)), tuple(layers))
 
 
 class TestConfigRoundTrip:
@@ -45,6 +83,24 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             from_json(text)
 
+    def test_chain_error_after_truncating_layer_rejected(self):
+        # the 5x5 lift outruns the 3x3 input; the planar conv after it still
+        # sees a group axis and must be rejected
+        text = json.dumps(
+            {
+                "schema_version": 1,
+                "name": "bad",
+                "group": "p4",
+                "input_size": 3,
+                "layers": [
+                    {"kind": "gconv_lift", "k": 5, "out_channels": 1},
+                    {"kind": "conv2d", "k": 1, "out_channels": 1},
+                ],
+            }
+        )
+        with pytest.raises(ConfigError, match="layer 1"):
+            from_json(text)
+
     def test_rectangular_input_rejected(self):
         text = json.dumps(
             {
@@ -57,6 +113,27 @@ class TestConfigRoundTrip:
         )
         with pytest.raises(ConfigError, match="square"):
             from_json(text)
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=50, deadline=None)
+    @given(valid_configs())
+    def test_generated_config_round_trips(self, cfg):
+        assert from_json(to_json(cfg)) == cfg
+
+    @settings(max_examples=25, deadline=None)
+    @given(valid_configs())
+    def test_shape_walk_matches_forward(self, cfg):
+        for size in range(1, 11):
+            net = build_network(cfg, size)
+            steps = list(walk_shapes(net.kind, net.layers, size))
+            if any(step.out_shape[2] == 0 for step in steps):
+                continue
+            x = random_feature_map(size, 1, 1, size, size, integer_valued=True)
+            acts = forward(seed_network(net, size, integer_valued=True), x)
+            assert [act.shape for act in acts] == [
+                (c, g, side, side) for c, g, side in (step.out_shape for step in steps)
+            ]
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +267,16 @@ class TestMeasureCommand:
     def test_mirror_element_needs_p4m(self):
         assert run(["measure", "toy41", "--elements", "m"]) == 2
 
+    def test_truncating_size_gives_partial_report(self, capsys):
+        code, doc = run_json(
+            capsys, "measure", "p4cnn", "--input-size", "27", "--integer-weights"
+        )
+        assert code == 1
+        result = doc["result"]
+        assert result["truncated_at"] == 13
+        assert {e["layer"] for e in result["entries"]} == set(range(13))
+        assert result["max_error"] > 0
+
 
 class TestSweepCommand:
     def test_exact_toy(self, capsys):
@@ -230,6 +317,19 @@ class TestReportDocument:
         assert doc["command"] == "analyze"
         assert doc["result"]["exact"] is True
 
+    def test_analyze_keys_follow_readme_schema(self, capsys):
+        _, doc = run_json(capsys, "analyze", "p4cnn", "--input-size", "27")
+        result = doc["result"]
+        assert list(result) == [
+            "name", "group", "input_size", "exact", "violations",
+            "truncated_at", "suggested_sizes", "trace",
+        ]
+        for t in result["trace"]:
+            assert list(t) == [
+                "index", "kind", "input_size", "padded_size", "output_size",
+                "condition_ok", "note",
+            ]
+
     def test_list_builtins(self, capsys):
         code, doc = run_json(capsys, "list-builtins")
         assert code == 0
@@ -237,11 +337,31 @@ class TestReportDocument:
         assert names == {"toy41", "p4cnn", "z2cnn", "fig1-maxpool"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "p4cnn", "--input-size", "0"],
+        ["suggest", "p4cnn", "0", "10"],
+        ["suggest", "p4cnn", "10", "5"],
+        ["measure", "p4cnn", "--elements", "foo"],
+        ["sweep", "toy41", "--angle-step", "nan"],
+    ],
+)
+def test_bad_input_exits_two_with_message(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+#: Runs ``python -m equicheck`` on the package under test, installed or not.
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(equicheck.__file__))
+
+
 class TestConsoleEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "equicheck", "analyze", "p4cnn"],
             capture_output=True,
+            cwd=PACKAGE_PARENT,
             text=True,
         )
         assert proc.returncode == 0
@@ -251,6 +371,7 @@ class TestConsoleEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "equicheck", "frobnicate"],
             capture_output=True,
+            cwd=PACKAGE_PARENT,
             text=True,
         )
         assert proc.returncode == 2

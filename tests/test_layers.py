@@ -1,6 +1,8 @@
 """Layer semantics: convolution sizes, group convolutions, poolings, crop,
 and exactness of whole-network equivariance in integer mode."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -327,7 +329,7 @@ class TestForward:
     def test_layer_error_carries_index(self):
         net = seed_network(toy_net(33), 0)
         bad = random_feature_map(2, 1, 1, 33, 33)
-        net.layers[0].weights = None
+        net = replace(net, weights=(None,) + net.weights[1:])
         with pytest.raises(LayerError, match="layer 0"):
             forward(net, bad)
 
@@ -342,8 +344,8 @@ class TestForward:
     def test_seed_network_deterministic(self):
         a = seed_network(toy_net(33), 9, integer_valued=True)
         b = seed_network(toy_net(33), 9, integer_valued=True)
-        assert np.array_equal(a.layers[0].weights.values, b.layers[0].weights.values)
-        assert np.array_equal(a.layers[3].weights, b.layers[3].weights)
+        assert np.array_equal(a.weights[0].values, b.weights[0].values)
+        assert np.array_equal(a.weights[3], b.weights[3])
 
 
 class TestWholeNetworkEquivariance:
