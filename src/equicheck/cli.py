@@ -40,6 +40,9 @@ EXIT_ERROR = 2
 #: Discrepancies and errors below this are treated as zero for float runs.
 FLOAT_TOLERANCE = 1e-9
 
+#: Most angles one sweep may run (one forward pass each): steps under 0.1 degree.
+MAX_SWEEP_ANGLES = 3600
+
 
 def _use_color() -> bool:
     return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
@@ -261,6 +264,12 @@ def cmd_sweep(args) -> int:
     net = build_network(config, args.input_size)
     if not (math.isfinite(args.angle_step) and args.angle_step > 0):
         raise EquicheckError(f"--angle-step must be finite and positive, got {args.angle_step}")
+    # ceil(360 / step) > MAX_SWEEP_ANGLES, without ceil overflowing on a tiny step
+    if 360.0 / args.angle_step > MAX_SWEEP_ANGLES:
+        raise EquicheckError(
+            f"--angle-step {args.angle_step} asks for more than {MAX_SWEEP_ANGLES} angles; "
+            f"use a step of at least {360 / MAX_SWEEP_ANGLES}"
+        )
     angles = list(np.arange(0.0, 360.0, args.angle_step))
     points = invariance_sweep(net, args.seed, angles, args.integer_weights)
     grid_aligned = [p for p in points if p.angle % 90 == 0]

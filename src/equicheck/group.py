@@ -20,6 +20,7 @@ turn), so an element's slot index is ``rotations + 4*mirrored``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,9 +199,13 @@ def act_spatial(g: GroupElement, fm: FeatureMap) -> FeatureMap:
     return FeatureMap(vals)
 
 
+@functools.cache
 def group_permutation(g: GroupElement, kind: GroupKind) -> np.ndarray:
     """Permutation of group-axis slots induced by left multiplication:
-    ``perm[slot(h)] = slot(g*h)``."""
+    ``perm[slot(h)] = slot(g*h)``.
+
+    Memoized over the twelve valid ``(g, kind)`` pairs, so the array is
+    shared and read-only; an invalid pair raises on every call."""
     if kind is GroupKind.Z2:
         raise GroupKindError("the trivial group has no group axis to permute")
     if g.mirrored and kind is GroupKind.P4:
@@ -208,6 +213,7 @@ def group_permutation(g: GroupElement, kind: GroupKind) -> np.ndarray:
     perm = np.empty(kind.size, dtype=np.intp)
     for h in elements(kind):
         perm[slot_index(h)] = slot_index(compose(g, h))
+    perm.flags.writeable = False
     return perm
 
 

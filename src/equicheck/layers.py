@@ -8,11 +8,22 @@ filter's group axis.  Stride-s layers sample input index patches
 [(s*x, s*y), (s*x+k-1, s*y+k-1)], so whether they commute with the group
 action depends on the padded input size (see the analyzer module).
 
-Exactness: when both operands of a contraction are integer-valued, a
-parallel absolute-value accumulation verifies every partial sum stays below
-2**53, which makes the float64 result exact regardless of summation order.
-Integer-mode equivariance tests can therefore assert equality with zero
-tolerance.
+conv2d, gconv_lift and gconv share one body: it pads the input once,
+stacks the bank transformed by every group element (z2 is the one-element
+case) and contracts it in one go.
+
+Exactness: when both operands of a contraction are integer-valued, a guard
+makes sure no output cell's sum of |terms| reaches 2**53.  It first checks
+the Hoelder bound max|x| * max_o ||w_o||_1, which is sound in float64
+because rounding is monotone and 2**53 is representable; only when that
+bound reaches 2**53 does it run the exact per-cell abs-correlation.  Below
+2**53 every partial sum is an exact integer whatever the summation order,
+so integer operands are contracted by a single BLAS tensordot over strided
+windows, bit-identical to any other order, and integer-mode equivariance
+tests can assert equality with zero tolerance.  Float operands keep the
+fixed per-kernel-position loop, slot by slot, because a different order
+would move their float64 rounding and with it the float reports checked
+against an absolute tolerance.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -31,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ExactnessOverflowError, LayerError, ShapeError
-from .group import GroupElement, GroupKind, act_spatial, elements, group_permutation
+from .group import IDENTITY, GroupElement, GroupKind, elements, group_permutation
 from .tensor import EXACT_INT_LIMIT, FeatureMap, FilterBank, random_values
 
 
@@ -202,17 +213,26 @@ def _correlate(vals: np.ndarray, w: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def _guard_exact_contraction(vals: np.ndarray, w: np.ndarray, s: int) -> None:
-    """For integer operands, bound each output cell's sum of |terms|; if any
-    bound reaches 2**53 the float64 result could silently round."""
-    if not (_is_integral(vals) and _is_integral(w)):
+def _guard_exact_contraction(vals: np.ndarray, bank: np.ndarray, s: int) -> None:
+    """For integer operands, make sure no output cell's sum of |terms|
+    reaches 2**53, past which the float64 result could silently round.
+
+    ``bank`` is the (|G|, O, C, G_in, k, k) stacked bank.  The Hoelder bound
+    max|x| * max_o ||w_o||_1 is tried first; the group transforms only move
+    a bank's entries, so slot 0 gives every slot's norms.  Only when that
+    bound reaches 2**53 is the exact per-cell abs-correlation run.
+    """
+    l1 = np.abs(bank[0]).sum(axis=(1, 2, 3, 4)).max()
+    if max(vals.max(), -vals.min()) * l1 < EXACT_INT_LIMIT:
         return
-    bound = _correlate(np.abs(vals), np.abs(w), s)
-    if bound.max() >= EXACT_INT_LIMIT:
-        raise ExactnessOverflowError(
-            f"integer accumulation bound {bound.max():.3e} exceeds 2**53; "
-            "reduce magnitudes or depth for exact comparisons"
-        )
+    abs_vals = np.abs(vals)
+    for slot in bank:
+        bound = _correlate(abs_vals, np.abs(slot), s)
+        if bound.max() >= EXACT_INT_LIMIT:
+            raise ExactnessOverflowError(
+                f"integer accumulation bound {bound.max():.3e} exceeds 2**53; "
+                "reduce magnitudes or depth for exact comparisons"
+            )
 
 
 def _pad(vals: np.ndarray, p: int) -> np.ndarray:
@@ -236,20 +256,35 @@ def _check_conv_args(fm: FeatureMap, filters: FilterBank, s: int, p: int) -> Non
         )
 
 
+def _group_conv(
+    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int, p: int
+) -> FeatureMap:
+    """The one body of conv2d, gconv_lift and gconv: output slot g is the
+    correlation with transform_filters(g, filters, kind), for every g in
+    elements(kind); z2 is the one-slot case."""
+    _check_conv_args(fm, filters, s, p)
+    vals = _pad(fm.values, p)
+    bank = np.stack([transform_filters(g, filters, kind).values for g in elements(kind)])
+    if _is_integral(fm.values) and _is_integral(filters.values):
+        _guard_exact_contraction(vals, bank, s)
+        windows = sliding_window_view(vals, bank.shape[-2:], axis=(2, 3))[:, :, ::s, ::s]
+        out = np.tensordot(bank, windows, axes=([2, 3, 4, 5], [0, 1, 4, 5]))
+        return FeatureMap(out.transpose(1, 0, 2, 3))
+    return FeatureMap(np.stack([_correlate(vals, slot, s) for slot in bank], axis=1))
+
+
 def conv2d(fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0) -> FeatureMap:
     """Plain strided cross-correlation contracting channel and group axes;
     output side is floor((i + 2p - k)/s) + 1 and the output group axis is 1."""
-    _check_conv_args(fm, filters, s, p)
-    vals = _pad(fm.values, p)
-    _guard_exact_contraction(vals, filters.values, s)
-    out = _correlate(vals, filters.values, s)
-    return FeatureMap(out[:, np.newaxis])
+    return _group_conv(fm, filters, GroupKind.Z2, s, p)
 
 
 def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> FilterBank:
     """Filter bank as seen by output slot g: kernels spatially transformed by
     g and, for group-valued banks, the group axis permuted so that slot h
-    reads the original slot g^-1 h."""
+    reads the original slot g^-1 h.  The identity returns the bank itself."""
+    if g == IDENTITY:
+        return filters
     vals = filters.values
     if g.mirrored:
         vals = vals[..., ::-1]
@@ -272,11 +307,7 @@ def gconv_lift(
         raise ShapeError("lifting requires a non-trivial group; use conv2d for z2")
     if fm.group_size != 1:
         raise ShapeError(f"lifting expects a planar input, got group axis {fm.group_size}")
-    slots = [
-        conv2d(fm, transform_filters(g, filters, kind), s, p).values[:, 0]
-        for g in elements(kind)
-    ]
-    return FeatureMap(np.stack(slots, axis=1))
+    return _group_conv(fm, filters, kind, s, p)
 
 
 def gconv(
@@ -287,11 +318,7 @@ def gconv(
         raise ShapeError("group convolution requires a non-trivial group")
     if fm.group_size != kind.size:
         raise ShapeError(f"expected group axis {kind.size}, got {fm.group_size}")
-    slots = [
-        conv2d(fm, transform_filters(g, filters, kind), s, p).values[:, 0]
-        for g in elements(kind)
-    ]
-    return FeatureMap(np.stack(slots, axis=1))
+    return _group_conv(fm, filters, kind, s, p)
 
 
 def maxpool(fm: FeatureMap, k: int, s: int) -> FeatureMap:

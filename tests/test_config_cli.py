@@ -345,6 +345,8 @@ class TestReportDocument:
         ["suggest", "p4cnn", "10", "5"],
         ["measure", "p4cnn", "--elements", "foo"],
         ["sweep", "toy41", "--angle-step", "nan"],
+        ["sweep", "toy41", "--angle-step", "1e-300"],
+        ["sweep", "toy41", "--angle-step", "1e-6"],
     ],
 )
 def test_bad_input_exits_two_with_message(capsys, argv):

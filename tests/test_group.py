@@ -220,6 +220,15 @@ class TestGroupPermutation:
         with pytest.raises(GroupKindError):
             group_permutation(MIRROR, GroupKind.P4)
 
+    def test_memoized_permutation_is_read_only_and_errors_repeat(self):
+        perm = group_permutation(ROT90, GroupKind.P4)
+        assert group_permutation(ROT90, GroupKind.P4) is perm
+        with pytest.raises(ValueError):
+            perm[0] = 0
+        for _ in range(2):
+            with pytest.raises(GroupKindError):
+                group_permutation(MIRROR, GroupKind.P4)
+
     def test_slot_order(self):
         assert [slot_index(g) for g in P4M] == list(range(8))
 

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equicheck.errors import LayerError, ShapeError
+from equicheck.errors import ExactnessOverflowError, LayerError, ShapeError
 from equicheck.group import (
     IDENTITY,
     ROT90,
@@ -20,6 +22,7 @@ from equicheck.layers import (
     Layer,
     LayerKind,
     Network,
+    _correlate,
     circle_crop,
     conv2d,
     coset_maxpool,
@@ -32,6 +35,7 @@ from equicheck.layers import (
     maxpool,
     relu,
     seed_network,
+    transform_filters,
 )
 from equicheck.tensor import (
     FeatureMap,
@@ -168,6 +172,72 @@ class TestGconv:
         w = random_filter_bank(1, 1, 1, 4, 3)
         with pytest.raises(ShapeError):
             gconv(fm, w, GroupKind.P4)
+
+
+def per_slot_reference(fm, w, kind, s, p):
+    """The per-slot composition every conv used to run: pad, then one
+    per-kernel-position correlation per transformed bank."""
+    vals = np.pad(fm.values, ((0, 0), (0, 0), (p, p), (p, p)))
+    banks = [w] if kind is GroupKind.Z2 else [transform_filters(g, w, kind) for g in elements(kind)]
+    return np.stack([_correlate(vals, b.values, s) for b in banks], axis=1)
+
+
+@st.composite
+def conv_cases(draw):
+    """(layer function, kind, in-group size) plus small valid shapes."""
+    fn, kind = draw(st.sampled_from([
+        (conv2d, GroupKind.Z2),
+        (gconv_lift, GroupKind.P4), (gconv_lift, GroupKind.P4M),
+        (gconv, GroupKind.P4), (gconv, GroupKind.P4M),
+    ]))
+    if fn is conv2d:
+        group = draw(st.sampled_from([1, 4, 8]))  # group-valued conv2d included
+    else:
+        group = 1 if fn is gconv_lift else kind.size
+    c, o, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    s, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    side = draw(st.integers(max(1, k - 2 * p), k - 2 * p + 7))
+    seed, integer = draw(st.integers(0, 10_000)), draw(st.booleans())
+    fm = random_feature_map([seed, 0], c, group, side, side, integer)
+    w = random_filter_bank([seed, 1], o, c, group, k, integer)
+    return fn, kind, fm, w, s, p
+
+
+class TestContractionPaths:
+    """Integer operands take one tensordot, float operands the per-position
+    loop; both must give exactly what the per-slot composition gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(conv_cases())
+    def test_stacked_body_matches_per_slot_loop(self, case):
+        fn, kind, fm, w, s, p = case
+        out = conv2d(fm, w, s, p) if fn is conv2d else fn(fm, w, kind, s, p)
+        assert np.array_equal(out.values, per_slot_reference(fm, w, kind, s, p))
+
+
+def spike_case(fill_all):
+    """3x3 integer input at 2**45 (one spike or everywhere), all weights 32."""
+    vals = np.full((1, 1, 3, 3), 2.0**45) if fill_all else np.zeros((1, 1, 3, 3))
+    vals[0, 0, 1, 1] = 2.0**45
+    return FeatureMap(vals), FilterBank(np.full((1, 1, 1, 3, 3), 32.0))
+
+
+class TestExactnessGuard:
+    def test_loose_hoelder_bound_falls_back_to_exact_sum(self):
+        # max|x| * ||w||_1 = 2**45 * 288 > 2**53, but each cell sums to 2**50
+        fm, w = spike_case(fill_all=False)
+        out = conv2d(fm, w, p=1)
+        assert np.all(out.values == 2.0**50)
+        assert np.array_equal(out.values, per_slot_reference(fm, w, GroupKind.Z2, 1, 1))
+
+    def test_exact_sum_past_two_to_53_raises(self):
+        fm, w = spike_case(fill_all=True)
+        with pytest.raises(ExactnessOverflowError):
+            conv2d(fm, w)
+        net = Network(kind=GroupKind.Z2, layers=(Layer(LayerKind.CONV2D, k=3, out_channels=1),),
+                      input_size=3, weights=(w,))
+        with pytest.raises(LayerError, match="layer 0"):
+            forward(net, fm)
 
 
 class TestMaxpool:
