@@ -10,6 +10,12 @@ the horizontal mirror is
 
     M_n(x, y) = (n-1-x, y).
 
+Each map is written once, on the two corners of an index patch
+(``rotate_corners``, ``mirror_corners``); the index maps are the same
+formula on one-cell patches.  The corner and index maps and their range
+checks work elementwise on int arrays as well as on ints, so the
+commutation oracle can check every output cell of a layer at once.
+
 A group element is stored in the normal form "mirror first, then
 ``rotations`` quarter turns".  The clockwise quarter turn is simply the
 inverse of ``ROT90``.  The canonical order of group-axis slots is
@@ -114,23 +120,83 @@ def slot_index(g: GroupElement) -> int:
     return g.rotations + 4 * g.mirrored
 
 
-def _check_index(n: int, x: int, y: int) -> None:
+def _first(mask, *coords) -> tuple[int, ...] | None:
+    """The coordinates at the first true entry of an elementwise mask, as
+    ints, or None if there is none; the mask and coordinates are ints and
+    bools or same-shape arrays (row-major order for arrays)."""
+    if mask is False:  # compared ints: nothing to locate
+        return None
+    mask = np.asarray(mask)
+    if not mask.any():
+        return None
+    j = int(mask.argmax())
+    return tuple(int(np.ravel(c)[j]) for c in coords)
+
+
+def _outside(n: int, x, y):
+    return (x < 0) | (x >= n) | (y < 0) | (y >= n)
+
+
+def _check_index(n: int, x, y) -> None:
     if n < 1:
         raise IndexError(f"grid side must be >= 1, got {n}")
-    if not (0 <= x < n and 0 <= y < n):
-        raise IndexError(f"index ({x}, {y}) out of range for side {n}")
+    bad = _first(_outside(n, x, y), x, y)
+    if bad:
+        raise IndexError(f"index {bad} out of range for side {n}")
 
 
-def rotate_index(n: int, x: int, y: int) -> tuple[int, int]:
-    """Quarter-turn map R_n on a single (col, row) index."""
+def check_corner_order(x1, y1, x2, y2) -> None:
+    """Raise PatchError unless (x1, y1) is the top-left and (x2, y2) the
+    bottom-right corner of a patch; elementwise on ints or same-shape int
+    arrays."""
+    bad = _first((x1 > x2) | (y1 > y2), x1, y1, x2, y2)
+    if bad:
+        raise PatchError(f"corners out of order: {bad[:2]} vs {bad[2:]}")
+
+
+def _check_corners(n: int, x1, y1, x2, y2) -> None:
+    bad = _first(_outside(n, x1, y1) | _outside(n, x2, y2), x1, y1, x2, y2)
+    if bad:
+        corner = bad[:2] if _outside(n, *bad[:2]) else bad[2:]
+        raise PatchError(f"patch corner {corner} out of range for side {n}")
+
+
+def _rotate(n: int, x1, y1, x2, y2) -> tuple:
+    return (y1, n - 1 - x2, y2, n - 1 - x1)
+
+
+def _mirror(n: int, x1, y1, x2, y2) -> tuple:
+    return (n - 1 - x2, y1, n - 1 - x1, y2)
+
+
+def rotate_corners(n: int, x1, y1, x2, y2) -> tuple:
+    """Quarter-turn map R_n on the corners of a patch, top-left (x1, y1) and
+    bottom-right (x2, y2); the corners swap roles so the result is again
+    top-left/bottom-right ordered.  Works elementwise on ints or same-shape
+    int arrays, and raises PatchError if any corner is off the grid."""
+    _check_corners(n, x1, y1, x2, y2)
+    return _rotate(n, x1, y1, x2, y2)
+
+
+def mirror_corners(n: int, x1, y1, x2, y2) -> tuple:
+    """Horizontal mirror M_n on patch corners; same contract as
+    :func:`rotate_corners`."""
+    _check_corners(n, x1, y1, x2, y2)
+    return _mirror(n, x1, y1, x2, y2)
+
+
+def rotate_index(n: int, x, y) -> tuple:
+    """Quarter-turn map R_n on a (col, row) index: the corner map on a
+    one-cell patch.  Works elementwise on int arrays too."""
     _check_index(n, x, y)
-    return (y, n - 1 - x)
+    return _rotate(n, x, y, x, y)[:2]
 
 
-def mirror_index(n: int, x: int, y: int) -> tuple[int, int]:
-    """Horizontal mirror map M_n on a single (col, row) index."""
+def mirror_index(n: int, x, y) -> tuple:
+    """Horizontal mirror map M_n on a (col, row) index; elementwise on int
+    arrays too."""
     _check_index(n, x, y)
-    return (n - 1 - x, y)
+    return _mirror(n, x, y, x, y)[:2]
 
 
 def transform_index(g: GroupElement, n: int, x: int, y: int) -> tuple[int, int]:
@@ -155,9 +221,7 @@ class IndexPatch:
     bottom_right: tuple[int, int]
 
     def __post_init__(self):
-        (x1, y1), (x2, y2) = self.top_left, self.bottom_right
-        if x1 > x2 or y1 > y2:
-            raise PatchError(f"corners out of order: {self.top_left} vs {self.bottom_right}")
+        check_corner_order(*self.top_left, *self.bottom_right)
 
     def indices(self) -> list[tuple[int, int]]:
         """All (col, row) pairs covered by the patch."""
@@ -165,25 +229,16 @@ class IndexPatch:
         return [(x, y) for y in range(y1, y2 + 1) for x in range(x1, x2 + 1)]
 
 
-def _check_patch(n: int, patch: IndexPatch) -> None:
-    for x, y in (patch.top_left, patch.bottom_right):
-        if not (0 <= x < n and 0 <= y < n):
-            raise PatchError(f"patch corner ({x}, {y}) out of range for side {n}")
-
-
 def rotate_patch(n: int, patch: IndexPatch) -> IndexPatch:
-    """Quarter-turn map on a whole patch; the corners swap roles so the
-    result is again top-left/bottom-right ordered."""
-    _check_patch(n, patch)
-    (x1, y1), (x2, y2) = patch.top_left, patch.bottom_right
-    return IndexPatch((y1, n - 1 - x2), (y2, n - 1 - x1))
+    """Quarter-turn map on a whole patch, via :func:`rotate_corners`."""
+    x1, y1, x2, y2 = rotate_corners(n, *patch.top_left, *patch.bottom_right)
+    return IndexPatch((x1, y1), (x2, y2))
 
 
 def mirror_patch(n: int, patch: IndexPatch) -> IndexPatch:
-    """Horizontal mirror of a whole patch."""
-    _check_patch(n, patch)
-    (x1, y1), (x2, y2) = patch.top_left, patch.bottom_right
-    return IndexPatch((n - 1 - x2, y1), (n - 1 - x1, y2))
+    """Horizontal mirror of a whole patch, via :func:`mirror_corners`."""
+    x1, y1, x2, y2 = mirror_corners(n, *patch.top_left, *patch.bottom_right)
+    return IndexPatch((x1, y1), (x2, y2))
 
 
 def act_spatial(g: GroupElement, fm: FeatureMap) -> FeatureMap:

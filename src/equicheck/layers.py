@@ -264,7 +264,7 @@ def _group_conv(
     elements(kind); z2 is the one-slot case."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
-    bank = np.stack([transform_filters(g, filters, kind).values for g in elements(kind)])
+    bank = np.stack([_transformed(g, filters.values, kind) for g in elements(kind)])
     if _is_integral(fm.values) and _is_integral(filters.values):
         _guard_exact_contraction(vals, bank, s)
         windows = sliding_window_view(vals, bank.shape[-2:], axis=(2, 3))[:, :, ::s, ::s]
@@ -279,23 +279,31 @@ def conv2d(fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0) -> Featu
     return _group_conv(fm, filters, GroupKind.Z2, s, p)
 
 
+def _transformed(g: GroupElement, vals: np.ndarray, kind: GroupKind) -> np.ndarray:
+    """The values of transform_filters(g, ...) as a raw array, a view of
+    ``vals`` unless the group axis is permuted; entries only move, so there
+    is nothing to validate again."""
+    if g == IDENTITY:
+        return vals
+    if g.mirrored:
+        vals = vals[..., ::-1]
+    if g.rotations:
+        vals = np.rot90(vals, g.rotations, axes=(3, 4))
+    if vals.shape[2] > 1:
+        perm = group_permutation(g, kind)
+        moved = np.empty_like(vals)
+        moved[:, :, perm] = vals
+        vals = moved
+    return vals
+
+
 def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> FilterBank:
     """Filter bank as seen by output slot g: kernels spatially transformed by
     g and, for group-valued banks, the group axis permuted so that slot h
     reads the original slot g^-1 h.  The identity returns the bank itself."""
     if g == IDENTITY:
         return filters
-    vals = filters.values
-    if g.mirrored:
-        vals = vals[..., ::-1]
-    if g.rotations:
-        vals = np.rot90(vals, g.rotations, axes=(3, 4))
-    if filters.in_group_size > 1:
-        perm = group_permutation(g, kind)
-        moved = np.empty_like(vals)
-        moved[:, :, perm] = vals
-        vals = moved
-    return FilterBank(vals)
+    return FilterBank(_transformed(g, filters.values, kind))
 
 
 def gconv_lift(

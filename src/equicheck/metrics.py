@@ -5,6 +5,13 @@ oracles here enumerate index patches geometrically, while the analyzer's
 ``check_layer`` is pure modular arithmetic.  Agreement of the two over a
 grid of (input, kernel, stride) triples is what the test suite verifies
 exhaustively.
+
+The oracle compares the patches of all output cells as int arrays, in
+row-major blocks of at most ``ORACLE_BLOCK`` cells, through the same
+corner maps that transform a single patch (``group.rotate_corners`` and
+``group.mirror_corners``); it never evaluates the modular rule.  Only the
+first mismatching cell is rebuilt as ``IndexPatch`` objects, with the
+scalar maps, to form the counterexample.
 """
 
 from __future__ import annotations
@@ -22,9 +29,12 @@ from .group import (
     IndexPatch,
     act_full,
     act_spatial,
+    check_corner_order,
     elements,
+    mirror_corners,
     mirror_index,
     mirror_patch,
+    rotate_corners,
     rotate_index,
     rotate_patch,
 )
@@ -32,11 +42,25 @@ from .layers import Network, circle_crop, forward, infer_shapes, seed_network
 from .tensor import FeatureMap, max_abs_diff, random_feature_map
 
 
+#: Most output cells the commutation oracle holds in arrays at once.
+ORACLE_BLOCK = 1 << 16
+
+
+def _patch_corners(x, y, k: int, s: int) -> tuple:
+    """Corners (x1, y1, x2, y2) of the patch read for output cell (x, y),
+    elementwise on ints or int arrays; PatchError if they are out of order."""
+    x1, y1 = s * x, s * y
+    corners = (x1, y1, x1 + (k - 1), y1 + (k - 1))
+    check_corner_order(*corners)
+    return corners
+
+
 def index_patch(x: int, y: int, k: int, s: int) -> IndexPatch:
     """Input indices read by a stride-s, size-k kernel for output cell (x, y)."""
     if x < 0 or y < 0:
         raise ValueError(f"output index must be non-negative, got ({x}, {y})")
-    return IndexPatch((s * x, s * y), (s * x + k - 1, s * y + k - 1))
+    x1, y1, x2, y2 = _patch_corners(x, y, k, s)
+    return IndexPatch((x1, y1), (x2, y2))
 
 
 @dataclass(frozen=True)
@@ -55,15 +79,29 @@ class CommutationVerdict:
     counterexample: Counterexample | None = None
 
 
-def _commutation(i: int, k: int, s: int, index_map, patch_map) -> CommutationVerdict:
+def _commutation(
+    i: int, k: int, s: int, index_map, corner_map, patch_map
+) -> CommutationVerdict:
+    """For every output cell, compare the patch of the mapped output index
+    with the mapped patch of the cell, as arrays over up to ORACLE_BLOCK
+    cells at a time in row-major order.  The first mismatching cell is
+    rebuilt with the scalar maps, which must disagree there too."""
     o = output_size(i, k, s)
-    for y in range(o):
-        for x in range(o):
-            ox, oy = index_map(o, x, y)
-            via_output = index_patch(ox, oy, k, s)
+    for start in range(0, o * o, ORACLE_BLOCK):
+        cells = np.arange(start, min(start + ORACLE_BLOCK, o * o))
+        y = cells // o
+        x = cells - o * y
+        ox1, oy1, ox2, oy2 = _patch_corners(*index_map(o, x, y), k, s)
+        ix1, iy1, ix2, iy2 = corner_map(i, *_patch_corners(x, y, k, s))
+        differs = (ox1 != ix1) | (oy1 != iy1) | (ox2 != ix2) | (oy2 != iy2)
+        if differs.any():
+            j = int(differs.argmax())
+            x, y = int(x[j]), int(y[j])
+            via_output = index_patch(*index_map(o, x, y), k, s)
             via_input = patch_map(i, index_patch(x, y, k, s))
-            if via_output != via_input:
-                return CommutationVerdict(False, Counterexample((x, y), via_output, via_input))
+            if via_output == via_input:
+                raise AssertionError(f"array and scalar maps disagree at output cell ({x}, {y})")
+            return CommutationVerdict(False, Counterexample((x, y), via_output, via_input))
     return CommutationVerdict(True)
 
 
@@ -71,12 +109,12 @@ def rotation_commutation(i: int, k: int, s: int) -> CommutationVerdict:
     """Brute-force check that sampling indices commute with the quarter turn:
     for every output cell, the patch of the rotated output index must equal
     the rotated patch of the original index."""
-    return _commutation(i, k, s, rotate_index, rotate_patch)
+    return _commutation(i, k, s, rotate_index, rotate_corners, rotate_patch)
 
 
 def mirror_commutation(i: int, k: int, s: int) -> CommutationVerdict:
     """Same check for the horizontal mirror."""
-    return _commutation(i, k, s, mirror_index, mirror_patch)
+    return _commutation(i, k, s, mirror_index, mirror_corners, mirror_patch)
 
 
 def equivariance_error(a: FeatureMap, b: FeatureMap) -> float:

@@ -22,8 +22,10 @@ from equicheck.group import (
     elements,
     group_permutation,
     inverse,
+    mirror_corners,
     mirror_index,
     mirror_patch,
+    rotate_corners,
     rotate_index,
     rotate_patch,
     slot_index,
@@ -122,6 +124,39 @@ class TestPatchMaps:
             IndexPatch((2, 0), (1, 1))
         with pytest.raises(PatchError):
             rotate_patch(3, IndexPatch((0, 0), (3, 3)))
+
+
+class TestArrayMaps:
+    """The index and corner maps applied to int arrays, element by element,
+    against the scalar maps."""
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_corner_maps_match_patch_maps(self, n):
+        patches = list(all_patches(n))
+        corners = [np.array(c) for c in zip(*(p.top_left + p.bottom_right for p in patches))]
+        for corner_map, patch_map in ((rotate_corners, rotate_patch), (mirror_corners, mirror_patch)):
+            mapped = np.stack(corner_map(n, *corners), axis=1)
+            expected = [patch_map(n, p).top_left + patch_map(n, p).bottom_right for p in patches]
+            assert mapped.tolist() == [list(c) for c in expected]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_index_maps_match_scalar_maps(self, n):
+        y, x = np.divmod(np.arange(n * n), n)
+        for index_map in (rotate_index, mirror_index):
+            mapped = np.stack(index_map(n, x, y), axis=1)
+            assert mapped.tolist() == [list(index_map(n, a, b)) for a, b in zip(x.tolist(), y.tolist())]
+
+    def test_scalar_maps_return_python_ints(self):
+        assert all(type(v) is int for v in rotate_index(5, 1, 2) + mirror_corners(5, 0, 1, 2, 3))
+
+    def test_out_of_range_arrays_name_the_first_bad_entry(self):
+        x, y = np.array([0, 3, 4]), np.array([0, 1, 0])
+        with pytest.raises(IndexError, match=r"index \(3, 1\) out of range for side 3"):
+            rotate_index(3, x, y)
+        with pytest.raises(PatchError, match=r"patch corner \(4, 0\) out of range for side 4"):
+            mirror_corners(4, x, y, x, y + 1)
+        with pytest.raises(PatchError, match=r"patch corner \(0, 3\) out of range for side 3"):
+            rotate_corners(3, np.array([0, 0]), np.array([0, 0]), np.array([1, 0]), np.array([1, 3]))
 
 
 class TestAlgebra:

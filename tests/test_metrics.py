@@ -1,15 +1,31 @@
 """Commutation oracles, the error measure, per-depth profiles, bilinear
 rotation and the invariance sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from equicheck import metrics
+from equicheck.analyzer import output_size
 from equicheck.builtins import TOY41
 from equicheck.config import build_network
-from equicheck.errors import ConfigError, ShapeError
-from equicheck.group import GroupElement, GroupKind, IndexPatch, act_spatial
+from equicheck.errors import ConfigError, PatchError, ShapeError
+from equicheck.group import (
+    GroupElement,
+    GroupKind,
+    IndexPatch,
+    act_spatial,
+    mirror_index,
+    mirror_patch,
+    rotate_corners,
+    rotate_index,
+    rotate_patch,
+)
 from equicheck.layers import Layer, LayerKind, Network
 from equicheck.metrics import (
+    CommutationVerdict,
+    Counterexample,
     equivariance_error,
     index_patch,
     invariance_sweep,
@@ -61,6 +77,95 @@ class TestCommutationOracles:
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
             rotation_commutation(3, 4, 1)
+
+
+def per_cell_commutation(i, k, s, index_map, patch_map):
+    """Reference oracle: one scalar patch comparison per output cell, in
+    row-major order, stopping at the first mismatch."""
+    o = output_size(i, k, s)
+    for y in range(o):
+        for x in range(o):
+            ox, oy = index_map(o, x, y)
+            via_output = index_patch(ox, oy, k, s)
+            via_input = patch_map(i, index_patch(x, y, k, s))
+            if via_output != via_input:
+                return CommutationVerdict(False, Counterexample((x, y), via_output, via_input))
+    return CommutationVerdict(True)
+
+
+ORACLES = [
+    pytest.param(rotation_commutation, rotate_index, rotate_patch, id="rot"),
+    pytest.param(mirror_commutation, mirror_index, mirror_patch, id="mirror"),
+]
+
+
+class TestOracleMatchesPerCellLoop:
+    """The array oracle against the per-cell loop, verdict and counterexample
+    alike."""
+
+    @pytest.mark.parametrize("oracle, index_map, patch_map", ORACLES)
+    def test_grid(self, oracle, index_map, patch_map):
+        for i in range(1, 41):
+            for k in range(1, min(i, 9) + 1):
+                for s in range(1, 10):
+                    expected = per_cell_commutation(i, k, s, index_map, patch_map)
+                    assert oracle(i, k, s) == expected, (i, k, s)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("oracle, index_map, patch_map", ORACLES)
+    def test_small_blocks(self, monkeypatch, block, oracle, index_map, patch_map):
+        monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
+        for i in range(1, 16):
+            for k in range(1, min(i, 4) + 1):
+                for s in range(1, 5):
+                    expected = per_cell_commutation(i, k, s, index_map, patch_map)
+                    assert oracle(i, k, s) == expected, (i, k, s)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, metrics.ORACLE_BLOCK])
+    def test_first_mismatch_in_a_later_block(self, monkeypatch, block):
+        # With the true maps every broken triple already fails at cell (0, 0),
+        # so plant mismatches further on: the quarter turn of the patches of
+        # cells (7, 1) and (2, 3) lands one column off.  (7, 1) comes first in
+        # row-major order, (2, 3) in column-major order.
+        def corner_map(n, x1, y1, x2, y2):
+            hit = ((x1 == 7) & (y1 == 1)) | ((x1 == 2) & (y1 == 3))
+            rx1, ry1, rx2, ry2 = rotate_corners(n, x1, y1, x2, y2)
+            return rx1 + hit, ry1, rx2 + hit, ry2
+
+        def patch_map(n, patch):
+            rx1, ry1, rx2, ry2 = corner_map(n, *patch.top_left, *patch.bottom_right)
+            return IndexPatch((rx1, ry1), (rx2, ry2))
+
+        monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
+        expected = per_cell_commutation(9, 1, 1, rotate_index, patch_map)
+        assert expected.counterexample.output_index == (7, 1)
+        got = metrics._commutation(9, 1, 1, rotate_index, corner_map, patch_map)
+        assert got == expected
+
+    @pytest.mark.parametrize("oracle, index_map, patch_map", ORACLES)
+    @pytest.mark.parametrize(
+        "args, error",
+        [((5, 0, 1), PatchError), ((3, 4, 1), ShapeError), ((5, 2, 0), ShapeError)],
+    )
+    def test_invalid_triples_raise_like_the_loop(
+        self, oracle, index_map, patch_map, args, error
+    ):
+        with pytest.raises(error) as expected:
+            per_cell_commutation(*args, index_map, patch_map)
+        with pytest.raises(error) as got:
+            oracle(*args)
+        assert str(got.value) == str(expected.value)
+
+    def test_memory_stays_bounded(self):
+        # one full o*o int64 array would be 2049**2 * 8 bytes = 33.6 MB
+        tracemalloc.start()
+        try:
+            holds = rotation_commutation(2049, 1, 1).holds
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert holds is True
+        assert peak < 16 * 2**20
 
 
 class TestEquivarianceError:
