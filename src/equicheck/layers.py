@@ -20,10 +20,15 @@ bound reaches 2**53 does it run the exact per-cell abs-correlation.  Below
 2**53 every partial sum is an exact integer whatever the summation order,
 so integer operands are contracted by a single BLAS tensordot over strided
 windows, bit-identical to any other order, and integer-mode equivariance
-tests can assert equality with zero tolerance.  Float operands keep the
-fixed per-kernel-position loop, slot by slot, because a different order
-would move their float64 rounding and with it the float reports checked
-against an absolute tolerance.
+tests can assert equality with zero tolerance.  Float operands are
+contracted in a fixed order instead, because a different order would move
+their float64 rounding and with it the float reports checked against an
+absolute tolerance: per output element, the (channel, group) products of
+each kernel position are summed in sequence, and the position sums are
+added in raster order.  The map is flattened to rows of n*n entries, so one
+einsum per kernel position covers every slot and output cell; each element
+still sees the same sequence, which is why the result does not depend on
+how the slots are stacked.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -195,22 +200,35 @@ def _is_integral(arr: np.ndarray) -> bool:
     return bool(np.all(arr == np.rint(arr)))
 
 
-def _correlate(vals: np.ndarray, w: np.ndarray, s: int) -> np.ndarray:
+def _correlate(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
     """Strided cross-correlation of a padded (C, G, n, n) array with a
-    (O, C, G, k, k) bank, contracting channels and group; returns (O, o, o).
+    stacked (|G|, O, C, G, k, k) bank, contracting channels and group;
+    returns (O, |G|, o, o).
 
-    Accumulates kernel position by kernel position in a fixed order.
+    The map is flattened to (C, G, n*n), so for kernel position (dy, dx) the
+    windows of all output cells are the one strided slice starting at
+    dy*n + dx, output cell (y, x) at offset y*n + x; the n - o columns past
+    the right edge of each row are computed and dropped.  Float arithmetic
+    is fixed: per output element, the (channel, group) products of one
+    kernel position are summed in sequence (in einsum's own vector order
+    only for a 1x1 map), and the position sums are added in raster order.
+    Slots and output cells are free axes of each einsum and the reduction
+    runs over (channel, group) alone, so every element sees the same
+    sequence whatever the layout of the free axes, and the result does not
+    depend on how many slots are stacked.
     """
-    k = w.shape[-1]
+    k = bank.shape[-1]
     n = vals.shape[-1]
     o = (n - k) // s + 1
-    hi = s * (o - 1) + 1
-    out = np.zeros((w.shape[0], o, o), dtype=np.float64)
+    span = (o - 1) * n + o
+    flat = vals.reshape(vals.shape[0], vals.shape[1], n * n)
+    acc = np.zeros((bank.shape[1], bank.shape[0], o * n), dtype=np.float64)
     for dy in range(k):
         for dx in range(k):
-            win = vals[:, :, dy : dy + hi : s, dx : dx + hi : s]
-            out += np.einsum("cgyx,ocg->oyx", win, w[:, :, :, dy, dx])
-    return out
+            start = dy * n + dx
+            win = flat[:, :, start : start + s * (span - 1) + 1 : s]
+            acc[:, :, :span] += np.einsum("cgz,pocg->opz", win, bank[..., dy, dx])
+    return acc.reshape(acc.shape[0], acc.shape[1], o, n)[..., :o]
 
 
 def _guard_exact_contraction(vals: np.ndarray, bank: np.ndarray, s: int) -> None:
@@ -220,19 +238,19 @@ def _guard_exact_contraction(vals: np.ndarray, bank: np.ndarray, s: int) -> None
     ``bank`` is the (|G|, O, C, G_in, k, k) stacked bank.  The Hoelder bound
     max|x| * max_o ||w_o||_1 is tried first; the group transforms only move
     a bank's entries, so slot 0 gives every slot's norms.  Only when that
-    bound reaches 2**53 is the exact per-cell abs-correlation run.
+    bound reaches 2**53 is the exact per-cell abs-correlation run; the first
+    slot whose bound reaches 2**53 is reported.
     """
     l1 = np.abs(bank[0]).sum(axis=(1, 2, 3, 4)).max()
     if max(vals.max(), -vals.min()) * l1 < EXACT_INT_LIMIT:
         return
-    abs_vals = np.abs(vals)
-    for slot in bank:
-        bound = _correlate(abs_vals, np.abs(slot), s)
-        if bound.max() >= EXACT_INT_LIMIT:
-            raise ExactnessOverflowError(
-                f"integer accumulation bound {bound.max():.3e} exceeds 2**53; "
-                "reduce magnitudes or depth for exact comparisons"
-            )
+    slot_max = _correlate(np.abs(vals), np.abs(bank), s).max(axis=(0, 2, 3))
+    over = np.flatnonzero(slot_max >= EXACT_INT_LIMIT)
+    if over.size:
+        raise ExactnessOverflowError(
+            f"integer accumulation bound {slot_max[over[0]]:.3e} exceeds 2**53; "
+            "reduce magnitudes or depth for exact comparisons"
+        )
 
 
 def _pad(vals: np.ndarray, p: int) -> np.ndarray:
@@ -244,16 +262,16 @@ def _pad(vals: np.ndarray, p: int) -> np.ndarray:
 def _check_conv_args(fm: FeatureMap, filters: FilterBank, s: int, p: int) -> None:
     if s < 1 or p < 0:
         raise ShapeError(f"stride must be >= 1 and padding >= 0, got s={s}, p={p}")
+    if not fm.is_square:
+        raise ShapeError(f"convolution needs a square map, got {fm.height}x{fm.width}")
     if fm.group_size != filters.in_group_size:
         raise ShapeError(
             f"filter expects group axis {filters.in_group_size}, map has {fm.group_size}"
         )
     if fm.channels != filters.in_channels:
         raise ShapeError(f"filter expects {filters.in_channels} channels, map has {fm.channels}")
-    if min(fm.height, fm.width) + 2 * p < filters.k:
-        raise ShapeError(
-            f"kernel {filters.k} exceeds padded input {min(fm.height, fm.width) + 2 * p}"
-        )
+    if fm.height + 2 * p < filters.k:
+        raise ShapeError(f"kernel {filters.k} exceeds padded input {fm.height + 2 * p}")
 
 
 def _group_conv(
@@ -270,7 +288,7 @@ def _group_conv(
         windows = sliding_window_view(vals, bank.shape[-2:], axis=(2, 3))[:, :, ::s, ::s]
         out = np.tensordot(bank, windows, axes=([2, 3, 4, 5], [0, 1, 4, 5]))
         return FeatureMap(out.transpose(1, 0, 2, 3))
-    return FeatureMap(np.stack([_correlate(vals, slot, s) for slot in bank], axis=1))
+    return FeatureMap(_correlate(vals, bank, s))
 
 
 def conv2d(fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0) -> FeatureMap:

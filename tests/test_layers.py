@@ -1,6 +1,7 @@
 """Layer semantics: convolution sizes, group convolutions, poolings, crop,
 and exactness of whole-network equivariance in integer mode."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,6 @@ from equicheck.layers import (
     Layer,
     LayerKind,
     Network,
-    _correlate,
     circle_crop,
     conv2d,
     coset_maxpool,
@@ -174,17 +174,42 @@ class TestGconv:
             gconv(fm, w, GroupKind.P4)
 
 
+def per_position_reference(vals: np.ndarray, w: np.ndarray, s: int) -> np.ndarray:
+    """The float loop the convolutions used to run, kept verbatim: strided
+    cross-correlation of a padded (C, G, n, n) array with a (O, C, G, k, k)
+    bank, contracting channels and group; returns (O, o, o).
+
+    Accumulates kernel position by kernel position in a fixed order.
+    """
+    k = w.shape[-1]
+    n = vals.shape[-1]
+    o = (n - k) // s + 1
+    hi = s * (o - 1) + 1
+    out = np.zeros((w.shape[0], o, o), dtype=np.float64)
+    for dy in range(k):
+        for dx in range(k):
+            win = vals[:, :, dy : dy + hi : s, dx : dx + hi : s]
+            out += np.einsum("cgyx,ocg->oyx", win, w[:, :, :, dy, dx])
+    return out
+
+
 def per_slot_reference(fm, w, kind, s, p):
     """The per-slot composition every conv used to run: pad, then one
     per-kernel-position correlation per transformed bank."""
     vals = np.pad(fm.values, ((0, 0), (0, 0), (p, p), (p, p)))
     banks = [w] if kind is GroupKind.Z2 else [transform_filters(g, w, kind) for g in elements(kind)]
-    return np.stack([_correlate(vals, b.values, s) for b in banks], axis=1)
+    return np.stack([per_position_reference(vals, b.values, s) for b in banks], axis=1)
+
+
+def run_conv(fn, kind, fm, w, s, p):
+    return conv2d(fm, w, s, p) if fn is conv2d else fn(fm, w, kind, s, p)
 
 
 @st.composite
 def conv_cases(draw):
-    """(layer function, kind, in-group size) plus small valid shapes."""
+    """(layer function, kind, in-group size) plus small valid shapes; up to
+    12 channels in and out, so reductions run over as many as 96 (c, g)
+    terms."""
     fn, kind = draw(st.sampled_from([
         (conv2d, GroupKind.Z2),
         (gconv_lift, GroupKind.P4), (gconv_lift, GroupKind.P4M),
@@ -194,7 +219,7 @@ def conv_cases(draw):
         group = draw(st.sampled_from([1, 4, 8]))  # group-valued conv2d included
     else:
         group = 1 if fn is gconv_lift else kind.size
-    c, o, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    c, o, k = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
     s, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     side = draw(st.integers(max(1, k - 2 * p), k - 2 * p + 7))
     seed, integer = draw(st.integers(0, 10_000)), draw(st.booleans())
@@ -203,16 +228,51 @@ def conv_cases(draw):
     return fn, kind, fm, w, s, p
 
 
+#: (layer function, kind, in channels, in group, side, out channels, k, s, p)
+#: of the built-in layers: p4cnn layer 2, its p4m variant's layer 2, z2cnn
+#: layer 2 and the toy41 lift.
+BUILTIN_CONVS = [
+    (gconv, GroupKind.P4, 10, 4, 26, 10, 3, 1, 0),
+    (gconv, GroupKind.P4M, 10, 8, 26, 10, 3, 1, 0),
+    (conv2d, GroupKind.Z2, 20, 1, 26, 20, 3, 1, 0),
+    (gconv_lift, GroupKind.P4, 1, 1, 33, 1, 3, 2, 1),
+]
+
+
 class TestContractionPaths:
-    """Integer operands take one tensordot, float operands the per-position
-    loop; both must give exactly what the per-slot composition gives."""
+    """Integer operands take one tensordot, float operands the flattened-row
+    einsum; both must give exactly what the per-slot composition gives."""
 
     @settings(max_examples=150, deadline=None)
     @given(conv_cases())
     def test_stacked_body_matches_per_slot_loop(self, case):
         fn, kind, fm, w, s, p = case
-        out = conv2d(fm, w, s, p) if fn is conv2d else fn(fm, w, kind, s, p)
-        assert np.array_equal(out.values, per_slot_reference(fm, w, kind, s, p))
+        assert np.array_equal(run_conv(*case).values, per_slot_reference(fm, w, kind, s, p))
+
+    @pytest.mark.parametrize("fn, kind, c, g, side, o, k, s, p", BUILTIN_CONVS)
+    def test_float_builtin_shapes_match_per_slot_loop(self, fn, kind, c, g, side, o, k, s, p):
+        fm = random_feature_map([side, c], c, g, side, side)
+        w = random_filter_bank([side, o], o, c, g, k)
+        out = run_conv(fn, kind, fm, w, s, p).values
+        ref = per_slot_reference(fm, w, kind, s, p)
+        assert out.shape == ref.shape
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+class TestNonSquareMaps:
+    """Inputs are square; a non-square map is refused before any contraction,
+    whichever path its values would take."""
+
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("height, width", [(7, 5), (5, 7)])
+    @pytest.mark.parametrize("fn, kind, group", [
+        (conv2d, GroupKind.Z2, 1), (gconv_lift, GroupKind.P4, 1), (gconv, GroupKind.P4, 4),
+    ])
+    def test_rejected(self, fn, kind, group, height, width, integer):
+        fm = random_feature_map(0, 1, group, height, width, integer)
+        w = random_filter_bank(1, 1, 1, group, 3, integer)
+        with pytest.raises(ShapeError, match="square"):
+            run_conv(fn, kind, fm, w, 1, 0)
 
 
 def spike_case(fill_all):
@@ -238,6 +298,20 @@ class TestExactnessGuard:
                       input_size=3, weights=(w,))
         with pytest.raises(LayerError, match="layer 0"):
             forward(net, fm)
+
+    def test_first_slot_past_two_to_53_is_reported(self):
+        # a corner spike of 2**45 meets a different filter corner in each p4
+        # slot: 1, 256, 512 and 384 times the spike, so slots 1-3 overflow and
+        # slot 1, at exactly 2**53, is named, not the largest bound
+        x = np.zeros((1, 1, 3, 3))
+        x[0, 0, 0, 0] = 2.0**45
+        w = np.zeros((1, 1, 1, 3, 3))
+        w[..., 0, 0], w[..., 0, 2], w[..., 2, 2], w[..., 2, 0] = 1, 256, 512, 384
+        fm, bank = FeatureMap(x), FilterBank(w)
+        bounds = per_slot_reference(fm, bank, GroupKind.P4, 1, 0).max(axis=(0, 2, 3))
+        assert bounds.tolist() == [2.0**45, 2.0**53, 2.0**54, 1.5 * 2.0**53]
+        with pytest.raises(ExactnessOverflowError, match=re.escape(f"bound {2.0**53:.3e} ")):
+            gconv_lift(fm, bank, GroupKind.P4)
 
 
 class TestMaxpool:
