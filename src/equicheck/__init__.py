@@ -2,15 +2,18 @@
 subsampling convolutional architectures (p4/p4m groups).
 
 The package provides a small forward-only layer zoo, a static analyzer for
-the (i + 2p - k) mod s = 0 subsampling condition, brute-force index
+the (i + 2p - k) mod s = 0 subsampling condition and the lattice of input
+sizes that satisfy it everywhere, brute-force index
 commutation oracles, empirical equivariance-error profiling, and a CLI.
 """
 
 from .analyzer import (
     AnalysisReport,
     LayerTrace,
+    SizeLattice,
     analyze,
     check_layer,
+    exact_size_lattice,
     output_size,
     suggest_input_sizes,
 )

@@ -4,7 +4,15 @@ A strided layer commutes with quarter-turn rotations and mirrors exactly
 when its padded input side satisfies (i + 2p - k) mod s = 0.  This module
 runs the shape walk of ``layers.walk_shapes`` over an architecture config,
 which applies that test (``check_layer``) to every layer with a spatial
-kernel, and searches nearby input sizes that make the whole network exact.
+kernel, and lists the input sizes that make the whole network exact.
+
+Those sizes need no search.  While every earlier layer is exact, each
+layer's input side is affine in the network input ``i``, so each condition
+is a congruence on ``i`` that refines the ones before it, and the exact
+sizes form one lattice {i >= i_min : i = r (mod S)} with S the product of
+the strides (``exact_size_lattice``).  ``analyze`` and
+``suggest_input_sizes`` read their sizes off it in O(layers), whatever the
+range.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from .errors import ShapeError
 from .group import GroupKind
 # The rule itself lives beside the walk; it is re-exported as part of the
 # analyzer's interface.
-from .layers import check_layer, output_size, walk_shapes  # noqa: F401
+from .layers import SPATIAL_KINDS, LayerKind, check_layer, output_size, walk_shapes  # noqa: F401
 
 #: Half-width of the input-size window scanned for suggestions.
 DEFAULT_SUGGEST_RADIUS = 4
@@ -51,13 +59,69 @@ class AnalysisReport:
     trace: tuple[LayerTrace, ...]
 
 
-def _steps(config: ArchitectureConfig, input_size: int):
-    return walk_shapes(GroupKind.from_label(config.group), config.layers, input_size)
+@dataclass(frozen=True)
+class SizeLattice:
+    """The exact input sides {i >= minimum : i = residue (mod modulus)}.
+
+    ``modulus`` is the product of the strides of the layers before the
+    first global pool or dense layer, ``0 <= residue < modulus``, and
+    ``minimum`` is the smallest side at which no kernel outruns its input.
+    """
+
+    residue: int
+    modulus: int
+    minimum: int
+
+    def sizes(self, lo: int, hi: int) -> range:
+        """The exact sides in [lo, hi], in increasing order."""
+        first = max(lo, self.minimum)
+        first += (self.residue - first) % self.modulus
+        return range(first, hi + 1, self.modulus)
+
+
+#: Layers whose output side is 1 whatever their input side.
+_HEAD_KINDS = frozenset({LayerKind.GLOBAL_AVG_POOL, LayerKind.DENSE})
+
+
+def exact_size_lattice(config: ArchitectureConfig) -> SizeLattice | None:
+    """The lattice of input sides at which every layer of ``config`` is
+    exact, or None when no side is.
+
+    The forward pass writes the network input as i = residue + modulus*u
+    and each layer's input side as slope*u + offset, slope 1 until a global
+    pool or dense layer fixes the side at 1 (slope 0).  A spatial layer with
+    slope 1 is exact iff u = t (mod s) with t = (k - 2p - offset) mod s,
+    which refines the lattice; with slope 0 its condition holds for every
+    size or for none.  The backward pass finds the smallest input side that
+    lets every later kernel fit; a head layer needs only side 1 but can give
+    only side 1, so a later kernel that needs more leaves no exact size.
+    """
+    validate(config)
+    residue, modulus, slope, offset = 0, 1, 1, 0
+    for layer in config.layers:
+        if layer.kind in _HEAD_KINDS:
+            slope, offset = 0, 1
+        elif layer.kind in SPATIAL_KINDS:
+            k, s, p = layer.k, layer.s, layer.p
+            if slope:
+                t = (k - 2 * p - offset) % s
+                residue, modulus, offset = residue + modulus * t, modulus * s, offset + t
+            elif (offset + 2 * p - k) % s:
+                return None
+            offset = (offset + 2 * p - k) // s + 1
+    need = 1
+    for layer in reversed(config.layers):
+        if layer.kind in _HEAD_KINDS:
+            if need > 1:
+                return None
+        elif layer.kind in SPATIAL_KINDS:
+            need = max(1, (need - 1) * layer.s + layer.k - 2 * layer.p)
+    return SizeLattice(residue, modulus, need)
 
 
 def _exact_sizes(config: ArchitectureConfig, lo: int, hi: int) -> list[int]:
-    return [i for i in range(lo, hi + 1)
-            if all(step.condition_ok for step in _steps(config, i))]
+    lattice = exact_size_lattice(config)
+    return list(lattice.sizes(lo, hi)) if lattice else []
 
 
 def analyze(config: ArchitectureConfig, input_size: int) -> AnalysisReport:
@@ -66,15 +130,17 @@ def analyze(config: ArchitectureConfig, input_size: int) -> AnalysisReport:
     A mid-trace underflow (kernel larger than what is left) does not raise:
     it is recorded as a violation and truncates the trace, so oversized
     architectures still get an inexact verdict.  Input sizes within
-    DEFAULT_SUGGEST_RADIUS of the requested one are scanned for exact
-    alternatives.
+    DEFAULT_SUGGEST_RADIUS of the requested one that are exact are listed
+    as suggestions.
     """
     if input_size < 1:
         raise ShapeError(f"input size must be >= 1, got {input_size}")
-    validate(config)
+    suggested = _exact_sizes(config, max(1, input_size - DEFAULT_SUGGEST_RADIUS),
+                             input_size + DEFAULT_SUGGEST_RADIUS)
     trace: list[LayerTrace] = []
     truncated_at: int | None = None
-    for idx, step in enumerate(_steps(config, input_size)):
+    for idx, step in enumerate(
+            walk_shapes(GroupKind.from_label(config.group), config.layers, input_size)):
         out_side = step.out_shape[2]
         note = step.note if out_side else f"{step.note}; trace stops"
         trace.append(LayerTrace(idx, step.layer.kind.value, step.in_shape[2], step.padded,
@@ -83,8 +149,6 @@ def analyze(config: ArchitectureConfig, input_size: int) -> AnalysisReport:
             truncated_at = idx
             break
     violations = tuple(t.index for t in trace if not t.condition_ok)
-    suggested = _exact_sizes(config, max(1, input_size - DEFAULT_SUGGEST_RADIUS),
-                             input_size + DEFAULT_SUGGEST_RADIUS)
     return AnalysisReport(
         input_size=input_size,
         exact=not violations,
@@ -101,5 +165,4 @@ def suggest_input_sizes(config: ArchitectureConfig, lo: int, hi: int) -> list[in
         raise ShapeError(f"empty range: lo={lo} > hi={hi}")
     if lo < 1:
         raise ShapeError(f"input sizes start at 1, got lo={lo}")
-    validate(config)
     return _exact_sizes(config, lo, hi)

@@ -11,6 +11,7 @@ to disable color in text output.
 from __future__ import annotations
 
 import argparse
+import bisect
 import hashlib
 import json
 import math
@@ -21,7 +22,14 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .analyzer import AnalysisReport, analyze, check_layer, suggest_input_sizes
+from .analyzer import (
+    AnalysisReport,
+    SizeLattice,
+    analyze,
+    check_layer,
+    exact_size_lattice,
+    suggest_input_sizes,
+)
 from .builtins import BUILTINS
 from .config import ArchitectureConfig, build_network, load, to_dict
 from .errors import EquicheckError
@@ -42,6 +50,9 @@ FLOAT_TOLERANCE = 1e-9
 
 #: Most angles one sweep may run (one forward pass each): steps under 0.1 degree.
 MAX_SWEEP_ANGLES = 3600
+
+#: Most input sizes one suggest range may span: the answer is a list of sizes.
+MAX_SUGGEST_SIZES = 1_000_000
 
 
 def _use_color() -> bool:
@@ -107,7 +118,15 @@ def _parse_elements(raw: str | None, kind: GroupKind) -> tuple[GroupElement, ...
     return tuple(out)
 
 
-def _analysis_text(config: ArchitectureConfig, report: AnalysisReport) -> str:
+def _lattice_text(lattice: SizeLattice | None) -> str:
+    if lattice is None:
+        return "exact sizes: none"
+    return (f"exact sizes: i ≥ {lattice.minimum}, "
+            f"i ≡ {lattice.residue} (mod {lattice.modulus})")
+
+
+def _analysis_text(config: ArchitectureConfig, report: AnalysisReport,
+                   lattice: SizeLattice | None) -> str:
     lines = [
         f"architecture: {config.name}  group: {config.group}  "
         f"input: {report.input_size}x{report.input_size}",
@@ -126,6 +145,7 @@ def _analysis_text(config: ArchitectureConfig, report: AnalysisReport) -> str:
         if report.suggested_sizes:
             sizes = ", ".join(str(s) for s in report.suggested_sizes)
             lines.append(f"exact input sizes nearby: {sizes}")
+    lines.append(_lattice_text(lattice))
     return "\n".join(lines)
 
 
@@ -135,11 +155,15 @@ def cmd_analyze(args) -> int:
     report = analyze(config, input_size)
     payload = {"name": config.name, "group": config.group, **asdict(report)}
     doc = _document("analyze", payload, config)
-    _emit(doc, _analysis_text(config, report), args)
+    _emit(doc, _analysis_text(config, report, exact_size_lattice(config)), args)
     return EXIT_OK if report.exact else EXIT_INEXACT
 
 
 def cmd_suggest(args) -> int:
+    if args.hi - args.lo + 1 > MAX_SUGGEST_SIZES:
+        raise EquicheckError(
+            f"suggest range [{args.lo}, {args.hi}] spans more than {MAX_SUGGEST_SIZES} sizes"
+        )
     config = _resolve_config(args.config)
     sizes = suggest_input_sizes(config, args.lo, args.hi)
     payload = {"name": config.name, "lo": args.lo, "hi": args.hi, "exact_sizes": sizes}
@@ -271,6 +295,11 @@ def cmd_sweep(args) -> int:
             f"use a step of at least {360 / MAX_SWEEP_ANGLES}"
         )
     angles = list(np.arange(0.0, 360.0, args.angle_step))
+    # the verdict rests on the right angles, so a step that misses one (50,
+    # 0.7, or 90/39 whose arange lands on 89.99999999999999) still gets it
+    for quarter in (90.0, 180.0, 270.0):
+        if quarter not in angles:
+            bisect.insort(angles, quarter)
     points = invariance_sweep(net, args.seed, angles, args.integer_weights)
     grid_aligned = [p for p in points if p.angle % 90 == 0]
     worst_aligned = max((p.discrepancy for p in grid_aligned), default=0.0)

@@ -1,18 +1,25 @@
-"""Static size tracing, the subsampling exactness condition, and input-size
-search, pinned against the built-in architectures."""
+"""Static size tracing, the subsampling exactness condition, and the
+closed-form lattice of exact input sizes, pinned against the built-in
+architectures and against a per-size walk on generated ones."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_config_cli import valid_configs
 
 from equicheck.analyzer import (
+    SizeLattice,
     analyze,
     check_layer,
+    exact_size_lattice,
     output_size,
     suggest_input_sizes,
 )
-from equicheck.builtins import P4CNN
+from equicheck.builtins import BUILTINS, P4CNN
 from equicheck.config import ArchitectureConfig
 from equicheck.errors import ShapeError
-from equicheck.layers import Layer, LayerKind
+from equicheck.group import GroupKind
+from equicheck.layers import Layer, LayerKind, walk_shapes
 from equicheck.metrics import rotation_commutation
 
 MAXPOOL_ONLY = ArchitectureConfig("maxpool", "z2", 5, (Layer(LayerKind.MAXPOOL, k=2, s=2),))
@@ -22,6 +29,39 @@ STRIDE1_STACK = ArchitectureConfig("stride1", "p4", 9, (
     Layer(LayerKind.RELU),
     Layer(LayerKind.GCONV, k=3, s=1, p=1, out_channels=1),
 ))
+
+
+def per_size_reference(config, lo, hi):
+    """Exact sizes in [lo, hi] found by walking every size: the search the
+    lattice replaced, kept as its reference."""
+    group = GroupKind.from_label(config.group)
+    return [i for i in range(lo, hi + 1)
+            if all(step.condition_ok for step in walk_shapes(group, config.layers, i))]
+
+
+def lattice_sizes(config, lo, hi):
+    lattice = exact_size_lattice(config)
+    return list(lattice.sizes(lo, hi)) if lattice else []
+
+
+@st.composite
+def headed_stacks(draw):
+    """Planar stacks with global pools and dense layers anywhere, so that
+    strided layers also follow a head that has fixed the side at 1."""
+    layers = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from([LayerKind.CONV2D, LayerKind.MAXPOOL, LayerKind.RELU,
+                                     LayerKind.GLOBAL_AVG_POOL, LayerKind.DENSE]))
+        if kind is LayerKind.CONV2D:
+            layers.append(Layer(kind, k=draw(st.integers(1, 4)), s=draw(st.integers(1, 4)),
+                                p=draw(st.integers(0, 3)), out_channels=1))
+        elif kind is LayerKind.MAXPOOL:
+            layers.append(Layer(kind, k=draw(st.integers(1, 4)), s=draw(st.integers(1, 4))))
+        elif kind is LayerKind.DENSE:
+            layers.append(Layer(kind, out_channels=1))
+        else:
+            layers.append(Layer(kind))
+    return ArchitectureConfig("headed", "z2", 1, tuple(layers))
 
 
 class TestOutputSize:
@@ -131,3 +171,79 @@ class TestSuggestInputSizes:
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):
             suggest_input_sizes(MAXPOOL_ONLY, 5, 4)
+
+
+class TestExactSizeLattice:
+    @pytest.mark.parametrize("name,lattice", [
+        ("p4cnn", SizeLattice(0, 2, 28)),
+        ("z2cnn", SizeLattice(0, 2, 28)),
+        ("toy41", SizeLattice(1, 2, 1)),
+        ("fig1-maxpool", SizeLattice(0, 2, 2)),
+    ])
+    def test_builtin_lattices(self, name, lattice):
+        assert exact_size_lattice(BUILTINS[name]) == lattice
+        assert lattice_sizes(BUILTINS[name], 1, 1024) == per_size_reference(BUILTINS[name], 1, 1024)
+
+    def test_p4cnn_sizes(self):
+        assert suggest_input_sizes(P4CNN, 1, 36) == [28, 30, 32, 34, 36]
+
+    def test_stride_after_global_pool_leaves_no_size(self):
+        # the pool sees side 1 at every input size, and (1 - 2) mod 2 = 1
+        cfg = ArchitectureConfig("none", "z2", 8, (
+            Layer(LayerKind.CONV2D, k=3, s=2, p=1, out_channels=1),
+            Layer(LayerKind.GLOBAL_AVG_POOL),
+            Layer(LayerKind.MAXPOOL, k=2, s=2),
+        ))
+        assert exact_size_lattice(cfg) is None
+        assert per_size_reference(cfg, 1, 300) == []
+        assert suggest_input_sizes(cfg, 1, 300) == []
+        assert analyze(cfg, 8).suggested_sizes == ()
+
+    def test_kernel_wider_than_a_head_leaves_no_size(self):
+        # (1 + 2 - 3) mod 2 = 0 holds, but the 5x5 conv needs a side of 5
+        cfg = ArchitectureConfig("none", "z2", 8, (
+            Layer(LayerKind.DENSE, out_channels=1),
+            Layer(LayerKind.CONV2D, k=3, s=2, p=1, out_channels=1),
+            Layer(LayerKind.CONV2D, k=5, s=1, out_channels=1),
+        ))
+        assert exact_size_lattice(cfg) is None
+        assert per_size_reference(cfg, 1, 300) == []
+
+    def test_strides_after_a_head_can_hold(self):
+        # the lattice comes from the layers before the pool alone
+        cfg = ArchitectureConfig("tail", "z2", 8, (
+            Layer(LayerKind.MAXPOOL, k=3, s=3),
+            Layer(LayerKind.GLOBAL_AVG_POOL),
+            Layer(LayerKind.CONV2D, k=3, s=2, p=1, out_channels=1),
+            Layer(LayerKind.CONV2D, k=1, s=4, p=2, out_channels=1),
+        ))
+        assert exact_size_lattice(cfg) == SizeLattice(0, 3, 3)
+        assert lattice_sizes(cfg, 1, 300) == per_size_reference(cfg, 1, 300)
+
+    def test_no_spatial_layer_admits_every_size(self):
+        cfg = ArchitectureConfig("flat", "z2", 4, (Layer(LayerKind.RELU),
+                                                    Layer(LayerKind.DENSE, out_channels=2)))
+        assert exact_size_lattice(cfg) == SizeLattice(0, 1, 1)
+        assert suggest_input_sizes(cfg, 1, 9) == list(range(1, 10))
+
+    def test_minimum_is_where_kernels_fit(self):
+        # size 1 satisfies (1 - 3) mod 2 = 0, but the 3x3 pool outruns it
+        cfg = ArchitectureConfig("pool3", "z2", 5, (Layer(LayerKind.MAXPOOL, k=3, s=2),))
+        assert exact_size_lattice(cfg) == SizeLattice(1, 2, 3)
+        assert suggest_input_sizes(cfg, 1, 8) == [3, 5, 7]
+        assert exact_size_lattice(STRIDE1_STACK) == SizeLattice(0, 1, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_matches_per_size_walk(self, cfg):
+        assert lattice_sizes(cfg, 1, 300) == per_size_reference(cfg, 1, 300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(headed_stacks())
+    def test_matches_per_size_walk_with_heads_mid_stack(self, cfg):
+        assert lattice_sizes(cfg, 1, 300) == per_size_reference(cfg, 1, 300)
+
+    @settings(max_examples=50, deadline=None)
+    @given(valid_configs(), st.integers(1, 300), st.integers(0, 300))
+    def test_any_window(self, cfg, lo, width):
+        assert suggest_input_sizes(cfg, lo, lo + width) == per_size_reference(cfg, lo, lo + width)

@@ -153,6 +153,24 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "verdict: exact" in out
 
+    @pytest.mark.parametrize("ref,line", [
+        ("p4cnn", "exact sizes: i ≥ 28, i ≡ 0 (mod 2)"),
+        ("toy41", "exact sizes: i ≥ 1, i ≡ 1 (mod 2)"),
+    ])
+    def test_text_states_the_lattice(self, capsys, ref, line):
+        _, out = run_cli(capsys, "analyze", ref, "--input-size", "27")
+        assert line in out.splitlines()
+
+    def test_text_says_when_no_size_is_exact(self, capsys, tmp_path):
+        path = tmp_path / "none.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "name": "none", "group": "z2", "input_size": 8,
+            "layers": [{"kind": "global_avg_pool"}, {"kind": "maxpool", "k": 2, "s": 2}],
+        }))
+        code, out = run_cli(capsys, "analyze", str(path))
+        assert code == 1
+        assert "exact sizes: none" in out.splitlines()
+
     def test_approximate_exits_one(self, capsys):
         code, doc = run_json(capsys, "analyze", "p4cnn", "--input-size", "27")
         assert code == 1
@@ -288,6 +306,21 @@ class TestSweepCommand:
         assert rows[0]["angle"] == 0.0 and rows[0]["discrepancy"] == 0.0
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("step", ["50", "0.7", repr(90 / 39)])
+    @pytest.mark.parametrize("size,want", [("32", 1), ("33", 0)])
+    def test_steps_that_miss_a_quarter_turn(self, capsys, step, size, want):
+        # the verdict must not rest on the 0-degree row alone
+        code, doc = run_json(capsys, "sweep", "toy41", "--integer-weights",
+                             "--angle-step", step, "--input-size", size)
+        assert code == want
+        angles = [row["angle"] for row in doc["result"]["rows"]]
+        assert angles == sorted(angles)
+        assert {90.0, 180.0, 270.0} <= set(angles)
+
+    def test_step_that_hits_the_quarter_turns_adds_no_row(self, capsys):
+        _, doc = run_json(capsys, "sweep", "toy41", "--integer-weights", "--angle-step", "30")
+        assert [row["angle"] for row in doc["result"]["rows"]] == [30.0 * i for i in range(12)]
+
     def test_head_validation(self, capsys, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -343,6 +376,7 @@ class TestReportDocument:
         ["analyze", "p4cnn", "--input-size", "0"],
         ["suggest", "p4cnn", "0", "10"],
         ["suggest", "p4cnn", "10", "5"],
+        ["suggest", "p4cnn", "1", "1000000000"],
         ["measure", "p4cnn", "--elements", "foo"],
         ["sweep", "toy41", "--angle-step", "nan"],
         ["sweep", "toy41", "--angle-step", "1e-300"],
