@@ -29,6 +29,7 @@ from .analyzer import (
     check_layer,
     exact_size_lattice,
     suggest_input_sizes,
+    walk_shapes,
 )
 from .builtins import BUILTINS
 from .config import ArchitectureConfig, build_network, load, to_dict
@@ -241,11 +242,22 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if agreement == 1.0 else EXIT_INEXACT
 
 
+def _truncated_at(net) -> int | None:
+    """Index of the first layer whose kernel outruns its padded input, the
+    ``truncated_at`` that ``analyze`` reports, or None if every kernel fits."""
+    steps = walk_shapes(net.kind, net.layers, net.input_size, net.in_channels)
+    return next((idx for idx, step in enumerate(steps) if not step.out_shape[2]), None)
+
+
+def _truncation_text(truncated_at: int, what: str) -> str:
+    return f"truncated at layer {truncated_at}: its kernel outruns the input, so {what}"
+
+
 def cmd_measure(args) -> int:
     config = _resolve_config(args.config)
     net = build_network(config, args.input_size)
     # a kernel that outruns the input ends the network; profile what is before it
-    truncated_at = analyze(config, net.input_size).truncated_at
+    truncated_at = _truncated_at(net)
     if truncated_at is not None:
         net = replace(net, layers=net.layers[:truncated_at])
     group_elements = _parse_elements(args.elements, net.kind)
@@ -275,8 +287,7 @@ def cmd_measure(args) -> int:
         lines.append("  (no group-valued depths in this network)")
     lines.append(f"max error: {profile.max_error():.6g}")
     if truncated_at is not None:
-        lines.append(f"truncated at layer {truncated_at}: its kernel outruns the input, "
-                     "so only the layers before it were profiled")
+        lines.append(_truncation_text(truncated_at, "only the layers before it were profiled"))
     _emit(_document("measure", payload, config, args.seed), "\n".join(lines), args)
     if truncated_at is not None or profile.max_error() > FLOAT_TOLERANCE:
         return EXIT_INEXACT
@@ -300,7 +311,12 @@ def cmd_sweep(args) -> int:
     for quarter in (90.0, 180.0, 270.0):
         if quarter not in angles:
             bisect.insort(angles, quarter)
-    points = invariance_sweep(net, args.seed, angles, args.integer_weights)
+    # the sweep compares network outputs, so a kernel that outruns the input
+    # leaves nothing to run
+    truncated_at = _truncated_at(net)
+    points = []
+    if truncated_at is None:
+        points = invariance_sweep(net, args.seed, angles, args.integer_weights)
     grid_aligned = [p for p in points if p.angle % 90 == 0]
     worst_aligned = max((p.discrepancy for p in grid_aligned), default=0.0)
     payload = {
@@ -309,7 +325,7 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
         "integer_weights": args.integer_weights,
         "rows": [{"angle": p.angle, "discrepancy": p.discrepancy} for p in points],
-        "max_discrepancy_90s": worst_aligned,
+        "max_discrepancy_90s": None if truncated_at is not None else worst_aligned,
     }
     lines = [
         f"invariance sweep: {config.name} at {net.input_size}x{net.input_size}, "
@@ -318,9 +334,15 @@ def cmd_sweep(args) -> int:
     ]
     for p in points:
         lines.append(f"{p.angle:>7.1f}  {p.discrepancy:>12.6g}")
-    lines.append(f"max discrepancy at multiples of 90: {worst_aligned:.6g}")
+    if truncated_at is not None:
+        payload["truncated_at"] = truncated_at
+        lines.append(_truncation_text(truncated_at, "no forward pass was run"))
+    else:
+        lines.append(f"max discrepancy at multiples of 90: {worst_aligned:.6g}")
     _emit(_document("sweep", payload, config, args.seed), "\n".join(lines), args)
-    return EXIT_OK if worst_aligned <= FLOAT_TOLERANCE else EXIT_INEXACT
+    if truncated_at is None and worst_aligned <= FLOAT_TOLERANCE:
+        return EXIT_OK
+    return EXIT_INEXACT
 
 
 def cmd_list_builtins(args) -> int:

@@ -16,6 +16,12 @@ formula on one-cell patches.  The corner and index maps and their range
 checks work elementwise on int arrays as well as on ints, so the
 commutation oracle can check every output cell of a layer at once.
 
+The action on arrays is written once too, in ``act_values``: it moves the
+entries of any array whose last three axes are (group, row, col), so the
+feature-map actions ``act_spatial``/``act_full`` and the filter-bank
+transform of a group convolution (``layers.transform_filters``) are the
+same code on different leading axes.
+
 A group element is stored in the normal form "mirror first, then
 ``rotations`` quarter turns".  The clockwise quarter turn is simply the
 inverse of ``ROT90``.  The canonical order of group-axis slots is
@@ -241,17 +247,38 @@ def mirror_patch(n: int, patch: IndexPatch) -> IndexPatch:
     return IndexPatch((x1, y1), (x2, y2))
 
 
+def act_values(g: GroupElement, vals: np.ndarray, kind: GroupKind | None = None) -> np.ndarray:
+    """The one body of the action on arrays whose last three axes are
+    (group, row, col): mirror the last axis, turn the last two axes by
+    ``g.rotations`` quarter turns and, when ``kind`` is given and the group
+    axis is longer than 1, send slot h to slot ``g*h`` of ``kind``.
+
+    Feature maps (C, G, n, n) and filter banks (O, C, G, k, k) share it.
+    Entries only move, so the result is a view of ``vals`` unless the group
+    axis is permuted; the identity returns ``vals`` itself."""
+    if g == IDENTITY:
+        return vals
+    if g.mirrored:
+        vals = vals[..., ::-1]
+    if g.rotations:
+        vals = np.rot90(vals, g.rotations, axes=(-2, -1))
+    if kind is not None and vals.shape[-3] > 1:
+        moved = np.empty_like(vals)
+        moved[..., group_permutation(g, kind), :, :] = vals
+        vals = moved
+    return vals
+
+
+def _square_values(fm: FeatureMap) -> np.ndarray:
+    if not fm.is_square:
+        raise ShapeError(f"spatial action needs a square map, got {fm.height}x{fm.width}")
+    return fm.values
+
+
 def act_spatial(g: GroupElement, fm: FeatureMap) -> FeatureMap:
     """Move every value from index p to index g(p); channel and group axes
     are untouched.  Requires a square map."""
-    if not fm.is_square:
-        raise ShapeError(f"spatial action needs a square map, got {fm.height}x{fm.width}")
-    vals = fm.values
-    if g.mirrored:
-        vals = vals[:, :, :, ::-1]
-    if g.rotations:
-        vals = np.rot90(vals, g.rotations, axes=(2, 3))
-    return FeatureMap(vals)
+    return FeatureMap(act_values(g, _square_values(fm)))
 
 
 @functools.cache
@@ -280,8 +307,7 @@ def act_full(g: GroupElement, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
         raise ShapeError(
             f"group axis {fm.group_size} does not match {kind.value} (size {kind.size})"
         )
-    spatial = act_spatial(g, fm)
-    perm = group_permutation(g, kind)
-    out = np.empty_like(spatial.values)
-    out[:, perm] = spatial.values
-    return FeatureMap(out)
+    vals = _square_values(fm)
+    if kind is GroupKind.Z2:
+        raise GroupKindError("the trivial group has no group axis to permute")
+    return FeatureMap(act_values(g, vals, kind))

@@ -4,7 +4,8 @@ Convolutions are cross-correlations (no kernel flip).  A group convolution
 produces one output slot per group element g, computed by correlating the
 input with the filter bank transformed by g; for group-valued inputs the
 transform both rotates/mirrors the kernels spatially and permutes the
-filter's group axis.  Stride-s layers sample input index patches
+filter's group axis.  That transform is ``group.act_values``, the same body
+that moves feature maps.  Stride-s layers sample input index patches
 [(s*x, s*y), (s*x+k-1, s*y+k-1)], so whether they commute with the group
 action depends on the padded input size (see the analyzer module).
 
@@ -16,19 +17,23 @@ Exactness: when both operands of a contraction are integer-valued, a guard
 makes sure no output cell's sum of |terms| reaches 2**53.  It first checks
 the Hoelder bound max|x| * max_o ||w_o||_1, which is sound in float64
 because rounding is monotone and 2**53 is representable; only when that
-bound reaches 2**53 does it run the exact per-cell abs-correlation.  Below
-2**53 every partial sum is an exact integer whatever the summation order,
-so integer operands are contracted by a single BLAS tensordot over strided
-windows, bit-identical to any other order, and integer-mode equivariance
-tests can assert equality with zero tolerance.  Float operands are
-contracted in a fixed order instead, because a different order would move
-their float64 rounding and with it the float reports checked against an
-absolute tolerance: per output element, the (channel, group) products of
-each kernel position are summed in sequence, and the position sums are
-added in raster order.  The map is flattened to rows of n*n entries, so one
-einsum per kernel position covers every slot and output cell; each element
-still sees the same sequence, which is why the result does not depend on
-how the slots are stacked.
+bound reaches 2**53 does it run the exact check, the same strided-window
+tensordot that computes integer outputs, on |x| and |w|.  Its terms are
+non-negative integers, so a sum below 2**53 is exact in any order and one
+at or past 2**53 cannot round back below it: the check does not depend on
+the summation order.  Dense layers share the guard, their matrix passed as
+a one-slot bank whose kernel covers the whole map.  Below 2**53 every
+partial sum is an exact integer whatever the summation order, so integer
+operands are contracted by that single BLAS tensordot, bit-identical to any
+other order, and integer-mode equivariance tests can assert equality with
+zero tolerance.  Float operands are contracted in a fixed order instead,
+because a different order would move their float64 rounding and with it
+the float reports checked against an absolute tolerance: per output
+element, the (channel, group) products of each kernel position are summed
+in sequence, and the position sums are added in raster order.  The map is
+flattened to rows of n*n entries, so one einsum per kernel position covers
+every slot and output cell; each element still sees the same sequence,
+which is why the result does not depend on how the slots are stacked.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -47,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ExactnessOverflowError, LayerError, ShapeError
-from .group import IDENTITY, GroupElement, GroupKind, elements, group_permutation
+from .group import IDENTITY, GroupElement, GroupKind, act_values, elements
 from .tensor import EXACT_INT_LIMIT, FeatureMap, FilterBank, random_values
 
 
@@ -231,20 +236,36 @@ def _correlate(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
     return acc.reshape(acc.shape[0], acc.shape[1], o, n)[..., :o]
 
 
+def _contract(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
+    """Strided cross-correlation of a padded (C, G, h, w) array with a
+    stacked (|G|, O, C, G, kh, kw) bank as one BLAS tensordot over strided
+    windows; returns (|G|, O, oh, ow).  The summation order is BLAS's own,
+    so it serves integer operands only, whose results do not depend on it
+    (see :func:`_guard_exact_contraction`)."""
+    windows = sliding_window_view(vals, bank.shape[-2:], axis=(2, 3))[:, :, ::s, ::s]
+    return np.tensordot(bank, windows, axes=([2, 3, 4, 5], [0, 1, 4, 5]))
+
+
 def _guard_exact_contraction(vals: np.ndarray, bank: np.ndarray, s: int) -> None:
     """For integer operands, make sure no output cell's sum of |terms|
     reaches 2**53, past which the float64 result could silently round.
 
-    ``bank`` is the (|G|, O, C, G_in, k, k) stacked bank.  The Hoelder bound
-    max|x| * max_o ||w_o||_1 is tried first; the group transforms only move
-    a bank's entries, so slot 0 gives every slot's norms.  Only when that
-    bound reaches 2**53 is the exact per-cell abs-correlation run; the first
-    slot whose bound reaches 2**53 is reported.
+    ``bank`` is the (|G|, O, C, G_in, kh, kw) stacked bank; ``dense`` passes
+    its matrix as a one-slot bank whose kernel covers the whole map.  The
+    Hoelder bound max|x| * max_o ||w_o||_1 is tried first; the group
+    transforms only move a bank's entries, so slot 0 gives every slot's
+    norms.  Only when that bound reaches 2**53 does the exact check run:
+    the same tensordot that computes integer outputs, on |x| and |bank|.
+    Its terms are non-negative integers, so while a cell's true sum stays
+    below 2**53 every partial sum is exact in any order, and once it
+    reaches 2**53 monotone rounding keeps the computed sum there too; the
+    test does not depend on how BLAS orders the sums.  The first slot whose
+    bound reaches 2**53 is reported.
     """
-    l1 = np.abs(bank[0]).sum(axis=(1, 2, 3, 4)).max()
+    l1 = np.abs(bank[0]).sum(axis=(1, 2, 3, 4)).max(initial=0.0)
     if max(vals.max(), -vals.min()) * l1 < EXACT_INT_LIMIT:
         return
-    slot_max = _correlate(np.abs(vals), np.abs(bank), s).max(axis=(0, 2, 3))
+    slot_max = _contract(np.abs(vals), np.abs(bank), s).max(axis=(1, 2, 3))
     over = np.flatnonzero(slot_max >= EXACT_INT_LIMIT)
     if over.size:
         raise ExactnessOverflowError(
@@ -282,12 +303,10 @@ def _group_conv(
     elements(kind); z2 is the one-slot case."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
-    bank = np.stack([_transformed(g, filters.values, kind) for g in elements(kind)])
+    bank = np.stack([act_values(g, filters.values, kind) for g in elements(kind)])
     if _is_integral(fm.values) and _is_integral(filters.values):
         _guard_exact_contraction(vals, bank, s)
-        windows = sliding_window_view(vals, bank.shape[-2:], axis=(2, 3))[:, :, ::s, ::s]
-        out = np.tensordot(bank, windows, axes=([2, 3, 4, 5], [0, 1, 4, 5]))
-        return FeatureMap(out.transpose(1, 0, 2, 3))
+        return FeatureMap(_contract(vals, bank, s).transpose(1, 0, 2, 3))
     return FeatureMap(_correlate(vals, bank, s))
 
 
@@ -297,31 +316,13 @@ def conv2d(fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0) -> Featu
     return _group_conv(fm, filters, GroupKind.Z2, s, p)
 
 
-def _transformed(g: GroupElement, vals: np.ndarray, kind: GroupKind) -> np.ndarray:
-    """The values of transform_filters(g, ...) as a raw array, a view of
-    ``vals`` unless the group axis is permuted; entries only move, so there
-    is nothing to validate again."""
-    if g == IDENTITY:
-        return vals
-    if g.mirrored:
-        vals = vals[..., ::-1]
-    if g.rotations:
-        vals = np.rot90(vals, g.rotations, axes=(3, 4))
-    if vals.shape[2] > 1:
-        perm = group_permutation(g, kind)
-        moved = np.empty_like(vals)
-        moved[:, :, perm] = vals
-        vals = moved
-    return vals
-
-
 def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> FilterBank:
     """Filter bank as seen by output slot g: kernels spatially transformed by
     g and, for group-valued banks, the group axis permuted so that slot h
     reads the original slot g^-1 h.  The identity returns the bank itself."""
     if g == IDENTITY:
         return filters
-    return FilterBank(_transformed(g, filters.values, kind))
+    return FilterBank(act_values(g, filters.values, kind))
 
 
 def gconv_lift(
@@ -397,9 +398,7 @@ def dense(fm: FeatureMap, weights: np.ndarray) -> FeatureMap:
     if w.ndim != 2 or w.shape[1] != flat.size:
         raise ShapeError(f"dense weights {w.shape} do not match flattened input {flat.size}")
     if _is_integral(flat) and _is_integral(w):
-        bound = np.abs(w) @ np.abs(flat)
-        if bound.size and bound.max() >= EXACT_INT_LIMIT:
-            raise ExactnessOverflowError("dense accumulation bound exceeds 2**53")
+        _guard_exact_contraction(fm.values, w.reshape((1, len(w)) + fm.shape), 1)
     out = w @ flat
     return FeatureMap(out.reshape(-1, 1, 1, 1))
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equicheck
+from equicheck import cli
 from equicheck.builtins import BUILTINS
 from equicheck.cli import run
 from equicheck.config import ArchitectureConfig, build_network, from_json, to_json
@@ -297,6 +298,26 @@ class TestMeasureCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("size, extra, layer", [
+        ("27", ("--integer-weights", "--angle-step", "90"), 13),
+        ("1", (), 0),
+    ], ids=["size-27", "size-1"])
+    def test_truncating_size_gives_partial_report(self, capsys, monkeypatch, size, extra, layer):
+        def no_forward(*args):
+            raise AssertionError("a truncated sweep must not run the network")
+
+        monkeypatch.setattr(cli, "invariance_sweep", no_forward)
+        code, doc = run_json(capsys, "sweep", "p4cnn", "--input-size", size, *extra)
+        assert code == 1
+        result = doc["result"]
+        assert result["truncated_at"] == layer
+        assert result["rows"] == [] and result["max_discrepancy_90s"] is None
+        _, analysis = run_json(capsys, "analyze", "p4cnn", "--input-size", size)
+        assert analysis["result"]["truncated_at"] == layer
+        code, text = run_cli(capsys, "sweep", "p4cnn", "--input-size", size, *extra)
+        assert code == 1
+        assert f"truncated at layer {layer}" in text and "no forward pass" in text
+
     def test_exact_toy(self, capsys):
         code, doc = run_json(
             capsys, "sweep", "toy41", "--integer-weights", "--angle-step", "90"

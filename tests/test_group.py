@@ -296,3 +296,16 @@ class TestActFull:
     def test_group_size_mismatch(self):
         with pytest.raises(ShapeError):
             act_full(ROT90, random_feature_map(0, 1, 4, 3, 3), GroupKind.P4M)
+
+    def test_trivial_group_rejected(self):
+        for g in (IDENTITY, ROT90):
+            with pytest.raises(GroupKindError):
+                act_full(g, random_feature_map(0, 1, 1, 3, 3), GroupKind.Z2)
+
+    def test_mirrored_element_not_in_p4(self):
+        with pytest.raises(GroupKindError):
+            act_full(MIRROR, random_feature_map(0, 1, 4, 3, 3), GroupKind.P4)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError, match="square"):
+            act_full(ROT90, random_feature_map(0, 1, 4, 2, 3), GroupKind.P4)

@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicheck.errors import ExactnessOverflowError, LayerError, ShapeError
+from equicheck.errors import ExactnessOverflowError, GroupKindError, LayerError, ShapeError
 from equicheck.group import (
     IDENTITY,
+    MIRROR,
     ROT90,
     GroupElement,
     GroupKind,
     act_full,
     act_spatial,
+    compose,
     elements,
+    inverse,
 )
 from equicheck.layers import (
     Layer,
@@ -259,6 +262,36 @@ class TestContractionPaths:
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
+#: (kind, in-group size): planar and group-valued banks of p4 and p4m.
+BANK_KINDS = [(GroupKind.P4, 1), (GroupKind.P4, 4), (GroupKind.P4M, 1), (GroupKind.P4M, 8)]
+
+
+class TestTransformFilters:
+    """transform_filters is a group action on banks, planar or group-valued."""
+
+    @pytest.mark.parametrize("kind, group", BANK_KINDS)
+    def test_composition(self, kind, group):
+        w = random_filter_bank([group, 3], 2, 3, group, 3)
+        for a in elements(kind):
+            for b in elements(kind):
+                lhs = transform_filters(a, transform_filters(b, w, kind), kind)
+                rhs = transform_filters(compose(a, b), w, kind)
+                assert np.array_equal(lhs.values, rhs.values)
+
+    @pytest.mark.parametrize("kind, group", BANK_KINDS)
+    def test_inverse_round_trip(self, kind, group):
+        w = random_filter_bank([group, 5], 2, 3, group, 2)
+        for g in elements(kind):
+            back = transform_filters(inverse(g), transform_filters(g, w, kind), kind)
+            assert np.array_equal(back.values, w.values)
+
+    def test_group_axis_needs_the_element_in_the_group(self):
+        with pytest.raises(GroupKindError):
+            transform_filters(MIRROR, random_filter_bank(0, 1, 1, 4, 3), GroupKind.P4)
+        with pytest.raises(GroupKindError):
+            transform_filters(ROT90, random_filter_bank(0, 1, 1, 4, 3), GroupKind.Z2)
+
+
 class TestNonSquareMaps:
     """Inputs are square; a non-square map is refused before any contraction,
     whichever path its values would take."""
@@ -275,20 +308,24 @@ class TestNonSquareMaps:
             run_conv(fn, kind, fm, w, 1, 0)
 
 
-def spike_case(fill_all):
-    """3x3 integer input at 2**45 (one spike or everywhere), all weights 32."""
-    vals = np.full((1, 1, 3, 3), 2.0**45) if fill_all else np.zeros((1, 1, 3, 3))
+def spike_case(fill_all, group=1):
+    """3x3 integer input at 2**45 (one spike in slot 0 or everywhere), all
+    weights 32; ``group`` is the length of both group axes."""
+    vals = np.full((1, group, 3, 3), 2.0**45) if fill_all else np.zeros((1, group, 3, 3))
     vals[0, 0, 1, 1] = 2.0**45
-    return FeatureMap(vals), FilterBank(np.full((1, 1, 1, 3, 3), 32.0))
+    return FeatureMap(vals), FilterBank(np.full((1, 1, group, 3, 3), 32.0))
 
 
 class TestExactnessGuard:
-    def test_loose_hoelder_bound_falls_back_to_exact_sum(self):
-        # max|x| * ||w||_1 = 2**45 * 288 > 2**53, but each cell sums to 2**50
-        fm, w = spike_case(fill_all=False)
-        out = conv2d(fm, w, p=1)
+    @pytest.mark.parametrize("fn, kind", [(conv2d, GroupKind.Z2), (gconv, GroupKind.P4M)],
+                             ids=["conv2d", "p4m-gconv"])
+    def test_loose_hoelder_bound_falls_back_to_exact_sum(self, fn, kind):
+        # max|x| * ||w||_1 = 2**45 * 288 * |G_in| > 2**53, but each cell sums
+        # to 2**50; the p4m gconv checks its stacked, permuted bank
+        fm, w = spike_case(fill_all=False, group=kind.size)
+        out = run_conv(fn, kind, fm, w, 1, 1)
         assert np.all(out.values == 2.0**50)
-        assert np.array_equal(out.values, per_slot_reference(fm, w, GroupKind.Z2, 1, 1))
+        assert np.array_equal(out.values, per_slot_reference(fm, w, kind, 1, 1))
 
     def test_exact_sum_past_two_to_53_raises(self):
         fm, w = spike_case(fill_all=True)
@@ -441,6 +478,22 @@ class TestDense:
     def test_size_mismatch(self):
         with pytest.raises(ShapeError):
             dense(make_feature_map(1, 1, 2, 2, 0.0), np.ones((2, 5)))
+
+    def test_loose_hoelder_bound_falls_back_to_exact_sum(self):
+        # max|x| * ||w_o||_1 = 2**45 * 512 > 2**53, but each row sums to 2**52
+        x = np.zeros((1, 1, 2, 2))
+        x[0, 0, 0, 0] = 2.0**45
+        out = dense(FeatureMap(x), np.full((2, 4), 128.0))
+        assert out.values.ravel().tolist() == [2.0**52, 2.0**52]
+
+    def test_exact_sum_past_two_to_53_raises(self):
+        fm, w = FeatureMap(np.full((1, 1, 2, 2), 2.0**45)), np.full((1, 4), 128.0)
+        with pytest.raises(ExactnessOverflowError):
+            dense(fm, w)
+        net = Network(kind=GroupKind.Z2, layers=(Layer(LayerKind.DENSE, out_channels=1),),
+                      input_size=2, weights=(w,))
+        with pytest.raises(LayerError, match=re.escape("layer 0 (dense)")):
+            forward(net, fm)
 
 
 def toy_net(input_size):
