@@ -36,11 +36,14 @@ from .config import ArchitectureConfig, build_network, load, to_dict
 from .errors import EquicheckError
 from .group import GroupElement, GroupKind, elements
 from .metrics import (
+    SYMMETRIES,
+    commutation_grid,
     invariance_sweep,
-    mirror_commutation,
     profile_equivariance,
-    rotation_commutation,
 )
+# perfbench/tracing.py hooks these two names here, so they stay importable;
+# cmd_oracle itself makes one commutation_grid call and never calls them
+from .metrics import mirror_commutation, rotation_commutation  # noqa: F401
 
 EXIT_OK = 0
 EXIT_INEXACT = 1
@@ -54,6 +57,10 @@ MAX_SWEEP_ANGLES = 3600
 
 #: Most input sizes one suggest range may span: the answer is a list of sizes.
 MAX_SUGGEST_SIZES = 1_000_000
+
+#: Most output cells one oracle grid may compare, summed over its (i, k, s)
+#: triples; every triple has at least one, so this bounds the triples too.
+MAX_ORACLE_CELLS = 1 << 21
 
 
 def _use_color() -> bool:
@@ -187,32 +194,53 @@ def _parse_range(raw: str, field: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _oracle_cells(i_lo: int, i_hi: int, k_lo: int, k_hi: int, s_lo: int, s_hi: int) -> int:
+    """Output cells of the oracle grid, the sum of ((i - k)//s + 1)^2 over
+    its triples, from the range bounds alone; any count above
+    MAX_ORACLE_CELLS is returned as MAX_ORACLE_CELLS + 1."""
+    # the pairs (i, k <= i) take every difference d = i - k in [d_lo, d_hi],
+    # and every triple has at least one cell: a wide grid is over the bound
+    # before anything is summed
+    d_lo, d_hi = max(0, i_lo - k_hi), i_hi - k_lo
+    if (d_hi - d_lo + 1) * (s_hi - s_lo + 1) > MAX_ORACLE_CELLS:
+        return MAX_ORACLE_CELLS + 1
+    total = 0
+    for d in range(d_lo, d_hi + 1):
+        pairs = min(k_hi, i_hi - d) - max(k_lo, i_lo - d) + 1
+        total += pairs * sum((d // s + 1) ** 2 for s in range(s_lo, s_hi + 1))
+        if total > MAX_ORACLE_CELLS:
+            return MAX_ORACLE_CELLS + 1
+    return total
+
+
 def cmd_oracle(args) -> int:
     i_lo, i_hi = _parse_range(args.i_range, "--i-range")
     k_lo, k_hi = _parse_range(args.k_range, "--k-range")
     s_lo, s_hi = _parse_range(args.s_range, "--s-range")
-    oracle = rotation_commutation if args.symmetry == "rot" else mirror_commutation
+    if _oracle_cells(i_lo, i_hi, k_lo, k_hi, s_lo, s_hi) > MAX_ORACLE_CELLS:
+        raise EquicheckError(
+            f"oracle ranges hold more than {MAX_ORACLE_CELLS} output cells to compare"
+        )
+    triples = [(i, k, s) for i in range(i_lo, i_hi + 1)
+               for k in range(k_lo, min(k_hi, i) + 1) for s in range(s_lo, s_hi + 1)]
     cells = []
     agreements = 0
-    for i in range(i_lo, i_hi + 1):
-        for k in range(k_lo, min(k_hi, i) + 1):
-            for s in range(s_lo, s_hi + 1):
-                verdict = oracle(i, k, s)
-                condition = check_layer(i, k, s, 0)
-                agree = verdict.holds == condition
-                agreements += agree
-                cell = {"i": i, "k": k, "s": s, "holds": verdict.holds,
-                        "condition": condition, "agree": agree}
-                if verdict.counterexample is not None:
-                    ce = verdict.counterexample
-                    cell["counterexample"] = {
-                        "output_index": list(ce.output_index),
-                        "via_output": [list(ce.patch_via_output.top_left),
-                                       list(ce.patch_via_output.bottom_right)],
-                        "via_input": [list(ce.patch_via_input.top_left),
-                                      list(ce.patch_via_input.bottom_right)],
-                    }
-                cells.append(cell)
+    for (i, k, s), verdict in zip(triples, commutation_grid(triples, SYMMETRIES[args.symmetry])):
+        condition = check_layer(i, k, s, 0)
+        agree = verdict.holds == condition
+        agreements += agree
+        cell = {"i": i, "k": k, "s": s, "holds": verdict.holds,
+                "condition": condition, "agree": agree}
+        if verdict.counterexample is not None:
+            ce = verdict.counterexample
+            cell["counterexample"] = {
+                "output_index": list(ce.output_index),
+                "via_output": [list(ce.patch_via_output.top_left),
+                               list(ce.patch_via_output.bottom_right)],
+                "via_input": [list(ce.patch_via_input.top_left),
+                              list(ce.patch_via_input.bottom_right)],
+            }
+        cells.append(cell)
     if not cells:
         raise EquicheckError("the requested ranges contain no valid (i, k, s) cells")
     agreement = agreements / len(cells)

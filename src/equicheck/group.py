@@ -13,8 +13,10 @@ the horizontal mirror is
 Each map is written once, on the two corners of an index patch
 (``rotate_corners``, ``mirror_corners``); the index maps are the same
 formula on one-cell patches.  The corner and index maps and their range
-checks work elementwise on int arrays as well as on ints, so the
-commutation oracle can check every output cell of a layer at once.
+checks work elementwise on int arrays as well as on ints, the grid side
+included, so the commutation oracle can check the output cells of many
+(input, kernel, stride) triples at once, each on its own grids.  A failed check names the first
+bad entry in row-major order.
 
 The action on arrays is written once too, in ``act_values``: it moves the
 entries of any array whose last three axes are (group, row, col), so the
@@ -129,26 +131,28 @@ def slot_index(g: GroupElement) -> int:
 def _first(mask, *coords) -> tuple[int, ...] | None:
     """The coordinates at the first true entry of an elementwise mask, as
     ints, or None if there is none; the mask and coordinates are ints and
-    bools or same-shape arrays (row-major order for arrays)."""
+    bools or arrays that broadcast to the mask (row-major order for
+    arrays)."""
     if mask is False:  # compared ints: nothing to locate
         return None
     mask = np.asarray(mask)
     if not mask.any():
         return None
     j = int(mask.argmax())
-    return tuple(int(np.ravel(c)[j]) for c in coords)
+    return tuple(int(np.broadcast_to(c, mask.shape).flat[j]) for c in coords)
 
 
-def _outside(n: int, x, y):
+def _outside(n, x, y):
     return (x < 0) | (x >= n) | (y < 0) | (y >= n)
 
 
-def _check_index(n: int, x, y) -> None:
-    if n < 1:
-        raise IndexError(f"grid side must be >= 1, got {n}")
-    bad = _first(_outside(n, x, y), x, y)
+def _check_index(n, x, y) -> None:
+    bad = _first(n < 1, n)
     if bad:
-        raise IndexError(f"index {bad} out of range for side {n}")
+        raise IndexError(f"grid side must be >= 1, got {bad[0]}")
+    bad = _first(_outside(n, x, y), x, y, n)
+    if bad:
+        raise IndexError(f"index {bad[:2]} out of range for side {bad[2]}")
 
 
 def check_corner_order(x1, y1, x2, y2) -> None:
@@ -160,47 +164,50 @@ def check_corner_order(x1, y1, x2, y2) -> None:
         raise PatchError(f"corners out of order: {bad[:2]} vs {bad[2:]}")
 
 
-def _check_corners(n: int, x1, y1, x2, y2) -> None:
-    bad = _first(_outside(n, x1, y1) | _outside(n, x2, y2), x1, y1, x2, y2)
+def _check_corners(n, x1, y1, x2, y2) -> None:
+    bad = _first(_outside(n, x1, y1) | _outside(n, x2, y2), x1, y1, x2, y2, n)
     if bad:
-        corner = bad[:2] if _outside(n, *bad[:2]) else bad[2:]
-        raise PatchError(f"patch corner {corner} out of range for side {n}")
+        side = bad[4]
+        corner = bad[:2] if _outside(side, *bad[:2]) else bad[2:4]
+        raise PatchError(f"patch corner {corner} out of range for side {side}")
 
 
-def _rotate(n: int, x1, y1, x2, y2) -> tuple:
+def _rotate(n, x1, y1, x2, y2) -> tuple:
     return (y1, n - 1 - x2, y2, n - 1 - x1)
 
 
-def _mirror(n: int, x1, y1, x2, y2) -> tuple:
+def _mirror(n, x1, y1, x2, y2) -> tuple:
     return (n - 1 - x2, y1, n - 1 - x1, y2)
 
 
-def rotate_corners(n: int, x1, y1, x2, y2) -> tuple:
+def rotate_corners(n, x1, y1, x2, y2) -> tuple:
     """Quarter-turn map R_n on the corners of a patch, top-left (x1, y1) and
     bottom-right (x2, y2); the corners swap roles so the result is again
     top-left/bottom-right ordered.  Works elementwise on ints or same-shape
-    int arrays, and raises PatchError if any corner is off the grid."""
+    int arrays, the grid side ``n`` included, and raises PatchError if any
+    corner is off its grid."""
     _check_corners(n, x1, y1, x2, y2)
     return _rotate(n, x1, y1, x2, y2)
 
 
-def mirror_corners(n: int, x1, y1, x2, y2) -> tuple:
+def mirror_corners(n, x1, y1, x2, y2) -> tuple:
     """Horizontal mirror M_n on patch corners; same contract as
     :func:`rotate_corners`."""
     _check_corners(n, x1, y1, x2, y2)
     return _mirror(n, x1, y1, x2, y2)
 
 
-def rotate_index(n: int, x, y) -> tuple:
+def rotate_index(n, x, y) -> tuple:
     """Quarter-turn map R_n on a (col, row) index: the corner map on a
-    one-cell patch.  Works elementwise on int arrays too."""
+    one-cell patch.  Works elementwise on int arrays too, the grid side
+    ``n`` included."""
     _check_index(n, x, y)
     return _rotate(n, x, y, x, y)[:2]
 
 
-def mirror_index(n: int, x, y) -> tuple:
+def mirror_index(n, x, y) -> tuple:
     """Horizontal mirror map M_n on a (col, row) index; elementwise on int
-    arrays too."""
+    arrays too, as :func:`rotate_index`."""
     _check_index(n, x, y)
     return _mirror(n, x, y, x, y)[:2]
 

@@ -306,8 +306,8 @@ def _group_conv(
     bank = np.stack([act_values(g, filters.values, kind) for g in elements(kind)])
     if _is_integral(fm.values) and _is_integral(filters.values):
         _guard_exact_contraction(vals, bank, s)
-        return FeatureMap(_contract(vals, bank, s).transpose(1, 0, 2, 3))
-    return FeatureMap(_correlate(vals, bank, s))
+        return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
+    return FeatureMap._from_layer(_correlate(vals, bank, s))
 
 
 def conv2d(fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0) -> FeatureMap:
@@ -355,7 +355,7 @@ def maxpool(fm: FeatureMap, k: int, s: int) -> FeatureMap:
     if min(fm.height, fm.width) < k:
         raise ShapeError(f"pool kernel {k} exceeds input {fm.height}x{fm.width}")
     windows = sliding_window_view(fm.values, (k, k), axis=(2, 3))
-    return FeatureMap(windows[:, :, ::s, ::s].max(axis=(4, 5)))
+    return FeatureMap._from_layer(windows[:, :, ::s, ::s].max(axis=(4, 5)))
 
 
 def coset_maxpool(fm: FeatureMap) -> FeatureMap:
@@ -363,16 +363,16 @@ def coset_maxpool(fm: FeatureMap) -> FeatureMap:
     permutation part of the full action."""
     if fm.group_size == 1:
         raise ShapeError("coset pooling needs a group axis of length > 1")
-    return FeatureMap(fm.values.max(axis=1, keepdims=True))
+    return FeatureMap._from_layer(fm.values.max(axis=1, keepdims=True))
 
 
 def global_avg_pool(fm: FeatureMap) -> FeatureMap:
     """Mean over the spatial axes, kept as a 1x1 map per (channel, slot)."""
-    return FeatureMap(fm.values.mean(axis=(2, 3), keepdims=True))
+    return FeatureMap._from_layer(fm.values.mean(axis=(2, 3), keepdims=True))
 
 
 def relu(fm: FeatureMap) -> FeatureMap:
-    return FeatureMap(np.maximum(fm.values, 0.0))
+    return FeatureMap._from_layer(np.maximum(fm.values, 0.0))
 
 
 def circle_crop(fm: FeatureMap) -> FeatureMap:
@@ -388,7 +388,7 @@ def circle_crop(fm: FeatureMap) -> FeatureMap:
     n = fm.height
     d = 2 * np.arange(n) - (n - 1)
     inside = (d[:, np.newaxis] ** 2 + d[np.newaxis, :] ** 2) <= n * n
-    return FeatureMap(np.where(inside, fm.values, 0.0))
+    return FeatureMap._from_layer(np.where(inside, fm.values, 0.0))
 
 
 def dense(fm: FeatureMap, weights: np.ndarray) -> FeatureMap:
@@ -400,7 +400,7 @@ def dense(fm: FeatureMap, weights: np.ndarray) -> FeatureMap:
     if _is_integral(flat) and _is_integral(w):
         _guard_exact_contraction(fm.values, w.reshape((1, len(w)) + fm.shape), 1)
     out = w @ flat
-    return FeatureMap(out.reshape(-1, 1, 1, 1))
+    return FeatureMap._from_layer(out.reshape(-1, 1, 1, 1))
 
 
 def _network_steps(net: Network):

@@ -6,18 +6,23 @@ oracles here enumerate index patches geometrically, while the analyzer's
 grid of (input, kernel, stride) triples is what the test suite verifies
 exhaustively.
 
-The oracle compares the patches of all output cells as int arrays, in
-row-major blocks of at most ``ORACLE_BLOCK`` cells, through the same
-corner maps that transform a single patch (``group.rotate_corners`` and
-``group.mirror_corners``); it never evaluates the modular rule.  Only the
-first mismatching cell is rebuilt as ``IndexPatch`` objects, with the
-scalar maps, to form the counterexample.
+The oracle (``commutation_grid``) takes a whole list of triples at once.
+It joins the output cells of all of them, triple after triple and
+row-major within each, and compares their patches as int arrays in blocks
+of at most ``ORACLE_BLOCK`` cells, so one block may span many triples.
+Each cell is mapped on its own triple's grids, through the same corner
+maps that transform a single patch (``group.rotate_corners`` and
+``group.mirror_corners``); the modular rule is never evaluated.  Only the
+first mismatching cell of each triple is rebuilt as ``IndexPatch``
+objects, with the scalar maps, to form its counterexample.
+``rotation_commutation`` and ``mirror_commutation`` are one-triple grids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,10 +48,10 @@ from .tensor import FeatureMap, max_abs_diff, random_feature_map
 
 
 #: Most output cells the commutation oracle holds in arrays at once.
-ORACLE_BLOCK = 1 << 16
+ORACLE_BLOCK = 1 << 13
 
 
-def _patch_corners(x, y, k: int, s: int) -> tuple:
+def _patch_corners(x, y, k, s) -> tuple:
     """Corners (x1, y1, x2, y2) of the patch read for output cell (x, y),
     elementwise on ints or int arrays; PatchError if they are out of order."""
     x1, y1 = s * x, s * y
@@ -79,42 +84,87 @@ class CommutationVerdict:
     counterexample: Counterexample | None = None
 
 
-def _commutation(
-    i: int, k: int, s: int, index_map, corner_map, patch_map
-) -> CommutationVerdict:
-    """For every output cell, compare the patch of the mapped output index
-    with the mapped patch of the cell, as arrays over up to ORACLE_BLOCK
-    cells at a time in row-major order.  The first mismatching cell is
-    rebuilt with the scalar maps, which must disagree there too."""
-    o = output_size(i, k, s)
-    for start in range(0, o * o, ORACLE_BLOCK):
-        cells = np.arange(start, min(start + ORACLE_BLOCK, o * o))
-        y = cells // o
-        x = cells - o * y
-        ox1, oy1, ox2, oy2 = _patch_corners(*index_map(o, x, y), k, s)
-        ix1, iy1, ix2, iy2 = corner_map(i, *_patch_corners(x, y, k, s))
+class Symmetry(NamedTuple):
+    """One grid map in the three forms the oracle uses: on a (col, row)
+    index, on patch corners (elementwise on int arrays) and on an
+    ``IndexPatch``."""
+
+    index_map: Callable
+    corner_map: Callable
+    patch_map: Callable
+
+
+#: The maps of each ``oracle --symmetry`` choice.
+SYMMETRIES = {
+    "rot": Symmetry(rotate_index, rotate_corners, rotate_patch),
+    "mirror": Symmetry(mirror_index, mirror_corners, mirror_patch),
+}
+
+
+def commutation_grid(triples, symmetry: Symmetry) -> list[CommutationVerdict]:
+    """Commutation verdict of every (i, k, s) triple, in order.
+
+    The output cells of all triples are joined, triple after triple and
+    row-major within each, and compared in blocks of at most ORACLE_BLOCK
+    cells: for every cell, the patch of the mapped output index against the
+    mapped patch of the cell, on the output and input grids of its own
+    triple.  A block starting inside a triple that has already mismatched
+    skips the rest of that triple.  The first mismatching cell of each
+    triple is rebuilt with the scalar maps, which must disagree there too.
+
+    Every triple's output side is computed first, so a ShapeError comes
+    before any cell is compared; the array maps then raise on the first bad
+    cell in joined order."""
+    triples = list(triples)
+    sides = [output_size(i, k, s) for i, k, s in triples]
+    i, k, s = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    o = np.array(sides, dtype=np.int64)
+    ends = np.cumsum(o * o)  # one past each triple's last cell
+    total = int(ends[-1]) if triples else 0
+    first = np.full(len(triples), total)  # first mismatching cell, or total
+    start = 0
+    while start < total:
+        owner = int(np.searchsorted(ends, start, side="right"))
+        if first[owner] < total:
+            start = int(ends[owner])
+            continue
+        cells = np.arange(start, min(start + ORACLE_BLOCK, total))
+        t = np.searchsorted(ends, cells, side="right")
+        n, kt, st = o[t], k[t], s[t]
+        local = cells - (ends[t] - n * n)
+        y = local // n
+        x = local - n * y
+        ox1, oy1, ox2, oy2 = _patch_corners(*symmetry.index_map(n, x, y), kt, st)
+        ix1, iy1, ix2, iy2 = symmetry.corner_map(i[t], *_patch_corners(x, y, kt, st))
         differs = (ox1 != ix1) | (oy1 != iy1) | (ox2 != ix2) | (oy2 != iy2)
-        if differs.any():
-            j = int(differs.argmax())
-            x, y = int(x[j]), int(y[j])
-            via_output = index_patch(*index_map(o, x, y), k, s)
-            via_input = patch_map(i, index_patch(x, y, k, s))
-            if via_output == via_input:
-                raise AssertionError(f"array and scalar maps disagree at output cell ({x}, {y})")
-            return CommutationVerdict(False, Counterexample((x, y), via_output, via_input))
-    return CommutationVerdict(True)
+        np.minimum.at(first, t[differs], cells[differs])
+        start += len(cells)
+    verdicts = []
+    for (ti, tk, ts), side, cell, end in zip(triples, sides, first.tolist(), ends.tolist()):
+        if cell == total:
+            verdicts.append(CommutationVerdict(True))
+            continue
+        y, x = divmod(cell - (end - side * side), side)
+        via_output = index_patch(*symmetry.index_map(side, x, y), tk, ts)
+        via_input = symmetry.patch_map(ti, index_patch(x, y, tk, ts))
+        if via_output == via_input:
+            raise AssertionError(
+                f"array and scalar maps disagree at output cell ({x}, {y}) of {(ti, tk, ts)}"
+            )
+        verdicts.append(CommutationVerdict(False, Counterexample((x, y), via_output, via_input)))
+    return verdicts
 
 
 def rotation_commutation(i: int, k: int, s: int) -> CommutationVerdict:
     """Brute-force check that sampling indices commute with the quarter turn:
     for every output cell, the patch of the rotated output index must equal
     the rotated patch of the original index."""
-    return _commutation(i, k, s, rotate_index, rotate_corners, rotate_patch)
+    return commutation_grid([(i, k, s)], SYMMETRIES["rot"])[0]
 
 
 def mirror_commutation(i: int, k: int, s: int) -> CommutationVerdict:
     """Same check for the horizontal mirror."""
-    return _commutation(i, k, s, mirror_index, mirror_corners, mirror_patch)
+    return commutation_grid([(i, k, s)], SYMMETRIES["mirror"])[0]
 
 
 def equivariance_error(a: FeatureMap, b: FeatureMap) -> float:

@@ -21,8 +21,8 @@ VALID_GROUP_SIZES = (1, 4, 8)
 EXACT_INT_LIMIT = float(2**53)
 
 
-def _as_float64(values, ndim: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C")
+def _checked(arr: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    """``arr`` itself, made read-only, once its shape and values pass."""
     if arr.ndim != ndim:
         raise DimensionError(f"{what} needs {ndim} axes, got {arr.ndim}")
     if any(d < 1 for d in arr.shape):
@@ -39,12 +39,18 @@ class FeatureMap:
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        arr = _as_float64(values, 4, "feature map")
-        if arr.shape[1] not in VALID_GROUP_SIZES:
-            raise DimensionError(
-                f"group axis must have length in {VALID_GROUP_SIZES}, got {arr.shape[1]}"
-            )
-        self._values = arr
+        self._values = _map_values(np.array(values, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _from_layer(cls, values: np.ndarray) -> "FeatureMap":
+        """Trusted constructor for an array a layer has just built and hands
+        over: the same checks as the public constructor, but the array is
+        copied only if it is not C-contiguous float64, and is otherwise made
+        read-only in place.  Never pass it an array that someone else can
+        still write to, or a view of one."""
+        fm = cls.__new__(cls)
+        fm._values = _map_values(np.asarray(values, dtype=np.float64, order="C"))
+        return fm
 
     @property
     def values(self) -> np.ndarray:
@@ -80,6 +86,15 @@ class FeatureMap:
         return f"FeatureMap(channels={c}, group={g}, size={h}x{w})"
 
 
+def _map_values(arr: np.ndarray) -> np.ndarray:
+    arr = _checked(arr, 4, "feature map")
+    if arr.shape[1] not in VALID_GROUP_SIZES:
+        raise DimensionError(
+            f"group axis must have length in {VALID_GROUP_SIZES}, got {arr.shape[1]}"
+        )
+    return arr
+
+
 class FilterBank:
     """Immutable convolution weights with axes (out, in, in_group, row, col).
 
@@ -90,7 +105,7 @@ class FilterBank:
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        arr = _as_float64(values, 5, "filter bank")
+        arr = _checked(np.array(values, dtype=np.float64, order="C"), 5, "filter bank")
         if arr.shape[2] not in VALID_GROUP_SIZES:
             raise DimensionError(
                 f"filter group axis must have length in {VALID_GROUP_SIZES}, got {arr.shape[2]}"

@@ -16,7 +16,8 @@ from equicheck.builtins import BUILTINS
 from equicheck.cli import run
 from equicheck.config import ArchitectureConfig, build_network, from_json, to_json
 from equicheck.errors import ConfigError
-from equicheck.layers import Layer, LayerKind, forward, seed_network, walk_shapes
+from equicheck.layers import Layer, LayerKind, check_layer, forward, seed_network, walk_shapes
+from equicheck.metrics import mirror_commutation, rotation_commutation
 from equicheck.tensor import random_feature_map
 
 
@@ -256,6 +257,65 @@ class TestOracleCommand:
     def test_degenerate_range_exits_two(self):
         assert run(["oracle", "--i-range", "5:4"]) == 2
 
+    @pytest.mark.parametrize("symmetry", ["rot", "mirror"])
+    @pytest.mark.parametrize("ranges", [("2:12", "1:4", "1:3"), ("7:9", "3:9", "2:5")])
+    def test_document_matches_per_triple_calls(self, capsys, symmetry, ranges):
+        (i_lo, i_hi), (k_lo, k_hi), (s_lo, s_hi) = (map(int, r.split(":")) for r in ranges)
+        oracle = {"rot": rotation_commutation, "mirror": mirror_commutation}[symmetry]
+        cells = []
+        for i in range(i_lo, i_hi + 1):
+            for k in range(k_lo, min(k_hi, i) + 1):
+                for s in range(s_lo, s_hi + 1):
+                    verdict, condition = oracle(i, k, s), check_layer(i, k, s, 0)
+                    cell = {"i": i, "k": k, "s": s, "holds": verdict.holds,
+                            "condition": condition, "agree": verdict.holds == condition}
+                    if verdict.counterexample is not None:
+                        ce = verdict.counterexample
+                        cell["counterexample"] = {
+                            "output_index": list(ce.output_index),
+                            "via_output": [list(ce.patch_via_output.top_left),
+                                           list(ce.patch_via_output.bottom_right)],
+                            "via_input": [list(ce.patch_via_input.top_left),
+                                          list(ce.patch_via_input.bottom_right)],
+                        }
+                    cells.append(cell)
+        agreement = sum(c["agree"] for c in cells) / len(cells)
+        payload = {
+            "symmetry": symmetry,
+            "i_range": [i_lo, i_hi], "k_range": [k_lo, k_hi], "s_range": [s_lo, s_hi],
+            "cells": cells,
+            "total": len(cells),
+            "holds_count": sum(c["holds"] for c in cells),
+            "agreement": agreement,
+        }
+        expected = json.dumps(cli._document("oracle", payload), indent=2) + "\n"
+        argv = ["oracle", "--i-range", ranges[0], "--k-range", ranges[1],
+                "--s-range", ranges[2], "--symmetry", symmetry, "--format", "structured"]
+        assert run(argv) == (0 if agreement == 1.0 else 1)
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [(2, 12, 1, 4, 1, 3), (7, 9, 3, 9, 2, 5), (1, 3, 5, 9, 1, 2), (30, 40, 1, 3, 4, 9)],
+    )
+    def test_cell_count_is_exact(self, ranges):
+        i_lo, i_hi, k_lo, k_hi, s_lo, s_hi = ranges
+        brute = sum(
+            ((i - k) // s + 1) ** 2
+            for i in range(i_lo, i_hi + 1)
+            for k in range(k_lo, min(k_hi, i) + 1)
+            for s in range(s_lo, s_hi + 1)
+        )
+        assert cli._oracle_cells(*ranges) == brute
+
+    def test_cell_bound_is_inclusive(self, monkeypatch, capsys):
+        argv = ["oracle", "--i-range", "2:12", "--k-range", "1:4", "--s-range", "1:3"]
+        monkeypatch.setattr(cli, "MAX_ORACLE_CELLS", cli._oracle_cells(2, 12, 1, 4, 1, 3))
+        assert run(argv) == 0
+        monkeypatch.setattr(cli, "MAX_ORACLE_CELLS", cli.MAX_ORACLE_CELLS - 1)
+        assert run(argv) == 2
+        assert "output cells" in capsys.readouterr().err
+
 
 class TestMeasureCommand:
     def test_exact_toy_integer_mode(self, capsys):
@@ -398,6 +458,7 @@ class TestReportDocument:
         ["suggest", "p4cnn", "0", "10"],
         ["suggest", "p4cnn", "10", "5"],
         ["suggest", "p4cnn", "1", "1000000000"],
+        ["oracle", "--s-range", "1:1000000000"],
         ["measure", "p4cnn", "--elements", "foo"],
         ["sweep", "toy41", "--angle-step", "nan"],
         ["sweep", "toy41", "--angle-step", "1e-300"],

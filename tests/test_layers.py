@@ -496,6 +496,30 @@ class TestDense:
             forward(net, fm)
 
 
+LAYER_OUTPUTS = [
+    pytest.param(lambda fm: conv2d(fm, random_filter_bank(1, 2, 4, 4, 3), 2, 1), id="conv2d"),
+    pytest.param(lambda fm: conv2d(fm, random_filter_bank(1, 2, 4, 4, 3, True), 2, 1),
+                 id="conv2d-integer"),
+    pytest.param(lambda fm: gconv(fm, random_filter_bank(2, 2, 4, 4, 3), GroupKind.P4), id="gconv"),
+    pytest.param(lambda fm: maxpool(fm, 2, 2), id="maxpool"),
+    pytest.param(coset_maxpool, id="coset_maxpool"),
+    pytest.param(global_avg_pool, id="global_avg_pool"),
+    pytest.param(relu, id="relu"),
+    pytest.param(circle_crop, id="circle_crop"),
+    pytest.param(lambda fm: dense(fm, np.ones((3, 4 * 4 * 7 * 7))), id="dense"),
+]
+
+
+@pytest.mark.parametrize("layer", LAYER_OUTPUTS)
+def test_layer_output_is_read_only(layer):
+    fm = random_feature_map(0, 4, 4, 7, 7, integer_valued=True)
+    out = layer(fm)
+    assert not out.values.flags.writeable
+    with pytest.raises(ValueError):
+        out.values[(0,) * 4] = 1.0
+    assert not fm.values.flags.writeable
+
+
 def toy_net(input_size):
     return Network(
         kind=GroupKind.P4,

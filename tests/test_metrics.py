@@ -1,6 +1,7 @@
 """Commutation oracles, the error measure, per-depth profiles, bilinear
 rotation and the invariance sweep."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from equicheck.group import (
 )
 from equicheck.layers import Layer, LayerKind, Network
 from equicheck.metrics import (
+    SYMMETRIES,
     CommutationVerdict,
     Counterexample,
     equivariance_error,
@@ -31,6 +33,7 @@ from equicheck.metrics import (
     invariance_sweep,
     mirror_commutation,
     profile_equivariance,
+    Symmetry,
     rotate_bilinear,
     rotation_commutation,
 )
@@ -99,6 +102,21 @@ ORACLES = [
 ]
 
 
+def planted_corners(n, x1, y1, x2, y2):
+    """The quarter turn, one column off for the patches at (7, 1) and (2, 3)."""
+    hit = ((x1 == 7) & (y1 == 1)) | ((x1 == 2) & (y1 == 3))
+    rx1, ry1, rx2, ry2 = rotate_corners(n, x1, y1, x2, y2)
+    return rx1 + hit, ry1, rx2 + hit, ry2
+
+
+def planted_patch(n, patch):
+    rx1, ry1, rx2, ry2 = planted_corners(n, *patch.top_left, *patch.bottom_right)
+    return IndexPatch((rx1, ry1), (rx2, ry2))
+
+
+PLANTED = Symmetry(rotate_index, planted_corners, planted_patch)
+
+
 class TestOracleMatchesPerCellLoop:
     """The array oracle against the per-cell loop, verdict and counterexample
     alike."""
@@ -127,19 +145,10 @@ class TestOracleMatchesPerCellLoop:
         # so plant mismatches further on: the quarter turn of the patches of
         # cells (7, 1) and (2, 3) lands one column off.  (7, 1) comes first in
         # row-major order, (2, 3) in column-major order.
-        def corner_map(n, x1, y1, x2, y2):
-            hit = ((x1 == 7) & (y1 == 1)) | ((x1 == 2) & (y1 == 3))
-            rx1, ry1, rx2, ry2 = rotate_corners(n, x1, y1, x2, y2)
-            return rx1 + hit, ry1, rx2 + hit, ry2
-
-        def patch_map(n, patch):
-            rx1, ry1, rx2, ry2 = corner_map(n, *patch.top_left, *patch.bottom_right)
-            return IndexPatch((rx1, ry1), (rx2, ry2))
-
         monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
-        expected = per_cell_commutation(9, 1, 1, rotate_index, patch_map)
+        expected = per_cell_commutation(9, 1, 1, rotate_index, planted_patch)
         assert expected.counterexample.output_index == (7, 1)
-        got = metrics._commutation(9, 1, 1, rotate_index, corner_map, patch_map)
+        (got,) = metrics.commutation_grid([(9, 1, 1)], PLANTED)
         assert got == expected
 
     @pytest.mark.parametrize("oracle, index_map, patch_map", ORACLES)
@@ -156,6 +165,20 @@ class TestOracleMatchesPerCellLoop:
             oracle(*args)
         assert str(got.value) == str(expected.value)
 
+    def test_grid_memory_stays_bounded(self):
+        # one block of 2**13 cells holds about 25 int64 arrays of 64 KiB
+        # (1.6 MiB); blocks of 2**16 cells would take about 13 MiB
+        triples = [(i, k, s) for i in range(2, 41) for k in range(1, min(i, 7) + 1)
+                   for s in range(1, 6)]
+        tracemalloc.start()
+        try:
+            verdicts = metrics.commutation_grid(triples, SYMMETRIES["rot"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(verdicts) == 1290
+        assert peak < 4 * 2**20
+
     def test_memory_stays_bounded(self):
         # one full o*o int64 array would be 2049**2 * 8 bytes = 33.6 MB
         tracemalloc.start()
@@ -166,6 +189,84 @@ class TestOracleMatchesPerCellLoop:
             tracemalloc.stop()
         assert holds is True
         assert peak < 16 * 2**20
+
+
+GRID = tuple((i, k, s) for i in range(1, 41) for k in range(1, min(i, 9) + 1) for s in range(1, 10))
+SMALL_GRID = tuple(
+    (i, k, s) for i in range(1, 17) for k in range(1, min(i, 4) + 1) for s in range(1, 5)
+)
+SYMMETRY_MAPS = [
+    pytest.param("rot", rotate_index, rotate_patch, id="rot"),
+    pytest.param("mirror", mirror_index, mirror_patch, id="mirror"),
+]
+
+
+@functools.cache
+def per_cell_grid(triples, index_map, patch_map):
+    return [per_cell_commutation(*t, index_map, patch_map) for t in triples]
+
+
+class TestCommutationGrid:
+    """One grid call over many triples against the per-cell loop on each."""
+
+    @pytest.mark.parametrize("block", [50, metrics.ORACLE_BLOCK])
+    @pytest.mark.parametrize("symmetry, index_map, patch_map", SYMMETRY_MAPS)
+    def test_matches_per_cell_loop(self, monkeypatch, block, symmetry, index_map, patch_map):
+        monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
+        got = metrics.commutation_grid(GRID, SYMMETRIES[symmetry])
+        assert got == per_cell_grid(GRID, index_map, patch_map)
+
+    # blocks this small take seconds on GRID, so they run on a smaller one
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("symmetry, index_map, patch_map", SYMMETRY_MAPS)
+    def test_small_blocks_split_triples(self, monkeypatch, block, symmetry, index_map, patch_map):
+        monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
+        got = metrics.commutation_grid(SMALL_GRID, SYMMETRIES[symmetry])
+        assert got == per_cell_grid(SMALL_GRID, index_map, patch_map)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 20, 50, metrics.ORACLE_BLOCK])
+    def test_each_triple_reports_its_own_first_mismatch(self, monkeypatch, block):
+        # joined cells: (4, 1, 1) is 0..15, (3, 1, 1) 16..24 and (9, 1, 1)
+        # 25..105.  The planted cells break (4, 1, 1) at (2, 3) (cell 14) and
+        # (9, 1, 1) at (7, 1) (cell 41) and (2, 3) (cell 54); (3, 1, 1) has
+        # neither and holds.  Below 81 the last triple straddles a block
+        # boundary.
+        monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
+        triples = [(4, 1, 1), (3, 1, 1), (9, 1, 1)]
+        got = metrics.commutation_grid(triples, PLANTED)
+        assert got == [per_cell_commutation(*t, rotate_index, planted_patch) for t in triples]
+        assert [v.counterexample.output_index if v.counterexample else None for v in got] == [
+            (2, 3), None, (7, 1)
+        ]
+
+    def test_broken_triple_stops_at_its_first_mismatching_block(self, monkeypatch):
+        # (21, 2, 2) has 100 cells and breaks at its first; (4, 2, 2) holds
+        blocks = []
+
+        def counting_corners(n, *corners):
+            blocks.append(np.size(n))
+            return rotate_corners(n, *corners)
+
+        monkeypatch.setattr(metrics, "ORACLE_BLOCK", 10)
+        counting = Symmetry(rotate_index, counting_corners, rotate_patch)
+        got = metrics.commutation_grid([(21, 2, 2), (4, 2, 2)], counting)
+        assert [v.holds for v in got] == [False, True]
+        assert blocks == [10, 4]
+
+    @pytest.mark.parametrize("symmetry, index_map, patch_map", SYMMETRY_MAPS)
+    @pytest.mark.parametrize(
+        "args, error",
+        [((5, 0, 1), PatchError), ((3, 4, 1), ShapeError), ((5, 2, 0), ShapeError)],
+    )
+    def test_invalid_triple_after_valid_ones(self, symmetry, index_map, patch_map, args, error):
+        with pytest.raises(error) as expected:
+            per_cell_commutation(*args, index_map, patch_map)
+        with pytest.raises(error) as got:
+            metrics.commutation_grid([(4, 2, 2), (5, 2, 2), (9, 3, 1), args], SYMMETRIES[symmetry])
+        assert str(got.value) == str(expected.value)
+
+    def test_empty_grid(self):
+        assert metrics.commutation_grid([], SYMMETRIES["rot"]) == []
 
 
 class TestEquivarianceError:

@@ -44,6 +44,28 @@ class TestMakeFeatureMap:
         with pytest.raises(ValueError):
             fm.values[0, 0, 0, 0] = 1.0
 
+    def test_public_constructor_copies_its_source(self):
+        source = np.zeros((1, 1, 2, 2))
+        fm = FeatureMap(source)
+        source[0, 0, 0, 0] = 5.0
+        assert fm.values[0, 0, 0, 0] == 0.0
+        assert source.flags.writeable
+
+    def test_trusted_constructor_keeps_the_checks(self):
+        with pytest.raises(ValueError):
+            FeatureMap._from_layer(np.full((1, 1, 2, 2), np.inf))
+        with pytest.raises(DimensionError):
+            FeatureMap._from_layer(np.zeros((1, 3, 2, 2)))
+        with pytest.raises(DimensionError):
+            FeatureMap._from_layer(np.zeros((1, 2, 2)))
+
+    def test_trusted_constructor_takes_a_contiguous_array_as_is(self):
+        built = np.zeros((1, 4, 2, 2))
+        fm = FeatureMap._from_layer(built)
+        assert fm.values is built and not built.flags.writeable
+        strided = np.zeros((4, 1, 2, 2)).transpose(1, 0, 2, 3)
+        assert FeatureMap._from_layer(strided).values.flags.c_contiguous
+
 
 class TestRandomFeatureMap:
     def test_same_seed_bitwise_identical(self):
