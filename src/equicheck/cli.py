@@ -217,6 +217,11 @@ def cmd_oracle(args) -> int:
     i_lo, i_hi = _parse_range(args.i_range, "--i-range")
     k_lo, k_hi = _parse_range(args.k_range, "--k-range")
     s_lo, s_hi = _parse_range(args.s_range, "--s-range")
+    # k <= i, so the i and s bounds cap every index the cell arrays hold
+    limit = int(np.iinfo(np.int64).max)
+    for field, hi in (("--i-range", i_hi), ("--s-range", s_hi)):
+        if hi > limit:
+            raise EquicheckError(f"{field} bound {hi} exceeds the int64 limit {limit}")
     if _oracle_cells(i_lo, i_hi, k_lo, k_hi, s_lo, s_hi) > MAX_ORACLE_CELLS:
         raise EquicheckError(
             f"oracle ranges hold more than {MAX_ORACLE_CELLS} output cells to compare"

@@ -10,8 +10,12 @@ that moves feature maps.  Stride-s layers sample input index patches
 action depends on the padded input size (see the analyzer module).
 
 conv2d, gconv_lift and gconv share one body: it pads the input once,
-stacks the bank transformed by every group element (z2 is the one-element
-case) and contracts it in one go.
+takes the bank transformed by every group element, stacked (z2 is the
+one-element case), and contracts it in one go.  The stacked bank does not
+depend on the input, so it is built once per bank and group kind, on first
+use, together with the bank's integrality and the norm the guard needs; it
+is held read-only on the FilterBank and freed with it, so a seeded Network
+stacks each of its banks once however many forwards it runs.
 
 Exactness: when both operands of a contraction are integer-valued, a guard
 makes sure no output cell's sum of |terms| reaches 2**53.  It first checks
@@ -246,15 +250,20 @@ def _contract(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
     return np.tensordot(bank, windows, axes=([2, 3, 4, 5], [0, 1, 4, 5]))
 
 
-def _guard_exact_contraction(vals: np.ndarray, bank: np.ndarray, s: int) -> None:
+def _l1(bank: np.ndarray) -> float:
+    """max_o ||w_o||_1 over slot 0 of a stacked bank; the group transforms
+    only move a bank's entries, so slot 0 gives every slot's norms."""
+    return np.abs(bank[0]).sum(axis=(1, 2, 3, 4)).max(initial=0.0)
+
+
+def _guard_exact_contraction(vals: np.ndarray, bank: np.ndarray, s: int, l1: float) -> None:
     """For integer operands, make sure no output cell's sum of |terms|
     reaches 2**53, past which the float64 result could silently round.
 
-    ``bank`` is the (|G|, O, C, G_in, kh, kw) stacked bank; ``dense`` passes
-    its matrix as a one-slot bank whose kernel covers the whole map.  The
-    Hoelder bound max|x| * max_o ||w_o||_1 is tried first; the group
-    transforms only move a bank's entries, so slot 0 gives every slot's
-    norms.  Only when that bound reaches 2**53 does the exact check run:
+    ``bank`` is the (|G|, O, C, G_in, kh, kw) stacked bank and ``l1`` its
+    ``_l1``; ``dense`` passes its matrix as a one-slot bank whose kernel
+    covers the whole map.  The Hoelder bound max|x| * l1 is tried first.
+    Only when that bound reaches 2**53 does the exact check run:
     the same tensordot that computes integer outputs, on |x| and |bank|.
     Its terms are non-negative integers, so while a cell's true sum stays
     below 2**53 every partial sum is exact in any order, and once it
@@ -262,7 +271,6 @@ def _guard_exact_contraction(vals: np.ndarray, bank: np.ndarray, s: int) -> None
     test does not depend on how BLAS orders the sums.  The first slot whose
     bound reaches 2**53 is reported.
     """
-    l1 = np.abs(bank[0]).sum(axis=(1, 2, 3, 4)).max(initial=0.0)
     if max(vals.max(), -vals.min()) * l1 < EXACT_INT_LIMIT:
         return
     slot_max = _contract(np.abs(vals), np.abs(bank), s).max(axis=(1, 2, 3))
@@ -295,6 +303,25 @@ def _check_conv_args(fm: FeatureMap, filters: FilterBank, s: int, p: int) -> Non
         raise ShapeError(f"kernel {filters.k} exceeds padded input {fm.height + 2 * p}")
 
 
+class _Stacked(NamedTuple):
+    """What a conv derives from its bank alone, for one group kind."""
+
+    bank: np.ndarray  # (|G|, O, C, G_in, k, k), read-only
+    integral: bool
+    l1: float  # _l1(bank)
+
+
+def _stacked(filters: FilterBank, kind: GroupKind) -> _Stacked:
+    """The bank transformed by every element of ``kind``, stacked, from the
+    bank's memo; built and made read-only on first use."""
+    hit = filters._memo.get(kind)
+    if hit is None:
+        bank = np.stack([act_values(g, filters.values, kind) for g in elements(kind)])
+        bank.flags.writeable = False
+        hit = filters._memo[kind] = _Stacked(bank, _is_integral(filters.values), _l1(bank))
+    return hit
+
+
 def _group_conv(
     fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int, p: int
 ) -> FeatureMap:
@@ -303,9 +330,9 @@ def _group_conv(
     elements(kind); z2 is the one-slot case."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
-    bank = np.stack([act_values(g, filters.values, kind) for g in elements(kind)])
-    if _is_integral(fm.values) and _is_integral(filters.values):
-        _guard_exact_contraction(vals, bank, s)
+    bank, integral, l1 = _stacked(filters, kind)
+    if integral and _is_integral(fm.values):
+        _guard_exact_contraction(vals, bank, s, l1)
         return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
     return FeatureMap._from_layer(_correlate(vals, bank, s))
 
@@ -349,13 +376,26 @@ def gconv(
 
 
 def maxpool(fm: FeatureMap, k: int, s: int) -> FeatureMap:
-    """Spatial max pooling per channel and group slot, no padding."""
+    """Spatial max pooling per channel and group slot, no padding.
+
+    Runs k*k in-place maxima, one per kernel offset (dy, dx), of the strided
+    slice whose cell (y, x) is input cell (s*y + dy, s*x + dx).  The maximum
+    of finite floats is exact, so the result equals any other reduction
+    order, except that a window whose maximum is a tie of +0.0 and -0.0 may
+    return either zero; ReLU outputs hold no -0.0."""
     if k < 1 or s < 1:
         raise ShapeError(f"pool needs k >= 1 and s >= 1, got k={k}, s={s}")
     if min(fm.height, fm.width) < k:
         raise ShapeError(f"pool kernel {k} exceeds input {fm.height}x{fm.width}")
-    windows = sliding_window_view(fm.values, (k, k), axis=(2, 3))
-    return FeatureMap._from_layer(windows[:, :, ::s, ::s].max(axis=(4, 5)))
+    vals = fm.values
+    end_y = s * ((fm.height - k) // s) + 1
+    end_x = s * ((fm.width - k) // s) + 1
+    out = vals[:, :, :end_y:s, :end_x:s].copy()
+    for dy in range(k):
+        for dx in range(k):
+            if dy or dx:
+                np.maximum(out, vals[:, :, dy : dy + end_y : s, dx : dx + end_x : s], out=out)
+    return FeatureMap._from_layer(out)
 
 
 def coset_maxpool(fm: FeatureMap) -> FeatureMap:
@@ -398,7 +438,8 @@ def dense(fm: FeatureMap, weights: np.ndarray) -> FeatureMap:
     if w.ndim != 2 or w.shape[1] != flat.size:
         raise ShapeError(f"dense weights {w.shape} do not match flattened input {flat.size}")
     if _is_integral(flat) and _is_integral(w):
-        _guard_exact_contraction(fm.values, w.reshape((1, len(w)) + fm.shape), 1)
+        bank = w.reshape((1, len(w)) + fm.shape)
+        _guard_exact_contraction(fm.values, bank, 1, _l1(bank))
     out = w @ flat
     return FeatureMap._from_layer(out.reshape(-1, 1, 1, 1))
 

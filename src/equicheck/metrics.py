@@ -206,7 +206,8 @@ def profile_equivariance(
     Weights and the input are drawn deterministically from ``seed``.  For
     each requested group element g and every group-valued depth d the error
     compares the forward pass of the transformed input against the fully
-    transformed activation of the plain input.
+    transformed activation of the plain input.  One transformed forward is
+    held at a time; entries come out depth by depth, elements in order.
     """
     if group_elements is None:
         group_elements = tuple(g for g in elements(net.kind) if g != GroupElement(0))
@@ -216,13 +217,14 @@ def profile_equivariance(
     )
     base = forward(seeded, x)
     depths = [d for d, act in enumerate(base) if act.group_size > 1]
-    transformed = {g: forward(seeded, act_spatial(g, x)) for g in group_elements}
-    entries = []
-    for d in depths:
-        for g in group_elements:
-            expected = act_full(g, base[d], net.kind)
-            entries.append(ProfileEntry(d, g, equivariance_error(transformed[g][d], expected)))
-    return EquivarianceProfile(net.name, seed, integer_valued, tuple(entries))
+    errors = {}
+    for g in group_elements:
+        moved = forward(seeded, act_spatial(g, x))
+        for d in depths:
+            errors[d, g] = equivariance_error(moved[d], act_full(g, base[d], net.kind))
+        del moved  # freed before the next forward starts
+    entries = tuple(ProfileEntry(d, g, errors[d, g]) for d in depths for g in group_elements)
+    return EquivarianceProfile(net.name, seed, integer_valued, entries)
 
 
 def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:

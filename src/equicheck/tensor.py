@@ -99,10 +99,12 @@ class FilterBank:
     """Immutable convolution weights with axes (out, in, in_group, row, col).
 
     The kernel is square; ``in_group_size`` must match the group axis of the
-    feature map the bank is applied to.
+    feature map the bank is applied to.  ``_memo`` is private to the layers
+    module, which keeps there what it derives from the bank per group kind,
+    so it lives and dies with the bank.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_memo")
 
     def __init__(self, values):
         arr = _checked(np.array(values, dtype=np.float64, order="C"), 5, "filter bank")
@@ -113,6 +115,7 @@ class FilterBank:
         if arr.shape[3] != arr.shape[4]:
             raise DimensionError(f"kernel must be square, got {arr.shape[3]}x{arr.shape[4]}")
         self._values = arr
+        self._memo = {}
 
     @property
     def values(self) -> np.ndarray:

@@ -459,6 +459,9 @@ class TestReportDocument:
         ["suggest", "p4cnn", "10", "5"],
         ["suggest", "p4cnn", "1", "1000000000"],
         ["oracle", "--s-range", "1:1000000000"],
+        ["oracle", "--i-range", "10000000000000000000:10000000000000000000",
+         "--k-range", "1:1", "--s-range", "10000000000000000000:10000000000000000000"],
+        ["oracle", "--i-range", "5:5", "--s-range", "9223372036854775808:9223372036854775808"],
         ["measure", "p4cnn", "--elements", "foo"],
         ["sweep", "toy41", "--angle-step", "nan"],
         ["sweep", "toy41", "--angle-step", "1e-300"],
@@ -468,6 +471,16 @@ class TestReportDocument:
 def test_bad_input_exits_two_with_message(capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oracle_range_past_int64_is_named(capsys):
+    big = str(2**63)
+    assert run(["oracle", "--i-range", f"{big}:{big}", "--k-range", "1:1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --i-range bound {big} exceeds the int64 limit {2**63 - 1}\n")
+    top = str(2**63 - 1)
+    argv = ["oracle", "--i-range", f"{top}:{top}", "--k-range", "1:1", "--s-range", f"{top}:{top}"]
+    assert run(argv) == 0
 
 
 #: Runs ``python -m equicheck`` on the package under test, installed or not.

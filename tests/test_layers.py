@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from equicheck import layers
+from equicheck.builtins import P4CNN, Z2CNN
+from equicheck.config import build_network
 from equicheck.errors import ExactnessOverflowError, GroupKindError, LayerError, ShapeError
 from equicheck.group import (
     IDENTITY,
@@ -18,6 +22,7 @@ from equicheck.group import (
     GroupKind,
     act_full,
     act_spatial,
+    act_values,
     compose,
     elements,
     inverse,
@@ -26,6 +31,13 @@ from equicheck.layers import (
     Layer,
     LayerKind,
     Network,
+    _check_conv_args,
+    _contract,
+    _correlate,
+    _guard_exact_contraction,
+    _is_integral,
+    _l1,
+    _pad,
     circle_crop,
     conv2d,
     coset_maxpool,
@@ -225,9 +237,10 @@ def conv_cases(draw):
     c, o, k = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
     s, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     side = draw(st.integers(max(1, k - 2 * p), k - 2 * p + 7))
-    seed, integer = draw(st.integers(0, 10_000)), draw(st.booleans())
-    fm = random_feature_map([seed, 0], c, group, side, side, integer)
-    w = random_filter_bank([seed, 1], o, c, group, k, integer)
+    seed = draw(st.integers(0, 10_000))
+    integer_fm, integer_w = draw(st.booleans()), draw(st.booleans())  # mixed pairs take floats
+    fm = random_feature_map([seed, 0], c, group, side, side, integer_fm)
+    w = random_filter_bank([seed, 1], o, c, group, k, integer_w)
     return fn, kind, fm, w, s, p
 
 
@@ -351,7 +364,112 @@ class TestExactnessGuard:
             gconv_lift(fm, bank, GroupKind.P4)
 
 
+def reference_group_conv(fm, filters, kind, s, p):
+    """The conv body from before banks were stacked once, kept verbatim up to
+    the guard's norm argument: it stacks the transformed bank on every call."""
+    _check_conv_args(fm, filters, s, p)
+    vals = _pad(fm.values, p)
+    bank = np.stack([act_values(g, filters.values, kind) for g in elements(kind)])
+    if _is_integral(fm.values) and _is_integral(filters.values):
+        _guard_exact_contraction(vals, bank, s, _l1(bank))
+        return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
+    return FeatureMap._from_layer(_correlate(vals, bank, s))
+
+
+def reference_maxpool(fm, k, s):
+    """The pool from before strided maxima, kept verbatim: one reduction of
+    the sliding-window view."""
+    if k < 1 or s < 1:
+        raise ShapeError(f"pool needs k >= 1 and s >= 1, got k={k}, s={s}")
+    if min(fm.height, fm.width) < k:
+        raise ShapeError(f"pool kernel {k} exceeds input {fm.height}x{fm.width}")
+    windows = sliding_window_view(fm.values, (k, k), axis=(2, 3))
+    return FeatureMap._from_layer(windows[:, :, ::s, ::s].max(axis=(4, 5)))
+
+
+#: The built-in stacks of every group kind: z2cnn, p4cnn and p4cnn as p4m.
+SEEDED_NETS = [
+    pytest.param(build_network(Z2CNN), id="z2cnn"),
+    pytest.param(build_network(P4CNN), id="p4cnn"),
+    pytest.param(replace(build_network(P4CNN), kind=GroupKind.P4M), id="p4mcnn"),
+]
+
+
+class TestStackedBanks:
+    """Each bank is stacked once per group kind and held read-only on the
+    FilterBank; forwards stay bit-identical to per-call stacking."""
+
+    @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+    @pytest.mark.parametrize("net", SEEDED_NETS)
+    def test_forward_matches_per_call_stacking(self, monkeypatch, net, integer):
+        seed = 3
+        seeded = seed_network(net, seed, integer)
+        x = random_feature_map([seed, 1], 1, 1, net.input_size, net.input_size, integer)
+        first, again = forward(seeded, x), forward(seeded, x)  # memo filled, then reused
+        monkeypatch.setattr(layers, "_group_conv", reference_group_conv)
+        monkeypatch.setattr(layers, "maxpool", reference_maxpool)
+        expected = forward(seed_network(net, seed, integer), x)
+        for acts in (first, again):
+            assert [a.values.tobytes() for a in acts] == [e.values.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+    def test_one_bank_under_several_kinds(self, integer):
+        fm = random_feature_map(4, 2, 1, 9, 9, integer)
+        lift = random_filter_bank(5, 3, 2, 1, 3, integer)
+        for kind in (GroupKind.P4, GroupKind.P4M, GroupKind.P4):
+            fresh = FilterBank(lift.values)
+            out = gconv_lift(fm, lift, kind, 2, 1).values
+            assert out.tobytes() == gconv_lift(fm, fresh, kind, 2, 1).values.tobytes()
+        assert set(lift._memo) == {GroupKind.P4, GroupKind.P4M}
+        # a p4-valued bank read as a group-valued conv2d and as a gconv
+        fm4 = random_feature_map(6, 2, 4, 7, 7, integer)
+        bank4 = random_filter_bank(7, 2, 2, 4, 3, integer)
+        for fn, kind in ((conv2d, GroupKind.Z2), (gconv, GroupKind.P4)):
+            out = run_conv(fn, kind, fm4, bank4, 1, 0).values
+            assert out.tobytes() == reference_group_conv(fm4, bank4, kind, 1, 0).values.tobytes()
+        assert set(bank4._memo) == {GroupKind.Z2, GroupKind.P4}
+
+    def test_memo_is_read_only(self):
+        w = random_filter_bank(8, 2, 1, 1, 3, integer_valued=True)
+        gconv_lift(random_feature_map(9, 1, 1, 6, 6), w, GroupKind.P4M)
+        stacked = w._memo[GroupKind.P4M]
+        assert stacked.bank.shape == (8, 2, 1, 1, 3, 3)
+        assert stacked.integral and stacked.l1 == np.abs(w.values).sum(axis=(1, 2, 3, 4)).max()
+        with pytest.raises(ValueError):
+            stacked.bank[(0,) * 6] = 1.0
+
+    def test_hand_built_network_runs_forward(self):
+        net = toy_net(33)
+        weights = (random_filter_bank(1, 1, 1, 1, 3, integer_valued=True), None, None,
+                   np.array([[2.0], [-3.0]]))
+        hand_built = Network(kind=net.kind, layers=net.layers, input_size=33, weights=weights)
+        x = random_feature_map(2, 1, 1, 33, 33, integer_valued=True)
+        lifted = reference_group_conv(x, weights[0], GroupKind.P4, 2, 1)
+        acts = forward(hand_built, x)
+        assert acts[0].values.tobytes() == lifted.values.tobytes()
+        assert acts[-1].shape == (2, 1, 1, 1)
+
+
 class TestMaxpool:
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_strided_maxima_match_window_reduction(self, k, s):
+        rng = np.random.default_rng([k, s])
+        for _ in range(4):
+            h, w = rng.integers(k, k + 9, size=2)
+            # few distinct values, so windows tie; zeros of both signs
+            vals = rng.integers(-2, 3, size=(2, 4, h, w)) * rng.choice([-1.0, 1.0], size=(h, w))
+            out = maxpool(FeatureMap(vals), k, s).values
+            assert np.array_equal(out, reference_maxpool(FeatureMap(vals), k, s).values)
+            positive_zeros = FeatureMap(vals + 0.0)  # -0.0 + 0.0 is +0.0
+            out = maxpool(positive_zeros, k, s).values
+            assert out.tobytes() == reference_maxpool(positive_zeros, k, s).values.tobytes()
+
+    @pytest.mark.parametrize("k, s", [(0, 1), (2, 0), (-1, 2)])
+    def test_bad_kernel_or_stride(self, k, s):
+        with pytest.raises(ShapeError):
+            maxpool(make_feature_map(1, 1, 4, 4, 0.0), k, s)
+
     def test_constant_map(self):
         fm = make_feature_map(1, 4, 6, 6, 2.5)
         out = maxpool(fm, 2, 2)

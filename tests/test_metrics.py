@@ -16,6 +16,7 @@ from equicheck.group import (
     GroupElement,
     GroupKind,
     IndexPatch,
+    act_full,
     act_spatial,
     mirror_index,
     mirror_patch,
@@ -23,7 +24,7 @@ from equicheck.group import (
     rotate_index,
     rotate_patch,
 )
-from equicheck.layers import Layer, LayerKind, Network
+from equicheck.layers import Layer, LayerKind, Network, forward, seed_network
 from equicheck.metrics import (
     SYMMETRIES,
     CommutationVerdict,
@@ -356,6 +357,20 @@ class TestProfileEquivariance:
             for seed in range(10)
         )
         assert positives >= 1
+
+    def test_entries_follow_depth_then_element_order(self):
+        # elements out of canonical order, one repeated: entries keep the
+        # requested order at every depth, as when all forwards were held
+        net, seed = stride1_p4_net(9), 4
+        order = (GroupElement(3), GroupElement(1), GroupElement(3))
+        profile = profile_equivariance(net, seed, order)
+        seeded = seed_network(net, seed)
+        x = random_feature_map([seed, 1], 1, 1, 9, 9)
+        base = forward(seeded, x)
+        moved = {g: forward(seeded, act_spatial(g, x)) for g in order}
+        expected = [(d, g, equivariance_error(moved[g][d], act_full(g, base[d], net.kind)))
+                    for d in range(len(base)) for g in order]
+        assert [(e.layer_index, e.element, e.error) for e in profile.entries] == expected
 
     def test_trivial_group_profiles_empty(self):
         net = Network(
