@@ -59,8 +59,16 @@ MAX_SWEEP_ANGLES = 3600
 MAX_SUGGEST_SIZES = 1_000_000
 
 #: Most output cells one oracle grid may compare, summed over its (i, k, s)
-#: triples; every triple has at least one, so this bounds the triples too.
+#: triples.
 MAX_ORACLE_CELLS = 1 << 21
+
+#: Most (i, k, s) triples one oracle grid may hold: each one costs about 2 KB
+#: of records and text in the report, however few cells it has.
+MAX_ORACLE_TRIPLES = 1 << 15
+
+#: Most activation elements one forward pass may hold, summed over the input
+#: and every layer output: 2^25 float64 values are 256 MB.
+MAX_FORWARD_ELEMENTS = 1 << 25
 
 
 def _use_color() -> bool:
@@ -194,6 +202,17 @@ def _parse_range(raw: str, field: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _oracle_triples(i_lo: int, i_hi: int, k_lo: int, k_hi: int, s_lo: int, s_hi: int) -> int:
+    """Triples (i, k, s) of the oracle grid, those with k <= i, counted in
+    closed form from the range bounds."""
+    # each i in [k_lo, k_hi] pairs with k_lo..i, an arithmetic series; each
+    # larger i pairs with the whole k range
+    lo, hi = max(i_lo, k_lo), min(i_hi, k_hi)
+    pairs = (lo - k_lo + 1 + hi - k_lo + 1) * (hi - lo + 1) // 2 if lo <= hi else 0
+    pairs += max(0, i_hi - max(i_lo, k_hi + 1) + 1) * (k_hi - k_lo + 1)
+    return pairs * (s_hi - s_lo + 1)
+
+
 def _oracle_cells(i_lo: int, i_hi: int, k_lo: int, k_hi: int, s_lo: int, s_hi: int) -> int:
     """Output cells of the oracle grid, the sum of ((i - k)//s + 1)^2 over
     its triples, from the range bounds alone; any count above
@@ -222,6 +241,10 @@ def cmd_oracle(args) -> int:
     for field, hi in (("--i-range", i_hi), ("--s-range", s_hi)):
         if hi > limit:
             raise EquicheckError(f"{field} bound {hi} exceeds the int64 limit {limit}")
+    if _oracle_triples(i_lo, i_hi, k_lo, k_hi, s_lo, s_hi) > MAX_ORACLE_TRIPLES:
+        raise EquicheckError(
+            f"oracle ranges hold more than {MAX_ORACLE_TRIPLES} (i, k, s) triples"
+        )
     if _oracle_cells(i_lo, i_hi, k_lo, k_hi, s_lo, s_hi) > MAX_ORACLE_CELLS:
         raise EquicheckError(
             f"oracle ranges hold more than {MAX_ORACLE_CELLS} output cells to compare"
@@ -286,9 +309,26 @@ def _truncation_text(truncated_at: int, what: str) -> str:
     return f"truncated at layer {truncated_at}: its kernel outruns the input, so {what}"
 
 
-def cmd_measure(args) -> int:
+def _seeded_command_network(args):
+    """(config, network) of a ``measure`` or ``sweep``, once the seed and the
+    size of one forward pass have been checked, before anything is drawn."""
+    if args.seed < 0:
+        raise EquicheckError(f"--seed must be non-negative, got {args.seed}")
     config = _resolve_config(args.config)
     net = build_network(config, args.input_size)
+    steps = walk_shapes(net.kind, net.layers, net.input_size, net.in_channels)
+    held = net.in_channels * net.input_size**2 + sum(
+        c * g * side * side for c, g, side in (step.out_shape for step in steps))
+    if held > MAX_FORWARD_ELEMENTS:
+        raise EquicheckError(
+            f"a forward pass at input size {net.input_size} holds {held} activation "
+            f"elements, more than {MAX_FORWARD_ELEMENTS}"
+        )
+    return config, net
+
+
+def cmd_measure(args) -> int:
+    config, net = _seeded_command_network(args)
     # a kernel that outruns the input ends the network; profile what is before it
     truncated_at = _truncated_at(net)
     if truncated_at is not None:
@@ -328,8 +368,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _resolve_config(args.config)
-    net = build_network(config, args.input_size)
+    config, net = _seeded_command_network(args)
     if not (math.isfinite(args.angle_step) and args.angle_step > 0):
         raise EquicheckError(f"--angle-step must be finite and positive, got {args.angle_step}")
     # ceil(360 / step) > MAX_SWEEP_ANGLES, without ceil overflowing on a tiny step

@@ -30,14 +30,21 @@ a one-slot bank whose kernel covers the whole map.  Below 2**53 every
 partial sum is an exact integer whatever the summation order, so integer
 operands are contracted by that single BLAS tensordot, bit-identical to any
 other order, and integer-mode equivariance tests can assert equality with
-zero tolerance.  Float operands are contracted in a fixed order instead,
-because a different order would move their float64 rounding and with it
-the float reports checked against an absolute tolerance: per output
-element, the (channel, group) products of each kernel position are summed
-in sequence, and the position sums are added in raster order.  The map is
-flattened to rows of n*n entries, so one einsum per kernel position covers
-every slot and output cell; each element still sees the same sequence,
-which is why the result does not depend on how the slots are stacked.
+zero tolerance.
+
+Float operands are contracted in a fixed order when a verdict compares
+their floats, which is the default: a different order would move their
+float64 rounding and with it the float reports checked against an
+absolute tolerance.  Per output element, the (channel, group) products of
+each kernel position are summed in sequence, and the position sums are
+added in raster order.  The map is flattened to rows of n*n entries, so
+one einsum per kernel position covers every slot and output cell; each
+element still sees the same sequence, which is why the result does not
+depend on how the slots are stacked.  A forward whose floats no verdict
+compares, such as an off-grid angle of the invariance sweep, passes
+``fixed_order=False`` and takes the integer path's BLAS tensordot instead,
+without the guard; its floats may differ from the fixed order in the last
+bits.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -224,7 +231,9 @@ def _correlate(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
     Slots and output cells are free axes of each einsum and the reduction
     runs over (channel, group) alone, so every element sees the same
     sequence whatever the layout of the free axes, and the result does not
-    depend on how many slots are stacked.
+    depend on how many slots are stacked.  That fixed order is kept for the
+    forwards whose floats a verdict compares against an absolute tolerance;
+    the others use :func:`_contract`.
     """
     k = bank.shape[-1]
     n = vals.shape[-1]
@@ -244,8 +253,9 @@ def _contract(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
     """Strided cross-correlation of a padded (C, G, h, w) array with a
     stacked (|G|, O, C, G, kh, kw) bank as one BLAS tensordot over strided
     windows; returns (|G|, O, oh, ow).  The summation order is BLAS's own,
-    so it serves integer operands only, whose results do not depend on it
-    (see :func:`_guard_exact_contraction`)."""
+    so it serves integer operands, whose results do not depend on it (see
+    :func:`_guard_exact_contraction`), and float operands whose last bits
+    no verdict reads."""
     windows = sliding_window_view(vals, bank.shape[-2:], axis=(2, 3))[:, :, ::s, ::s]
     return np.tensordot(bank, windows, axes=([2, 3, 4, 5], [0, 1, 4, 5]))
 
@@ -323,24 +333,31 @@ def _stacked(filters: FilterBank, kind: GroupKind) -> _Stacked:
 
 
 def _group_conv(
-    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int, p: int
+    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int, p: int,
+    *, fixed_order: bool = True,
 ) -> FeatureMap:
     """The one body of conv2d, gconv_lift and gconv: output slot g is the
     correlation with transform_filters(g, filters, kind), for every g in
-    elements(kind); z2 is the one-slot case."""
+    elements(kind); z2 is the one-slot case.  Integer operands are guarded
+    and go through the BLAS ``_contract``; float operands go through the
+    fixed-order ``_correlate``, or through ``_contract`` too when
+    ``fixed_order`` is False."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
     bank, integral, l1 = _stacked(filters, kind)
     if integral and _is_integral(fm.values):
         _guard_exact_contraction(vals, bank, s, l1)
-        return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
-    return FeatureMap._from_layer(_correlate(vals, bank, s))
+    elif fixed_order:
+        return FeatureMap._from_layer(_correlate(vals, bank, s))
+    return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
 
 
-def conv2d(fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0) -> FeatureMap:
+def conv2d(
+    fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0, *, fixed_order: bool = True
+) -> FeatureMap:
     """Plain strided cross-correlation contracting channel and group axes;
     output side is floor((i + 2p - k)/s) + 1 and the output group axis is 1."""
-    return _group_conv(fm, filters, GroupKind.Z2, s, p)
+    return _group_conv(fm, filters, GroupKind.Z2, s, p, fixed_order=fixed_order)
 
 
 def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> FilterBank:
@@ -353,7 +370,8 @@ def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> 
 
 
 def gconv_lift(
-    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0
+    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0,
+    *, fixed_order: bool = True,
 ) -> FeatureMap:
     """Lifting group convolution: planar input, one output slot per group
     element, each the correlation with the g-transformed kernels."""
@@ -361,18 +379,19 @@ def gconv_lift(
         raise ShapeError("lifting requires a non-trivial group; use conv2d for z2")
     if fm.group_size != 1:
         raise ShapeError(f"lifting expects a planar input, got group axis {fm.group_size}")
-    return _group_conv(fm, filters, kind, s, p)
+    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order)
 
 
 def gconv(
-    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0
+    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0,
+    *, fixed_order: bool = True,
 ) -> FeatureMap:
     """Group convolution on a group-valued input; preserves the group axis."""
     if kind is GroupKind.Z2:
         raise ShapeError("group convolution requires a non-trivial group")
     if fm.group_size != kind.size:
         raise ShapeError(f"expected group axis {kind.size}, got {fm.group_size}")
-    return _group_conv(fm, filters, kind, s, p)
+    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order)
 
 
 def maxpool(fm: FeatureMap, k: int, s: int) -> FeatureMap:
@@ -479,14 +498,16 @@ def seed_network(net: Network, seed, integer_valued: bool = False) -> Network:
     return replace(net, weights=tuple(weights))
 
 
-def _apply(layer: Layer, weights, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
+def _apply(
+    layer: Layer, weights, fm: FeatureMap, kind: GroupKind, fixed_order: bool
+) -> FeatureMap:
     lk = layer.kind
     if lk is LayerKind.GCONV_LIFT:
-        return gconv_lift(fm, weights, kind, layer.s, layer.p)
+        return gconv_lift(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order)
     if lk is LayerKind.GCONV:
-        return gconv(fm, weights, kind, layer.s, layer.p)
+        return gconv(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order)
     if lk is LayerKind.CONV2D:
-        return conv2d(fm, weights, layer.s, layer.p)
+        return conv2d(fm, weights, layer.s, layer.p, fixed_order=fixed_order)
     if lk is LayerKind.MAXPOOL:
         return maxpool(fm, layer.k, layer.s)
     if lk is LayerKind.RELU:
@@ -502,11 +523,14 @@ def _apply(layer: Layer, weights, fm: FeatureMap, kind: GroupKind) -> FeatureMap
     raise ShapeError(f"unknown layer kind {lk}")  # pragma: no cover
 
 
-def forward(net: Network, fm: FeatureMap) -> list[FeatureMap]:
+def forward(net: Network, fm: FeatureMap, *, fixed_order: bool = True) -> list[FeatureMap]:
     """Evaluate the network, returning one activation per layer (final last).
 
-    An empty network returns just the input.  Layer failures are re-raised
-    with the layer index attached.
+    With ``fixed_order`` False, float convs use BLAS's summation order
+    instead of the fixed one: faster, but their last bits may differ, so it
+    is for forwards whose floats no verdict compares.  Integer operands give
+    the same bits either way.  An empty network returns just the input.
+    Layer failures are re-raised with the layer index attached.
     """
     if fm.height != net.input_size or fm.width != net.input_size:
         raise ShapeError(
@@ -519,7 +543,7 @@ def forward(net: Network, fm: FeatureMap) -> list[FeatureMap]:
         if w is None and layer.kind in WEIGHTED_KINDS:
             raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
         try:
-            current = _apply(layer, w, current, net.kind)
+            current = _apply(layer, w, current, net.kind, fixed_order)
         except (ShapeError, ExactnessOverflowError) as exc:
             raise LayerError(f"layer {idx} ({layer.kind.value}): {exc}") from exc
         acts.append(current)

@@ -285,6 +285,12 @@ def invariance_sweep(
     angles introduce no corner artifacts; discrepancy is the max absolute
     difference of the final activations.  Requires a network whose head is
     invariant-shaped (group axis reduced to 1, spatial extent 1x1).
+
+    The verdict reads the rows at multiples of 90 degrees, so those
+    forwards and the base forward keep the fixed float summation order.
+    Off-grid rows carry no verdict and run with ``fixed_order=False``; their
+    floats may differ from the fixed order in the last bits.  A multiple of
+    360 degrees reuses the base forward.
     """
     final_c, final_g, final_side = infer_shapes(net)[-1] if net.layers else (
         net.in_channels, 1, net.input_size
@@ -302,6 +308,10 @@ def invariance_sweep(
     base = forward(seeded, circle_crop(x))[-1]
     points = []
     for angle in angles:
-        rotated = forward(seeded, circle_crop(rotate_bilinear(x, angle)))[-1]
+        if angle % 360 == 0:
+            rotated = base
+        else:
+            moved = circle_crop(rotate_bilinear(x, angle))
+            rotated = forward(seeded, moved, fixed_order=angle % 90 == 0)[-1]
         points.append(SweepPoint(float(angle), max_abs_diff(base, rotated)))
     return points

@@ -308,6 +308,25 @@ class TestOracleCommand:
         )
         assert cli._oracle_cells(*ranges) == brute
 
+    @pytest.mark.parametrize(
+        "ranges",
+        [(2, 12, 1, 4, 1, 3), (7, 9, 3, 9, 2, 5), (1, 3, 5, 9, 1, 2), (30, 40, 1, 3, 4, 9),
+         (5, 5, 5, 5, 1, 1), (1, 20, 4, 8, 3, 3), (2, 40, 1, 7, 1, 5)],
+    )
+    def test_triple_count_is_exact(self, ranges):
+        i_lo, i_hi, k_lo, k_hi, s_lo, s_hi = ranges
+        brute = sum(1 for i in range(i_lo, i_hi + 1)
+                    for k in range(k_lo, min(k_hi, i) + 1) for s in range(s_lo, s_hi + 1))
+        assert cli._oracle_triples(*ranges) == brute
+
+    def test_triple_bound_is_inclusive(self, monkeypatch, capsys):
+        argv = ["oracle", "--i-range", "2:12", "--k-range", "1:4", "--s-range", "1:3"]
+        monkeypatch.setattr(cli, "MAX_ORACLE_TRIPLES", cli._oracle_triples(2, 12, 1, 4, 1, 3))
+        assert run(argv) == 0
+        monkeypatch.setattr(cli, "MAX_ORACLE_TRIPLES", cli.MAX_ORACLE_TRIPLES - 1)
+        assert run(argv) == 2
+        assert "triples" in capsys.readouterr().err
+
     def test_cell_bound_is_inclusive(self, monkeypatch, capsys):
         argv = ["oracle", "--i-range", "2:12", "--k-range", "1:4", "--s-range", "1:3"]
         monkeypatch.setattr(cli, "MAX_ORACLE_CELLS", cli._oracle_cells(2, 12, 1, 4, 1, 3))
@@ -466,11 +485,29 @@ class TestReportDocument:
         ["sweep", "toy41", "--angle-step", "nan"],
         ["sweep", "toy41", "--angle-step", "1e-300"],
         ["sweep", "toy41", "--angle-step", "1e-6"],
+        ["oracle", "--i-range", "1:200", "--k-range", "1:1", "--s-range", "200:1200"],
+        ["measure", "p4cnn", "--seed", "-1"],
+        ["sweep", "toy41", "--seed", "-1"],
+        ["measure", "p4cnn", "--input-size", "100000"],
+        ["sweep", "p4cnn", "--input-size", "100000"],
     ],
 )
 def test_bad_input_exits_two_with_message(capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["measure", "sweep"])
+def test_forward_size_bound_is_inclusive(monkeypatch, capsys, command):
+    # toy41 at 33: the input, then 4x17x17 after the lift and three 1x1 maps
+    held = 33 * 33 + 4 * 17 * 17 + 4 + 1 + 2
+    argv = [command, "toy41", "--integer-weights"]
+    monkeypatch.setattr(cli, "MAX_FORWARD_ELEMENTS", held)
+    assert run(argv) == 0
+    monkeypatch.setattr(cli, "MAX_FORWARD_ELEMENTS", held - 1)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.endswith(f"holds {held} activation elements, "
+                                            f"more than {held - 1}\n")
 
 
 def test_oracle_range_past_int64_is_named(capsys):

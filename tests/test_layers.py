@@ -364,9 +364,11 @@ class TestExactnessGuard:
             gconv_lift(fm, bank, GroupKind.P4)
 
 
-def reference_group_conv(fm, filters, kind, s, p):
+def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True):
     """The conv body from before banks were stacked once, kept verbatim up to
-    the guard's norm argument: it stacks the transformed bank on every call."""
+    the guard's norm argument and the order flag: it stacks the transformed
+    bank on every call, and sums floats in the fixed order only."""
+    assert fixed_order, "the reference has the fixed float order only"
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
     bank = np.stack([act_values(g, filters.values, kind) for g in elements(kind)])
@@ -411,6 +413,28 @@ class TestStackedBanks:
         expected = forward(seed_network(net, seed, integer), x)
         for acts in (first, again):
             assert [a.values.tobytes() for a in acts] == [e.values.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("net", SEEDED_NETS)
+    def test_integer_forward_does_not_depend_on_the_order_flag(self, net):
+        seeded = seed_network(net, 4, integer_valued=True)
+        x = random_feature_map([4, 1], 1, 1, net.input_size, net.input_size, True)
+        fixed, blas = forward(seeded, x), forward(seeded, x, fixed_order=False)
+        assert [a.values.tobytes() for a in blas] == [a.values.tobytes() for a in fixed]
+
+    @pytest.mark.parametrize("net", SEEDED_NETS)
+    def test_float_forward_without_fixed_order_uses_blas(self, monkeypatch, net):
+        seeded = seed_network(net, 4)
+        x = random_feature_map([4, 1], 1, 1, net.input_size, net.input_size)
+        fixed = forward(seeded, x)
+
+        def no_fixed_order(*args):
+            raise AssertionError("fixed-order contraction called")
+
+        monkeypatch.setattr(layers, "_correlate", no_fixed_order)
+        blas = forward(seeded, x, fixed_order=False)
+        for a, b in zip(blas, fixed):
+            scale = np.abs(b.values).max()
+            np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
     def test_one_bank_under_several_kinds(self, integer):

@@ -2,6 +2,7 @@
 rotation and the invariance sweep."""
 
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from equicheck import metrics
 from equicheck.analyzer import output_size
-from equicheck.builtins import TOY41
+from equicheck.builtins import P4CNN, TOY41
 from equicheck.config import build_network
 from equicheck.errors import ConfigError, PatchError, ShapeError
 from equicheck.group import (
@@ -24,7 +25,7 @@ from equicheck.group import (
     rotate_index,
     rotate_patch,
 )
-from equicheck.layers import Layer, LayerKind, Network, forward, seed_network
+from equicheck.layers import Layer, LayerKind, Network, circle_crop, forward, seed_network
 from equicheck.metrics import (
     SYMMETRIES,
     CommutationVerdict,
@@ -411,7 +412,47 @@ class TestRotateBilinear:
             rotate_bilinear(random_feature_map(0, 1, 1, 2, 3), 10.0)
 
 
+def fixed_order_sweep(net, seed, angles, integer_valued):
+    """The sweep from before off-grid angles took the BLAS contraction, kept
+    as a reference: every angle, 0 included, runs its own fixed-order
+    forward."""
+    seeded = seed_network(net, seed, integer_valued)
+    x = random_feature_map(
+        [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued
+    )
+    base = forward(seeded, circle_crop(x))[-1]
+    return [max_abs_diff(base, forward(seeded, circle_crop(rotate_bilinear(x, a)))[-1])
+            for a in angles]
+
+
 class TestInvarianceSweep:
+    @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+    @pytest.mark.parametrize("config", [P4CNN, TOY41], ids=["p4cnn", "toy41"])
+    def test_rows_match_fixed_order_forwards(self, config, integer):
+        net, seed, angles = build_network(config), 5, [15.0 * i for i in range(24)]
+        points = invariance_sweep(net, seed, angles, integer)
+        expected = fixed_order_sweep(net, seed, angles, integer)
+        assert [p.angle for p in points] == angles
+        for p, want in zip(points, expected):
+            if p.angle % 90 == 0:  # the rows a verdict reads: bit for bit
+                assert p.discrepancy.hex() == want.hex()
+            else:  # BLAS order: the last bits may move
+                assert math.isclose(p.discrepancy, want, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_only_off_grid_forwards_leave_the_fixed_order(self, monkeypatch):
+        orders = []
+
+        def recording_forward(net, fm, *, fixed_order=True):
+            orders.append(fixed_order)
+            return forward(net, fm, fixed_order=fixed_order)
+
+        monkeypatch.setattr(metrics, "forward", recording_forward)
+        angles = [0.0, 45.0, 90.0, 360.0, 200.0, 270.0]
+        points = invariance_sweep(build_network(TOY41), 2, angles)
+        # base, 45, 90, 200, 270; the rows at 0 and 360 reuse the base forward
+        assert orders == [True, False, True, False, True]
+        assert points[0].discrepancy == points[3].discrepancy == 0.0
+
     def test_angle_zero_is_exactly_zero(self):
         net = build_network(TOY41)
         points = invariance_sweep(net, 0, [0.0], integer_valued=True)
