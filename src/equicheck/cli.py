@@ -35,6 +35,7 @@ from .builtins import BUILTINS
 from .config import ArchitectureConfig, build_network, load, to_dict
 from .errors import EquicheckError
 from .group import GroupElement, GroupKind, elements
+from .layers import weight_shape
 from .metrics import (
     SYMMETRIES,
     commutation_grid,
@@ -50,6 +51,8 @@ EXIT_INEXACT = 1
 EXIT_ERROR = 2
 
 #: Discrepancies and errors below this are treated as zero for float runs.
+#: A network that keeps the rule at every layer reads exactly 0.0 in float
+#: mode as in integer mode, so this decides no exact network's verdict.
 FLOAT_TOLERANCE = 1e-9
 
 #: Most angles one sweep may run (one forward pass each): steps under 0.1 degree.
@@ -67,7 +70,8 @@ MAX_ORACLE_CELLS = 1 << 21
 MAX_ORACLE_TRIPLES = 1 << 15
 
 #: Most activation elements one forward pass may hold, summed over the input
-#: and every layer output: 2^25 float64 values are 256 MB.
+#: and every layer output, and most weight elements one network may draw,
+#: summed over its layers: 2^25 float64 values are 256 MB.
 MAX_FORWARD_ELEMENTS = 1 << 25
 
 
@@ -310,18 +314,25 @@ def _truncation_text(truncated_at: int, what: str) -> str:
 
 
 def _seeded_command_network(args):
-    """(config, network) of a ``measure`` or ``sweep``, once the seed and the
-    size of one forward pass have been checked, before anything is drawn."""
+    """(config, network) of a ``measure`` or ``sweep``, once the seed, the
+    size of one forward pass and the number of weights have been checked,
+    before anything is drawn."""
     if args.seed < 0:
         raise EquicheckError(f"--seed must be non-negative, got {args.seed}")
     config = _resolve_config(args.config)
     net = build_network(config, args.input_size)
-    steps = walk_shapes(net.kind, net.layers, net.input_size, net.in_channels)
+    steps = list(walk_shapes(net.kind, net.layers, net.input_size, net.in_channels))
     held = net.in_channels * net.input_size**2 + sum(
         c * g * side * side for c, g, side in (step.out_shape for step in steps))
     if held > MAX_FORWARD_ELEMENTS:
         raise EquicheckError(
             f"a forward pass at input size {net.input_size} holds {held} activation "
+            f"elements, more than {MAX_FORWARD_ELEMENTS}"
+        )
+    drawn = sum(math.prod(shape) for shape in map(weight_shape, steps) if shape)
+    if drawn > MAX_FORWARD_ELEMENTS:
+        raise EquicheckError(
+            f"the network at input size {net.input_size} draws {drawn} weight "
             f"elements, more than {MAX_FORWARD_ELEMENTS}"
         )
     return config, net

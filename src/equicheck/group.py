@@ -270,7 +270,7 @@ def act_values(g: GroupElement, vals: np.ndarray, kind: GroupKind | None = None)
     if g.rotations:
         vals = np.rot90(vals, g.rotations, axes=(-2, -1))
     if kind is not None and vals.shape[-3] > 1:
-        moved = np.empty_like(vals)
+        moved = np.empty(vals.shape, dtype=vals.dtype)
         moved[..., group_permutation(g, kind), :, :] = vals
         vals = moved
     return vals

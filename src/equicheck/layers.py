@@ -9,13 +9,15 @@ that moves feature maps.  Stride-s layers sample input index patches
 [(s*x, s*y), (s*x+k-1, s*y+k-1)], so whether they commute with the group
 action depends on the padded input size (see the analyzer module).
 
-conv2d, gconv_lift and gconv share one body: it pads the input once,
-takes the bank transformed by every group element, stacked (z2 is the
-one-element case), and contracts it in one go.  The stacked bank does not
-depend on the input, so it is built once per bank and group kind, on first
-use, together with the bank's integrality and the norm the guard needs; it
-is held read-only on the FilterBank and freed with it, so a seeded Network
-stacks each of its banks once however many forwards it runs.
+conv2d, gconv_lift and gconv share one body: it pads the input once and
+gives output slot g the correlation with the bank transformed by g, for
+every element g of the group (z2 is the one-element case).  Integer
+operands, and float operands whose floats no verdict reads, contract the
+bank transformed by every element, stacked, in one go.  The stacked bank
+does not depend on the input, so it is built once per bank and group kind,
+on first use, together with the bank's integrality and the norm the guard
+needs; it is held read-only on the FilterBank and freed with it, so a
+seeded Network stacks each of its banks once however many forwards it runs.
 
 Exactness: when both operands of a contraction are integer-valued, a guard
 makes sure no output cell's sum of |terms| reaches 2**53.  It first checks
@@ -32,18 +34,19 @@ operands are contracted by that single BLAS tensordot, bit-identical to any
 other order, and integer-mode equivariance tests can assert equality with
 zero tolerance.
 
-Float operands are contracted in a fixed order when a verdict compares
-their floats, which is the default: a different order would move their
-float64 rounding and with it the float reports checked against an
-absolute tolerance.  Per output element, the (channel, group) products of
-each kernel position are summed in sequence, and the position sums are
-added in raster order.  The map is flattened to rows of n*n entries, so
-one einsum per kernel position covers every slot and output cell; each
-element still sees the same sequence, which is why the result does not
-depend on how the slots are stacked.  A forward whose floats no verdict
-compares, such as an off-grid angle of the invariance sweep, passes
-``fixed_order=False`` and takes the integer path's BLAS tensordot instead,
-without the guard; its floats may differ from the fixed order in the last
+Float operands are summed in the base filter's coordinates when a verdict
+reads their floats, which is the default.  Slot g moves the input instead
+of the bank: it is g applied to the correlation of g^-1 * x with the
+untransformed bank, one BLAS matmul per kernel position, the position sums
+added in raster order.  When a layer keeps the rule (i + 2p - k) mod s = 0,
+slot h*g of the layer on h * x reads the same bytes as slot g on x and
+runs the same matmuls on them, so the layer commutes with h bit for bit:
+a network exact at every layer gives float equivariance errors of exactly
+0.0, at any depth, width or weight scale, as integer mode does.  Global
+average pooling sums sorted values, so it keeps that property.  A forward
+whose floats no verdict reads, such as an off-grid angle of the invariance
+sweep, passes ``fixed_order=False`` and takes the integer path's BLAS
+tensordot instead, without the guard; its floats may differ in the last
 bits.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
@@ -63,7 +66,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ExactnessOverflowError, LayerError, ShapeError
-from .group import IDENTITY, GroupElement, GroupKind, act_values, elements
+from .group import (
+    IDENTITY, GroupElement, GroupKind, act_values, elements, inverse, slot_index,
+)
 from .tensor import EXACT_INT_LIMIT, FeatureMap, FilterBank, random_values
 
 
@@ -216,37 +221,51 @@ def _is_integral(arr: np.ndarray) -> bool:
     return bool(np.all(arr == np.rint(arr)))
 
 
-def _correlate(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
-    """Strided cross-correlation of a padded (C, G, n, n) array with a
-    stacked (|G|, O, C, G, k, k) bank, contracting channels and group;
-    returns (O, |G|, o, o).
+def _base_correlate(vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int) -> np.ndarray:
+    """Strided cross-correlation of a padded (C, G, n, n) array with every
+    transform of an (O, C, G, k, k) bank, summed in the coordinates of the
+    untransformed bank ``w``; returns (O, |G|, o, o).
 
-    The map is flattened to (C, G, n*n), so for kernel position (dy, dx) the
-    windows of all output cells are the one strided slice starting at
-    dy*n + dx, output cell (y, x) at offset y*n + x; the n - o columns past
-    the right edge of each row are computed and dropped.  Float arithmetic
-    is fixed: per output element, the (channel, group) products of one
-    kernel position are summed in sequence (in einsum's own vector order
-    only for a 1x1 map), and the position sums are added in raster order.
-    Slots and output cells are free axes of each einsum and the reduction
-    runs over (channel, group) alone, so every element sees the same
-    sequence whatever the layout of the free axes, and the result does not
-    depend on how many slots are stacked.  That fixed order is kept for the
-    forwards whose floats a verdict compares against an absolute tolerance;
-    the others use :func:`_contract`.
-    """
-    k = bank.shape[-1]
+    Slot q moves the input instead of the bank: it is q applied to the
+    correlation of q^-1 * X with ``w``, where X is the input cut to its
+    first m = s*(o - 1) + k rows and columns, the ones any window reads.
+    Cutting the end of X before the action is cutting r = (n - k) mod s
+    entries from the start of each axis that q^-1 reverses (and from the
+    end of the others), which puts the windows of q^-1 * X on the layer's
+    grid.  The staged slot is flattened
+    to (C*G, m*m) rows, so for kernel position (dy, dx) the windows of all
+    output cells are the one strided slice starting at dy*m + dx, output
+    cell (y, x) at offset y*m + x; the m - o columns past the right edge of
+    each row are computed and dropped.  Each position is one BLAS matmul
+    with the bank's (O, C*G) matrix at that position, and the position sums
+    are added in raster order.
+
+    Slots are staged one at a time.  For a layer that keeps the rule
+    (r = 0), slot g*q of the correlation of g * X stages the same bytes as
+    slot q of X's and runs the same matmuls on them, so the layer commutes
+    with g bit for bit, whatever the rounding of each matmul."""
+    o_ch, c, g, k, _ = w.shape
     n = vals.shape[-1]
     o = (n - k) // s + 1
-    span = (o - 1) * n + o
-    flat = vals.reshape(vals.shape[0], vals.shape[1], n * n)
-    acc = np.zeros((bank.shape[1], bank.shape[0], o * n), dtype=np.float64)
-    for dy in range(k):
-        for dx in range(k):
-            start = dy * n + dx
-            win = flat[:, :, start : start + s * (span - 1) + 1 : s]
-            acc[:, :, :span] += np.einsum("cgz,pocg->opz", win, bank[..., dy, dx])
-    return acc.reshape(acc.shape[0], acc.shape[1], o, n)[..., :o]
+    m = s * (o - 1) + k
+    span = (o - 1) * m + o
+    read = vals[..., :m, :m]
+    taps = w.transpose(3, 4, 0, 1, 2).reshape(k * k, o_ch, c * g)
+    out = np.empty((o_ch, kind.size, o, o))
+    acc = np.empty((o_ch, o * m))
+    # numpy's matmul takes an inner dimension of 1 through its own loop, not BLAS
+    product = np.dot if c * g == 1 else np.matmul
+    for q in elements(kind):
+        flat = np.ascontiguousarray(act_values(inverse(q), read, kind)).reshape(c * g, m * m)
+        for t in range(k * k):
+            start = (t // k) * m + t % k
+            prod = product(taps[t], flat[:, start : start + s * (span - 1) + 1 : s])
+            if t:
+                acc[:, :span] += prod
+            else:
+                acc[:, :span] = prod
+        out[:, slot_index(q)] = act_values(q, acc.reshape(o_ch, o, m)[..., :o])
+    return out
 
 
 def _contract(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
@@ -339,16 +358,18 @@ def _group_conv(
     """The one body of conv2d, gconv_lift and gconv: output slot g is the
     correlation with transform_filters(g, filters, kind), for every g in
     elements(kind); z2 is the one-slot case.  Integer operands are guarded
-    and go through the BLAS ``_contract``; float operands go through the
-    fixed-order ``_correlate``, or through ``_contract`` too when
-    ``fixed_order`` is False."""
+    and go through the BLAS ``_contract`` on the stacked bank; float
+    operands are summed in the base bank's coordinates by
+    ``_base_correlate``, which makes a rule-exact layer commute with the
+    group bit for bit, or go through ``_contract`` too when ``fixed_order``
+    is False."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
     bank, integral, l1 = _stacked(filters, kind)
     if integral and _is_integral(fm.values):
         _guard_exact_contraction(vals, bank, s, l1)
     elif fixed_order:
-        return FeatureMap._from_layer(_correlate(vals, bank, s))
+        return FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s))
     return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
 
 
@@ -426,8 +447,14 @@ def coset_maxpool(fm: FeatureMap) -> FeatureMap:
 
 
 def global_avg_pool(fm: FeatureMap) -> FeatureMap:
-    """Mean over the spatial axes, kept as a 1x1 map per (channel, slot)."""
-    return FeatureMap._from_layer(fm.values.mean(axis=(2, 3), keepdims=True))
+    """Mean over the spatial axes, kept as a 1x1 map per (channel, slot).
+
+    Each map's values are sorted before they are summed, so the sum does
+    not depend on where a value sits: a map moved by any group element
+    pools to the same bits."""
+    c, g, h, w = fm.shape
+    ordered = np.sort(fm.values.reshape(c, g, h * w), axis=-1)
+    return FeatureMap._from_layer(ordered.sum(axis=-1).reshape(c, g, 1, 1) / (h * w))
 
 
 def relu(fm: FeatureMap) -> FeatureMap:
@@ -477,6 +504,18 @@ def infer_shapes(net: Network) -> list[tuple[int, int, int]]:
     return [step.out_shape for step in _network_steps(net)]
 
 
+def weight_shape(step: ShapeStep) -> tuple[int, ...] | None:
+    """Shape of the weights a layer carries at the input of its shape-walk
+    step: an (O, C, G, k, k) bank for a conv, an O x (C*G*side^2) matrix for
+    a dense layer, None for the rest."""
+    layer, (c, g, side) = step.layer, step.in_shape
+    if layer.kind in CONV_KINDS:
+        return (layer.out_channels, c, g, layer.k, layer.k)
+    if layer.kind is LayerKind.DENSE:
+        return (layer.out_channels, c * g * side * side)
+    return None
+
+
 def seed_network(net: Network, seed, integer_valued: bool = False) -> Network:
     """Copy of the network with weights drawn deterministically from seed.
 
@@ -486,15 +525,13 @@ def seed_network(net: Network, seed, integer_valued: bool = False) -> Network:
     rng = np.random.default_rng([seed, 0])
     weights = []
     for step in _network_steps(net):
-        layer, (c, g, side) = step.layer, step.in_shape
-        if layer.kind in CONV_KINDS:
-            shape = (layer.out_channels, c, g, layer.k, layer.k)
-            weights.append(FilterBank(random_values(rng, shape, integer_valued)))
-        elif layer.kind is LayerKind.DENSE:
-            shape = (layer.out_channels, c * g * side * side)
+        shape = weight_shape(step)
+        if shape is None:
+            weights.append(None)
+        elif step.layer.kind is LayerKind.DENSE:
             weights.append(random_values(rng, shape, integer_valued))
         else:
-            weights.append(None)
+            weights.append(FilterBank(random_values(rng, shape, integer_valued)))
     return replace(net, weights=tuple(weights))
 
 
@@ -526,11 +563,14 @@ def _apply(
 def forward(net: Network, fm: FeatureMap, *, fixed_order: bool = True) -> list[FeatureMap]:
     """Evaluate the network, returning one activation per layer (final last).
 
-    With ``fixed_order`` False, float convs use BLAS's summation order
-    instead of the fixed one: faster, but their last bits may differ, so it
-    is for forwards whose floats no verdict compares.  Integer operands give
-    the same bits either way.  An empty network returns just the input.
-    Layer failures are re-raised with the layer index attached.
+    By default float convs sum in the base filter's coordinates, so a
+    network that keeps the rule at every layer commutes with the group bit
+    for bit.  With ``fixed_order`` False they use BLAS's summation order on
+    the stacked bank instead: the same function, but its last bits may
+    differ and g*x may round differently from x, so it is for forwards
+    whose floats no verdict reads.  Integer operands give the same bits
+    either way.  An empty network returns just the input.  Layer failures
+    are re-raised with the layer index attached.
     """
     if fm.height != net.input_size or fm.width != net.input_size:
         raise ShapeError(

@@ -287,10 +287,11 @@ def invariance_sweep(
     invariant-shaped (group axis reduced to 1, spatial extent 1x1).
 
     The verdict reads the rows at multiples of 90 degrees, so those
-    forwards and the base forward keep the fixed float summation order.
-    Off-grid rows carry no verdict and run with ``fixed_order=False``; their
-    floats may differ from the fixed order in the last bits.  A multiple of
-    360 degrees reuses the base forward.
+    forwards and the base forward sum their float convs in the base
+    filter's coordinates: on a network exact at every layer those rows are
+    exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
+    verdict and run with ``fixed_order=False``; their floats may differ in
+    the last bits.  A multiple of 360 degrees reuses the base forward.
     """
     final_c, final_g, final_side = infer_shapes(net)[-1] if net.layers else (
         net.in_channels, 1, net.input_size

@@ -490,11 +490,21 @@ class TestReportDocument:
         ["sweep", "toy41", "--seed", "-1"],
         ["measure", "p4cnn", "--input-size", "100000"],
         ["sweep", "p4cnn", "--input-size", "100000"],
+        ["measure", "HUGE_DENSE"],
     ],
 )
-def test_bad_input_exits_two_with_message(capsys, argv):
-    assert run(argv) == 2
+def test_bad_input_exits_two_with_message(capsys, tmp_path, argv):
+    path = tmp_path / "huge_dense.json"
+    path.write_text(to_json(HUGE_DENSE))
+    assert run([str(path) if a == "HUGE_DENSE" else a for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+#: 2.07e7 activation elements, under the forward bound, but its dense layer
+#: would draw a 16777216 x 4000000 matrix.
+HUGE_DENSE = ArchitectureConfig("huge-dense", "z2", 2000, (
+    Layer(LayerKind.DENSE, out_channels=1 << 24),
+))
 
 
 @pytest.mark.parametrize("command", ["measure", "sweep"])
@@ -508,6 +518,55 @@ def test_forward_size_bound_is_inclusive(monkeypatch, capsys, command):
     assert run(argv) == 2
     assert capsys.readouterr().err.endswith(f"holds {held} activation elements, "
                                             f"more than {held - 1}\n")
+
+
+@pytest.mark.parametrize("command", ["measure", "sweep"])
+def test_weight_bound_is_inclusive(monkeypatch, capsys, tmp_path, command):
+    # an 8 x 1 x 1 x 2 x 2 lift and a 3 x 8 dense matrix draw 56 weights; the
+    # forward holds 4 + 32 + 8 + 8 + 3 = 55 activation elements, under both bounds
+    cfg = ArchitectureConfig("wide", "p4", 2, (
+        Layer(LayerKind.GCONV_LIFT, k=2, out_channels=8), Layer(LayerKind.COSET_MAXPOOL),
+        Layer(LayerKind.GLOBAL_AVG_POOL), Layer(LayerKind.DENSE, out_channels=3),
+    ))
+    path = tmp_path / "wide.json"
+    path.write_text(to_json(cfg))
+    drawn = 8 * 1 * 1 * 2 * 2 + 3 * 8
+    argv = [command, str(path), "--integer-weights"]
+    monkeypatch.setattr(cli, "MAX_FORWARD_ELEMENTS", drawn)
+    assert run(argv) == 0
+    monkeypatch.setattr(cli, "MAX_FORWARD_ELEMENTS", drawn - 1)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.endswith(f"draws {drawn} weight elements, "
+                                            f"more than {drawn - 1}\n")
+
+
+#: A p4 lift and eleven 3x3 gconvs of 10 channels, then the invariant head:
+#: exact from 25 on.  Its float reports once failed at every seed.
+DEEP12 = ArchitectureConfig("deep12", "p4", 32, (
+    Layer(LayerKind.GCONV_LIFT, k=3, out_channels=10), Layer(LayerKind.RELU),
+    *(Layer(LayerKind.GCONV, k=3, out_channels=10) for _ in range(11)),
+    Layer(LayerKind.COSET_MAXPOOL), Layer(LayerKind.GLOBAL_AVG_POOL),
+    Layer(LayerKind.DENSE, out_channels=10),
+))
+
+P4MCNN = ArchitectureConfig("p4mcnn", "p4m", 28, BUILTINS["p4cnn"].layers)
+
+
+class TestFloatVerdictsOfExactNetworks:
+    """A network exact at every layer reads exactly 0.0 in float mode too,
+    at any depth, so measure and sweep exit 0 on every seed."""
+
+    @pytest.mark.parametrize("config, seeds", [
+        (DEEP12, range(8)), (BUILTINS["p4cnn"], (2,)), (P4MCNN, (0, 21)),
+    ], ids=["deep12", "p4cnn", "p4mcnn"])
+    def test_measure_and_right_angle_sweep_read_zero(self, capsys, tmp_path, config, seeds):
+        path = tmp_path / "config.json"
+        path.write_text(to_json(config))
+        for seed in map(str, seeds):
+            code, doc = run_json(capsys, "measure", str(path), "--seed", seed)
+            assert (code, doc["result"]["max_error"]) == (0, 0.0)
+            code, doc = run_json(capsys, "sweep", str(path), "--angle-step", "90", "--seed", seed)
+            assert (code, doc["result"]["max_discrepancy_90s"]) == (0, 0.0)
 
 
 def test_oracle_range_past_int64_is_named(capsys):

@@ -1,16 +1,19 @@
 """Layer semantics: convolution sizes, group convolutions, poolings, crop,
-and exactness of whole-network equivariance in integer mode."""
+and exactness of whole-network equivariance in integer and float mode."""
 
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from test_config_cli import valid_configs
+
 from equicheck import layers
+from equicheck.analyzer import exact_size_lattice
 from equicheck.builtins import P4CNN, Z2CNN
 from equicheck.config import build_network
 from equicheck.errors import ExactnessOverflowError, GroupKindError, LayerError, ShapeError
@@ -26,14 +29,15 @@ from equicheck.group import (
     compose,
     elements,
     inverse,
+    slot_index,
 )
 from equicheck.layers import (
     Layer,
     LayerKind,
     Network,
+    _base_correlate,
     _check_conv_args,
     _contract,
-    _correlate,
     _guard_exact_contraction,
     _is_integral,
     _l1,
@@ -63,6 +67,40 @@ from equicheck.tensor import (
 
 P4 = list(elements(GroupKind.P4))
 P4M = list(elements(GroupKind.P4M))
+
+
+def assert_close(actual, expected):
+    """The same function summed in another order: equal to within 1e-12 of
+    the expected map's largest magnitude."""
+    scale = np.abs(expected).max(initial=0.0)
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+def assert_equivariant_bytes(fn, kind, fm, w, s, p):
+    """The layer of g*x is g times the layer of x, byte for byte, for every
+    element g of ``kind``.  A planar conv2d is checked as slot e of the p4m
+    lift of its bank, which it equals byte for byte."""
+    if fn is conv2d:
+        plain = conv2d(fm, w, s, p).values
+        assert plain.tobytes() == gconv_lift(fm, w, GroupKind.P4M, s, p).values[:, :1].tobytes()
+        fn, kind = gconv_lift, GroupKind.P4M
+    out = run_conv(fn, kind, fm, w, s, p)
+    for g in elements(kind):
+        moved = act_spatial(g, fm) if fm.group_size == 1 else act_full(g, fm, kind)
+        assert run_conv(fn, kind, moved, w, s, p).values.tobytes() == \
+            act_full(g, out, kind).values.tobytes()
+
+
+def assert_forward_equivariant_bytes(net, x):
+    """Every group-valued layer of forward(g*x) is g times that layer of
+    forward(x), byte for byte, for every element g of the network's group."""
+    base = forward(net, x)
+    for g in elements(net.kind):
+        moved = forward(net, act_spatial(g, x))
+        for depth, act in enumerate(base):
+            if act.group_size > 1:
+                want = act_full(g, act, net.kind).values.tobytes()
+                assert moved[depth].values.tobytes() == want, (g.name, depth)
 
 
 class TestConv2d:
@@ -122,11 +160,15 @@ class TestGconvLift:
         assert np.array_equal(lifted.values[:, 0], plain.values[:, 0])
 
     def test_symmetric_filter_gives_equal_slots(self):
+        # each slot sums its terms in its own order, so the slots agree to
+        # rounding; the lift commutes with every element byte for byte
         fm = random_feature_map(4, 1, 1, 5, 5)
         w = FilterBank(np.full((1, 1, 1, 3, 3), 0.5))
         lifted = gconv_lift(fm, w, GroupKind.P4)
+        assert_close(lifted.values, per_slot_reference(fm, w, GroupKind.P4, 1, 0))
         for slot in range(1, 4):
-            assert np.array_equal(lifted.values[:, slot], lifted.values[:, 0])
+            assert_close(lifted.values[:, slot], lifted.values[:, 0])
+        assert_equivariant_bytes(gconv_lift, GroupKind.P4, fm, w, 1, 0)
 
     @pytest.mark.parametrize("kind", [GroupKind.P4, GroupKind.P4M])
     def test_equivariance_exact_when_condition_holds(self, kind):
@@ -256,14 +298,23 @@ BUILTIN_CONVS = [
 
 
 class TestContractionPaths:
-    """Integer operands take one tensordot, float operands the flattened-row
-    einsum; both must give exactly what the per-slot composition gives."""
+    """Integer operands take one tensordot and give exactly what the per-slot
+    composition gives.  Float operands are summed in the base bank's
+    coordinates: the same function to rounding, and byte-exact equivariance
+    wherever the layer keeps the rule."""
 
     @settings(max_examples=150, deadline=None)
     @given(conv_cases())
     def test_stacked_body_matches_per_slot_loop(self, case):
         fn, kind, fm, w, s, p = case
-        assert np.array_equal(run_conv(*case).values, per_slot_reference(fm, w, kind, s, p))
+        out, ref = run_conv(*case).values, per_slot_reference(fm, w, kind, s, p)
+        if _is_integral(fm.values) and _is_integral(w.values):
+            assert np.array_equal(out, ref)
+        else:
+            assert_close(out, ref)
+        # a group-valued conv2d has no group action on its output
+        if (fm.height + 2 * p - w.k) % s == 0 and (fn is not conv2d or fm.group_size == 1):
+            assert_equivariant_bytes(*case)
 
     @pytest.mark.parametrize("fn, kind, c, g, side, o, k, s, p", BUILTIN_CONVS)
     def test_float_builtin_shapes_match_per_slot_loop(self, fn, kind, c, g, side, o, k, s, p):
@@ -272,7 +323,43 @@ class TestContractionPaths:
         out = run_conv(fn, kind, fm, w, s, p).values
         ref = per_slot_reference(fm, w, kind, s, p)
         assert out.shape == ref.shape
-        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        assert_close(out, ref)
+        assert_equivariant_bytes(fn, kind, fm, w, s, p)
+
+
+def reversed_axes(g, n):
+    """(rows, cols): whether act_values(g, .) reads its input backwards along
+    each axis of its output, found on an n x n index grid."""
+    moved = act_values(g, np.arange(n * n, dtype=np.float64).reshape(1, n, n))[0]
+    return bool(moved[1, 0] < moved[0, 0]), bool(moved[0, 1] < moved[0, 0])
+
+
+class TestBaseCoordinates:
+    """Slot q of a float conv is q applied to the correlation of the input
+    moved by q^-1 with the untransformed bank, the moved input cropped by
+    r = (n - k) mod s at the start of each axis q^-1 reverses."""
+
+    def test_reversed_axes_of_every_element(self):
+        expected = {"e": (False, False), "r": (True, False), "r2": (True, True),
+                    "r3": (False, True), "m": (False, True), "mr": (False, False),
+                    "mr2": (True, False), "mr3": (True, True)}
+        assert {g.name: reversed_axes(g, 4) for g in P4M} == expected
+
+    @pytest.mark.parametrize("g", P4M, ids=str)
+    @pytest.mark.parametrize("group", [1, 8])
+    def test_slot_correlates_the_cropped_moved_input(self, g, group):
+        for n, k, s in ((8, 3, 2), (9, 2, 3), (7, 3, 3), (10, 4, 3), (6, 3, 1)):
+            r = (n - k) % s
+            vals = random_feature_map([n, k, s], 2, group, n, n, True).values
+            w = random_filter_bank([n, k], 3, 2, group, k, True).values
+            moved = act_values(inverse(g), vals, GroupKind.P4M)
+            rows, cols = reversed_axes(inverse(g), n)
+            y0, x0 = r * rows, r * cols
+            cropped = moved[..., y0 : y0 + n - r, x0 : x0 + n - r]
+            expected = act_values(g, per_position_reference(cropped, w, s))
+            got = _base_correlate(vals, w, GroupKind.P4M, s)[:, slot_index(g)]
+            # integer values, so every summation order gives the same numbers
+            assert np.array_equal(got, expected)
 
 
 #: (kind, in-group size): planar and group-valued banks of p4 and p4m.
@@ -365,9 +452,11 @@ class TestExactnessGuard:
 
 
 def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True):
-    """The conv body from before banks were stacked once, kept verbatim up to
-    the guard's norm argument and the order flag: it stacks the transformed
-    bank on every call, and sums floats in the fixed order only."""
+    """The conv body from before banks were stacked once: it stacks the
+    transformed bank on every call.  Integer operands take the guard and the
+    tensordot as then; floats take the per-slot, per-position einsum over the
+    transformed banks, the order every float conv ran in before float convs
+    summed in the base bank's coordinates."""
     assert fixed_order, "the reference has the fixed float order only"
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
@@ -375,7 +464,7 @@ def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True):
     if _is_integral(fm.values) and _is_integral(filters.values):
         _guard_exact_contraction(vals, bank, s, _l1(bank))
         return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
-    return FeatureMap._from_layer(_correlate(vals, bank, s))
+    return FeatureMap._from_layer(np.stack([per_position_reference(vals, b, s) for b in bank], 1))
 
 
 def reference_maxpool(fm, k, s):
@@ -399,7 +488,9 @@ SEEDED_NETS = [
 
 class TestStackedBanks:
     """Each bank is stacked once per group kind and held read-only on the
-    FilterBank; forwards stay bit-identical to per-call stacking."""
+    FilterBank; integer forwards stay bit-identical to per-call stacking,
+    float forwards agree with it to rounding and are equivariant bit for
+    bit."""
 
     @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
     @pytest.mark.parametrize("net", SEEDED_NETS)
@@ -408,11 +499,17 @@ class TestStackedBanks:
         seeded = seed_network(net, seed, integer)
         x = random_feature_map([seed, 1], 1, 1, net.input_size, net.input_size, integer)
         first, again = forward(seeded, x), forward(seeded, x)  # memo filled, then reused
+        assert [a.values.tobytes() for a in again] == [a.values.tobytes() for a in first]
+        if not integer:
+            assert_forward_equivariant_bytes(seeded, x)
         monkeypatch.setattr(layers, "_group_conv", reference_group_conv)
         monkeypatch.setattr(layers, "maxpool", reference_maxpool)
         expected = forward(seed_network(net, seed, integer), x)
-        for acts in (first, again):
-            assert [a.values.tobytes() for a in acts] == [e.values.tobytes() for e in expected]
+        if integer:
+            assert [a.values.tobytes() for a in first] == [e.values.tobytes() for e in expected]
+        else:
+            for a, e in zip(first, expected):
+                assert_close(a.values, e.values)
 
     @pytest.mark.parametrize("net", SEEDED_NETS)
     def test_integer_forward_does_not_depend_on_the_order_flag(self, net):
@@ -430,7 +527,7 @@ class TestStackedBanks:
         def no_fixed_order(*args):
             raise AssertionError("fixed-order contraction called")
 
-        monkeypatch.setattr(layers, "_correlate", no_fixed_order)
+        monkeypatch.setattr(layers, "_base_correlate", no_fixed_order)
         blas = forward(seeded, x, fixed_order=False)
         for a, b in zip(blas, fixed):
             scale = np.abs(b.values).max()
@@ -444,13 +541,19 @@ class TestStackedBanks:
             fresh = FilterBank(lift.values)
             out = gconv_lift(fm, lift, kind, 2, 1).values
             assert out.tobytes() == gconv_lift(fm, fresh, kind, 2, 1).values.tobytes()
+            assert_equivariant_bytes(gconv_lift, kind, fm, lift, 2, 1)
         assert set(lift._memo) == {GroupKind.P4, GroupKind.P4M}
         # a p4-valued bank read as a group-valued conv2d and as a gconv
         fm4 = random_feature_map(6, 2, 4, 7, 7, integer)
         bank4 = random_filter_bank(7, 2, 2, 4, 3, integer)
         for fn, kind in ((conv2d, GroupKind.Z2), (gconv, GroupKind.P4)):
             out = run_conv(fn, kind, fm4, bank4, 1, 0).values
-            assert out.tobytes() == reference_group_conv(fm4, bank4, kind, 1, 0).values.tobytes()
+            ref = reference_group_conv(fm4, bank4, kind, 1, 0).values
+            if integer:
+                assert out.tobytes() == ref.tobytes()
+            else:
+                assert_close(out, ref)
+        assert_equivariant_bytes(gconv, GroupKind.P4, fm4, bank4, 1, 0)
         assert set(bank4._memo) == {GroupKind.Z2, GroupKind.P4}
 
     def test_memo_is_read_only(self):
@@ -711,7 +814,26 @@ class TestForward:
         assert np.array_equal(a.weights[3], b.weights[3])
 
 
+@st.composite
+def exact_group_networks(draw):
+    """A generated p4 or p4m network at an input side from its lattice of
+    exact sizes (at most 40), and a seed."""
+    cfg = draw(valid_configs().filter(lambda c: c.group != "z2"))
+    lattice = exact_size_lattice(cfg)
+    sizes = lattice.sizes(1, 40) if lattice else range(0)
+    assume(len(sizes) > 0)
+    return build_network(cfg, draw(st.sampled_from(sizes))), draw(st.integers(0, 10_000))
+
+
 class TestWholeNetworkEquivariance:
+    @settings(max_examples=60, deadline=None)
+    @given(exact_group_networks())
+    def test_rule_exact_networks_commute_byte_for_byte(self, case):
+        net, seed = case
+        for integer in (False, True):
+            x = random_feature_map([seed, 1], 1, 1, net.input_size, net.input_size, integer)
+            assert_forward_equivariant_bytes(seed_network(net, seed, integer), x)
+
     def test_exact_network_commutes_at_every_group_depth(self):
         net = seed_network(toy_net(33), 4, integer_valued=True)
         x = random_feature_map(5, 1, 1, 33, 33, integer_valued=True)

@@ -4,6 +4,7 @@ rotation and the invariance sweep."""
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,6 +373,15 @@ class TestProfileEquivariance:
         expected = [(d, g, equivariance_error(moved[g][d], act_full(g, base[d], net.kind)))
                     for d in range(len(base)) for g in order]
         assert [(e.layer_index, e.element, e.error) for e in profile.entries] == expected
+
+    @pytest.mark.parametrize("kind", [GroupKind.P4, GroupKind.P4M])
+    def test_float_errors_are_zero_iff_the_rule_holds(self, kind):
+        # p4cnn keeps the rule at 28; at 29 its pool breaks it
+        exact = replace(build_network(P4CNN), kind=kind)
+        inexact = replace(build_network(P4CNN, input_size=29), kind=kind)
+        for seed in range(3):
+            assert profile_equivariance(exact, seed).max_error() == 0.0
+            assert profile_equivariance(inexact, seed).max_error() > 0.0
 
     def test_trivial_group_profiles_empty(self):
         net = Network(
