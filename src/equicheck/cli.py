@@ -50,11 +50,6 @@ EXIT_OK = 0
 EXIT_INEXACT = 1
 EXIT_ERROR = 2
 
-#: Discrepancies and errors below this are treated as zero for float runs.
-#: A network that keeps the rule at every layer reads exactly 0.0 in float
-#: mode as in integer mode, so this decides no exact network's verdict.
-FLOAT_TOLERANCE = 1e-9
-
 #: Most angles one sweep may run (one forward pass each): steps under 0.1 degree.
 MAX_SWEEP_ANGLES = 3600
 
@@ -321,6 +316,8 @@ def _seeded_command_network(args):
         raise EquicheckError(f"--seed must be non-negative, got {args.seed}")
     config = _resolve_config(args.config)
     net = build_network(config, args.input_size)
+    if net.input_size < 1:
+        raise EquicheckError(f"input size must be >= 1, got {net.input_size}")
     steps = list(walk_shapes(net.kind, net.layers, net.input_size, net.in_channels))
     held = net.in_channels * net.input_size**2 + sum(
         c * g * side * side for c, g, side in (step.out_shape for step in steps))
@@ -373,7 +370,7 @@ def cmd_measure(args) -> int:
     if truncated_at is not None:
         lines.append(_truncation_text(truncated_at, "only the layers before it were profiled"))
     _emit(_document("measure", payload, config, args.seed), "\n".join(lines), args)
-    if truncated_at is not None or profile.max_error() > FLOAT_TOLERANCE:
+    if truncated_at is not None or profile.max_error() != 0.0:
         return EXIT_INEXACT
     return EXIT_OK
 
@@ -423,7 +420,7 @@ def cmd_sweep(args) -> int:
     else:
         lines.append(f"max discrepancy at multiples of 90: {worst_aligned:.6g}")
     _emit(_document("sweep", payload, config, args.seed), "\n".join(lines), args)
-    if truncated_at is None and worst_aligned <= FLOAT_TOLERANCE:
+    if truncated_at is None and worst_aligned == 0.0:
         return EXIT_OK
     return EXIT_INEXACT
 

@@ -28,7 +28,3 @@ class ConfigError(EquicheckError, ValueError):
 class LayerError(EquicheckError, RuntimeError):
     """A layer failed during evaluation; the message carries the layer index."""
 
-
-class ExactnessOverflowError(EquicheckError, ArithmeticError):
-    """An integer-valued accumulation left the exactly-representable float64
-    range (|sum| >= 2**53), so bit-exact comparisons would be meaningless."""

@@ -11,43 +11,31 @@ action depends on the padded input size (see the analyzer module).
 
 conv2d, gconv_lift and gconv share one body: it pads the input once and
 gives output slot g the correlation with the bank transformed by g, for
-every element g of the group (z2 is the one-element case).  Integer
-operands, and float operands whose floats no verdict reads, contract the
-bank transformed by every element, stacked, in one go.  The stacked bank
+every element g of the group (z2 is the one-element case).  What the body
+observes of its operands picks one of two contractions.
+
+Exactness: when both operands are integer-valued and the Hoelder bound
+max|x| * max_o ||w_o||_1 stays below 2**53, every partial sum of every
+output cell is an exact integer whatever the summation order, so the conv
+contracts the bank transformed by every element, stacked, in one BLAS
+tensordot, bit-identical to any other order.  The group action leaves the
+bound unchanged, so x and g * x take the same route.  The stacked bank
 does not depend on the input, so it is built once per bank and group kind,
-on first use, together with the bank's integrality and the norm the guard
-needs; it is held read-only on the FilterBank and freed with it, so a
-seeded Network stacks each of its banks once however many forwards it runs.
+on first use, and held read-only on the FilterBank, freed with it.
 
-Exactness: when both operands of a contraction are integer-valued, a guard
-makes sure no output cell's sum of |terms| reaches 2**53.  It first checks
-the Hoelder bound max|x| * max_o ||w_o||_1, which is sound in float64
-because rounding is monotone and 2**53 is representable; only when that
-bound reaches 2**53 does it run the exact check, the same strided-window
-tensordot that computes integer outputs, on |x| and |w|.  Its terms are
-non-negative integers, so a sum below 2**53 is exact in any order and one
-at or past 2**53 cannot round back below it: the check does not depend on
-the summation order.  Dense layers share the guard, their matrix passed as
-a one-slot bank whose kernel covers the whole map.  Below 2**53 every
-partial sum is an exact integer whatever the summation order, so integer
-operands are contracted by that single BLAS tensordot, bit-identical to any
-other order, and integer-mode equivariance tests can assert equality with
-zero tolerance.
-
-Float operands are summed in the base filter's coordinates when a verdict
-reads their floats, which is the default.  Slot g moves the input instead
+Every other conv, float operands and integer ones past the bound alike,
+sums in the base filter's coordinates.  Slot g moves the input instead
 of the bank: it is g applied to the correlation of g^-1 * x with the
 untransformed bank, one BLAS matmul per kernel position, the position sums
 added in raster order.  When a layer keeps the rule (i + 2p - k) mod s = 0,
 slot h*g of the layer on h * x reads the same bytes as slot g on x and
 runs the same matmuls on them, so the layer commutes with h bit for bit:
-a network exact at every layer gives float equivariance errors of exactly
-0.0, at any depth, width or weight scale, as integer mode does.  Global
-average pooling sums sorted values, so it keeps that property.  A forward
-whose floats no verdict reads, such as an off-grid angle of the invariance
-sweep, passes ``fixed_order=False`` and takes the integer path's BLAS
-tensordot instead, without the guard; its floats may differ in the last
-bits.
+a network exact at every layer gives equivariance errors of exactly 0.0,
+at any depth, width or weight scale, in float and integer mode alike.
+Global average pooling sums sorted values, so it keeps that property.  A
+forward whose floats no verdict reads, such as an off-grid angle of the
+invariance sweep, passes ``fixed_order=False`` and takes the BLAS
+tensordot whatever its operands; its floats may differ in the last bits.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -65,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ExactnessOverflowError, LayerError, ShapeError
+from .errors import LayerError, ShapeError
 from .group import (
     IDENTITY, GroupElement, GroupKind, act_values, elements, inverse, slot_index,
 )
@@ -272,43 +260,11 @@ def _contract(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
     """Strided cross-correlation of a padded (C, G, h, w) array with a
     stacked (|G|, O, C, G, kh, kw) bank as one BLAS tensordot over strided
     windows; returns (|G|, O, oh, ow).  The summation order is BLAS's own,
-    so it serves integer operands, whose results do not depend on it (see
-    :func:`_guard_exact_contraction`), and float operands whose last bits
-    no verdict reads."""
+    so it serves integer operands within the Hoelder bound, whose sums are
+    exact in any order, and float operands whose last bits no verdict
+    reads."""
     windows = sliding_window_view(vals, bank.shape[-2:], axis=(2, 3))[:, :, ::s, ::s]
     return np.tensordot(bank, windows, axes=([2, 3, 4, 5], [0, 1, 4, 5]))
-
-
-def _l1(bank: np.ndarray) -> float:
-    """max_o ||w_o||_1 over slot 0 of a stacked bank; the group transforms
-    only move a bank's entries, so slot 0 gives every slot's norms."""
-    return np.abs(bank[0]).sum(axis=(1, 2, 3, 4)).max(initial=0.0)
-
-
-def _guard_exact_contraction(vals: np.ndarray, bank: np.ndarray, s: int, l1: float) -> None:
-    """For integer operands, make sure no output cell's sum of |terms|
-    reaches 2**53, past which the float64 result could silently round.
-
-    ``bank`` is the (|G|, O, C, G_in, kh, kw) stacked bank and ``l1`` its
-    ``_l1``; ``dense`` passes its matrix as a one-slot bank whose kernel
-    covers the whole map.  The Hoelder bound max|x| * l1 is tried first.
-    Only when that bound reaches 2**53 does the exact check run:
-    the same tensordot that computes integer outputs, on |x| and |bank|.
-    Its terms are non-negative integers, so while a cell's true sum stays
-    below 2**53 every partial sum is exact in any order, and once it
-    reaches 2**53 monotone rounding keeps the computed sum there too; the
-    test does not depend on how BLAS orders the sums.  The first slot whose
-    bound reaches 2**53 is reported.
-    """
-    if max(vals.max(), -vals.min()) * l1 < EXACT_INT_LIMIT:
-        return
-    slot_max = _contract(np.abs(vals), np.abs(bank), s).max(axis=(1, 2, 3))
-    over = np.flatnonzero(slot_max >= EXACT_INT_LIMIT)
-    if over.size:
-        raise ExactnessOverflowError(
-            f"integer accumulation bound {slot_max[over[0]]:.3e} exceeds 2**53; "
-            "reduce magnitudes or depth for exact comparisons"
-        )
 
 
 def _pad(vals: np.ndarray, p: int) -> np.ndarray:
@@ -332,23 +288,28 @@ def _check_conv_args(fm: FeatureMap, filters: FilterBank, s: int, p: int) -> Non
         raise ShapeError(f"kernel {filters.k} exceeds padded input {fm.height + 2 * p}")
 
 
-class _Stacked(NamedTuple):
-    """What a conv derives from its bank alone, for one group kind."""
+def _exact_in_any_order(x: np.ndarray, w: np.ndarray) -> bool:
+    """True iff the map ``x`` and the (O, C, G, k, k) bank ``w`` are
+    integer-valued and the Hoelder bound max|x| * max_o ||w_o||_1 is below
+    2**53, so every partial sum of their correlation is an exact integer
+    whatever the summation order.  The bound is sound in float64, because
+    rounding is monotone and 2**53 is representable, and any group element
+    only moves the entries of x and w, so it holds for g * x as for x."""
+    if not (_is_integral(w) and _is_integral(x)):
+        return False
+    return max(x.max(), -x.min()) * np.abs(w).sum(axis=(1, 2, 3, 4)).max() < EXACT_INT_LIMIT
 
-    bank: np.ndarray  # (|G|, O, C, G_in, k, k), read-only
-    integral: bool
-    l1: float  # _l1(bank)
 
-
-def _stacked(filters: FilterBank, kind: GroupKind) -> _Stacked:
-    """The bank transformed by every element of ``kind``, stacked, from the
-    bank's memo; built and made read-only on first use."""
-    hit = filters._memo.get(kind)
-    if hit is None:
+def _stacked(filters: FilterBank, kind: GroupKind) -> np.ndarray:
+    """The (|G|, O, C, G_in, k, k) bank transformed by every element of
+    ``kind``, stacked, from the bank's memo; built and made read-only on
+    first use."""
+    bank = filters._memo.get(kind)
+    if bank is None:
         bank = np.stack([act_values(g, filters.values, kind) for g in elements(kind)])
         bank.flags.writeable = False
-        hit = filters._memo[kind] = _Stacked(bank, _is_integral(filters.values), _l1(bank))
-    return hit
+        filters._memo[kind] = bank
+    return bank
 
 
 def _group_conv(
@@ -357,19 +318,17 @@ def _group_conv(
 ) -> FeatureMap:
     """The one body of conv2d, gconv_lift and gconv: output slot g is the
     correlation with transform_filters(g, filters, kind), for every g in
-    elements(kind); z2 is the one-slot case.  Integer operands are guarded
-    and go through the BLAS ``_contract`` on the stacked bank; float
-    operands are summed in the base bank's coordinates by
-    ``_base_correlate``, which makes a rule-exact layer commute with the
-    group bit for bit, or go through ``_contract`` too when ``fixed_order``
-    is False."""
+    elements(kind); z2 is the one-slot case.  Integer operands within the
+    Hoelder bound max|x| * max_o ||w_o||_1 < 2**53, and every operand when
+    ``fixed_order`` is False, go through the BLAS ``_contract`` on the
+    stacked bank.  Every other conv is summed in the base bank's
+    coordinates by ``_base_correlate``, which makes a rule-exact layer
+    commute with the group bit for bit at any magnitude."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
-    bank, integral, l1 = _stacked(filters, kind)
-    if integral and _is_integral(fm.values):
-        _guard_exact_contraction(vals, bank, s, l1)
-    elif fixed_order:
+    if fixed_order and not _exact_in_any_order(fm.values, filters.values):
         return FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s))
+    bank = _stacked(filters, kind)
     return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
 
 
@@ -483,11 +442,7 @@ def dense(fm: FeatureMap, weights: np.ndarray) -> FeatureMap:
     flat = fm.values.reshape(-1)
     if w.ndim != 2 or w.shape[1] != flat.size:
         raise ShapeError(f"dense weights {w.shape} do not match flattened input {flat.size}")
-    if _is_integral(flat) and _is_integral(w):
-        bank = w.reshape((1, len(w)) + fm.shape)
-        _guard_exact_contraction(fm.values, bank, 1, _l1(bank))
-    out = w @ flat
-    return FeatureMap._from_layer(out.reshape(-1, 1, 1, 1))
+    return FeatureMap._from_layer((w @ flat).reshape(-1, 1, 1, 1))
 
 
 def _network_steps(net: Network):
@@ -563,14 +518,15 @@ def _apply(
 def forward(net: Network, fm: FeatureMap, *, fixed_order: bool = True) -> list[FeatureMap]:
     """Evaluate the network, returning one activation per layer (final last).
 
-    By default float convs sum in the base filter's coordinates, so a
-    network that keeps the rule at every layer commutes with the group bit
-    for bit.  With ``fixed_order`` False they use BLAS's summation order on
-    the stacked bank instead: the same function, but its last bits may
-    differ and g*x may round differently from x, so it is for forwards
-    whose floats no verdict reads.  Integer operands give the same bits
-    either way.  An empty network returns just the input.  Layer failures
-    are re-raised with the layer index attached.
+    By default float convs, and integer ones past the Hoelder bound, sum in
+    the base filter's coordinates, so a network that keeps the rule at
+    every layer commutes with the group bit for bit.  With ``fixed_order``
+    False they use BLAS's summation order on the stacked bank instead: the
+    same function, but its last bits may differ and g*x may round
+    differently from x, so it is for forwards whose floats no verdict
+    reads.  Integer operands within the bound give the same bits either
+    way.  An empty network returns just the input.  Layer failures are
+    re-raised with the layer index attached.
     """
     if fm.height != net.input_size or fm.width != net.input_size:
         raise ShapeError(
@@ -584,7 +540,7 @@ def forward(net: Network, fm: FeatureMap, *, fixed_order: bool = True) -> list[F
             raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
         try:
             current = _apply(layer, w, current, net.kind, fixed_order)
-        except (ShapeError, ExactnessOverflowError) as exc:
+        except ShapeError as exc:
             raise LayerError(f"layer {idx} ({layer.kind.value}): {exc}") from exc
         acts.append(current)
     return acts if acts else [fm]

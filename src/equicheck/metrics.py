@@ -232,8 +232,9 @@ def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
     sampling with bilinear interpolation and reading outside pixels as 0.
 
     Multiples of 90 degrees, 0 included, are the exact grid action: there
-    cos and sin would leave ~1e-16 interpolation weights, which would make
-    an integer input fractional and switch the exactness guard off.
+    cos and sin would leave ~1e-16 interpolation weights, which would blur
+    the input by that much and give an exact network a nonzero right-angle
+    discrepancy.
     """
     if not fm.is_square:
         raise ShapeError(f"rotation needs a square map, got {fm.height}x{fm.width}")

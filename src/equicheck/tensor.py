@@ -17,7 +17,8 @@ from .errors import DimensionError, ShapeError
 VALID_GROUP_SIZES = (1, 4, 8)
 
 #: Largest magnitude below which every integer is exactly representable in
-#: float64.  Integer-valued accumulations are guarded against crossing it.
+#: float64.  An integer conv whose Hoelder bound stays below it is summed by
+#: BLAS in any order; one past it sums in the base filter's coordinates.
 EXACT_INT_LIMIT = float(2**53)
 
 
@@ -100,8 +101,9 @@ class FilterBank:
 
     The kernel is square; ``in_group_size`` must match the group axis of the
     feature map the bank is applied to.  ``_memo`` is private to the layers
-    module, which keeps there what it derives from the bank per group kind,
-    so it lives and dies with the bank.
+    module, which keeps there, per group kind, the read-only bank stacked
+    under every element of the group, built the first time a BLAS
+    contraction needs it, so it lives and dies with the bank.
     """
 
     __slots__ = ("_values", "_memo")

@@ -491,6 +491,10 @@ class TestReportDocument:
         ["measure", "p4cnn", "--input-size", "100000"],
         ["sweep", "p4cnn", "--input-size", "100000"],
         ["measure", "HUGE_DENSE"],
+        ["measure", "p4cnn", "--input-size", "-3"],
+        ["measure", "p4cnn", "--input-size", "0"],
+        ["sweep", "p4cnn", "--input-size", "0"],
+        ["sweep", "p4cnn", "--input-size", "-2"],
     ],
 )
 def test_bad_input_exits_two_with_message(capsys, tmp_path, argv):
@@ -554,18 +558,22 @@ P4MCNN = ArchitectureConfig("p4mcnn", "p4m", 28, BUILTINS["p4cnn"].layers)
 
 class TestFloatVerdictsOfExactNetworks:
     """A network exact at every layer reads exactly 0.0 in float mode too,
-    at any depth, so measure and sweep exit 0 on every seed."""
+    at any depth, so measure and sweep exit 0 on every seed.  So does deep12
+    in integer mode, whose sums pass 2**53 from layer 8 on."""
 
-    @pytest.mark.parametrize("config, seeds", [
-        (DEEP12, range(8)), (BUILTINS["p4cnn"], (2,)), (P4MCNN, (0, 21)),
-    ], ids=["deep12", "p4cnn", "p4mcnn"])
-    def test_measure_and_right_angle_sweep_read_zero(self, capsys, tmp_path, config, seeds):
+    @pytest.mark.parametrize("config, seeds, flags", [
+        (DEEP12, range(8), ()), (BUILTINS["p4cnn"], (2,), ()), (P4MCNN, (0, 21), ()),
+        (DEEP12, range(8), ("--integer-weights",)),
+    ], ids=["deep12", "p4cnn", "p4mcnn", "deep12-integer"])
+    def test_measure_and_right_angle_sweep_read_zero(self, capsys, tmp_path, config, seeds,
+                                                      flags):
         path = tmp_path / "config.json"
         path.write_text(to_json(config))
         for seed in map(str, seeds):
-            code, doc = run_json(capsys, "measure", str(path), "--seed", seed)
+            code, doc = run_json(capsys, "measure", str(path), "--seed", seed, *flags)
             assert (code, doc["result"]["max_error"]) == (0, 0.0)
-            code, doc = run_json(capsys, "sweep", str(path), "--angle-step", "90", "--seed", seed)
+            code, doc = run_json(capsys, "sweep", str(path), "--angle-step", "90",
+                                 "--seed", seed, *flags)
             assert (code, doc["result"]["max_discrepancy_90s"]) == (0, 0.0)
 
 

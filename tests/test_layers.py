@@ -1,7 +1,6 @@
 """Layer semantics: convolution sizes, group convolutions, poolings, crop,
 and exactness of whole-network equivariance in integer and float mode."""
 
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +15,7 @@ from equicheck import layers
 from equicheck.analyzer import exact_size_lattice
 from equicheck.builtins import P4CNN, Z2CNN
 from equicheck.config import build_network
-from equicheck.errors import ExactnessOverflowError, GroupKindError, LayerError, ShapeError
+from equicheck.errors import GroupKindError, LayerError, ShapeError
 from equicheck.group import (
     IDENTITY,
     MIRROR,
@@ -38,9 +37,7 @@ from equicheck.layers import (
     _base_correlate,
     _check_conv_args,
     _contract,
-    _guard_exact_contraction,
     _is_integral,
-    _l1,
     _pad,
     circle_crop,
     conv2d,
@@ -417,44 +414,61 @@ def spike_case(fill_all, group=1):
 
 
 class TestExactnessGuard:
+    """The Hoelder bound max|x| * max_o ||w_o||_1 < 2**53 guards the BLAS
+    route of an integer conv; past it the conv sums in the base bank's
+    coordinates, which is exact for the verdict at any magnitude."""
+
     @pytest.mark.parametrize("fn, kind", [(conv2d, GroupKind.Z2), (gconv, GroupKind.P4M)],
                              ids=["conv2d", "p4m-gconv"])
     def test_loose_hoelder_bound_falls_back_to_exact_sum(self, fn, kind):
-        # max|x| * ||w||_1 = 2**45 * 288 * |G_in| > 2**53, but each cell sums
-        # to 2**50; the p4m gconv checks its stacked, permuted bank
+        # max|x| * ||w||_1 = 2**45 * 288 * |G_in| > 2**53, so the conv sums
+        # in base coordinates; each cell sums to 2**50, which it adds exactly
         fm, w = spike_case(fill_all=False, group=kind.size)
         out = run_conv(fn, kind, fm, w, 1, 1)
         assert np.all(out.values == 2.0**50)
         assert np.array_equal(out.values, per_slot_reference(fm, w, kind, 1, 1))
 
-    def test_exact_sum_past_two_to_53_raises(self):
+    def test_integer_conv_past_two_to_53_commutes_byte_for_byte(self):
         fm, w = spike_case(fill_all=True)
-        with pytest.raises(ExactnessOverflowError):
-            conv2d(fm, w)
-        net = Network(kind=GroupKind.Z2, layers=(Layer(LayerKind.CONV2D, k=3, out_channels=1),),
-                      input_size=3, weights=(w,))
-        with pytest.raises(LayerError, match="layer 0"):
-            forward(net, fm)
+        assert conv2d(fm, w).values.tolist() == [[[[288 * 2.0**45]]]]
+        # (9 + 2 - 3) mod 2 = 0; cells sum far past 2**53 and round, alike
+        # for x and g * x
+        fm = FeatureMap(random_feature_map(3, 2, 8, 9, 9, True).values * 2.0**50)
+        w = random_filter_bank(4, 3, 2, 8, 3, True)
+        assert np.abs(gconv(fm, w, GroupKind.P4M, 2, 1).values).max() >= 2.0**53
+        assert_equivariant_bytes(gconv, GroupKind.P4M, fm, w, 2, 1)
 
-    def test_first_slot_past_two_to_53_is_reported(self):
-        # a corner spike of 2**45 meets a different filter corner in each p4
-        # slot: 1, 256, 512 and 384 times the spike, so slots 1-3 overflow and
-        # slot 1, at exactly 2**53, is named, not the largest bound
+    def test_hoelder_bound_picks_the_contraction(self, monkeypatch):
+        calls = []
+
+        def recording(name):
+            real = getattr(layers, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("_contract", "_base_correlate"):
+            monkeypatch.setattr(layers, name, recording(name))
         x = np.zeros((1, 1, 3, 3))
         x[0, 0, 0, 0] = 2.0**45
-        w = np.zeros((1, 1, 1, 3, 3))
-        w[..., 0, 0], w[..., 0, 2], w[..., 2, 2], w[..., 2, 0] = 1, 256, 512, 384
-        fm, bank = FeatureMap(x), FilterBank(w)
-        bounds = per_slot_reference(fm, bank, GroupKind.P4, 1, 0).max(axis=(0, 2, 3))
-        assert bounds.tolist() == [2.0**45, 2.0**53, 2.0**54, 1.5 * 2.0**53]
-        with pytest.raises(ExactnessOverflowError, match=re.escape(f"bound {2.0**53:.3e} ")):
-            gconv_lift(fm, bank, GroupKind.P4)
+        fm = FeatureMap(x)
+        # max|x| * ||w||_1 is 255 * 2**45 under 2**53, and 256 * 2**45 meets it
+        for l1, route in ((255.0, "_contract"), (256.0, "_base_correlate")):
+            w = np.zeros((1, 1, 1, 3, 3))
+            w[..., 0, 0] = l1
+            for fixed_order, want in ((True, route), (False, "_contract")):
+                calls.clear()
+                conv2d(fm, FilterBank(w), fixed_order=fixed_order)
+                gconv_lift(fm, FilterBank(w), GroupKind.P4, fixed_order=fixed_order)
+                assert calls == [want, want]
 
 
 def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True):
     """The conv body from before banks were stacked once: it stacks the
-    transformed bank on every call.  Integer operands take the guard and the
-    tensordot as then; floats take the per-slot, per-position einsum over the
+    transformed bank on every call.  Integer operands take the tensordot as
+    then; floats take the per-slot, per-position einsum over the
     transformed banks, the order every float conv ran in before float convs
     summed in the base bank's coordinates."""
     assert fixed_order, "the reference has the fixed float order only"
@@ -462,7 +476,6 @@ def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True):
     vals = _pad(fm.values, p)
     bank = np.stack([act_values(g, filters.values, kind) for g in elements(kind)])
     if _is_integral(fm.values) and _is_integral(filters.values):
-        _guard_exact_contraction(vals, bank, s, _l1(bank))
         return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
     return FeatureMap._from_layer(np.stack([per_position_reference(vals, b, s) for b in bank], 1))
 
@@ -487,10 +500,10 @@ SEEDED_NETS = [
 
 
 class TestStackedBanks:
-    """Each bank is stacked once per group kind and held read-only on the
-    FilterBank; integer forwards stay bit-identical to per-call stacking,
-    float forwards agree with it to rounding and are equivariant bit for
-    bit."""
+    """Each bank the BLAS route reads is stacked once per group kind and
+    held read-only on the FilterBank; integer forwards stay bit-identical to
+    per-call stacking, float forwards agree with it to rounding and are
+    equivariant bit for bit."""
 
     @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
     @pytest.mark.parametrize("net", SEEDED_NETS)
@@ -542,7 +555,8 @@ class TestStackedBanks:
             out = gconv_lift(fm, lift, kind, 2, 1).values
             assert out.tobytes() == gconv_lift(fm, fresh, kind, 2, 1).values.tobytes()
             assert_equivariant_bytes(gconv_lift, kind, fm, lift, 2, 1)
-        assert set(lift._memo) == {GroupKind.P4, GroupKind.P4M}
+        # only the BLAS route stacks a bank; float forwards sum in base coordinates
+        assert set(lift._memo) == ({GroupKind.P4, GroupKind.P4M} if integer else set())
         # a p4-valued bank read as a group-valued conv2d and as a gconv
         fm4 = random_feature_map(6, 2, 4, 7, 7, integer)
         bank4 = random_filter_bank(7, 2, 2, 4, 3, integer)
@@ -554,16 +568,19 @@ class TestStackedBanks:
             else:
                 assert_close(out, ref)
         assert_equivariant_bytes(gconv, GroupKind.P4, fm4, bank4, 1, 0)
-        assert set(bank4._memo) == {GroupKind.Z2, GroupKind.P4}
+        assert set(bank4._memo) == ({GroupKind.Z2, GroupKind.P4} if integer else set())
 
     def test_memo_is_read_only(self):
         w = random_filter_bank(8, 2, 1, 1, 3, integer_valued=True)
         gconv_lift(random_feature_map(9, 1, 1, 6, 6), w, GroupKind.P4M)
+        assert w._memo == {}
+        gconv_lift(random_feature_map(9, 1, 1, 6, 6, integer_valued=True), w, GroupKind.P4M)
         stacked = w._memo[GroupKind.P4M]
-        assert stacked.bank.shape == (8, 2, 1, 1, 3, 3)
-        assert stacked.integral and stacked.l1 == np.abs(w.values).sum(axis=(1, 2, 3, 4)).max()
+        assert stacked.shape == (8, 2, 1, 1, 3, 3)
+        for g in P4M:
+            assert np.array_equal(stacked[slot_index(g)], act_values(g, w.values, GroupKind.P4M))
         with pytest.raises(ValueError):
-            stacked.bank[(0,) * 6] = 1.0
+            stacked[(0,) * 6] = 1.0
 
     def test_hand_built_network_runs_forward(self):
         net = toy_net(33)
@@ -731,14 +748,12 @@ class TestDense:
         out = dense(FeatureMap(x), np.full((2, 4), 128.0))
         assert out.values.ravel().tolist() == [2.0**52, 2.0**52]
 
-    def test_exact_sum_past_two_to_53_raises(self):
+    def test_sum_past_two_to_53_is_the_matrix_product(self):
         fm, w = FeatureMap(np.full((1, 1, 2, 2), 2.0**45)), np.full((1, 4), 128.0)
-        with pytest.raises(ExactnessOverflowError):
-            dense(fm, w)
+        assert dense(fm, w).values.ravel().tolist() == [2.0**54]
         net = Network(kind=GroupKind.Z2, layers=(Layer(LayerKind.DENSE, out_channels=1),),
                       input_size=2, weights=(w,))
-        with pytest.raises(LayerError, match=re.escape("layer 0 (dense)")):
-            forward(net, fm)
+        assert forward(net, fm)[-1].values.tobytes() == (w @ fm.values.reshape(-1)).tobytes()
 
 
 LAYER_OUTPUTS = [
@@ -814,6 +829,14 @@ class TestForward:
         assert np.array_equal(a.weights[3], b.weights[3])
 
 
+def scaled(net, factor):
+    """The seeded network with every weight multiplied by ``factor``."""
+    return replace(net, weights=tuple(
+        FilterBank(w.values * factor) if isinstance(w, FilterBank) else
+        None if w is None else w * factor
+        for w in net.weights))
+
+
 @st.composite
 def exact_group_networks(draw):
     """A generated p4 or p4m network at an input side from its lattice of
@@ -833,6 +856,10 @@ class TestWholeNetworkEquivariance:
         for integer in (False, True):
             x = random_feature_map([seed, 1], 1, 1, net.input_size, net.input_size, integer)
             assert_forward_equivariant_bytes(seed_network(net, seed, integer), x)
+        # integers scaled past the Hoelder bound at the first conv already
+        x = random_feature_map([seed, 1], 1, 1, net.input_size, net.input_size, True)
+        big = scaled(seed_network(net, seed, True), 2.0**20)
+        assert_forward_equivariant_bytes(big, FeatureMap(x.values * 2.0**40))
 
     def test_exact_network_commutes_at_every_group_depth(self):
         net = seed_network(toy_net(33), 4, integer_valued=True)
@@ -853,4 +880,18 @@ class TestWholeNetworkEquivariance:
             moved = forward(net, act_spatial(ROT90, x))[0]
             err = max_abs_diff(moved, act_full(ROT90, pre_pool, GroupKind.P4))
             positives += err > 0
+        assert positives >= 1
+
+    def test_condition_violation_past_two_to_53_breaks_some_seed(self):
+        # the lift's Hoelder bound is past 2**53, so it sums in base
+        # coordinates, which keep the broken layer's error
+        positives = 0
+        for seed in range(10):
+            net = scaled(seed_network(toy_net(32), seed, integer_valued=True), 2.0**20)
+            x = random_feature_map([seed, 1], 1, 1, 32, 32, integer_valued=True)
+            x = FeatureMap(x.values * 2.0**40)
+            pre_pool = forward(net, x)[0]
+            assert np.abs(pre_pool.values).max() >= 2.0**53
+            moved = forward(net, act_spatial(ROT90, x))[0]
+            positives += max_abs_diff(moved, act_full(ROT90, pre_pool, GroupKind.P4)) > 0
         assert positives >= 1
