@@ -17,7 +17,7 @@ from .analyzer import (
     output_size,
     suggest_input_sizes,
 )
-from .config import ArchitectureConfig, build_network
+from .config import build_network
 from .group import (
     IDENTITY,
     MIRROR,

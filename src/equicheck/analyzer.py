@@ -2,9 +2,10 @@
 
 A strided layer commutes with quarter-turn rotations and mirrors exactly
 when its padded input side satisfies (i + 2p - k) mod s = 0.  This module
-runs the shape walk of ``layers.walk_shapes`` over an architecture config,
-which applies that test (``check_layer``) to every layer with a spatial
-kernel, and lists the input sizes that make the whole network exact.
+runs the shape walk of ``layers.walk_shapes`` over a ``layers.Network``
+(a built-in or a loaded config; the weights are not read), which applies
+that test (``check_layer``) to every layer with a spatial kernel, and lists
+the input sizes that make the whole network exact.
 
 Those sizes need no search.  While every earlier layer is exact, each
 layer's input side is affine in the network input ``i``, so each condition
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ArchitectureConfig, validate
+from .config import validate
 from .errors import ShapeError
-from .group import GroupKind
+from .layers import Network
 # The rule itself lives beside the walk; it is re-exported as part of the
 # analyzer's interface.
 from .layers import SPATIAL_KINDS, LayerKind, check_layer, output_size, walk_shapes  # noqa: F401
@@ -83,8 +84,8 @@ class SizeLattice:
 _HEAD_KINDS = frozenset({LayerKind.GLOBAL_AVG_POOL, LayerKind.DENSE})
 
 
-def exact_size_lattice(config: ArchitectureConfig) -> SizeLattice | None:
-    """The lattice of input sides at which every layer of ``config`` is
+def exact_size_lattice(net: Network) -> SizeLattice | None:
+    """The lattice of input sides at which every layer of ``net`` is
     exact, or None when no side is.
 
     The forward pass writes the network input as i = residue + modulus*u
@@ -96,9 +97,9 @@ def exact_size_lattice(config: ArchitectureConfig) -> SizeLattice | None:
     lets every later kernel fit; a head layer needs only side 1 but can give
     only side 1, so a later kernel that needs more leaves no exact size.
     """
-    validate(config)
+    validate(net)
     residue, modulus, slope, offset = 0, 1, 1, 0
-    for layer in config.layers:
+    for layer in net.layers:
         if layer.kind in _HEAD_KINDS:
             slope, offset = 0, 1
         elif layer.kind in SPATIAL_KINDS:
@@ -110,7 +111,7 @@ def exact_size_lattice(config: ArchitectureConfig) -> SizeLattice | None:
                 return None
             offset = (offset + 2 * p - k) // s + 1
     need = 1
-    for layer in reversed(config.layers):
+    for layer in reversed(net.layers):
         if layer.kind in _HEAD_KINDS:
             if need > 1:
                 return None
@@ -119,12 +120,12 @@ def exact_size_lattice(config: ArchitectureConfig) -> SizeLattice | None:
     return SizeLattice(residue, modulus, need)
 
 
-def _exact_sizes(config: ArchitectureConfig, lo: int, hi: int) -> list[int]:
-    lattice = exact_size_lattice(config)
+def _exact_sizes(net: Network, lo: int, hi: int) -> list[int]:
+    lattice = exact_size_lattice(net)
     return list(lattice.sizes(lo, hi)) if lattice else []
 
 
-def analyze(config: ArchitectureConfig, input_size: int) -> AnalysisReport:
+def analyze(net: Network, input_size: int) -> AnalysisReport:
     """Run the size trace and exactness test on every layer.
 
     A mid-trace underflow (kernel larger than what is left) does not raise:
@@ -135,12 +136,11 @@ def analyze(config: ArchitectureConfig, input_size: int) -> AnalysisReport:
     """
     if input_size < 1:
         raise ShapeError(f"input size must be >= 1, got {input_size}")
-    suggested = _exact_sizes(config, max(1, input_size - DEFAULT_SUGGEST_RADIUS),
+    suggested = _exact_sizes(net, max(1, input_size - DEFAULT_SUGGEST_RADIUS),
                              input_size + DEFAULT_SUGGEST_RADIUS)
     trace: list[LayerTrace] = []
     truncated_at: int | None = None
-    for idx, step in enumerate(
-            walk_shapes(GroupKind.from_label(config.group), config.layers, input_size)):
+    for idx, step in enumerate(walk_shapes(net.kind, net.layers, input_size, net.in_channels)):
         out_side = step.out_shape[2]
         note = step.note if out_side else f"{step.note}; trace stops"
         trace.append(LayerTrace(idx, step.layer.kind.value, step.in_shape[2], step.padded,
@@ -159,10 +159,10 @@ def analyze(config: ArchitectureConfig, input_size: int) -> AnalysisReport:
     )
 
 
-def suggest_input_sizes(config: ArchitectureConfig, lo: int, hi: int) -> list[int]:
+def suggest_input_sizes(net: Network, lo: int, hi: int) -> list[int]:
     """All input sides in [lo, hi] for which the whole architecture is exact."""
     if lo > hi:
         raise ShapeError(f"empty range: lo={lo} > hi={hi}")
     if lo < 1:
         raise ShapeError(f"input sizes start at 1, got lo={lo}")
-    return _exact_sizes(config, lo, hi)
+    return _exact_sizes(net, lo, hi)

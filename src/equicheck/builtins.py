@@ -1,4 +1,5 @@
-"""Built-in example architectures, embedded so analyses need no files.
+"""Built-in example architectures: weightless ``layers.Network``s, the type
+a loaded config gives, embedded so analyses need no files.
 
 ``toy41`` is the minimal rotation-invariant classifier head (one strided
 lifting convolution, spatial mean, group max, two logits): exact at 33,
@@ -11,8 +12,8 @@ quarter-turn action.
 
 from __future__ import annotations
 
-from .config import ArchitectureConfig
-from .layers import Layer, LayerKind
+from .group import GroupKind
+from .layers import Layer, LayerKind, Network
 
 
 def _conv(kind: LayerKind, k: int, out_channels: int, s: int = 1, p: int = 0) -> Layer:
@@ -21,9 +22,9 @@ def _conv(kind: LayerKind, k: int, out_channels: int, s: int = 1, p: int = 0) ->
 
 _RELU = Layer(LayerKind.RELU)
 
-TOY41 = ArchitectureConfig(
+TOY41 = Network(
     name="toy41",
-    group="p4",
+    kind=GroupKind.P4,
     input_size=33,
     layers=(
         _conv(LayerKind.GCONV_LIFT, k=3, out_channels=1, s=2, p=1),
@@ -35,7 +36,7 @@ TOY41 = ArchitectureConfig(
 
 
 def _cnn_stack(conv_kind: LayerKind, lift_kind: LayerKind, channels: int, classes: int,
-               name: str, group: str, with_coset: bool) -> ArchitectureConfig:
+               name: str, group: GroupKind, with_coset: bool) -> Network:
     layers: list[Layer] = [
         _conv(lift_kind, k=3, out_channels=channels), _RELU,
         _conv(conv_kind, k=3, out_channels=channels), _RELU,
@@ -50,22 +51,22 @@ def _cnn_stack(conv_kind: LayerKind, lift_kind: LayerKind, channels: int, classe
     if with_coset:
         layers.append(Layer(LayerKind.COSET_MAXPOOL))
     layers.append(Layer(LayerKind.DENSE, out_channels=classes))
-    return ArchitectureConfig(name=name, group=group, input_size=28, layers=tuple(layers))
+    return Network(name=name, kind=group, input_size=28, layers=tuple(layers))
 
 
 P4CNN = _cnn_stack(LayerKind.GCONV, LayerKind.GCONV_LIFT, channels=10, classes=10,
-                   name="p4cnn", group="p4", with_coset=True)
+                   name="p4cnn", group=GroupKind.P4, with_coset=True)
 
 Z2CNN = _cnn_stack(LayerKind.CONV2D, LayerKind.CONV2D, channels=20, classes=10,
-                   name="z2cnn", group="z2", with_coset=False)
+                   name="z2cnn", group=GroupKind.Z2, with_coset=False)
 
-FIG1_MAXPOOL = ArchitectureConfig(
+FIG1_MAXPOOL = Network(
     name="fig1-maxpool",
-    group="z2",
+    kind=GroupKind.Z2,
     input_size=5,
     layers=(Layer(LayerKind.MAXPOOL, k=2, s=2),),
 )
 
-BUILTINS: dict[str, ArchitectureConfig] = {
-    cfg.name: cfg for cfg in (TOY41, P4CNN, Z2CNN, FIG1_MAXPOOL)
+BUILTINS: dict[str, Network] = {
+    net.name: net for net in (TOY41, P4CNN, Z2CNN, FIG1_MAXPOOL)
 }

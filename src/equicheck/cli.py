@@ -32,10 +32,10 @@ from .analyzer import (
     walk_shapes,
 )
 from .builtins import BUILTINS
-from .config import ArchitectureConfig, build_network, load, to_dict
+from .config import build_network, load, to_dict
 from .errors import EquicheckError
 from .group import GroupElement, GroupKind, elements
-from .layers import weight_shape
+from .layers import Network, weight_shape
 from .metrics import (
     SYMMETRIES,
     commutation_grid,
@@ -81,7 +81,7 @@ def _mark(ok: bool) -> str:
     return mark
 
 
-def _resolve_config(ref: str) -> ArchitectureConfig:
+def _resolve_config(ref: str) -> Network:
     if ref in BUILTINS:
         return BUILTINS[ref]
     if os.path.exists(ref):
@@ -91,19 +91,19 @@ def _resolve_config(ref: str) -> ArchitectureConfig:
     )
 
 
-def _config_digest(config: ArchitectureConfig) -> str:
-    canonical = json.dumps(to_dict(config), sort_keys=True, separators=(",", ":"))
+def _config_digest(net: Network) -> str:
+    canonical = json.dumps(to_dict(net), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _document(command: str, result: dict, config: ArchitectureConfig | None = None,
+def _document(command: str, result: dict, net: Network | None = None,
               seed: int | None = None) -> dict:
     return {
         "schema_version": 1,
         "tool": "equicheck",
         "tool_version": __version__,
         "command": command,
-        "config_digest": _config_digest(config) if config else None,
+        "config_digest": _config_digest(net) if net else None,
         "seed": seed,
         "result": result,
     }
@@ -140,10 +140,10 @@ def _lattice_text(lattice: SizeLattice | None) -> str:
             f"i ≡ {lattice.residue} (mod {lattice.modulus})")
 
 
-def _analysis_text(config: ArchitectureConfig, report: AnalysisReport,
+def _analysis_text(net: Network, report: AnalysisReport,
                    lattice: SizeLattice | None) -> str:
     lines = [
-        f"architecture: {config.name}  group: {config.group}  "
+        f"architecture: {net.name}  group: {net.kind.value}  "
         f"input: {report.input_size}x{report.input_size}",
         f"{'#':>3}  {'layer':<16} {'in':>5} {'padded':>7} {'out':>5}  eq",
     ]
@@ -165,12 +165,12 @@ def _analysis_text(config: ArchitectureConfig, report: AnalysisReport,
 
 
 def cmd_analyze(args) -> int:
-    config = _resolve_config(args.config)
-    input_size = config.input_size if args.input_size is None else args.input_size
-    report = analyze(config, input_size)
-    payload = {"name": config.name, "group": config.group, **asdict(report)}
-    doc = _document("analyze", payload, config)
-    _emit(doc, _analysis_text(config, report, exact_size_lattice(config)), args)
+    net = _resolve_config(args.config)
+    input_size = net.input_size if args.input_size is None else args.input_size
+    report = analyze(net, input_size)
+    payload = {"name": net.name, "group": net.kind.value, **asdict(report)}
+    doc = _document("analyze", payload, net)
+    _emit(doc, _analysis_text(net, report, exact_size_lattice(net)), args)
     return EXIT_OK if report.exact else EXIT_INEXACT
 
 
@@ -179,14 +179,14 @@ def cmd_suggest(args) -> int:
         raise EquicheckError(
             f"suggest range [{args.lo}, {args.hi}] spans more than {MAX_SUGGEST_SIZES} sizes"
         )
-    config = _resolve_config(args.config)
-    sizes = suggest_input_sizes(config, args.lo, args.hi)
-    payload = {"name": config.name, "lo": args.lo, "hi": args.hi, "exact_sizes": sizes}
+    net = _resolve_config(args.config)
+    sizes = suggest_input_sizes(net, args.lo, args.hi)
+    payload = {"name": net.name, "lo": args.lo, "hi": args.hi, "exact_sizes": sizes}
     text = (
-        f"exact input sizes for {config.name} in [{args.lo}, {args.hi}]: "
+        f"exact input sizes for {net.name} in [{args.lo}, {args.hi}]: "
         + (", ".join(str(s) for s in sizes) if sizes else "none")
     )
-    _emit(_document("suggest", payload, config), text, args)
+    _emit(_document("suggest", payload, net), text, args)
     return EXIT_OK
 
 
@@ -297,25 +297,19 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if agreement == 1.0 else EXIT_INEXACT
 
 
-def _truncated_at(net) -> int | None:
-    """Index of the first layer whose kernel outruns its padded input, the
-    ``truncated_at`` that ``analyze`` reports, or None if every kernel fits."""
-    steps = walk_shapes(net.kind, net.layers, net.input_size, net.in_channels)
-    return next((idx for idx, step in enumerate(steps) if not step.out_shape[2]), None)
-
-
 def _truncation_text(truncated_at: int, what: str) -> str:
     return f"truncated at layer {truncated_at}: its kernel outruns the input, so {what}"
 
 
 def _seeded_command_network(args):
-    """(config, network) of a ``measure`` or ``sweep``, once the seed, the
-    size of one forward pass and the number of weights have been checked,
-    before anything is drawn."""
+    """(declared, net, truncated_at) of a ``measure`` or ``sweep``: the
+    network as declared, that network at the command's input size, and the
+    first layer whose kernel outruns its input there, or None; checked for
+    the seed, forward size and weight count before anything is drawn."""
     if args.seed < 0:
         raise EquicheckError(f"--seed must be non-negative, got {args.seed}")
-    config = _resolve_config(args.config)
-    net = build_network(config, args.input_size)
+    declared = _resolve_config(args.config)
+    net = build_network(declared, args.input_size)
     if net.input_size < 1:
         raise EquicheckError(f"input size must be >= 1, got {net.input_size}")
     steps = list(walk_shapes(net.kind, net.layers, net.input_size, net.in_channels))
@@ -332,19 +326,19 @@ def _seeded_command_network(args):
             f"the network at input size {net.input_size} draws {drawn} weight "
             f"elements, more than {MAX_FORWARD_ELEMENTS}"
         )
-    return config, net
+    truncated_at = next((idx for idx, step in enumerate(steps) if not step.out_shape[2]), None)
+    return declared, net, truncated_at
 
 
 def cmd_measure(args) -> int:
-    config, net = _seeded_command_network(args)
+    declared, net, truncated_at = _seeded_command_network(args)
     # a kernel that outruns the input ends the network; profile what is before it
-    truncated_at = _truncated_at(net)
     if truncated_at is not None:
         net = replace(net, layers=net.layers[:truncated_at])
     group_elements = _parse_elements(args.elements, net.kind)
     profile = profile_equivariance(net, args.seed, group_elements, args.integer_weights)
     payload = {
-        "name": config.name,
+        "name": net.name,
         "input_size": net.input_size,
         "seed": args.seed,
         "integer_weights": args.integer_weights,
@@ -358,7 +352,7 @@ def cmd_measure(args) -> int:
     if truncated_at is not None:
         payload["truncated_at"] = truncated_at
     lines = [
-        f"equivariance profile: {config.name} at {net.input_size}x{net.input_size}, "
+        f"equivariance profile: {net.name} at {net.input_size}x{net.input_size}, "
         f"seed {args.seed}, {'integer' if args.integer_weights else 'float'} weights",
         f"{'layer':>5}  {'element':<8} {'error':>12}",
     ]
@@ -369,14 +363,14 @@ def cmd_measure(args) -> int:
     lines.append(f"max error: {profile.max_error():.6g}")
     if truncated_at is not None:
         lines.append(_truncation_text(truncated_at, "only the layers before it were profiled"))
-    _emit(_document("measure", payload, config, args.seed), "\n".join(lines), args)
+    _emit(_document("measure", payload, declared, args.seed), "\n".join(lines), args)
     if truncated_at is not None or profile.max_error() != 0.0:
         return EXIT_INEXACT
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    config, net = _seeded_command_network(args)
+    declared, net, truncated_at = _seeded_command_network(args)
     if not (math.isfinite(args.angle_step) and args.angle_step > 0):
         raise EquicheckError(f"--angle-step must be finite and positive, got {args.angle_step}")
     # ceil(360 / step) > MAX_SWEEP_ANGLES, without ceil overflowing on a tiny step
@@ -393,14 +387,13 @@ def cmd_sweep(args) -> int:
             bisect.insort(angles, quarter)
     # the sweep compares network outputs, so a kernel that outruns the input
     # leaves nothing to run
-    truncated_at = _truncated_at(net)
     points = []
     if truncated_at is None:
         points = invariance_sweep(net, args.seed, angles, args.integer_weights)
     grid_aligned = [p for p in points if p.angle % 90 == 0]
     worst_aligned = max((p.discrepancy for p in grid_aligned), default=0.0)
     payload = {
-        "name": config.name,
+        "name": net.name,
         "input_size": net.input_size,
         "seed": args.seed,
         "integer_weights": args.integer_weights,
@@ -408,7 +401,7 @@ def cmd_sweep(args) -> int:
         "max_discrepancy_90s": None if truncated_at is not None else worst_aligned,
     }
     lines = [
-        f"invariance sweep: {config.name} at {net.input_size}x{net.input_size}, "
+        f"invariance sweep: {net.name} at {net.input_size}x{net.input_size}, "
         f"seed {args.seed} (inputs circle-cropped)",
         f"{'angle':>7}  {'discrepancy':>12}",
     ]
@@ -419,7 +412,7 @@ def cmd_sweep(args) -> int:
         lines.append(_truncation_text(truncated_at, "no forward pass was run"))
     else:
         lines.append(f"max discrepancy at multiples of 90: {worst_aligned:.6g}")
-    _emit(_document("sweep", payload, config, args.seed), "\n".join(lines), args)
+    _emit(_document("sweep", payload, declared, args.seed), "\n".join(lines), args)
     if truncated_at is None and worst_aligned == 0.0:
         return EXIT_OK
     return EXIT_INEXACT
@@ -427,9 +420,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_list_builtins(args) -> int:
     rows = [
-        {"name": cfg.name, "group": cfg.group, "input_size": cfg.input_size,
-         "layers": len(cfg.layers)}
-        for cfg in BUILTINS.values()
+        {"name": net.name, "group": net.kind.value, "input_size": net.input_size,
+         "layers": len(net.layers)}
+        for net in BUILTINS.values()
     ]
     payload = {"builtins": rows}
     lines = [f"{'name':<14} {'group':<5} {'input':>5} {'layers':>7}"]

@@ -1,29 +1,21 @@
-"""Declarative architecture configs and their JSON serialization.
+"""Architecture configs: the JSON form of a ``layers.Network``.
 
-A config is the on-disk form of a network: name, group label, input side
-and an ordered list of ``layers.Layer`` specs.  Parsing validates field
-types, layer kinds and the group-axis chain, so a config that loads cleanly
-always builds into a runnable network skeleton.
+A config holds a network's name, group label, input side and ordered
+``layers.Layer`` specs.  Loading one parses the label into a ``GroupKind``
+and validates field types, the fields each layer kind takes and the
+group-axis chain, so it always gives a runnable, weightless ``Network``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import replace
 
-from .errors import ConfigError, LayerError
+from .errors import ConfigError, GroupKindError, LayerError
 from .group import GroupKind
 from .layers import SPATIAL_KINDS, WEIGHTED_KINDS, Layer, LayerKind, Network, walk_shapes
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ArchitectureConfig:
-    name: str
-    group: str
-    input_size: int
-    layers: tuple[Layer, ...]
 
 
 def _require_int(value, field: str, minimum: int):
@@ -42,34 +34,38 @@ def _layer_kind(raw: str, where: str) -> LayerKind:
         raise ConfigError(f"{where}: unknown layer kind {raw!r} (known: {known})")
 
 
-def validate(config: ArchitectureConfig) -> None:
+def validate(net: Network) -> None:
     """Field-level and chain-level validation; raises ConfigError."""
-    if config.group not in ("z2", "p4", "p4m"):
-        raise ConfigError(f"group must be z2, p4 or p4m, got {config.group!r}")
-    _require_int(config.input_size, "input_size (square inputs only)", 1)
-    if not config.layers:
+    _require_int(net.input_size, "input_size (square inputs only)", 1)
+    if not net.layers:
         raise ConfigError("architecture needs at least one layer")
-    for idx, layer in enumerate(config.layers):
+    for idx, layer in enumerate(net.layers):
         where = f"layer {idx}"
         if layer.kind in SPATIAL_KINDS:
             _require_int(layer.k, f"{where}: k", 1)
             _require_int(layer.s, f"{where}: s", 1)
             _require_int(layer.p, f"{where}: p", 0)
+        else:
+            for field, unset in (("k", None), ("s", 1), ("p", 0)):
+                if getattr(layer, field) != unset:
+                    raise ConfigError(f"{where}: {layer.kind.value} takes no {field!r}")
         if layer.kind is LayerKind.MAXPOOL and layer.p != 0:
             raise ConfigError(f"{where}: maxpool takes no padding")
         if layer.kind in WEIGHTED_KINDS:
             _require_int(layer.out_channels, f"{where}: out_channels", 1)
+        elif layer.out_channels is not None:
+            raise ConfigError(f"{where}: {layer.kind.value} takes no 'out_channels'")
     # the group-axis chain, checked past any layer that truncates at this size
     try:
-        for _ in walk_shapes(GroupKind.from_label(config.group), config.layers, config.input_size):
+        for _ in walk_shapes(net.kind, net.layers, net.input_size, net.in_channels):
             pass
     except LayerError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def to_dict(config: ArchitectureConfig) -> dict:
+def to_dict(net: Network) -> dict:
     layers = []
-    for layer in config.layers:
+    for layer in net.layers:
         entry: dict = {"kind": layer.kind.value}
         if layer.k is not None:
             entry["k"] = layer.k
@@ -82,14 +78,14 @@ def to_dict(config: ArchitectureConfig) -> dict:
         layers.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
-        "name": config.name,
-        "group": config.group,
-        "input_size": config.input_size,
+        "name": net.name,
+        "group": net.kind.value,
+        "input_size": net.input_size,
         "layers": layers,
     }
 
 
-def from_dict(data: dict) -> ArchitectureConfig:
+def from_dict(data: dict) -> Network:
     if not isinstance(data, dict):
         raise ConfigError(f"config must be an object, got {type(data).__name__}")
     version = data.get("schema_version", SCHEMA_VERSION)
@@ -117,40 +113,44 @@ def from_dict(data: dict) -> ArchitectureConfig:
                 out_channels=entry.get("out_channels"),
             )
         )
-    config = ArchitectureConfig(
-        name=str(data["name"]),
-        group=data["group"],
-        input_size=data["input_size"],
-        layers=tuple(layers),
-    )
-    validate(config)
-    return config
-
-
-def to_json(config: ArchitectureConfig) -> str:
-    return json.dumps(to_dict(config), indent=2)
-
-
-def from_json(text: str) -> ArchitectureConfig:
     try:
-        data = json.loads(text)
+        kind = GroupKind.from_label(data["group"])
+    except GroupKindError:
+        raise ConfigError(f"group must be z2, p4 or p4m, got {data['group']!r}") from None
+    net = Network(
+        kind=kind,
+        layers=tuple(layers),
+        input_size=data["input_size"],
+        name=str(data["name"]),
+    )
+    validate(net)
+    return net
+
+
+def to_json(net: Network) -> str:
+    return json.dumps(to_dict(net), indent=2)
+
+
+def from_json(text: str) -> Network:
+    try:
+        return from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    return from_dict(data)
+    except RecursionError:
+        # parsing, or the repr of a nested value in a message
+        raise ConfigError("config nests deeper than the parser's recursion limit") from None
 
 
-def load(path) -> ArchitectureConfig:
+def load(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8: {exc}") from exc
+    return from_json(text)
 
 
-def build_network(config: ArchitectureConfig, input_size: int | None = None) -> Network:
-    """Weightless network skeleton for a validated config; ``input_size``
-    overrides the declared side."""
-    validate(config)
-    return Network(
-        kind=GroupKind.from_label(config.group),
-        layers=config.layers,
-        input_size=config.input_size if input_size is None else input_size,
-        name=config.name,
-    )
+def build_network(net: Network, input_size: int | None = None) -> Network:
+    """``net`` once validated, resized to ``input_size`` if one is given."""
+    validate(net)
+    return net if input_size is None else replace(net, input_size=input_size)

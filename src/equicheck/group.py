@@ -20,9 +20,10 @@ bad entry in row-major order.
 
 The action on arrays is written once too, in ``act_values``: it moves the
 entries of any array whose last three axes are (group, row, col), so the
-feature-map actions ``act_spatial``/``act_full`` and the filter-bank
-transform of a group convolution (``layers.transform_filters``) are the
-same code on different leading axes.
+feature-map actions ``act_spatial``/``act_full`` and the moves inside a
+group convolution, of the bank it stacks (``layers._stacked``) and of the
+input and output slots of its base-coordinate sum
+(``layers._base_correlate``), are the same code on different leading axes.
 
 A group element is stored in the normal form "mirror first, then
 ``rotations`` quarter turns".  The clockwise quarter turn is simply the

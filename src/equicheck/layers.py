@@ -105,7 +105,8 @@ class Layer:
 
 @dataclass(frozen=True)
 class Network:
-    """Sequential architecture evaluated on square single-image inputs.
+    """Sequential architecture evaluated on square single-image inputs: a
+    built-in, or a config as ``config.load`` parses it.
 
     ``weights`` is empty until :func:`seed_network` fills it with one entry
     per layer: a FilterBank for convs, a 2-d matrix for dense layers and

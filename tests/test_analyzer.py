@@ -16,27 +16,25 @@ from equicheck.analyzer import (
     suggest_input_sizes,
 )
 from equicheck.builtins import BUILTINS, P4CNN
-from equicheck.config import ArchitectureConfig
 from equicheck.errors import ShapeError
 from equicheck.group import GroupKind
-from equicheck.layers import Layer, LayerKind, walk_shapes
+from equicheck.layers import Layer, LayerKind, Network, walk_shapes
 from equicheck.metrics import rotation_commutation
 
-MAXPOOL_ONLY = ArchitectureConfig("maxpool", "z2", 5, (Layer(LayerKind.MAXPOOL, k=2, s=2),))
+MAXPOOL_ONLY = Network(GroupKind.Z2, (Layer(LayerKind.MAXPOOL, k=2, s=2),), 5, name="maxpool")
 
-STRIDE1_STACK = ArchitectureConfig("stride1", "p4", 9, (
+STRIDE1_STACK = Network(GroupKind.P4, (
     Layer(LayerKind.GCONV_LIFT, k=3, s=1, p=0, out_channels=1),
     Layer(LayerKind.RELU),
     Layer(LayerKind.GCONV, k=3, s=1, p=1, out_channels=1),
-))
+), 9, name="stride1")
 
 
-def per_size_reference(config, lo, hi):
+def per_size_reference(net, lo, hi):
     """Exact sizes in [lo, hi] found by walking every size: the search the
     lattice replaced, kept as its reference."""
-    group = GroupKind.from_label(config.group)
     return [i for i in range(lo, hi + 1)
-            if all(step.condition_ok for step in walk_shapes(group, config.layers, i))]
+            if all(step.condition_ok for step in walk_shapes(net.kind, net.layers, i))]
 
 
 def lattice_sizes(config, lo, hi):
@@ -61,7 +59,7 @@ def headed_stacks(draw):
             layers.append(Layer(kind, out_channels=1))
         else:
             layers.append(Layer(kind))
-    return ArchitectureConfig("headed", "z2", 1, tuple(layers))
+    return Network(GroupKind.Z2, tuple(layers), 1, name="headed")
 
 
 class TestOutputSize:
@@ -189,7 +187,7 @@ class TestExactSizeLattice:
 
     def test_stride_after_global_pool_leaves_no_size(self):
         # the pool sees side 1 at every input size, and (1 - 2) mod 2 = 1
-        cfg = ArchitectureConfig("none", "z2", 8, (
+        cfg = Network(GroupKind.Z2, input_size=8, layers=(
             Layer(LayerKind.CONV2D, k=3, s=2, p=1, out_channels=1),
             Layer(LayerKind.GLOBAL_AVG_POOL),
             Layer(LayerKind.MAXPOOL, k=2, s=2),
@@ -201,7 +199,7 @@ class TestExactSizeLattice:
 
     def test_kernel_wider_than_a_head_leaves_no_size(self):
         # (1 + 2 - 3) mod 2 = 0 holds, but the 5x5 conv needs a side of 5
-        cfg = ArchitectureConfig("none", "z2", 8, (
+        cfg = Network(GroupKind.Z2, input_size=8, layers=(
             Layer(LayerKind.DENSE, out_channels=1),
             Layer(LayerKind.CONV2D, k=3, s=2, p=1, out_channels=1),
             Layer(LayerKind.CONV2D, k=5, s=1, out_channels=1),
@@ -211,7 +209,7 @@ class TestExactSizeLattice:
 
     def test_strides_after_a_head_can_hold(self):
         # the lattice comes from the layers before the pool alone
-        cfg = ArchitectureConfig("tail", "z2", 8, (
+        cfg = Network(GroupKind.Z2, input_size=8, layers=(
             Layer(LayerKind.MAXPOOL, k=3, s=3),
             Layer(LayerKind.GLOBAL_AVG_POOL),
             Layer(LayerKind.CONV2D, k=3, s=2, p=1, out_channels=1),
@@ -221,14 +219,14 @@ class TestExactSizeLattice:
         assert lattice_sizes(cfg, 1, 300) == per_size_reference(cfg, 1, 300)
 
     def test_no_spatial_layer_admits_every_size(self):
-        cfg = ArchitectureConfig("flat", "z2", 4, (Layer(LayerKind.RELU),
-                                                    Layer(LayerKind.DENSE, out_channels=2)))
+        cfg = Network(GroupKind.Z2, (Layer(LayerKind.RELU),
+                                     Layer(LayerKind.DENSE, out_channels=2)), 4)
         assert exact_size_lattice(cfg) == SizeLattice(0, 1, 1)
         assert suggest_input_sizes(cfg, 1, 9) == list(range(1, 10))
 
     def test_minimum_is_where_kernels_fit(self):
         # size 1 satisfies (1 - 3) mod 2 = 0, but the 3x3 pool outruns it
-        cfg = ArchitectureConfig("pool3", "z2", 5, (Layer(LayerKind.MAXPOOL, k=3, s=2),))
+        cfg = Network(GroupKind.Z2, (Layer(LayerKind.MAXPOOL, k=3, s=2),), 5)
         assert exact_size_lattice(cfg) == SizeLattice(1, 2, 3)
         assert suggest_input_sizes(cfg, 1, 8) == [3, 5, 7]
         assert exact_size_lattice(STRIDE1_STACK) == SizeLattice(0, 1, 3)

@@ -14,9 +14,12 @@ import equicheck
 from equicheck import cli
 from equicheck.builtins import BUILTINS
 from equicheck.cli import run
-from equicheck.config import ArchitectureConfig, build_network, from_json, to_json
+from equicheck.config import build_network, from_json, load, to_json
 from equicheck.errors import ConfigError
-from equicheck.layers import Layer, LayerKind, check_layer, forward, seed_network, walk_shapes
+from equicheck.group import GroupKind
+from equicheck.layers import (
+    Layer, LayerKind, Network, check_layer, forward, seed_network, walk_shapes,
+)
 from equicheck.metrics import mirror_commutation, rotation_commutation
 from equicheck.tensor import random_feature_map
 
@@ -24,7 +27,7 @@ from equicheck.tensor import random_feature_map
 @st.composite
 def valid_configs(draw):
     """Small configs whose group-axis chain is valid by construction."""
-    group = draw(st.sampled_from(["z2", "p4", "p4m"]))
+    group = draw(st.sampled_from(list(GroupKind)))
 
     def kernel_layer(kind):
         conv = kind is not LayerKind.MAXPOOL  # max pooling takes no padding or channels
@@ -36,21 +39,35 @@ def valid_configs(draw):
             out_channels=draw(st.integers(1, 2)) if conv else None,
         )
 
-    body = LayerKind.CONV2D if group == "z2" else LayerKind.GCONV
-    layers = [] if group == "z2" else [kernel_layer(LayerKind.GCONV_LIFT)]
+    body = LayerKind.CONV2D if group is GroupKind.Z2 else LayerKind.GCONV
+    layers = [] if group is GroupKind.Z2 else [kernel_layer(LayerKind.GCONV_LIFT)]
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from([body, LayerKind.MAXPOOL, LayerKind.RELU, LayerKind.CIRCLE_CROP]))
         if kind in (LayerKind.RELU, LayerKind.CIRCLE_CROP):
             layers.append(Layer(kind))
         else:
             layers.append(kernel_layer(kind))
-    if group != "z2" and draw(st.booleans()):
+    if group is not GroupKind.Z2 and draw(st.booleans()):
         layers.append(Layer(LayerKind.COSET_MAXPOOL))
     if draw(st.booleans()):
         layers.append(Layer(LayerKind.GLOBAL_AVG_POOL))
     if not layers or draw(st.booleans()):
         layers.append(Layer(LayerKind.DENSE, out_channels=draw(st.integers(1, 2))))
-    return ArchitectureConfig("generated", group, draw(st.integers(1, 16)), tuple(layers))
+    return Network(group, tuple(layers), draw(st.integers(1, 16)), name="generated")
+
+
+#: The benchmark's p4m variant of p4cnn, a config file rather than a built-in.
+P4MCNN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "p4mcnn.json")
+
+#: sha256 of the canonical config JSON, the ``config_digest`` of every report
+#: on these networks; a change to how an architecture is held must not move it.
+CONFIG_DIGESTS = {
+    "toy41": "ef770f7b8f588e57ed72ea501500d7b309698dcc9eb6595cd2be97593bbb73f4",
+    "p4cnn": "1fca93ef5925942d6daf636ea9d467b906334f00f625c921055af3cdf3092185",
+    "z2cnn": "b6e857739f40fe515e8592b7271f40ee3bffa231c5e8c64a3450e86b12016578",
+    "fig1-maxpool": "66acdaffa36a34d457617b5e9642fff2a6ca30fadd27e937c1adeb1e4a89525e",
+    "p4mcnn": "befd9a821c9210c947f40d0e8fc585d03c2d08d160a9412d3e03bdfba7e5e4b6",
+}
 
 
 class TestConfigRoundTrip:
@@ -58,6 +75,25 @@ class TestConfigRoundTrip:
     def test_builtin_round_trips(self, name):
         cfg = BUILTINS[name]
         assert from_json(to_json(cfg)) == cfg
+        assert cli._config_digest(cfg) == CONFIG_DIGESTS[name]
+
+    def test_p4mcnn_file_round_trips(self):
+        net = load(P4MCNN_PATH)
+        assert from_json(to_json(net)) == net
+        assert cli._config_digest(net) == CONFIG_DIGESTS["p4mcnn"]
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("relu", "k", [1]), ("relu", "s", "x"), ("relu", "p", 1),
+        ("relu", "out_channels", 2), ("maxpool", "out_channels", 2),
+    ])
+    def test_field_the_kind_does_not_take_rejected(self, kind, field, value):
+        layer = {"kind": kind, "k": 2, "s": 2} if kind == "maxpool" else {"kind": kind}
+        text = json.dumps({
+            "schema_version": 1, "name": "bad", "group": "z2", "input_size": 8,
+            "layers": [{"kind": "conv2d", "k": 1, "out_channels": 1}, {**layer, field: value}],
+        })
+        with pytest.raises(ConfigError, match=f"layer 1: {kind} takes no '{field}'"):
+            from_json(text)
 
     def test_unknown_kind_rejected(self):
         text = json.dumps(
@@ -495,20 +531,35 @@ class TestReportDocument:
         ["measure", "p4cnn", "--input-size", "0"],
         ["sweep", "p4cnn", "--input-size", "0"],
         ["sweep", "p4cnn", "--input-size", "-2"],
+        ["analyze", "NOT_UTF8"],
+        ["measure", "NOT_UTF8"],
+        ["analyze", "TOO_DEEP"],
+        ["measure", "TOO_DEEP"],
+        ["analyze", "RELU_K"],
     ],
 )
 def test_bad_input_exits_two_with_message(capsys, tmp_path, argv):
-    path = tmp_path / "huge_dense.json"
-    path.write_text(to_json(HUGE_DENSE))
-    assert run([str(path) if a == "HUGE_DENSE" else a for a in argv]) == 2
+    for name, content in BAD_FILES.items():
+        (tmp_path / name).write_bytes(content)
+    assert run([str(tmp_path / a) if a in BAD_FILES else a for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
 #: 2.07e7 activation elements, under the forward bound, but its dense layer
 #: would draw a 16777216 x 4000000 matrix.
-HUGE_DENSE = ArchitectureConfig("huge-dense", "z2", 2000, (
-    Layer(LayerKind.DENSE, out_channels=1 << 24),
-))
+HUGE_DENSE = Network(GroupKind.Z2, (Layer(LayerKind.DENSE, out_channels=1 << 24),), 2000,
+                     name="huge-dense")
+
+#: Config files the bad-input cases name by key: one too big to draw, one
+#: that is not UTF-8, one nested past the JSON parser's recursion limit, and
+#: a ReLU given a kernel size.
+BAD_FILES = {
+    "HUGE_DENSE": to_json(HUGE_DENSE).encode(),
+    "NOT_UTF8": b"\xff\xfe",
+    "TOO_DEEP": b"[" * 100_000,
+    "RELU_K": json.dumps({"name": "bad", "group": "z2", "input_size": 4,
+                          "layers": [{"kind": "relu", "k": [1], "s": "x"}]}).encode(),
+}
 
 
 @pytest.mark.parametrize("command", ["measure", "sweep"])
@@ -528,10 +579,10 @@ def test_forward_size_bound_is_inclusive(monkeypatch, capsys, command):
 def test_weight_bound_is_inclusive(monkeypatch, capsys, tmp_path, command):
     # an 8 x 1 x 1 x 2 x 2 lift and a 3 x 8 dense matrix draw 56 weights; the
     # forward holds 4 + 32 + 8 + 8 + 3 = 55 activation elements, under both bounds
-    cfg = ArchitectureConfig("wide", "p4", 2, (
+    cfg = Network(GroupKind.P4, (
         Layer(LayerKind.GCONV_LIFT, k=2, out_channels=8), Layer(LayerKind.COSET_MAXPOOL),
         Layer(LayerKind.GLOBAL_AVG_POOL), Layer(LayerKind.DENSE, out_channels=3),
-    ))
+    ), 2, name="wide")
     path = tmp_path / "wide.json"
     path.write_text(to_json(cfg))
     drawn = 8 * 1 * 1 * 2 * 2 + 3 * 8
@@ -546,14 +597,14 @@ def test_weight_bound_is_inclusive(monkeypatch, capsys, tmp_path, command):
 
 #: A p4 lift and eleven 3x3 gconvs of 10 channels, then the invariant head:
 #: exact from 25 on.  Its float reports once failed at every seed.
-DEEP12 = ArchitectureConfig("deep12", "p4", 32, (
+DEEP12 = Network(GroupKind.P4, (
     Layer(LayerKind.GCONV_LIFT, k=3, out_channels=10), Layer(LayerKind.RELU),
     *(Layer(LayerKind.GCONV, k=3, out_channels=10) for _ in range(11)),
     Layer(LayerKind.COSET_MAXPOOL), Layer(LayerKind.GLOBAL_AVG_POOL),
     Layer(LayerKind.DENSE, out_channels=10),
-))
+), 32, name="deep12")
 
-P4MCNN = ArchitectureConfig("p4mcnn", "p4m", 28, BUILTINS["p4cnn"].layers)
+P4MCNN = Network(GroupKind.P4M, BUILTINS["p4cnn"].layers, 28, name="p4mcnn")
 
 
 class TestFloatVerdictsOfExactNetworks:

@@ -841,7 +841,7 @@ def scaled(net, factor):
 def exact_group_networks(draw):
     """A generated p4 or p4m network at an input side from its lattice of
     exact sizes (at most 40), and a seed."""
-    cfg = draw(valid_configs().filter(lambda c: c.group != "z2"))
+    cfg = draw(valid_configs().filter(lambda c: c.kind is not GroupKind.Z2))
     lattice = exact_size_lattice(cfg)
     sizes = lattice.sizes(1, 40) if lattice else range(0)
     assume(len(sizes) > 0)
