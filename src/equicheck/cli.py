@@ -6,6 +6,15 @@ approximate/inexact finding, 2 for usage or validation errors.  Reports are
 rendered as text tables or as a versioned JSON document (--format
 structured); --out always writes the JSON document to a file.  Set NO_COLOR
 to disable color in text output.
+
+A structured document is exactly ``json.dumps(doc, indent=2)`` and a
+newline, written in one call.  The stdlib encodes an indented document in
+pure Python, one generator token at a time, which made emission a large
+share of an ``oracle`` command; ``_indent2`` builds the same text with
+``str.join``.  ``json.dump`` stays the call that writes a document (it is
+handed an encoder class that returns the text as one chunk), so anything
+that wraps ``cli.json`` to time emission, as perfbench/tracing.py does,
+still sees every document written.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -109,14 +119,119 @@ def _document(command: str, result: dict, net: Network | None = None,
     }
 
 
+def _float_text(f: float) -> str:
+    """A float as json spells it: NaN and the infinities by name, else repr."""
+    if f != f:
+        return "NaN"
+    if f == math.inf:
+        return "Infinity"
+    if f == -math.inf:
+        return "-Infinity"
+    return float.__repr__(f)
+
+
+#: The text of each JSON scalar, looked up by exact type; subclasses (such as
+#: np.float64) take the isinstance path of _indent2.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key) -> str:
+    """A dict key as json encodes it, tested in json's order."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _float_text(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _indent2(o, pad: str = "\n") -> str:
+    """The text of ``json.dumps(o, indent=2)``, each container built with one
+    ``str.join``; ``pad`` is a newline and the indent of ``o``'s own level.
+
+    Exact scalar types are looked up in _SCALAR_TEXT.  Anything else is
+    tested with isinstance in the order json tests it, so subclasses encode
+    as json encodes them and an unserializable value raises json's TypeError.
+    """
+    cls = type(o)
+    text = _SCALAR_TEXT.get(cls)
+    if text is not None:
+        return text(o)
+    if cls is not dict and cls is not list and cls is not tuple:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        parts = [_indent2(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if not o:
+        return "{}"
+    parts = [(encode_basestring_ascii(k) if type(k) is str else _key_text(k))
+             + ": " + _indent2(v, inner) for k, v in o.items()]
+    return "{" + inner + ("," + inner).join(parts) + pad + "}"
+
+
+def _dumps_indent2(o) -> str:
+    """``json.dumps(o, indent=2)``, by _indent2 where its recursion reaches."""
+    try:
+        return _indent2(o)
+    except RecursionError:
+        # a cycle, or nesting too deep for _indent2, which takes two frames
+        # a level to json's one: the stdlib encoder gives its text or its error
+        return json.dumps(o, indent=2)
+
+
+class _DocumentEncoder(json.JSONEncoder):
+    """Hands ``json.dump`` a whole document and its newline as one chunk, so
+    ``json.dump`` stays the one call that writes a document and a wrapper on
+    ``cli.json.dump`` times each emission, encoding included.
+
+    ``memo`` is a list shared by the dumps of one document: the first dump
+    encodes it there, and a second (``--out`` and ``--format structured``
+    together) writes the same text again.
+    """
+
+    def __init__(self, *, memo: list, **kwargs):
+        super().__init__(**kwargs)
+        self.memo = memo
+
+    def iterencode(self, o, _one_shot=False):
+        if not self.memo:
+            self.memo.append(_dumps_indent2(o) + "\n")
+        return self.memo
+
+
 def _emit(doc: dict, text: str, args) -> None:
+    memo: list = []
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            json.dump(doc, fh, cls=_DocumentEncoder, memo=memo)
     if args.format == "structured":
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        json.dump(doc, sys.stdout, cls=_DocumentEncoder, memo=memo)
     else:
         print(text)
 

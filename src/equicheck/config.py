@@ -1,9 +1,10 @@
 """Architecture configs: the JSON form of a ``layers.Network``.
 
-A config holds a network's name, group label, input side and ordered
-``layers.Layer`` specs.  Loading one parses the label into a ``GroupKind``
-and validates field types, the fields each layer kind takes and the
-group-axis chain, so it always gives a runnable, weightless ``Network``.
+A config holds a network's name, group label, input side, input channels
+(optional, 1 if absent) and ordered ``layers.Layer`` specs.  Loading one
+parses the label into a ``GroupKind`` and validates field types, the fields
+each layer kind takes and the group-axis chain, so it always gives a
+runnable, weightless ``Network``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ def _layer_kind(raw: str, where: str) -> LayerKind:
 def validate(net: Network) -> None:
     """Field-level and chain-level validation; raises ConfigError."""
     _require_int(net.input_size, "input_size (square inputs only)", 1)
+    _require_int(net.in_channels, "in_channels", 1)
     if not net.layers:
         raise ConfigError("architecture needs at least one layer")
     for idx, layer in enumerate(net.layers):
@@ -76,13 +78,17 @@ def to_dict(net: Network) -> dict:
         if layer.out_channels is not None:
             entry["out_channels"] = layer.out_channels
         layers.append(entry)
-    return {
+    data = {
         "schema_version": SCHEMA_VERSION,
         "name": net.name,
         "group": net.kind.value,
         "input_size": net.input_size,
-        "layers": layers,
     }
+    # written only when not planar, so every planar config and digest stays as it was
+    if net.in_channels != 1:
+        data["in_channels"] = net.in_channels
+    data["layers"] = layers
+    return data
 
 
 def from_dict(data: dict) -> Network:
@@ -94,6 +100,8 @@ def from_dict(data: dict) -> Network:
     for field in ("name", "group", "input_size", "layers"):
         if field not in data:
             raise ConfigError(f"missing field {field!r}")
+    if not isinstance(data["name"], str):
+        raise ConfigError(f"name must be a string, got {data['name']!r}")
     raw_layers = data["layers"]
     if not isinstance(raw_layers, list):
         raise ConfigError("layers must be a list")
@@ -121,7 +129,8 @@ def from_dict(data: dict) -> Network:
         kind=kind,
         layers=tuple(layers),
         input_size=data["input_size"],
-        name=str(data["name"]),
+        in_channels=data.get("in_channels", 1),
+        name=data["name"],
     )
     validate(net)
     return net

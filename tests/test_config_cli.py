@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ import equicheck
 from equicheck import cli
 from equicheck.builtins import BUILTINS
 from equicheck.cli import run
-from equicheck.config import build_network, from_json, load, to_json
+from equicheck.config import build_network, from_json, load, to_dict, to_json, validate
 from equicheck.errors import ConfigError
 from equicheck.group import GroupKind
 from equicheck.layers import (
@@ -81,6 +82,27 @@ class TestConfigRoundTrip:
         net = load(P4MCNN_PATH)
         assert from_json(to_json(net)) == net
         assert cli._config_digest(net) == CONFIG_DIGESTS["p4mcnn"]
+
+    def test_in_channels_round_trips_with_its_own_digest(self):
+        planar = BUILTINS["p4cnn"]
+        rgb = replace(planar, in_channels=3)
+        assert from_json(to_json(rgb)) == rgb
+        assert cli._config_digest(rgb) != cli._config_digest(planar)
+        assert "in_channels" not in to_dict(planar) and to_dict(rgb)["in_channels"] == 3
+
+    @pytest.mark.parametrize("value", [0, "3", True])
+    def test_bad_in_channels_rejected(self, value):
+        data = {**to_dict(BUILTINS["toy41"]), "in_channels": value}
+        with pytest.raises(ConfigError, match="in_channels"):
+            from_json(json.dumps(data))
+        with pytest.raises(ConfigError, match="in_channels"):
+            validate(replace(BUILTINS["toy41"], in_channels=value))
+
+    @pytest.mark.parametrize("name", [None, 7, ["p4cnn"]])
+    def test_non_string_name_rejected(self, name):
+        data = {**to_dict(BUILTINS["toy41"]), "name": name}
+        with pytest.raises(ConfigError, match="name must be a string"):
+            from_json(json.dumps(data))
 
     @pytest.mark.parametrize("kind, field, value", [
         ("relu", "k", [1]), ("relu", "s", "x"), ("relu", "p", 1),
@@ -536,6 +558,7 @@ class TestReportDocument:
         ["analyze", "TOO_DEEP"],
         ["measure", "TOO_DEEP"],
         ["analyze", "RELU_K"],
+        ["analyze", "NULL_NAME"],
     ],
 )
 def test_bad_input_exits_two_with_message(capsys, tmp_path, argv):
@@ -551,14 +574,16 @@ HUGE_DENSE = Network(GroupKind.Z2, (Layer(LayerKind.DENSE, out_channels=1 << 24)
                      name="huge-dense")
 
 #: Config files the bad-input cases name by key: one too big to draw, one
-#: that is not UTF-8, one nested past the JSON parser's recursion limit, and
-#: a ReLU given a kernel size.
+#: that is not UTF-8, one nested past the JSON parser's recursion limit, a
+#: ReLU given a kernel size, and a network whose name is null.
 BAD_FILES = {
     "HUGE_DENSE": to_json(HUGE_DENSE).encode(),
     "NOT_UTF8": b"\xff\xfe",
     "TOO_DEEP": b"[" * 100_000,
     "RELU_K": json.dumps({"name": "bad", "group": "z2", "input_size": 4,
                           "layers": [{"kind": "relu", "k": [1], "s": "x"}]}).encode(),
+    "NULL_NAME": json.dumps({"name": None, "group": "z2", "input_size": 4,
+                             "layers": [{"kind": "relu"}]}).encode(),
 }
 
 
