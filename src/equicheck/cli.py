@@ -11,10 +11,11 @@ A structured document is exactly ``json.dumps(doc, indent=2)`` and a
 newline, written in one call.  The stdlib encodes an indented document in
 pure Python, one generator token at a time, which made emission a large
 share of an ``oracle`` command; ``_indent2`` builds the same text with
-``str.join``.  ``json.dump`` stays the call that writes a document (it is
-handed an encoder class that returns the text as one chunk), so anything
-that wraps ``cli.json`` to time emission, as perfbench/tracing.py does,
-still sees every document written.
+``str.join`` for the exact JSON types a document holds and leaves any
+other value to the stdlib.  ``json.dump`` stays the call that writes a
+document (it is handed an encoder class that returns the text as one
+chunk), so anything that wraps ``cli.json`` to time emission, as
+perfbench/tracing.py does, still sees every document written.
 """
 
 from __future__ import annotations
@@ -130,8 +131,7 @@ def _float_text(f: float) -> str:
     return float.__repr__(f)
 
 
-#: The text of each JSON scalar, looked up by exact type; subclasses (such as
-#: np.float64) take the isinstance path of _indent2.
+#: The text of each JSON scalar, looked up by exact type.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -141,97 +141,65 @@ _SCALAR_TEXT = {
 }
 
 
-def _key_text(key) -> str:
-    """A dict key as json encodes it, tested in json's order."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _float_text(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return encode_basestring_ascii(key)
+class _OffTable(Exception):
+    """A value _indent2 leaves to the stdlib: a type outside _SCALAR_TEXT and
+    the three containers (such as np.float64), or a dict key that is not a str."""
 
 
 def _indent2(o, pad: str = "\n") -> str:
     """The text of ``json.dumps(o, indent=2)``, each container built with one
     ``str.join``; ``pad`` is a newline and the indent of ``o``'s own level.
 
-    Exact scalar types are looked up in _SCALAR_TEXT.  Anything else is
-    tested with isinstance in the order json tests it, so subclasses encode
-    as json encodes them and an unserializable value raises json's TypeError.
+    Only exact types are encoded here: the scalars of _SCALAR_TEXT, lists,
+    tuples and str-keyed dicts.  Anything else raises _OffTable.
     """
     cls = type(o)
     text = _SCALAR_TEXT.get(cls)
     if text is not None:
         return text(o)
-    if cls is not dict and cls is not list and cls is not tuple:
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        if not isinstance(o, (list, tuple, dict)):
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
     inner = pad + "  "
-    if isinstance(o, (list, tuple)):
+    if cls is list or cls is tuple:
         if not o:
             return "[]"
         parts = [_indent2(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if cls is not dict:
+        raise _OffTable
     if not o:
         return "{}"
-    parts = [(encode_basestring_ascii(k) if type(k) is str else _key_text(k))
-             + ": " + _indent2(v, inner) for k, v in o.items()]
+    parts = []
+    for k, v in o.items():
+        if type(k) is not str:
+            raise _OffTable
+        parts.append(encode_basestring_ascii(k) + ": " + _indent2(v, inner))
     return "{" + inner + ("," + inner).join(parts) + pad + "}"
 
 
 def _dumps_indent2(o) -> str:
-    """``json.dumps(o, indent=2)``, by _indent2 where its recursion reaches."""
+    """``json.dumps(o, indent=2)``: by _indent2, or by the stdlib for a value
+    _indent2 leaves to it, a cycle or nesting past the recursion limit, so
+    the text and any error are the stdlib's own."""
     try:
         return _indent2(o)
-    except RecursionError:
-        # a cycle, or nesting too deep for _indent2, which takes two frames
-        # a level to json's one: the stdlib encoder gives its text or its error
+    except (_OffTable, RecursionError):
         return json.dumps(o, indent=2)
 
 
 class _DocumentEncoder(json.JSONEncoder):
     """Hands ``json.dump`` a whole document and its newline as one chunk, so
     ``json.dump`` stays the one call that writes a document and a wrapper on
-    ``cli.json.dump`` times each emission, encoding included.
-
-    ``memo`` is a list shared by the dumps of one document: the first dump
-    encodes it there, and a second (``--out`` and ``--format structured``
-    together) writes the same text again.
-    """
-
-    def __init__(self, *, memo: list, **kwargs):
-        super().__init__(**kwargs)
-        self.memo = memo
+    ``cli.json.dump`` times each emission, encoding included."""
 
     def iterencode(self, o, _one_shot=False):
-        if not self.memo:
-            self.memo.append(_dumps_indent2(o) + "\n")
-        return self.memo
+        return [_dumps_indent2(o) + "\n"]
 
 
 def _emit(doc: dict, text: str, args) -> None:
-    memo: list = []
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, cls=_DocumentEncoder, memo=memo)
+            json.dump(doc, fh, cls=_DocumentEncoder)
     if args.format == "structured":
-        json.dump(doc, sys.stdout, cls=_DocumentEncoder, memo=memo)
+        json.dump(doc, sys.stdout, cls=_DocumentEncoder)
     else:
         print(text)
 
@@ -512,7 +480,7 @@ def cmd_sweep(args) -> int:
         "input_size": net.input_size,
         "seed": args.seed,
         "integer_weights": args.integer_weights,
-        "rows": [{"angle": p.angle, "discrepancy": p.discrepancy} for p in points],
+        "rows": [{"angle": float(p.angle), "discrepancy": p.discrepancy} for p in points],
         "max_discrepancy_90s": None if truncated_at is not None else worst_aligned,
     }
     lines = [
