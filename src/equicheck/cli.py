@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import hashlib
 import json
 import math
@@ -515,7 +516,10 @@ def cmd_list_builtins(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and
+    leaves it as it was, so every ``run`` shares it."""
     parser = argparse.ArgumentParser(
         prog="equicheck",
         description="Check whether subsampling layers keep a network exactly "

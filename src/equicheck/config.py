@@ -18,6 +18,9 @@ from .layers import SPATIAL_KINDS, WEIGHTED_KINDS, Layer, LayerKind, Network, wa
 
 SCHEMA_VERSION = 1
 
+#: The top-level fields of a config: the ones ``to_dict`` writes.
+FIELDS = frozenset({"schema_version", "name", "group", "input_size", "in_channels", "layers"})
+
 
 def _require_int(value, field: str, minimum: int):
     if isinstance(value, bool) or not isinstance(value, int):
@@ -97,6 +100,9 @@ def from_dict(data: dict) -> Network:
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}")
+    unknown = set(data) - FIELDS
+    if unknown:
+        raise ConfigError(f"unknown fields {sorted(unknown, key=str)}")
     for field in ("name", "group", "input_size", "layers"):
         if field not in data:
             raise ConfigError(f"missing field {field!r}")

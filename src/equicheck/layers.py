@@ -18,7 +18,8 @@ Exactness: when both operands are integer-valued and the Hoelder bound
 max|x| * max_o ||w_o||_1 stays below 2**53, every partial sum of every
 output cell is an exact integer whatever the summation order, so the conv
 contracts the bank transformed by every element, stacked, in one BLAS
-tensordot, bit-identical to any other order.  The group action leaves the
+matrix product against a strided window matrix of the input,
+bit-identical to any other order.  The group action leaves the
 bound unchanged, so x and g * x take the same route.  The stacked bank
 does not depend on the input, so it is built once per bank and group kind,
 on first use, and held read-only on the FilterBank, freed with it.
@@ -34,8 +35,8 @@ a network exact at every layer gives equivariance errors of exactly 0.0,
 at any depth, width or weight scale, in float and integer mode alike.
 Global average pooling sums sorted values, so it keeps that property.  A
 forward whose floats no verdict reads, such as an off-grid angle of the
-invariance sweep, passes ``fixed_order=False`` and takes the BLAS
-tensordot whatever its operands; its floats may differ in the last bits.
+invariance sweep, passes ``fixed_order=False`` and takes that one BLAS
+product whatever its operands; its floats may differ in the last bits.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -51,7 +52,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LayerError, ShapeError
 from .group import (
@@ -259,13 +259,26 @@ def _base_correlate(vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int) ->
 
 def _contract(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
     """Strided cross-correlation of a padded (C, G, h, w) array with a
-    stacked (|G|, O, C, G, kh, kw) bank as one BLAS tensordot over strided
-    windows; returns (|G|, O, oh, ow).  The summation order is BLAS's own,
-    so it serves integer operands within the Hoelder bound, whose sums are
-    exact in any order, and float operands whose last bits no verdict
-    reads."""
-    windows = sliding_window_view(vals, bank.shape[-2:], axis=(2, 3))[:, :, ::s, ::s]
-    return np.tensordot(bank, windows, axes=([2, 3, 4, 5], [0, 1, 4, 5]))
+    stacked (|G|, O, C, G, kh, kw) bank as one BLAS matrix product; returns
+    (|G|, O, oh, ow).
+
+    The windows are one strided view of ``vals``, axes (C, G, kh, kw, oh,
+    ow), copied once into the (C*G*kh*kw, oh*ow) matrix; the bank is the
+    left operand, viewed as (|G|*O, C*G*kh*kw).  The summation order is
+    BLAS's own, so it serves integer operands within the Hoelder bound,
+    whose sums are exact in any order, and float operands whose last bits
+    no verdict reads."""
+    slots, o_ch, c, g, kh, kw = bank.shape
+    h, w = vals.shape[-2:]
+    oh, ow = (h - kh) // s + 1, (w - kw) // s + 1
+    sc, sg, sy, sx = vals.strides
+    # a view on the buffer of the C-contiguous vals, which numpy bounds-checks
+    windows = np.ndarray(
+        (c, g, kh, kw, oh, ow), vals.dtype, vals, 0, (sc, sg, sy, sx, s * sy, s * sx)
+    )
+    taps = c * g * kh * kw
+    out = np.dot(bank.reshape(slots * o_ch, taps), windows.reshape(taps, oh * ow))
+    return out.reshape(slots, o_ch, oh, ow)
 
 
 def _pad(vals: np.ndarray, p: int) -> np.ndarray:
@@ -431,10 +444,13 @@ def circle_crop(fm: FeatureMap) -> FeatureMap:
     """
     if not fm.is_square:
         raise ShapeError(f"circle crop needs a square map, got {fm.height}x{fm.width}")
-    n = fm.height
+    return FeatureMap._from_layer(np.where(disk_mask(fm.height), fm.values, 0.0))
+
+
+def disk_mask(n: int) -> np.ndarray:
+    """The (n, n) mask of the pixels ``circle_crop`` keeps."""
     d = 2 * np.arange(n) - (n - 1)
-    inside = (d[:, np.newaxis] ** 2 + d[np.newaxis, :] ** 2) <= n * n
-    return FeatureMap._from_layer(np.where(inside, fm.values, 0.0))
+    return (d[:, np.newaxis] ** 2 + d[np.newaxis, :] ** 2) <= n * n
 
 
 def dense(fm: FeatureMap, weights: np.ndarray) -> FeatureMap:

@@ -43,7 +43,7 @@ from .group import (
     rotate_index,
     rotate_patch,
 )
-from .layers import Network, circle_crop, forward, infer_shapes, seed_network
+from .layers import Network, circle_crop, disk_mask, forward, infer_shapes, seed_network
 from .tensor import FeatureMap, max_abs_diff, random_feature_map
 
 
@@ -234,20 +234,34 @@ def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
     Multiples of 90 degrees, 0 included, are the exact grid action: there
     cos and sin would leave ~1e-16 interpolation weights, which would blur
     the input by that much and give an exact network a nonzero right-angle
-    discrepancy.
+    discrepancy.  Any other angle is the one-angle case of
+    ``_rotate_values``.
     """
     if not fm.is_square:
         raise ShapeError(f"rotation needs a square map, got {fm.height}x{fm.width}")
     if angle_degrees % 90 == 0:
         return act_spatial(GroupElement(int(angle_degrees // 90) % 4), fm)
-    n = fm.height
-    theta = math.radians(angle_degrees)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    return FeatureMap._from_layer(_rotate_values(fm.values, [angle_degrees])[:, :, 0])
+
+
+def _rotate_values(vals: np.ndarray, angles) -> np.ndarray:
+    """Bilinear rotations of a square (C, G, n, n) array by every angle (in
+    degrees, counterclockwise), in one pass; returns (C, G, len(angles), n, n),
+    the angle axis third.
+
+    Each angle's cos and sin are Python scalars, and every element goes
+    through the same operations in the same order whatever the other
+    angles are, so a rotation's bits do not depend on the angles it is
+    computed with.  Grid angles get no special case here: they leave
+    ~1e-16 interpolation weights."""
+    n = vals.shape[-1]
+    trig = [(math.cos(t), math.sin(t)) for t in map(math.radians, angles)]
+    cos_t, sin_t = np.array(trig, dtype=np.float64).T.reshape(2, -1, 1, 1)
     c = (n - 1) / 2.0
     xs = np.arange(n, dtype=np.float64)
     u = xs[np.newaxis, :] - c  # target col offset
     v = xs[:, np.newaxis] - c  # target row offset
-    src_x = c + u * cos_t - v * sin_t
+    src_x = c + u * cos_t - v * sin_t  # (angles, n, n)
     src_y = c + u * sin_t + v * cos_t
 
     x0 = np.floor(src_x).astype(np.intp)
@@ -255,8 +269,7 @@ def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
     wx = src_x - x0
     wy = src_y - y0
 
-    vals = fm.values
-    out = np.zeros_like(vals)
+    out = np.zeros(vals.shape[:2] + src_x.shape)
     for dy, dx, w in (
         (0, 0, (1 - wx) * (1 - wy)),
         (0, 1, wx * (1 - wy)),
@@ -268,7 +281,27 @@ def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
         valid = (xi >= 0) & (xi < n) & (yi >= 0) & (yi < n)
         gathered = vals[:, :, yi.clip(0, n - 1), xi.clip(0, n - 1)]
         out += np.where(valid, w, 0.0) * np.where(valid, gathered, 0.0)
-    return FeatureMap(out)
+    return out
+
+
+#: Most elements, angles times map size, of one chunk of the sweep's
+#: rotation pass; each working array of the pass holds about this many.
+ROTATION_CHUNK_ELEMENTS = 1 << 13
+
+
+def _cropped_rotations(x: FeatureMap, angles):
+    """Yield ``circle_crop(rotate_bilinear(x, a))`` for every off-grid
+    angle a, in order, bit for bit: the angles are rotated and cropped in
+    chunks of at most ROTATION_CHUNK_ELEMENTS elements (one angle at least),
+    each one pass of ``_rotate_values``, and a chunk is computed only when
+    the maps before it have been taken."""
+    per_chunk = max(1, ROTATION_CHUNK_ELEMENTS // x.values.size)
+    inside = disk_mask(x.height)
+    for start in range(0, len(angles), per_chunk):
+        cropped = np.where(inside, _rotate_values(x.values, angles[start : start + per_chunk]), 0.0)
+        cropped.flags.writeable = False  # each map below is a view of it
+        for j in range(cropped.shape[2]):
+            yield FeatureMap._from_layer(cropped[:, :, j])
 
 
 @dataclass(frozen=True)
@@ -293,6 +326,12 @@ def invariance_sweep(
     exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
     verdict and run with ``fixed_order=False``; their floats may differ in
     the last bits.  A multiple of 360 degrees reuses the base forward.
+
+    The off-grid inputs are rotated and circle-cropped together, in chunks
+    of at most ROTATION_CHUNK_ELEMENTS elements, each one vectorised pass
+    of the body of ``rotate_bilinear``; every input is bit for bit the one
+    ``circle_crop(rotate_bilinear(x, angle))`` gives, and at most one chunk
+    of them is held at a time.
     """
     final_c, final_g, final_side = infer_shapes(net)[-1] if net.layers else (
         net.in_channels, 1, net.input_size
@@ -308,12 +347,15 @@ def invariance_sweep(
         [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued
     )
     base = forward(seeded, circle_crop(x))[-1]
+    angles = list(angles)
+    off_grid = _cropped_rotations(x, [a for a in angles if a % 90 != 0])
     points = []
     for angle in angles:
         if angle % 360 == 0:
             rotated = base
+        elif angle % 90 == 0:
+            rotated = forward(seeded, circle_crop(rotate_bilinear(x, angle)))[-1]
         else:
-            moved = circle_crop(rotate_bilinear(x, angle))
-            rotated = forward(seeded, moved, fixed_order=angle % 90 == 0)[-1]
+            rotated = forward(seeded, next(off_grid), fixed_order=False)[-1]
         points.append(SweepPoint(float(angle), max_abs_diff(base, rotated)))
     return points

@@ -3,6 +3,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +16,9 @@ import equicheck
 from equicheck import cli
 from equicheck.builtins import BUILTINS
 from equicheck.cli import run
-from equicheck.config import build_network, from_json, load, to_dict, to_json, validate
+from equicheck.config import (
+    FIELDS, build_network, from_dict, from_json, load, to_dict, to_json, validate,
+)
 from equicheck.errors import ConfigError
 from equicheck.group import GroupKind
 from equicheck.layers import (
@@ -103,6 +106,21 @@ class TestConfigRoundTrip:
         data = {**to_dict(BUILTINS["toy41"]), "name": name}
         with pytest.raises(ConfigError, match="name must be a string"):
             from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"in_chanels": 3}, "['in_chanels']"),
+        ({"layer": [], "Name": "x"}, "['Name', 'layer']"),
+        ({7: 1}, "[7]"),
+    ])
+    def test_unknown_top_level_field_rejected(self, extra, named):
+        data = {**to_dict(BUILTINS["toy41"]), **extra}
+        with pytest.raises(ConfigError, match=re.escape(f"unknown fields {named}")):
+            from_dict(data)
+
+    def test_every_field_to_dict_writes_is_known(self):
+        rgb = replace(BUILTINS["p4cnn"], in_channels=3)
+        assert set(to_dict(rgb)) == FIELDS
+        assert from_dict(to_dict(rgb)) == rgb
 
     @pytest.mark.parametrize("kind, field, value", [
         ("relu", "k", [1]), ("relu", "s", "x"), ("relu", "p", 1),
@@ -559,6 +577,8 @@ class TestReportDocument:
         ["measure", "TOO_DEEP"],
         ["analyze", "RELU_K"],
         ["analyze", "NULL_NAME"],
+        ["analyze", "MISSPELLED"],
+        ["measure", "MISSPELLED"],
     ],
 )
 def test_bad_input_exits_two_with_message(capsys, tmp_path, argv):
@@ -575,7 +595,8 @@ HUGE_DENSE = Network(GroupKind.Z2, (Layer(LayerKind.DENSE, out_channels=1 << 24)
 
 #: Config files the bad-input cases name by key: one too big to draw, one
 #: that is not UTF-8, one nested past the JSON parser's recursion limit, a
-#: ReLU given a kernel size, and a network whose name is null.
+#: ReLU given a kernel size, a network whose name is null, and one whose
+#: ``in_channels`` is misspelled.
 BAD_FILES = {
     "HUGE_DENSE": to_json(HUGE_DENSE).encode(),
     "NOT_UTF8": b"\xff\xfe",
@@ -584,6 +605,8 @@ BAD_FILES = {
                           "layers": [{"kind": "relu", "k": [1], "s": "x"}]}).encode(),
     "NULL_NAME": json.dumps({"name": None, "group": "z2", "input_size": 4,
                              "layers": [{"kind": "relu"}]}).encode(),
+    "MISSPELLED": json.dumps({"name": "rgb", "group": "z2", "input_size": 4, "in_chanels": 3,
+                              "layers": [{"kind": "conv2d", "k": 1, "out_channels": 1}]}).encode(),
 }
 
 
@@ -661,6 +684,44 @@ def test_oracle_range_past_int64_is_named(capsys):
     top = str(2**63 - 1)
     argv = ["oracle", "--i-range", f"{top}:{top}", "--k-range", "1:1", "--s-range", f"{top}:{top}"]
     assert run(argv) == 0
+
+
+#: One command of every subcommand, usage errors and --version among them.
+PARSER_ARGVS = [
+    ["analyze", "p4cnn"],
+    ["analyze", "p4cnn", "--input-size", "27", "--format", "structured"],
+    ["suggest", "toy41", "1", "40"],
+    ["oracle", "--i-range", "2:9", "--symmetry", "mirror", "--format", "structured"],
+    ["measure", "toy41", "--integer-weights", "--seed", "3"],
+    ["sweep", "toy41", "--angle-step", "45", "--format", "structured"],
+    ["list-builtins"],
+    ["measure", "p4cnn", "--seed", "x"],
+    ["sweep"],
+    ["oracle", "--symmetry", "flip"],
+    ["frobnicate"],
+    ["--version"],
+    [],
+]
+
+
+def test_shared_parser_answers_as_a_fresh_one(monkeypatch, capsys):
+    def answers():
+        out = []
+        for argv in PARSER_ARGVS:
+            code = run(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["measure", "p4cnn", "--input-size", "big"]) == 2  # an argparse error first
+    capsys.readouterr()
+    shared = answers()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    fresh = answers()
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 0, 0, 0, 2, 2, 2, 2, 0, 2]
+    assert shared == fresh
 
 
 #: Runs ``python -m equicheck`` on the package under test, installed or not.

@@ -295,7 +295,7 @@ BUILTIN_CONVS = [
 
 
 class TestContractionPaths:
-    """Integer operands take one tensordot and give exactly what the per-slot
+    """Integer operands take one BLAS product and give exactly what the per-slot
     composition gives.  Float operands are summed in the base bank's
     coordinates: the same function to rounding, and byte-exact equivariance
     wherever the layer keeps the rule."""
@@ -322,6 +322,50 @@ class TestContractionPaths:
         assert out.shape == ref.shape
         assert_close(out, ref)
         assert_equivariant_bytes(fn, kind, fm, w, s, p)
+
+
+def reference_contract(vals, bank, s):
+    """The BLAS contraction from before it built its window matrix itself,
+    kept verbatim: one tensordot over a strided sliding-window view."""
+    windows = sliding_window_view(vals, bank.shape[-2:], axis=(2, 3))[:, :, ::s, ::s]
+    return np.tensordot(bank, windows, axes=([2, 3, 4, 5], [0, 1, 4, 5]))
+
+
+@st.composite
+def contract_cases(draw):
+    """A padded (C, G, h, w) input and a stacked (|G|, O, C, G, k, k) bank,
+    float or integer-valued each, with h, w >= k."""
+    slots, g = draw(st.sampled_from([1, 4, 8])), draw(st.sampled_from([1, 4, 8]))
+    c, o, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    s, p = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    h, w = draw(st.integers(max(1, k - 2 * p), 12)), draw(st.integers(max(1, k - 2 * p), 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-4, 5, (c, g, h, w)) if draw(st.booleans()) else rng.uniform(-1, 1, (c, g, h, w))
+    bank = (rng.integers(-4, 5, (slots, o, c, g, k, k)) if draw(st.booleans())
+            else rng.uniform(-1, 1, (slots, o, c, g, k, k)))
+    return _pad(np.asarray(x, dtype=np.float64), p), np.asarray(bank, dtype=np.float64), s
+
+
+class TestContract:
+    """``_contract`` gives the operands to BLAS exactly as tensordot did, so
+    its results are the tensordot's, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(contract_cases())
+    def test_matches_tensordot_body(self, case):
+        vals, bank, s = case
+        want = reference_contract(vals, bank, s)
+        got = _contract(vals, bank, s)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_reads_read_only_maps_and_banks(self):
+        vals = random_feature_map(2, 3, 4, 11, 11).values
+        bank = random_filter_bank(3, 5, 3, 4, 3).values[np.newaxis]
+        assert not vals.flags.writeable and not bank.flags.writeable
+        for s in (1, 2, 3):
+            assert _contract(vals, bank, s).tobytes() == reference_contract(vals, bank, s).tobytes()
 
 
 def reversed_axes(g, n):
@@ -467,8 +511,8 @@ class TestExactnessGuard:
 
 def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True):
     """The conv body from before banks were stacked once: it stacks the
-    transformed bank on every call.  Integer operands take the tensordot as
-    then; floats take the per-slot, per-position einsum over the
+    transformed bank on every call.  Integer operands take the BLAS
+    contraction as then; floats take the per-slot, per-position einsum over the
     transformed banks, the order every float conv ran in before float convs
     summed in the base bank's coordinates."""
     assert fixed_order, "the reference has the fixed float order only"

@@ -422,26 +422,128 @@ class TestRotateBilinear:
             rotate_bilinear(random_feature_map(0, 1, 1, 2, 3), 10.0)
 
 
-def fixed_order_sweep(net, seed, angles, integer_valued):
-    """The sweep from before off-grid angles took the BLAS contraction, kept
-    as a reference: every angle, 0 included, runs its own fixed-order
-    forward."""
+def reference_rotate_bilinear(fm, angle_degrees):
+    """The rotation from before off-grid angles were rotated together, kept
+    verbatim: one angle per call."""
+    if not fm.is_square:
+        raise ShapeError(f"rotation needs a square map, got {fm.height}x{fm.width}")
+    if angle_degrees % 90 == 0:
+        return act_spatial(GroupElement(int(angle_degrees // 90) % 4), fm)
+    n = fm.height
+    theta = math.radians(angle_degrees)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    c = (n - 1) / 2.0
+    xs = np.arange(n, dtype=np.float64)
+    u = xs[np.newaxis, :] - c  # target col offset
+    v = xs[:, np.newaxis] - c  # target row offset
+    src_x = c + u * cos_t - v * sin_t
+    src_y = c + u * sin_t + v * cos_t
+
+    x0 = np.floor(src_x).astype(np.intp)
+    y0 = np.floor(src_y).astype(np.intp)
+    wx = src_x - x0
+    wy = src_y - y0
+
+    vals = fm.values
+    out = np.zeros_like(vals)
+    for dy, dx, w in (
+        (0, 0, (1 - wx) * (1 - wy)),
+        (0, 1, wx * (1 - wy)),
+        (1, 0, (1 - wx) * wy),
+        (1, 1, wx * wy),
+    ):
+        xi = x0 + dx
+        yi = y0 + dy
+        valid = (xi >= 0) & (xi < n) & (yi >= 0) & (yi < n)
+        gathered = vals[:, :, yi.clip(0, n - 1), xi.clip(0, n - 1)]
+        out += np.where(valid, w, 0.0) * np.where(valid, gathered, 0.0)
+    return FeatureMap(out)
+
+
+#: Off-grid angles: below 0, past 360, next to a right angle (the float
+#: below 90 that np.arange(0, 360, 90/39) lands on) and the sweep's own.
+OFF_GRID = [-725.5, -30.0, -0.001, 0.5, 5.0, 30.0, 45.0, 89.99999999999999, 90.00000000000001,
+            135.0, 200.0, 355.0, 359.9, 361.0, 725.0, 1e6 + 0.25]
+
+
+class TestRotationPass:
+    """The off-grid angles of a sweep are rotated and cropped together, in
+    chunks, by the one body ``rotate_bilinear`` runs on a single angle."""
+
+    @pytest.mark.parametrize("c, g, n", [(1, 1, 7), (1, 1, 8), (2, 4, 9), (3, 8, 6), (1, 1, 28)])
+    def test_one_pass_matches_per_angle_rotation(self, c, g, n):
+        fm = random_feature_map([c, g, n], c, g, n, n)
+        together = metrics._rotate_values(fm.values, OFF_GRID)
+        assert together.shape == (c, g, len(OFF_GRID), n, n)
+        for j, angle in enumerate(OFF_GRID):
+            want = reference_rotate_bilinear(fm, angle).values.tobytes()
+            assert together[:, :, j].tobytes() == want
+            assert rotate_bilinear(fm, angle).values.tobytes() == want
+
+    @pytest.mark.parametrize("budget", [1, 100, 3 * 49, metrics.ROTATION_CHUNK_ELEMENTS])
+    @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+    def test_chunks_match_per_angle_crops(self, monkeypatch, budget, integer):
+        monkeypatch.setattr(metrics, "ROTATION_CHUNK_ELEMENTS", budget)
+        fm = random_feature_map(4, 1, 1, 7, 7, integer)
+        got = list(metrics._cropped_rotations(fm, OFF_GRID))
+        assert len(got) == len(OFF_GRID)
+        for moved, angle in zip(got, OFF_GRID):
+            want = circle_crop(reference_rotate_bilinear(fm, angle))
+            assert moved.values.tobytes() == want.values.tobytes()
+            assert moved.values.flags.c_contiguous and not moved.values.flags.writeable
+
+    def test_no_angles_no_maps(self):
+        assert list(metrics._cropped_rotations(random_feature_map(0, 1, 1, 5, 5), [])) == []
+
+    def test_working_set_stays_bounded(self):
+        # 356 angles at 28x28: one pass over all of them peaks at about 36 MiB,
+        # chunks of twice the budget at 2.2 MiB, and chunks of 10 angles (the
+        # budget) at 1.1 MiB
+        fm = random_feature_map(1, 1, 1, 28, 28)
+        angles = [a for a in np.arange(0.0, 360.0, 1.0) if a % 90 != 0]
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in metrics._cropped_rotations(fm, angles))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 356
+        assert peak < 2 * 2**20
+
+
+def per_angle_sweep(net, seed, angles, integer_valued, off_grid_fixed_order):
+    """The sweep's rows as one loop over the angles, kept as a reference:
+    every angle, 0 included, is rotated by the per-angle reference rotation,
+    cropped and run through its own forward; off-grid forwards take
+    ``fixed_order=off_grid_fixed_order``, right angles the fixed order."""
     seeded = seed_network(net, seed, integer_valued)
     x = random_feature_map(
         [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued
     )
     base = forward(seeded, circle_crop(x))[-1]
-    return [max_abs_diff(base, forward(seeded, circle_crop(rotate_bilinear(x, a)))[-1])
+    return [max_abs_diff(base, forward(seeded, circle_crop(reference_rotate_bilinear(x, a)),
+                                       fixed_order=off_grid_fixed_order or a % 90 == 0)[-1])
             for a in angles]
 
 
 class TestInvarianceSweep:
+    @pytest.mark.parametrize("budget", [1, metrics.ROTATION_CHUNK_ELEMENTS])
+    @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+    @pytest.mark.parametrize("config", [P4CNN, TOY41], ids=["p4cnn", "toy41"])
+    def test_rows_match_per_angle_rotations(self, monkeypatch, config, integer, budget):
+        monkeypatch.setattr(metrics, "ROTATION_CHUNK_ELEMENTS", budget)
+        net, seed = build_network(config), 7
+        angles = sorted(set(np.arange(0.0, 360.0, 5.0).tolist() + OFF_GRID))
+        points = invariance_sweep(net, seed, angles, integer)
+        expected = per_angle_sweep(net, seed, angles, integer, False)
+        assert [p.discrepancy.hex() for p in points] == [want.hex() for want in expected]
+
     @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
     @pytest.mark.parametrize("config", [P4CNN, TOY41], ids=["p4cnn", "toy41"])
     def test_rows_match_fixed_order_forwards(self, config, integer):
         net, seed, angles = build_network(config), 5, [15.0 * i for i in range(24)]
         points = invariance_sweep(net, seed, angles, integer)
-        expected = fixed_order_sweep(net, seed, angles, integer)
+        expected = per_angle_sweep(net, seed, angles, integer, True)
         assert [p.angle for p in points] == angles
         for p, want in zip(points, expected):
             if p.angle % 90 == 0:  # the rows a verdict reads: bit for bit
