@@ -33,9 +33,7 @@ from .group import (
     elements,
     inverse,
     mirror_index,
-    mirror_patch,
     rotate_index,
-    rotate_patch,
 )
 from .layers import (
     Layer,
@@ -57,7 +55,6 @@ from .metrics import (
     CommutationVerdict,
     EquivarianceProfile,
     equivariance_error,
-    index_patch,
     invariance_sweep,
     mirror_commutation,
     profile_equivariance,

@@ -152,17 +152,19 @@ def _indent2(o, pad: str = "\n") -> str:
     ``str.join``; ``pad`` is a newline and the indent of ``o``'s own level.
 
     Only exact types are encoded here: the scalars of _SCALAR_TEXT, lists,
-    tuples and str-keyed dicts.  Anything else raises _OffTable.
+    tuples and str-keyed dicts.  Anything else raises _OffTable.  The loops
+    look scalars up inline and recurse only for anything else.
     """
     cls = type(o)
     text = _SCALAR_TEXT.get(cls)
     if text is not None:
         return text(o)
     inner = pad + "  "
+    scalar = _SCALAR_TEXT.get
     if cls is list or cls is tuple:
         if not o:
             return "[]"
-        parts = [_indent2(v, inner) for v in o]
+        parts = [text(v) if (text := scalar(type(v))) else _indent2(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
     if cls is not dict:
         raise _OffTable
@@ -172,7 +174,8 @@ def _indent2(o, pad: str = "\n") -> str:
     for k, v in o.items():
         if type(k) is not str:
             raise _OffTable
-        parts.append(encode_basestring_ascii(k) + ": " + _indent2(v, inner))
+        text = scalar(type(v))
+        parts.append(encode_basestring_ascii(k) + ": " + (text(v) if text else _indent2(v, inner)))
     return "{" + inner + ("," + inner).join(parts) + pad + "}"
 
 

@@ -243,18 +243,6 @@ class IndexPatch:
         return [(x, y) for y in range(y1, y2 + 1) for x in range(x1, x2 + 1)]
 
 
-def rotate_patch(n: int, patch: IndexPatch) -> IndexPatch:
-    """Quarter-turn map on a whole patch, via :func:`rotate_corners`."""
-    x1, y1, x2, y2 = rotate_corners(n, *patch.top_left, *patch.bottom_right)
-    return IndexPatch((x1, y1), (x2, y2))
-
-
-def mirror_patch(n: int, patch: IndexPatch) -> IndexPatch:
-    """Horizontal mirror of a whole patch, via :func:`mirror_corners`."""
-    x1, y1, x2, y2 = mirror_corners(n, *patch.top_left, *patch.bottom_right)
-    return IndexPatch((x1, y1), (x2, y2))
-
-
 def act_values(g: GroupElement, vals: np.ndarray, kind: GroupKind | None = None) -> np.ndarray:
     """The one body of the action on arrays whose last three axes are
     (group, row, col): mirror the last axis, turn the last two axes by

@@ -6,15 +6,12 @@ oracles here enumerate index patches geometrically, while the analyzer's
 grid of (input, kernel, stride) triples is what the test suite verifies
 exhaustively.
 
-The oracle (``commutation_grid``) takes a whole list of triples at once.
-It joins the output cells of all of them, triple after triple and
-row-major within each, and compares their patches as int arrays in blocks
-of at most ``ORACLE_BLOCK`` cells, so one block may span many triples.
-Each cell is mapped on its own triple's grids, through the same corner
-maps that transform a single patch (``group.rotate_corners`` and
-``group.mirror_corners``); the modular rule is never evaluated.  Only the
-first mismatching cell of each triple is rebuilt as ``IndexPatch``
-objects, with the scalar maps, to form its counterexample.
+The oracle (``commutation_grid``) takes a whole list of triples, groups
+them by output side and compares each chunk of one side, at most
+``ORACLE_BLOCK`` cells, in one int-array broadcast, through the same
+corner maps that transform a single patch (``group.rotate_corners`` and
+``group.mirror_corners``); the modular rule is never evaluated.  A
+counterexample's corners are read from the arrays that flagged it.
 ``rotation_commutation`` and ``mirror_commutation`` are one-triple grids.
 """
 
@@ -38,16 +35,15 @@ from .group import (
     elements,
     mirror_corners,
     mirror_index,
-    mirror_patch,
     rotate_corners,
     rotate_index,
-    rotate_patch,
 )
 from .layers import Network, circle_crop, disk_mask, forward, infer_shapes, seed_network
 from .tensor import FeatureMap, max_abs_diff, random_feature_map
 
 
-#: Most output cells the commutation oracle holds in arrays at once.
+#: Most output cells of one oracle chunk: whole triples of one output side,
+#: or a band of whole rows of a larger triple (one row at least).
 ORACLE_BLOCK = 1 << 13
 
 
@@ -58,14 +54,6 @@ def _patch_corners(x, y, k, s) -> tuple:
     corners = (x1, y1, x1 + (k - 1), y1 + (k - 1))
     check_corner_order(*corners)
     return corners
-
-
-def index_patch(x: int, y: int, k: int, s: int) -> IndexPatch:
-    """Input indices read by a stride-s, size-k kernel for output cell (x, y)."""
-    if x < 0 or y < 0:
-        raise ValueError(f"output index must be non-negative, got ({x}, {y})")
-    x1, y1, x2, y2 = _patch_corners(x, y, k, s)
-    return IndexPatch((x1, y1), (x2, y2))
 
 
 @dataclass(frozen=True)
@@ -85,74 +73,81 @@ class CommutationVerdict:
 
 
 class Symmetry(NamedTuple):
-    """One grid map in the three forms the oracle uses: on a (col, row)
-    index, on patch corners (elementwise on int arrays) and on an
-    ``IndexPatch``."""
+    """One grid map in the two forms the oracle uses: on (col, row) indices
+    and on patch corners, both elementwise on int arrays."""
 
     index_map: Callable
     corner_map: Callable
-    patch_map: Callable
 
 
 #: The maps of each ``oracle --symmetry`` choice.
 SYMMETRIES = {
-    "rot": Symmetry(rotate_index, rotate_corners, rotate_patch),
-    "mirror": Symmetry(mirror_index, mirror_corners, mirror_patch),
+    "rot": Symmetry(rotate_index, rotate_corners),
+    "mirror": Symmetry(mirror_index, mirror_corners),
 }
 
 
 def commutation_grid(triples, symmetry: Symmetry) -> list[CommutationVerdict]:
-    """Commutation verdict of every (i, k, s) triple, in order.
+    """Commutation verdict of every (i, k, s) triple, in order: whether, at
+    every output cell, the patch of the mapped output index equals the
+    mapped patch of the cell.
 
-    The output cells of all triples are joined, triple after triple and
-    row-major within each, and compared in blocks of at most ORACLE_BLOCK
-    cells: for every cell, the patch of the mapped output index against the
-    mapped patch of the cell, on the output and input grids of its own
-    triple.  A block starting inside a triple that has already mismatched
-    skips the rest of that triple.  The first mismatching cell of each
-    triple is rebuilt with the scalar maps, which must disagree there too.
+    The triples are grouped by output side, sides in the order they first
+    appear and triples in list order within each.  A chunk is whole triples
+    of one side, at most ORACLE_BLOCK cells and at least one triple,
+    compared in one broadcast; a larger triple runs alone, in bands of
+    whole rows (one at least), and stops at its first band that mismatches.
+    A triple's counterexample is its first mismatching cell in row-major
+    order, with the corners read from the arrays that flagged it.
 
-    Every triple's output side is computed first, so a ShapeError comes
-    before any cell is compared; the array maps then raise on the first bad
-    cell in joined order."""
+    Every output side is computed first, so a ShapeError comes before any
+    cell is compared.  The maps then raise on the first bad cell in the
+    order above: the first invalid triple of the first side that has one."""
     triples = list(triples)
     sides = [output_size(i, k, s) for i, k, s in triples]
-    i, k, s = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    o = np.array(sides, dtype=np.int64)
-    ends = np.cumsum(o * o)  # one past each triple's last cell
-    total = int(ends[-1]) if triples else 0
-    first = np.full(len(triples), total)  # first mismatching cell, or total
-    start = 0
-    while start < total:
-        owner = int(np.searchsorted(ends, start, side="right"))
-        if first[owner] < total:
-            start = int(ends[owner])
-            continue
-        cells = np.arange(start, min(start + ORACLE_BLOCK, total))
-        t = np.searchsorted(ends, cells, side="right")
-        n, kt, st = o[t], k[t], s[t]
-        local = cells - (ends[t] - n * n)
-        y = local // n
-        x = local - n * y
-        ox1, oy1, ox2, oy2 = _patch_corners(*symmetry.index_map(n, x, y), kt, st)
-        ix1, iy1, ix2, iy2 = symmetry.corner_map(i[t], *_patch_corners(x, y, kt, st))
-        differs = (ox1 != ix1) | (oy1 != iy1) | (ox2 != ix2) | (oy2 != iy2)
-        np.minimum.at(first, t[differs], cells[differs])
-        start += len(cells)
-    verdicts = []
-    for (ti, tk, ts), side, cell, end in zip(triples, sides, first.tolist(), ends.tolist()):
-        if cell == total:
-            verdicts.append(CommutationVerdict(True))
-            continue
-        y, x = divmod(cell - (end - side * side), side)
-        via_output = index_patch(*symmetry.index_map(side, x, y), tk, ts)
-        via_input = symmetry.patch_map(ti, index_patch(x, y, tk, ts))
-        if via_output == via_input:
-            raise AssertionError(
-                f"array and scalar maps disagree at output cell ({x}, {y}) of {(ti, tk, ts)}"
-            )
-        verdicts.append(CommutationVerdict(False, Counterexample((x, y), via_output, via_input)))
-    return verdicts
+    by_side = {}
+    for t, n in enumerate(sides):
+        by_side.setdefault(n, []).append(t)
+    found = {}  # triple position -> verdict of a triple that breaks
+    for n, members in by_side.items():
+        per_chunk = max(1, ORACLE_BLOCK // (n * n))
+        band = max(1, min(n, ORACLE_BLOCK // n))  # below n only for a triple alone
+        for start in range(0, len(members), per_chunk):
+            chunk = members[start : start + per_chunk]
+            for y0 in range(0, n, band):
+                rows = np.arange(y0, min(y0 + band, n), dtype=np.int64)
+                broken = _first_mismatches(symmetry, n, triples, chunk, rows)
+                if broken:
+                    found.update(broken)
+                    break
+    holds = CommutationVerdict(True)
+    return [found.get(t, holds) for t in range(len(triples))]
+
+
+def _first_mismatches(symmetry: Symmetry, n: int, triples, chunk, rows) -> dict:
+    """Verdicts of the triples at positions ``chunk``, all of output side n,
+    that break on output ``rows``, keyed by position: one broadcast with i,
+    k and s of shape (T, 1, 1), the rows (1, R, 1) and the columns
+    (1, 1, n), so most corner arithmetic is on T*n-sized operands."""
+    i, k, s = np.array([triples[t] for t in chunk], dtype=np.int64).T.reshape(3, -1, 1, 1)
+    x = np.arange(n, dtype=np.int64).reshape(1, 1, n)
+    y = rows.reshape(1, -1, 1)
+    ox1, oy1, ox2, oy2 = via_output = _patch_corners(*symmetry.index_map(n, x, y), k, s)
+    ix1, iy1, ix2, iy2 = via_input = symmetry.corner_map(i, *_patch_corners(x, y, k, s))
+    shape = (len(chunk), len(rows), n)
+    differs = (ox1 != ix1) | (oy1 != iy1) | (ox2 != ix2) | (oy2 != iy2)
+    differs = np.broadcast_to(differs, shape).reshape(len(chunk), -1)
+    first = differs.argmax(axis=1)
+    broken = differs[np.arange(len(chunk)), first].nonzero()[0]
+    if not broken.size:
+        return {}
+    r, c = np.divmod(first[broken], n)
+    corners = [np.broadcast_to(v, shape)[broken, r, c].tolist() for v in via_output + via_input]
+    found = {}
+    for b, cx, cy, *v in zip(broken.tolist(), c.tolist(), rows[r].tolist(), *corners):
+        patches = IndexPatch(tuple(v[0:2]), tuple(v[2:4])), IndexPatch(tuple(v[4:6]), tuple(v[6:8]))
+        found[chunk[b]] = CommutationVerdict(False, Counterexample((cx, cy), *patches))
+    return found
 
 
 def rotation_commutation(i: int, k: int, s: int) -> CommutationVerdict:

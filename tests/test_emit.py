@@ -1,9 +1,11 @@
 """Structured documents: the join-built encoder of ``cli`` against the stdlib
 ``json`` it stands in for, and the bytes each command writes."""
 
+import hashlib
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +133,38 @@ def test_out_file_holds_the_structured_stdout_bytes(capsys, tmp_path, argv):
     path = tmp_path / "doc.json"
     run(argv + ["--format", "structured", "--out", str(path)])
     assert path.read_bytes() == capsys.readouterr().out.encode()
+
+
+RULE_GRID = ["--i-range", "2:40", "--k-range", "1:7", "--s-range", "1:5"]
+CI_GRID = ["--i-range", "2:64", "--k-range", "1:9", "--s-range", "1:6"]
+
+
+@pytest.mark.parametrize("grid, symmetry, digest", [
+    (RULE_GRID, "rot", "41015df92de0e66b03d6e036b03b97e6afb71d646bf5272f9a056937d2f0df41"),
+    (RULE_GRID, "mirror", "fa14268413e7ad24ebe85cff5fbd4b4f4513f993668318e940cddcdc0d8484d2"),
+    (CI_GRID, "rot", "ca0e89789360f4e5e4c018a59e2c26bcdabbc51b6734bea516a3e3e5b7198802"),
+    (CI_GRID, "mirror", "23c0e1660c1deec66df649aa2c7c5b09d6509ca7ad62cdef5ec8ecccd1a9f93b"),
+], ids=["rule-rot", "rule-mirror", "ci-rot", "ci-mirror"])
+def test_oracle_documents_keep_their_bytes(capsys, grid, symmetry, digest):
+    # the sha256 of each structured document as the joined-block oracle,
+    # with its counterexamples rebuilt by the scalar patch maps, wrote it
+    assert run(["oracle", *grid, "--symmetry", symmetry, "--format", "structured"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_encoding_the_rule_grid_document_stays_small(capsys):
+    # the nested joins peak at about 1.44 MiB on this 0.46 MB document; one
+    # flat list of pieces joined once would take over 3 MiB
+    run(["oracle", *RULE_GRID, "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    tracemalloc.start()
+    try:
+        text = cli._dumps_indent2(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(doc, indent=2)
+    assert peak <= 1.6 * 2**20
 
 
 class _CountingJson:

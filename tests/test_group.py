@@ -24,10 +24,8 @@ from equicheck.group import (
     inverse,
     mirror_corners,
     mirror_index,
-    mirror_patch,
     rotate_corners,
     rotate_index,
-    rotate_patch,
     slot_index,
     transform_index,
 )
@@ -85,45 +83,52 @@ class TestIndexMaps:
             mirror_index(3, 0, -1)
 
 
+def corners(patch):
+    return patch.top_left + patch.bottom_right
+
+
 class TestPatchMaps:
+    """The corner maps on whole patches."""
+
     def test_rotate_patch_example(self):
-        assert rotate_patch(5, IndexPatch((0, 0), (1, 1))) == IndexPatch((0, 3), (1, 4))
+        assert rotate_corners(5, 0, 0, 1, 1) == (0, 3, 1, 4)
 
     def test_full_patch_invariant(self):
-        full = IndexPatch((0, 0), (2, 2))
-        assert rotate_patch(3, full) == full
-        assert mirror_patch(3, full) == full
+        full = (0, 0, 2, 2)
+        assert rotate_corners(3, *full) == full
+        assert mirror_corners(3, *full) == full
 
     def test_rotate_order_four_exhaustive(self):
         for n in range(1, 9):
             for patch in all_patches(n):
-                p = patch
+                p = corners(patch)
                 for _ in range(4):
-                    p = rotate_patch(n, p)
-                assert p == patch
+                    p = rotate_corners(n, *p)
+                assert p == corners(patch)
 
     def test_mirror_patch_example(self):
-        assert mirror_patch(5, IndexPatch((0, 0), (1, 1))) == IndexPatch((3, 0), (4, 1))
+        assert mirror_corners(5, 0, 0, 1, 1) == (3, 0, 4, 1)
 
     def test_mirror_involution_exhaustive(self):
         for n in range(1, 9):
             for patch in all_patches(n):
-                assert mirror_patch(n, mirror_patch(n, patch)) == patch
+                assert mirror_corners(n, *mirror_corners(n, *corners(patch))) == corners(patch)
 
     def test_patch_maps_match_pointwise_index_sets(self):
-        # rotating the patch as a whole must equal rotating its index set
+        # mapping the corners must equal mapping the patch's index set
         for n in range(1, 11):
             for patch in all_patches(n):
-                rotated = {rotate_index(n, x, y) for (x, y) in patch.indices()}
-                assert set(rotate_patch(n, patch).indices()) == rotated
-                mirrored = {mirror_index(n, x, y) for (x, y) in patch.indices()}
-                assert set(mirror_patch(n, patch).indices()) == mirrored
+                for corner_map, index_map in ((rotate_corners, rotate_index),
+                                              (mirror_corners, mirror_index)):
+                    x1, y1, x2, y2 = corner_map(n, *corners(patch))
+                    mapped = {index_map(n, x, y) for (x, y) in patch.indices()}
+                    assert set(IndexPatch((x1, y1), (x2, y2)).indices()) == mapped
 
     def test_invalid_patch(self):
         with pytest.raises(PatchError):
             IndexPatch((2, 0), (1, 1))
         with pytest.raises(PatchError):
-            rotate_patch(3, IndexPatch((0, 0), (3, 3)))
+            rotate_corners(3, 0, 0, 3, 3)
 
 
 class TestArrayMaps:
@@ -132,12 +137,12 @@ class TestArrayMaps:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_corner_maps_match_patch_maps(self, n):
-        patches = list(all_patches(n))
-        corners = [np.array(c) for c in zip(*(p.top_left + p.bottom_right for p in patches))]
-        for corner_map, patch_map in ((rotate_corners, rotate_patch), (mirror_corners, mirror_patch)):
-            mapped = np.stack(corner_map(n, *corners), axis=1)
-            expected = [patch_map(n, p).top_left + patch_map(n, p).bottom_right for p in patches]
-            assert mapped.tolist() == [list(c) for c in expected]
+        # the array maps against the scalar maps, patch by patch
+        patches = [corners(p) for p in all_patches(n)]
+        columns = [np.array(c) for c in zip(*patches)]
+        for corner_map in (rotate_corners, mirror_corners):
+            mapped = np.stack(corner_map(n, *columns), axis=1)
+            assert mapped.tolist() == [list(corner_map(n, *p)) for p in patches]
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_index_maps_match_scalar_maps(self, n):

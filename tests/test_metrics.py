@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicheck import metrics
 from equicheck.analyzer import output_size
@@ -20,11 +22,11 @@ from equicheck.group import (
     IndexPatch,
     act_full,
     act_spatial,
+    check_corner_order,
+    mirror_corners,
     mirror_index,
-    mirror_patch,
     rotate_corners,
     rotate_index,
-    rotate_patch,
 )
 from equicheck.layers import Layer, LayerKind, Network, circle_crop, forward, seed_network
 from equicheck.metrics import (
@@ -32,7 +34,6 @@ from equicheck.metrics import (
     CommutationVerdict,
     Counterexample,
     equivariance_error,
-    index_patch,
     invariance_sweep,
     mirror_commutation,
     profile_equivariance,
@@ -41,6 +42,39 @@ from equicheck.metrics import (
     rotation_commutation,
 )
 from equicheck.tensor import FeatureMap, make_feature_map, max_abs_diff, random_feature_map
+
+
+# The scalar patch maps the oracle once rebuilt its counterexamples with,
+# kept verbatim as the per-cell reference: one IndexPatch per call.
+
+
+def _patch_corners(x, y, k, s) -> tuple:
+    """Corners (x1, y1, x2, y2) of the patch read for output cell (x, y),
+    elementwise on ints or int arrays; PatchError if they are out of order."""
+    x1, y1 = s * x, s * y
+    corners = (x1, y1, x1 + (k - 1), y1 + (k - 1))
+    check_corner_order(*corners)
+    return corners
+
+
+def index_patch(x: int, y: int, k: int, s: int) -> IndexPatch:
+    """Input indices read by a stride-s, size-k kernel for output cell (x, y)."""
+    if x < 0 or y < 0:
+        raise ValueError(f"output index must be non-negative, got ({x}, {y})")
+    x1, y1, x2, y2 = _patch_corners(x, y, k, s)
+    return IndexPatch((x1, y1), (x2, y2))
+
+
+def rotate_patch(n: int, patch: IndexPatch) -> IndexPatch:
+    """Quarter-turn map on a whole patch, via :func:`rotate_corners`."""
+    x1, y1, x2, y2 = rotate_corners(n, *patch.top_left, *patch.bottom_right)
+    return IndexPatch((x1, y1), (x2, y2))
+
+
+def mirror_patch(n: int, patch: IndexPatch) -> IndexPatch:
+    """Horizontal mirror of a whole patch, via :func:`mirror_corners`."""
+    x1, y1, x2, y2 = mirror_corners(n, *patch.top_left, *patch.bottom_right)
+    return IndexPatch((x1, y1), (x2, y2))
 
 
 class TestIndexPatch:
@@ -117,7 +151,7 @@ def planted_patch(n, patch):
     return IndexPatch((rx1, ry1), (rx2, ry2))
 
 
-PLANTED = Symmetry(rotate_index, planted_corners, planted_patch)
+PLANTED = Symmetry(rotate_index, planted_corners)
 
 
 class TestOracleMatchesPerCellLoop:
@@ -169,8 +203,8 @@ class TestOracleMatchesPerCellLoop:
         assert str(got.value) == str(expected.value)
 
     def test_grid_memory_stays_bounded(self):
-        # one block of 2**13 cells holds about 25 int64 arrays of 64 KiB
-        # (1.6 MiB); blocks of 2**16 cells would take about 13 MiB
+        # every side here is at most 40, so each chunk is small; the peak,
+        # about 0.5 MiB, is mostly the 1290 verdicts
         triples = [(i, k, s) for i in range(2, 41) for k in range(1, min(i, 7) + 1)
                    for s in range(1, 6)]
         tracemalloc.start()
@@ -243,18 +277,19 @@ class TestCommutationGrid:
         ]
 
     def test_broken_triple_stops_at_its_first_mismatching_block(self, monkeypatch):
-        # (21, 2, 2) has 100 cells and breaks at its first; (4, 2, 2) holds
-        blocks = []
+        # (21, 2, 2) has 100 cells and breaks at its first, so only its first
+        # band of 10 cells reaches the corner map; (4, 2, 2) holds
+        cells = []
 
         def counting_corners(n, *corners):
-            blocks.append(np.size(n))
+            cells.append(math.prod(np.broadcast_shapes(*map(np.shape, (n, *corners)))))
             return rotate_corners(n, *corners)
 
         monkeypatch.setattr(metrics, "ORACLE_BLOCK", 10)
-        counting = Symmetry(rotate_index, counting_corners, rotate_patch)
+        counting = Symmetry(rotate_index, counting_corners)
         got = metrics.commutation_grid([(21, 2, 2), (4, 2, 2)], counting)
         assert [v.holds for v in got] == [False, True]
-        assert blocks == [10, 4]
+        assert cells == [10, 4]
 
     @pytest.mark.parametrize("symmetry, index_map, patch_map", SYMMETRY_MAPS)
     @pytest.mark.parametrize(
@@ -270,6 +305,61 @@ class TestCommutationGrid:
 
     def test_empty_grid(self):
         assert metrics.commutation_grid([], SYMMETRIES["rot"]) == []
+
+    @pytest.mark.parametrize("symmetry, index_map, patch_map", SYMMETRY_MAPS)
+    def test_first_invalid_triple_of_the_first_side_raises(self, symmetry, index_map, patch_map):
+        # sides 2, 6 and 2: side 2 runs first, so (1, 0, 1) raises although
+        # (5, 0, 1) comes before it in the list
+        with pytest.raises(PatchError) as expected:
+            per_cell_commutation(1, 0, 1, index_map, patch_map)
+        with pytest.raises(PatchError) as other:
+            per_cell_commutation(5, 0, 1, index_map, patch_map)
+        with pytest.raises(PatchError) as got:
+            metrics.commutation_grid([(4, 2, 2), (5, 0, 1), (1, 0, 1)], SYMMETRIES[symmetry])
+        assert str(got.value) == str(expected.value) != str(other.value)
+
+    def test_wide_triple_runs_in_small_bands(self):
+        # (2049, 1, 1) runs in bands of 3 rows (6147 cells) and peaks at about
+        # 0.11 MiB; bands of eight times the cells peak at 0.27 MiB, and the
+        # joined blocks of 8192 cells the grid used before took 1.5 MiB
+        tracemalloc.start()
+        try:
+            (verdict,) = metrics.commutation_grid([(2049, 1, 1)], SYMMETRIES["rot"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds is True
+        assert peak < 0.25 * 2**20
+
+
+@st.composite
+def triple_lists(draw):
+    """Up to six (i, k, s) triples whose output sides, 1 to 70, come from a
+    pool of at most three, so sides repeat; any i in [s(o-1)+k, so+k) has
+    side o."""
+    sides = draw(st.lists(st.integers(1, 70), min_size=1, max_size=3))
+    triples = []
+    for _ in range(draw(st.integers(0, 6))):
+        o, k, s = draw(st.sampled_from(sides)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        triples.append((s * (o - 1) + k + draw(st.integers(0, s - 1)), k, s))
+    return tuple(triples)
+
+
+class TestGridProperty:
+    """Random triple lists and chunk bounds against the per-cell loop."""
+
+    @pytest.mark.parametrize("symmetry, index_map, patch_map", [
+        pytest.param(SYMMETRIES["rot"], rotate_index, rotate_patch, id="rot"),
+        pytest.param(SYMMETRIES["mirror"], mirror_index, mirror_patch, id="mirror"),
+        pytest.param(PLANTED, rotate_index, planted_patch, id="planted"),
+    ])
+    @settings(max_examples=100, deadline=None)
+    @given(triples=triple_lists(), block=st.integers(1, 256) | st.just(metrics.ORACLE_BLOCK))
+    def test_matches_per_cell_loop(self, symmetry, index_map, patch_map, triples, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "ORACLE_BLOCK", block)
+            got = metrics.commutation_grid(triples, symmetry)
+        assert got == per_cell_grid(triples, index_map, patch_map)
 
 
 class TestEquivarianceError:
