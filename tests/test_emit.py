@@ -146,8 +146,8 @@ CI_GRID = ["--i-range", "2:64", "--k-range", "1:9", "--s-range", "1:6"]
     (CI_GRID, "mirror", "23c0e1660c1deec66df649aa2c7c5b09d6509ca7ad62cdef5ec8ecccd1a9f93b"),
 ], ids=["rule-rot", "rule-mirror", "ci-rot", "ci-mirror"])
 def test_oracle_documents_keep_their_bytes(capsys, grid, symmetry, digest):
-    # the sha256 of each structured document as the joined-block oracle,
-    # with its counterexamples rebuilt by the scalar patch maps, wrote it
+    # digests recorded with the scalar-rebuild oracle: how the grid is
+    # chunked, and where a counterexample is read from, move no byte
     assert run(["oracle", *grid, "--symmetry", symmetry, "--format", "structured"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

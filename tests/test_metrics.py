@@ -320,8 +320,7 @@ class TestCommutationGrid:
 
     def test_wide_triple_runs_in_small_bands(self):
         # (2049, 1, 1) runs in bands of 3 rows (6147 cells) and peaks at about
-        # 0.11 MiB; bands of eight times the cells peak at 0.27 MiB, and the
-        # joined blocks of 8192 cells the grid used before took 1.5 MiB
+        # 0.11 MiB; bands of eight times the cells peak at 0.27 MiB
         tracemalloc.start()
         try:
             (verdict,) = metrics.commutation_grid([(2049, 1, 1)], SYMMETRIES["rot"])
