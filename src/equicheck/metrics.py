@@ -11,7 +11,9 @@ them by output side and compares each chunk of one side, at most
 ``ORACLE_BLOCK`` cells, in one int-array broadcast, through the same
 corner maps that transform a single patch (``group.rotate_corners`` and
 ``group.mirror_corners``); the modular rule is never evaluated.  A
-counterexample's corners are read from the arrays that flagged it.
+counterexample's corners are read from the arrays that flagged it.  Sides
+run in order of first appearance, so of several invalid triples the first
+one of the first side that has one raises.
 ``rotation_commutation`` and ``mirror_commutation`` are one-triple grids.
 """
 
