@@ -216,6 +216,8 @@ def _parse_elements(raw: str | None, kind: GroupKind) -> tuple[GroupElement, ...
         g = GroupElement.from_name(name.strip())
         if g.mirrored and kind is not GroupKind.P4M:
             raise EquicheckError(f"element {g.name!r} needs a p4m network")
+        if g in out:
+            raise EquicheckError(f"element {g.name!r} is given twice")
         out.append(g)
     return tuple(out)
 

@@ -298,7 +298,11 @@ def group_permutation(g: GroupElement, kind: GroupKind) -> np.ndarray:
 def act_full(g: GroupElement, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
     """Full feature-map action: spatial transform plus the group-axis
     permutation.  This is the transform a group-equivariant network commutes
-    with; it inverts via ``act_full(inverse(g), ...)``."""
+    with; it inverts via ``act_full(inverse(g), ...)``.
+
+    The group axis is longer than 1, so ``act_values`` permutes into a
+    fresh array, which the map takes over without a copy; the identity
+    shares the read-only values of ``fm``."""
     if fm.group_size != kind.size:
         raise ShapeError(
             f"group axis {fm.group_size} does not match {kind.value} (size {kind.size})"
@@ -306,4 +310,4 @@ def act_full(g: GroupElement, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
     vals = _square_values(fm)
     if kind is GroupKind.Z2:
         raise GroupKindError("the trivial group has no group axis to permute")
-    return FeatureMap(act_values(g, vals, kind))
+    return FeatureMap._from_layer(act_values(g, vals, kind))

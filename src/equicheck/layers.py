@@ -38,6 +38,24 @@ forward whose floats no verdict reads, such as an off-grid angle of the
 invariance sweep, passes ``fixed_order=False`` and takes that one BLAS
 product whatever its operands; its floats may differ in the last bits.
 
+The matmuls of a slot are a pure function of its staged operand, the bank
+and the stride, so a base-coordinate call does not run them again for a
+slot whose staged bytes an earlier call has already correlated.  Each
+FilterBank keeps one such call in its private memo: its group kind,
+stride, padding and input shape, weak references to its input and output
+arrays, and a signature (a strided sample of the bytes) of each slot's
+staged operand.  A later call of the same bank, kind, stride, padding and
+shape stages every slot as before; a remembered slot p whose signature
+matches is taken only when its staged operand, staged again from the
+remembered input, is byte for byte the new one, and the new slot q is
+then q applied to p^-1 applied to slot p of the remembered output.  That
+is the byte string the matmuls would give, whatever the layer's sizes:
+nothing is inferred from the modular rule.  A call is remembered only when
+the remembered one is no longer held, so while ``profile_equivariance``
+holds the base forward every moved forward is checked against it, and the
+weak references keep no activation alive.  The BLAS route on the stacked
+bank is left out: its window bytes differ between x and g * x.
+
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
 place that propagates shapes through a layer list and applies the
@@ -48,6 +66,7 @@ helpers alike.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -210,7 +229,47 @@ def _is_integral(arr: np.ndarray) -> bool:
     return bool(np.all(arr == np.rint(arr)))
 
 
-def _base_correlate(vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int) -> np.ndarray:
+#: Staged entries sampled into a slot's signature.  The signature only
+#: picks the remembered slots worth comparing; the comparison is in full.
+SIGNATURE_SAMPLES = 64
+
+
+def _staged(read: np.ndarray, q: GroupElement, kind: GroupKind) -> np.ndarray:
+    """Slot q's operand: q^-1 applied to the cut (C, G, m, m) input,
+    copied to (C*G, m*m) rows."""
+    c, g, m, _ = read.shape
+    return np.ascontiguousarray(act_values(inverse(q), read, kind)).reshape(c * g, m * m)
+
+
+def _signature(flat: np.ndarray) -> bytes:
+    return flat.reshape(-1)[:: max(1, flat.size // SIGNATURE_SAMPLES)].tobytes()
+
+
+class _Seen(NamedTuple):
+    """A remembered base-coordinate call, held for the length of a later
+    one: its padded input, its (O, |G|, o, o) output, and its slots listed
+    by the signature of their staged operands."""
+
+    vals: np.ndarray
+    out: np.ndarray
+    slots: dict[bytes, list[GroupElement]]
+
+    def correlation(self, flat: np.ndarray, kind: GroupKind, m: int) -> np.ndarray | None:
+        """The (O, o, o) base-coordinate correlation of the staged operand
+        ``flat`` when a remembered slot staged the same bytes, else None."""
+        for h in self.slots.get(_signature(flat), ()):
+            # compared as integers: equal floats such as 0.0 and -0.0 may
+            # differ in their bytes, and so in the bytes of their products
+            if np.array_equal(_staged(self.vals[..., :m, :m], h, kind).view(np.int64),
+                              flat.view(np.int64)):
+                return act_values(inverse(h), self.out[:, slot_index(h)])
+        return None
+
+
+def _base_correlate(
+    vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int,
+    seen: _Seen | None = None, slots: dict | None = None,
+) -> np.ndarray:
     """Strided cross-correlation of a padded (C, G, n, n) array with every
     transform of an (O, C, G, k, k) bank, summed in the coordinates of the
     untransformed bank ``w``; returns (O, |G|, o, o).
@@ -232,7 +291,11 @@ def _base_correlate(vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int) ->
     Slots are staged one at a time.  For a layer that keeps the rule
     (r = 0), slot g*q of the correlation of g * X stages the same bytes as
     slot q of X's and runs the same matmuls on them, so the layer commutes
-    with g bit for bit, whatever the rounding of each matmul."""
+    with g bit for bit, whatever the rounding of each matmul.  A slot whose
+    staged bytes ``seen``, an earlier call with ``w`` on an input of the
+    same shape, also staged takes that call's correlation instead of
+    running the matmuls.  ``slots``, when given, collects every slot under
+    the signature of its staged operand."""
     o_ch, c, g, k, _ = w.shape
     n = vals.shape[-1]
     o = (n - k) // s + 1
@@ -245,15 +308,20 @@ def _base_correlate(vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int) ->
     # numpy's matmul takes an inner dimension of 1 through its own loop, not BLAS
     product = np.dot if c * g == 1 else np.matmul
     for q in elements(kind):
-        flat = np.ascontiguousarray(act_values(inverse(q), read, kind)).reshape(c * g, m * m)
-        for t in range(k * k):
-            start = (t // k) * m + t % k
-            prod = product(taps[t], flat[:, start : start + s * (span - 1) + 1 : s])
-            if t:
-                acc[:, :span] += prod
-            else:
-                acc[:, :span] = prod
-        out[:, slot_index(q)] = act_values(q, acc.reshape(o_ch, o, m)[..., :o])
+        flat = _staged(read, q, kind)
+        if slots is not None:
+            slots.setdefault(_signature(flat), []).append(q)
+        corr = seen.correlation(flat, kind, m) if seen else None
+        if corr is None:
+            for t in range(k * k):
+                start = (t // k) * m + t % k
+                prod = product(taps[t], flat[:, start : start + s * (span - 1) + 1 : s])
+                if t:
+                    acc[:, :span] += prod
+                else:
+                    acc[:, :span] = prod
+            corr = acc.reshape(o_ch, o, m)[..., :o]
+        out[:, slot_index(q)] = act_values(q, corr)
     return out
 
 
@@ -302,16 +370,23 @@ def _check_conv_args(fm: FeatureMap, filters: FilterBank, s: int, p: int) -> Non
         raise ShapeError(f"kernel {filters.k} exceeds padded input {fm.height + 2 * p}")
 
 
-def _exact_in_any_order(x: np.ndarray, w: np.ndarray) -> bool:
-    """True iff the map ``x`` and the (O, C, G, k, k) bank ``w`` are
-    integer-valued and the Hoelder bound max|x| * max_o ||w_o||_1 is below
-    2**53, so every partial sum of their correlation is an exact integer
-    whatever the summation order.  The bound is sound in float64, because
-    rounding is monotone and 2**53 is representable, and any group element
-    only moves the entries of x and w, so it holds for g * x as for x."""
-    if not (_is_integral(w) and _is_integral(x)):
+def _exact_in_any_order(x: np.ndarray, filters: FilterBank) -> bool:
+    """True iff the map ``x`` and the bank are integer-valued and the
+    Hoelder bound max|x| * max_o ||w_o||_1 is below 2**53, so every partial
+    sum of their correlation is an exact integer whatever the summation
+    order.  The bound is sound in float64, because rounding is monotone and
+    2**53 is representable, and any group element only moves the entries of
+    x and w, so it holds for g * x as for x.  The bank's half, its largest
+    L1 norm or None if it is not integer-valued, is computed once and kept
+    in the bank's memo."""
+    if _INTEGER_L1 not in filters._memo:
+        w = filters.values
+        filters._memo[_INTEGER_L1] = (
+            np.abs(w).sum(axis=(1, 2, 3, 4)).max() if _is_integral(w) else None)
+    l1 = filters._memo[_INTEGER_L1]
+    if l1 is None or not _is_integral(x):
         return False
-    return max(x.max(), -x.min()) * np.abs(w).sum(axis=(1, 2, 3, 4)).max() < EXACT_INT_LIMIT
+    return max(x.max(), -x.min()) * l1 < EXACT_INT_LIMIT
 
 
 def _stacked(filters: FilterBank, kind: GroupKind) -> np.ndarray:
@@ -326,6 +401,30 @@ def _stacked(filters: FilterBank, kind: GroupKind) -> np.ndarray:
     return bank
 
 
+#: Memo keys of a bank besides the group kinds of its stacked banks.
+_INTEGER_L1 = "integer l1"
+_BASE_CALL = "base call"
+
+
+class _BaseCall(NamedTuple):
+    """The base-coordinate call a bank remembers: its group kind, stride,
+    padding and input shape, weak references to its input and output
+    arrays, and its slots listed by the signature of their staged operands."""
+
+    key: tuple
+    input: weakref.ref
+    output: weakref.ref
+    slots: dict[bytes, list[GroupElement]]
+
+    def held(self) -> _Seen | None:
+        """The call for a later one to look its slots up in, or None once
+        its input or its output has been freed."""
+        x, out = self.input(), self.output()
+        if x is None or out is None:
+            return None
+        return _Seen(_pad(x, self.key[2]), out, self.slots)
+
+
 def _group_conv(
     fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int, p: int,
     *, fixed_order: bool = True,
@@ -337,13 +436,28 @@ def _group_conv(
     ``fixed_order`` is False, go through the BLAS ``_contract`` on the
     stacked bank.  Every other conv is summed in the base bank's
     coordinates by ``_base_correlate``, which makes a rule-exact layer
-    commute with the group bit for bit at any magnitude."""
+    commute with the group bit for bit at any magnitude.
+
+    While the call the bank remembers is held, a base-coordinate call with
+    its key reuses its slots, and no call is remembered; once it is freed,
+    the next base-coordinate call is remembered."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
-    if fixed_order and not _exact_in_any_order(fm.values, filters.values):
-        return FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s))
-    bank = _stacked(filters, kind)
-    return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
+    if not fixed_order or _exact_in_any_order(fm.values, filters):
+        bank = _stacked(filters, kind)
+        return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
+    key = (kind, s, p, fm.shape)
+    call = filters._memo.get(_BASE_CALL)
+    seen = call.held() if call else None
+    if seen is None:  # nothing held: remember this call
+        slots = {}
+        out = FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s, None, slots))
+        filters._memo[_BASE_CALL] = _BaseCall(
+            key, weakref.ref(fm.values), weakref.ref(out.values), slots)
+        return out
+    if call.key != key:
+        seen = None
+    return FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s, seen))
 
 
 def conv2d(

@@ -101,9 +101,16 @@ class FilterBank:
 
     The kernel is square; ``in_group_size`` must match the group axis of the
     feature map the bank is applied to.  ``_memo`` is private to the layers
-    module, which keeps there, per group kind, the read-only bank stacked
-    under every element of the group, built the first time a BLAS
-    contraction needs it, so it lives and dies with the bank.
+    module and lives and dies with the bank.  The layers module keeps there:
+    per group kind, the read-only bank stacked under every element of the
+    group, built the first time a BLAS contraction needs it; the bank's
+    half of the Hoelder bound, its largest L1 norm if it is
+    integer-valued, computed on first use; and the one base-coordinate
+    call it remembers.  That call is kept as its group kind, stride,
+    padding and input shape, weak references to its input and output
+    arrays, and a signature of each slot's staged operand.  A later call
+    reuses a slot only once its staged operand, staged again from the
+    remembered input, equals the new one byte for byte.
     """
 
     __slots__ = ("_values", "_memo")

@@ -558,6 +558,7 @@ class TestReportDocument:
          "--k-range", "1:1", "--s-range", "10000000000000000000:10000000000000000000"],
         ["oracle", "--i-range", "5:5", "--s-range", "9223372036854775808:9223372036854775808"],
         ["measure", "p4cnn", "--elements", "foo"],
+        ["measure", "p4cnn", "--elements", "r,r"],
         ["sweep", "toy41", "--angle-step", "nan"],
         ["sweep", "toy41", "--angle-step", "1e-300"],
         ["sweep", "toy41", "--angle-step", "1e-6"],

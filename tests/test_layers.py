@@ -1,7 +1,11 @@
 """Layer semantics: convolution sizes, group convolutions, poolings, crop,
 and exactness of whole-network equivariance in integer and float mode."""
 
+import contextlib
+import gc
+import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,13 +92,26 @@ def assert_equivariant_bytes(fn, kind, fm, w, s, p):
             act_full(g, out, kind).values.tobytes()
 
 
+def fresh_banks(net):
+    """The network with a new copy of every filter bank, which remembers no
+    earlier call, so each of its base-coordinate convs runs its products."""
+    return replace(net, weights=tuple(
+        FilterBank(w.values) if isinstance(w, FilterBank) else w for w in net.weights))
+
+
 def assert_forward_equivariant_bytes(net, x):
     """Every group-valued layer of forward(g*x) is g times that layer of
-    forward(x), byte for byte, for every element g of the network's group."""
+    forward(x), byte for byte, for every element g of the network's group.
+    Each moved forward reuses the slots of the held forward(x) where their
+    bytes agree, so it is run again on fresh banks, whose products are all
+    computed, and must give the same bytes at every layer."""
     base = forward(net, x)
     for g in elements(net.kind):
         moved = forward(net, act_spatial(g, x))
+        computed = forward(fresh_banks(net), act_spatial(g, x))
         for depth, act in enumerate(base):
+            assert moved[depth].values.tobytes() == computed[depth].values.tobytes(), \
+                (g.name, depth)
             if act.group_size > 1:
                 want = act_full(g, act, net.kind).values.tobytes()
                 assert moved[depth].values.tobytes() == want, (g.name, depth)
@@ -543,6 +560,11 @@ SEEDED_NETS = [
 ]
 
 
+def stacked_kinds(bank):
+    """The group kinds a bank's memo holds a stacked bank for."""
+    return {key for key in bank._memo if isinstance(key, GroupKind)}
+
+
 class TestStackedBanks:
     """Each bank the BLAS route reads is stacked once per group kind and
     held read-only on the FilterBank; integer forwards stay bit-identical to
@@ -600,7 +622,7 @@ class TestStackedBanks:
             assert out.tobytes() == gconv_lift(fm, fresh, kind, 2, 1).values.tobytes()
             assert_equivariant_bytes(gconv_lift, kind, fm, lift, 2, 1)
         # only the BLAS route stacks a bank; float forwards sum in base coordinates
-        assert set(lift._memo) == ({GroupKind.P4, GroupKind.P4M} if integer else set())
+        assert stacked_kinds(lift) == ({GroupKind.P4, GroupKind.P4M} if integer else set())
         # a p4-valued bank read as a group-valued conv2d and as a gconv
         fm4 = random_feature_map(6, 2, 4, 7, 7, integer)
         bank4 = random_filter_bank(7, 2, 2, 4, 3, integer)
@@ -612,12 +634,12 @@ class TestStackedBanks:
             else:
                 assert_close(out, ref)
         assert_equivariant_bytes(gconv, GroupKind.P4, fm4, bank4, 1, 0)
-        assert set(bank4._memo) == ({GroupKind.Z2, GroupKind.P4} if integer else set())
+        assert stacked_kinds(bank4) == ({GroupKind.Z2, GroupKind.P4} if integer else set())
 
     def test_memo_is_read_only(self):
         w = random_filter_bank(8, 2, 1, 1, 3, integer_valued=True)
         gconv_lift(random_feature_map(9, 1, 1, 6, 6), w, GroupKind.P4M)
-        assert w._memo == {}
+        assert stacked_kinds(w) == set()
         gconv_lift(random_feature_map(9, 1, 1, 6, 6, integer_valued=True), w, GroupKind.P4M)
         stacked = w._memo[GroupKind.P4M]
         assert stacked.shape == (8, 2, 1, 1, 3, 3)
@@ -939,3 +961,142 @@ class TestWholeNetworkEquivariance:
             moved = forward(net, act_spatial(ROT90, x))[0]
             positives += max_abs_diff(moved, act_full(ROT90, pre_pool, GroupKind.P4)) > 0
         assert positives >= 1
+
+
+@contextlib.contextmanager
+def counted_reuses():
+    """A list that gets one entry for every slot a base-coordinate call
+    takes from the call its bank remembers, instead of computing it."""
+    reused = []
+    real = layers._Seen.correlation
+
+    def counting(self, *args):
+        got = real(self, *args)
+        if got is not None:
+            reused.append(got)
+        return got
+
+    with mock.patch.object(layers._Seen, "correlation", counting):
+        yield reused
+
+
+@st.composite
+def reuse_stacks(draw):
+    """A p4 or p4m stack: a lift, then gconv, maxpool and relu layers with
+    k <= 3, s <= 2 and p <= 1 (pools unpadded), at a side of 6 to 15,
+    exact or not; a seed; and the number of entries a slot signature
+    samples, 1 to make signatures collide, or the default."""
+    kind = draw(st.sampled_from([GroupKind.P4, GroupKind.P4M]))
+
+    def kernel_layer(lk):
+        conv = lk is not LayerKind.MAXPOOL
+        return Layer(lk, k=draw(st.integers(1, 3)), s=draw(st.integers(1, 2)),
+                     p=draw(st.integers(0, 1)) if conv else 0,
+                     out_channels=draw(st.integers(1, 3)) if conv else None)
+
+    stack = [kernel_layer(LayerKind.GCONV_LIFT)]
+    for _ in range(draw(st.integers(0, 4))):
+        lk = draw(st.sampled_from([LayerKind.GCONV, LayerKind.MAXPOOL, LayerKind.RELU]))
+        stack.append(Layer(lk) if lk is LayerKind.RELU else kernel_layer(lk))
+    net = Network(kind, tuple(stack), draw(st.integers(6, 15)), draw(st.integers(1, 2)))
+    try:
+        infer_shapes(net)
+    except LayerError:
+        assume(False)
+    samples = draw(st.sampled_from([1, layers.SIGNATURE_SAMPLES]))
+    return net, draw(st.integers(0, 10_000)), samples
+
+
+class TestSlotReuse:
+    """A base-coordinate call reuses a slot of the call its bank remembers
+    only when the slot's staged operand holds the same bytes, so a forward
+    that reuses gives the bytes a forward on fresh banks computes."""
+
+    @staticmethod
+    def seeded_input(net, seed, integer):
+        """The seeded network and input; integer mode is scaled past the
+        Hoelder bound, so its convs sum in base coordinates too."""
+        seeded = seed_network(net, seed, integer)
+        x = random_feature_map([seed, 1], net.in_channels, 1, net.input_size,
+                               net.input_size, integer)
+        if integer:
+            return scaled(seeded, 2.0**20), FeatureMap(x.values * 2.0**40)
+        return seeded, x
+
+    @settings(max_examples=80, deadline=None)
+    @given(reuse_stacks())
+    def test_moved_forwards_match_fresh_banks(self, case):
+        net, seed, samples = case
+        for integer in (False, True):
+            seeded, x = self.seeded_input(net, seed, integer)
+            fresh, _ = self.seeded_input(net, seed, integer)
+            with mock.patch.object(layers, "SIGNATURE_SAMPLES", samples), \
+                    counted_reuses() as reused:
+                base = forward(seeded, x)  # held, so the moved forwards look up its calls
+                for g in elements(net.kind):
+                    moved = forward(seeded, act_spatial(g, x))
+                    computed = forward(fresh_banks(fresh), act_spatial(g, x))
+                    for depth, (a, b) in enumerate(zip(moved, computed)):
+                        assert a.values.tobytes() == b.values.tobytes(), (g.name, depth)
+            # the identity's forward at least restages the lift's bytes; an
+            # integer lift whose weights drew all zeros stays within the bound
+            assert reused or layers._BASE_CALL not in seeded.weights[0]._memo
+            del base
+
+    @pytest.mark.parametrize("fill", [0.0, -1.5], ids=["zero", "constant"])
+    def test_constant_inputs(self, fill):
+        # every slot of every conv stages the same bytes, so every signature agrees
+        net = seed_network(replace(build_network(P4CNN), kind=GroupKind.P4M), 5)
+        x = FeatureMap(np.full((1, 1, 28, 28), fill))
+        with counted_reuses() as reused:
+            base = forward(net, x)  # held, so the moved forwards look up its calls
+            for w in net.weights:
+                if isinstance(w, FilterBank):
+                    assert len(w._memo[layers._BASE_CALL].slots) == 1
+            for g in P4M:
+                moved = forward(net, act_spatial(g, x))
+                computed = forward(fresh_banks(net), act_spatial(g, x))
+                assert [a.values.tobytes() for a in moved] == \
+                    [a.values.tobytes() for a in computed]
+        convs = sum(isinstance(w, FilterBank) for w in net.weights)
+        assert len(reused) == len(P4M) * convs * len(P4M)
+        del base
+
+    @pytest.mark.parametrize("spike", [5.0, -0.0])
+    def test_same_signature_other_bytes_is_computed(self, spike):
+        # a z2 conv stages the cut input itself, and entry 1 is not sampled,
+        # so the spiked input has the signature of the zeros.  -0.0 equals
+        # 0.0 but is other bytes, so it is not reused either.  The weights
+        # are not integers, so the conv sums in base coordinates.
+        w = FilterBank(np.full((2, 1, 1, 3, 3), -0.5))
+        zeros = FeatureMap(np.zeros((1, 1, 20, 20)))
+        spiked = np.zeros((1, 1, 20, 20))
+        spiked[0, 0, 0, 1] = spike
+        held = conv2d(zeros, w)
+        assert w._memo[layers._BASE_CALL].held() is not None
+        with counted_reuses() as reused:
+            got = conv2d(FeatureMap(spiked), w)
+        assert reused == []
+        computed = conv2d(FeatureMap(spiked), FilterBank(w.values))
+        assert got.values.tobytes() == computed.values.tobytes()
+        assert (got.values.tobytes() != held.values.tobytes()) == (spike != 0.0)
+        with counted_reuses() as reused:
+            again = conv2d(FeatureMap(np.zeros((1, 1, 20, 20))), w)
+        assert len(reused) == 1 and again.values.tobytes() == held.values.tobytes()
+
+    def test_memo_keeps_no_activation_alive(self):
+        net = seed_network(build_network(P4CNN), 6)
+        x = random_feature_map([6, 1], 1, 1, 28, 28)
+        acts = forward(net, x)
+        refs = [weakref.ref(x.values)] + [weakref.ref(a.values) for a in acts]
+        calls = [w._memo[layers._BASE_CALL] for w in net.weights if isinstance(w, FilterBank)]
+        assert len(calls) == 7 and all(call.held() is not None for call in calls)
+        del x, acts
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert all(call.held() is None for call in calls)
+        # with nothing held, the next forward is remembered in their place
+        kept = forward(net, random_feature_map([6, 2], 1, 1, 28, 28))
+        assert all(w._memo[layers._BASE_CALL] not in calls
+                   for w in net.weights if isinstance(w, FilterBank))
+        del kept
