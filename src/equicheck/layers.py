@@ -39,22 +39,22 @@ invariance sweep, passes ``fixed_order=False`` and takes that one BLAS
 product whatever its operands; its floats may differ in the last bits.
 
 The matmuls of a slot are a pure function of its staged operand, the bank
-and the stride, so a base-coordinate call does not run them again for a
-slot whose staged bytes an earlier call has already correlated.  Each
-FilterBank keeps one such call in its private memo: its group kind,
-stride, padding and input shape, weak references to its input and output
-arrays, and a signature (a strided sample of the bytes) of each slot's
-staged operand.  A later call of the same bank, kind, stride, padding and
-shape stages every slot as before; a remembered slot p whose signature
-matches is taken only when its staged operand, staged again from the
-remembered input, is byte for byte the new one, and the new slot q is
-then q applied to p^-1 applied to slot p of the remembered output.  That
-is the byte string the matmuls would give, whatever the layer's sizes:
-nothing is inferred from the modular rule.  A call is remembered only when
-the remembered one is no longer held, so while ``profile_equivariance``
-holds the base forward every moved forward is checked against it, and the
-weak references keep no activation alive.  The BLAS route on the stacked
-bank is left out: its window bytes differ between x and g * x.
+and the stride, so a base-coordinate call does not run them again on bytes
+an earlier call has correlated.  Each FilterBank keeps one such call in its
+private memo: its group kind, stride, padding and input shape, weak
+references to its input and output arrays, and a signature (a strided
+sample of the bytes) of each slot's staged operand.  A later call with the
+same key stages only its cut input and looks it up among the signatures;
+when remembered slot h's operand, staged again from the remembered input,
+is byte for byte the cut input, the output is h^-1 applied to the
+remembered output: one comparison and one move per call, the bytes the
+matmuls would give, with nothing inferred from the modular rule.  No reuse
+is lost: a new slot that stages a remembered slot's bytes makes the cut
+input a remembered operand.  A call is remembered only when the remembered
+one is no longer held, so while ``profile_equivariance`` holds the base
+forward every moved forward is checked against it, and the weak references
+keep no activation alive.  The BLAS route on the stacked bank is left out:
+its window bytes differ between x and g * x.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -254,21 +254,23 @@ class _Seen(NamedTuple):
     out: np.ndarray
     slots: dict[bytes, list[GroupElement]]
 
-    def correlation(self, flat: np.ndarray, kind: GroupKind, m: int) -> np.ndarray | None:
-        """The (O, o, o) base-coordinate correlation of the staged operand
-        ``flat`` when a remembered slot staged the same bytes, else None."""
-        for h in self.slots.get(_signature(flat), ()):
+    def reuse(self, vals: np.ndarray, kind: GroupKind, k: int, s: int) -> np.ndarray | None:
+        """h^-1 applied to the remembered (O, |G|, o, o) output when the cut
+        input of the padded ``vals`` is the operand of remembered slot h, so
+        h^-1 applied to the remembered cut input; else None."""
+        m = s * (self.out.shape[-1] - 1) + k  # the rows any window reads
+        cut = _staged(vals[..., :m, :m], IDENTITY, kind)
+        for h in self.slots.get(_signature(cut), ()):
             # compared as integers: equal floats such as 0.0 and -0.0 may
             # differ in their bytes, and so in the bytes of their products
             if np.array_equal(_staged(self.vals[..., :m, :m], h, kind).view(np.int64),
-                              flat.view(np.int64)):
-                return act_values(inverse(h), self.out[:, slot_index(h)])
+                              cut.view(np.int64)):
+                return act_values(inverse(h), self.out, kind)
         return None
 
 
 def _base_correlate(
-    vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int,
-    seen: _Seen | None = None, slots: dict | None = None,
+    vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int, slots: dict | None = None,
 ) -> np.ndarray:
     """Strided cross-correlation of a padded (C, G, n, n) array with every
     transform of an (O, C, G, k, k) bank, summed in the coordinates of the
@@ -291,11 +293,9 @@ def _base_correlate(
     Slots are staged one at a time.  For a layer that keeps the rule
     (r = 0), slot g*q of the correlation of g * X stages the same bytes as
     slot q of X's and runs the same matmuls on them, so the layer commutes
-    with g bit for bit, whatever the rounding of each matmul.  A slot whose
-    staged bytes ``seen``, an earlier call with ``w`` on an input of the
-    same shape, also staged takes that call's correlation instead of
-    running the matmuls.  ``slots``, when given, collects every slot under
-    the signature of its staged operand."""
+    with g bit for bit, whatever the rounding of each matmul.  ``slots``,
+    when given, collects every slot under the signature of its staged
+    operand, for a later call to look its cut input up in."""
     o_ch, c, g, k, _ = w.shape
     n = vals.shape[-1]
     o = (n - k) // s + 1
@@ -311,17 +311,14 @@ def _base_correlate(
         flat = _staged(read, q, kind)
         if slots is not None:
             slots.setdefault(_signature(flat), []).append(q)
-        corr = seen.correlation(flat, kind, m) if seen else None
-        if corr is None:
-            for t in range(k * k):
-                start = (t // k) * m + t % k
-                prod = product(taps[t], flat[:, start : start + s * (span - 1) + 1 : s])
-                if t:
-                    acc[:, :span] += prod
-                else:
-                    acc[:, :span] = prod
-            corr = acc.reshape(o_ch, o, m)[..., :o]
-        out[:, slot_index(q)] = act_values(q, corr)
+        for t in range(k * k):
+            start = (t // k) * m + t % k
+            prod = product(taps[t], flat[:, start : start + s * (span - 1) + 1 : s])
+            if t:
+                acc[:, :span] += prod
+            else:
+                acc[:, :span] = prod
+        out[:, slot_index(q)] = act_values(q, acc.reshape(o_ch, o, m)[..., :o])
     return out
 
 
@@ -417,8 +414,8 @@ class _BaseCall(NamedTuple):
     slots: dict[bytes, list[GroupElement]]
 
     def held(self) -> _Seen | None:
-        """The call for a later one to look its slots up in, or None once
-        its input or its output has been freed."""
+        """The call for a later one to look its cut input up in, or None
+        once its input or its output has been freed."""
         x, out = self.input(), self.output()
         if x is None or out is None:
             return None
@@ -439,8 +436,8 @@ def _group_conv(
     commute with the group bit for bit at any magnitude.
 
     While the call the bank remembers is held, a base-coordinate call with
-    its key reuses its slots, and no call is remembered; once it is freed,
-    the next base-coordinate call is remembered."""
+    its key may be its output moved, and no call is remembered; once it is
+    freed, the next base-coordinate call is remembered."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
     if not fixed_order or _exact_in_any_order(fm.values, filters):
@@ -451,13 +448,14 @@ def _group_conv(
     seen = call.held() if call else None
     if seen is None:  # nothing held: remember this call
         slots = {}
-        out = FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s, None, slots))
+        out = FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s, slots))
         filters._memo[_BASE_CALL] = _BaseCall(
             key, weakref.ref(fm.values), weakref.ref(out.values), slots)
         return out
-    if call.key != key:
-        seen = None
-    return FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s, seen))
+    out = seen.reuse(vals, kind, filters.k, s) if call.key == key else None
+    if out is None:
+        out = _base_correlate(vals, filters.values, kind, s)
+    return FeatureMap._from_layer(out)
 
 
 def conv2d(

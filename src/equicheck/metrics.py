@@ -322,7 +322,8 @@ def invariance_sweep(
     filter's coordinates: on a network exact at every layer those rows are
     exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
     verdict and run with ``fixed_order=False``; their floats may differ in
-    the last bits.  A multiple of 360 degrees reuses the base forward.
+    the last bits.  A multiple of 360 degrees reuses the base forward, and the
+    other right-angle rows run while it is held, so their convs reuse its calls.
 
     The off-grid inputs are rotated and circle-cropped together, in chunks
     of at most ROTATION_CHUNK_ELEMENTS elements, each one vectorised pass
@@ -343,16 +344,17 @@ def invariance_sweep(
     x = random_feature_map(
         [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued
     )
-    base = forward(seeded, circle_crop(x))[-1]
     angles = list(angles)
+    cropped = circle_crop(x)
+    acts = forward(seeded, cropped)  # held, so the right-angle rows reuse its convs
+    base = acts[-1]
+    rows = {a: base if a % 360 == 0 else forward(seeded, circle_crop(rotate_bilinear(x, a)))[-1]
+            for a in angles if a % 90 == 0}
+    del cropped, acts  # freed before the off-grid rows, which reuse nothing
     off_grid = _cropped_rotations(x, [a for a in angles if a % 90 != 0])
     points = []
     for angle in angles:
-        if angle % 360 == 0:
-            rotated = base
-        elif angle % 90 == 0:
-            rotated = forward(seeded, circle_crop(rotate_bilinear(x, angle)))[-1]
-        else:
-            rotated = forward(seeded, next(off_grid), fixed_order=False)[-1]
+        rotated = rows[angle] if angle % 90 == 0 else forward(
+            seeded, next(off_grid), fixed_order=False)[-1]
         points.append(SweepPoint(float(angle), max_abs_diff(base, rotated)))
     return points

@@ -109,8 +109,8 @@ class FilterBank:
     call it remembers.  That call is kept as its group kind, stride,
     padding and input shape, weak references to its input and output
     arrays, and a signature of each slot's staged operand.  A later call
-    reuses a slot only once its staged operand, staged again from the
-    remembered input, equals the new one byte for byte.
+    is that call's output, moved, only once its cut input equals a
+    remembered slot's operand, staged again, byte for byte.
     """
 
     __slots__ = ("_values", "_memo")

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from test_config_cli import valid_configs
+from test_config_cli import P4MCNN_PATH, run_cli, valid_configs
 
 from equicheck import layers
 from equicheck.analyzer import exact_size_lattice
@@ -102,7 +102,7 @@ def fresh_banks(net):
 def assert_forward_equivariant_bytes(net, x):
     """Every group-valued layer of forward(g*x) is g times that layer of
     forward(x), byte for byte, for every element g of the network's group.
-    Each moved forward reuses the slots of the held forward(x) where their
+    Each moved forward reuses the calls of the held forward(x) where their
     bytes agree, so it is run again on fresh banks, whose products are all
     computed, and must give the same bytes at every layer."""
     base = forward(net, x)
@@ -965,10 +965,10 @@ class TestWholeNetworkEquivariance:
 
 @contextlib.contextmanager
 def counted_reuses():
-    """A list that gets one entry for every slot a base-coordinate call
-    takes from the call its bank remembers, instead of computing it."""
+    """A list that gets one entry for every base-coordinate call that is
+    the call its bank remembers, moved, instead of computing its slots."""
     reused = []
-    real = layers._Seen.correlation
+    real = layers._Seen.reuse
 
     def counting(self, *args):
         got = real(self, *args)
@@ -976,7 +976,7 @@ def counted_reuses():
             reused.append(got)
         return got
 
-    with mock.patch.object(layers._Seen, "correlation", counting):
+    with mock.patch.object(layers._Seen, "reuse", counting):
         yield reused
 
 
@@ -1008,8 +1008,8 @@ def reuse_stacks(draw):
 
 
 class TestSlotReuse:
-    """A base-coordinate call reuses a slot of the call its bank remembers
-    only when the slot's staged operand holds the same bytes, so a forward
+    """A base-coordinate call reuses the call its bank remembers only when
+    its cut input holds the bytes a remembered slot staged, so a forward
     that reuses gives the bytes a forward on fresh banks computes."""
 
     @staticmethod
@@ -1043,6 +1043,60 @@ class TestSlotReuse:
             assert reused or layers._BASE_CALL not in seeded.weights[0]._memo
             del base
 
+    @settings(max_examples=60, deadline=None)
+    @given(reuse_stacks(), st.booleans())
+    def test_no_reuse_is_lost(self, case, symmetric):
+        """Brute force: a call is reused exactly when some slot of it stages
+        the bytes some slot of the remembered call staged.  A symmetric
+        input, the largest of its eight moves, makes many slots agree."""
+        net, seed, samples = case
+        real = layers._Seen.reuse
+        looked_up = []
+
+        def brute_force(seen, vals, kind, k, s):
+            got = real(seen, vals, kind, k, s)
+            m = s * ((vals.shape[-1] - k) // s) + k
+
+            def operands(padded):
+                cut = padded[..., :m, :m]
+                return {np.ascontiguousarray(act_values(inverse(q), cut, kind)).tobytes()
+                        for q in elements(kind)}
+
+            assert (got is not None) == bool(operands(seen.vals) & operands(vals))
+            looked_up.append(got is not None)
+            return got
+
+        for integer in (False, True):
+            seeded, x = self.seeded_input(net, seed, integer)
+            if symmetric:
+                x = FeatureMap(np.max([act_spatial(g, x).values for g in P4M], axis=0))
+            looked_up.clear()
+            with mock.patch.object(layers, "SIGNATURE_SAMPLES", samples), \
+                    mock.patch.object(layers._Seen, "reuse", brute_force):
+                base = forward(seeded, x)  # held, so the moved forwards look up its calls
+                for g in elements(net.kind):
+                    moved = forward(seeded, act_spatial(g, x))
+                    computed = forward(fresh_banks(seeded), act_spatial(g, x))
+                    for depth, (a, b) in enumerate(zip(moved, computed)):
+                        assert a.values.tobytes() == b.values.tobytes(), (g.name, depth)
+            assert looked_up or layers._BASE_CALL not in seeded.weights[0]._memo
+            del base
+
+    @pytest.mark.parametrize("argv, reused", [
+        (["measure", "p4cnn"], 21),
+        (["measure", "p4cnn", "--input-size", "29"], 6),
+        (["measure", P4MCNN_PATH], 49),
+        (["sweep", "p4cnn", "--angle-step", "90"], 21),
+        (["sweep", "p4cnn", "--angle-step", "90", "--input-size", "29"], 6),
+    ], ids=["measure-28", "measure-29", "measure-p4mcnn", "sweep-28", "sweep-29"])
+    def test_builtin_reuse_counts(self, capsys, argv, reused):
+        # at 28 every conv of every moved forward, 7 convs times 3 elements
+        # on p4cnn and 7 times 7 on p4mcnn; at 29 only the lift and the gconv
+        # before the broken pool
+        with counted_reuses() as calls:
+            run_cli(capsys, *argv, "--seed", "0")
+        assert len(calls) == reused
+
     @pytest.mark.parametrize("fill", [0.0, -1.5], ids=["zero", "constant"])
     def test_constant_inputs(self, fill):
         # every slot of every conv stages the same bytes, so every signature agrees
@@ -1059,7 +1113,7 @@ class TestSlotReuse:
                 assert [a.values.tobytes() for a in moved] == \
                     [a.values.tobytes() for a in computed]
         convs = sum(isinstance(w, FilterBank) for w in net.weights)
-        assert len(reused) == len(P4M) * convs * len(P4M)
+        assert len(reused) == len(P4M) * convs
         del base
 
     @pytest.mark.parametrize("spike", [5.0, -0.0])

@@ -650,8 +650,9 @@ class TestInvarianceSweep:
         monkeypatch.setattr(metrics, "forward", recording_forward)
         angles = [0.0, 45.0, 90.0, 360.0, 200.0, 270.0]
         points = invariance_sweep(build_network(TOY41), 2, angles)
-        # base, 45, 90, 200, 270; the rows at 0 and 360 reuse the base forward
-        assert orders == [True, False, True, False, True]
+        # base, then 90 and 270 while the base is held, then 45 and 200; the
+        # rows at 0 and 360 reuse the base forward
+        assert orders == [True, True, True, False, False]
         assert points[0].discrepancy == points[3].discrepancy == 0.0
 
     def test_angle_zero_is_exactly_zero(self):
