@@ -64,7 +64,6 @@ from .metrics import (
 from .tensor import (
     FeatureMap,
     FilterBank,
-    make_feature_map,
     max_abs_diff,
     random_feature_map,
     random_filter_bank,

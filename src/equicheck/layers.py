@@ -39,22 +39,17 @@ invariance sweep, passes ``fixed_order=False`` and takes that one BLAS
 product whatever its operands; its floats may differ in the last bits.
 
 The matmuls of a slot are a pure function of its staged operand, the bank
-and the stride, so a base-coordinate call does not run them again on bytes
-an earlier call has correlated.  Each FilterBank keeps one such call in its
-private memo: its group kind, stride, padding and input shape, weak
-references to its input and output arrays, and a signature (a strided
-sample of the bytes) of each slot's staged operand.  A later call with the
-same key stages only its cut input and looks it up among the signatures;
-when remembered slot h's operand, staged again from the remembered input,
-is byte for byte the cut input, the output is h^-1 applied to the
-remembered output: one comparison and one move per call, the bytes the
-matmuls would give, with nothing inferred from the modular rule.  No reuse
-is lost: a new slot that stages a remembered slot's bytes makes the cut
-input a remembered operand.  A call is remembered only when the remembered
-one is no longer held, so while ``profile_equivariance`` holds the base
-forward every moved forward is checked against it, and the weak references
-keep no activation alive.  The BLAS route on the stacked bank is left out:
-its window bytes differ between x and g * x.
+and the stride, so a moved forward need not run them again on bytes the
+base forward has correlated.  The caller names the move:
+``forward(net, g * x, moved=(g, x, base))``, with ``base`` the forward of
+x, hands each conv the input and output of its layer in ``base``.  When
+the cut padded input of a base-coordinate call is, byte for byte, g
+applied to the cut padded base input, slot q stages the operand of base
+slot g^-1 q, so the output is g applied to the base output: one comparison
+and one move per call, the bytes the matmuls would give, with nothing
+inferred from the modular rule.  Otherwise every slot is computed.  The
+BLAS route on the stacked bank is left out: its window bytes differ
+between x and g * x.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -66,7 +61,6 @@ helpers alike.
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -229,49 +223,7 @@ def _is_integral(arr: np.ndarray) -> bool:
     return bool(np.all(arr == np.rint(arr)))
 
 
-#: Staged entries sampled into a slot's signature.  The signature only
-#: picks the remembered slots worth comparing; the comparison is in full.
-SIGNATURE_SAMPLES = 64
-
-
-def _staged(read: np.ndarray, q: GroupElement, kind: GroupKind) -> np.ndarray:
-    """Slot q's operand: q^-1 applied to the cut (C, G, m, m) input,
-    copied to (C*G, m*m) rows."""
-    c, g, m, _ = read.shape
-    return np.ascontiguousarray(act_values(inverse(q), read, kind)).reshape(c * g, m * m)
-
-
-def _signature(flat: np.ndarray) -> bytes:
-    return flat.reshape(-1)[:: max(1, flat.size // SIGNATURE_SAMPLES)].tobytes()
-
-
-class _Seen(NamedTuple):
-    """A remembered base-coordinate call, held for the length of a later
-    one: its padded input, its (O, |G|, o, o) output, and its slots listed
-    by the signature of their staged operands."""
-
-    vals: np.ndarray
-    out: np.ndarray
-    slots: dict[bytes, list[GroupElement]]
-
-    def reuse(self, vals: np.ndarray, kind: GroupKind, k: int, s: int) -> np.ndarray | None:
-        """h^-1 applied to the remembered (O, |G|, o, o) output when the cut
-        input of the padded ``vals`` is the operand of remembered slot h, so
-        h^-1 applied to the remembered cut input; else None."""
-        m = s * (self.out.shape[-1] - 1) + k  # the rows any window reads
-        cut = _staged(vals[..., :m, :m], IDENTITY, kind)
-        for h in self.slots.get(_signature(cut), ()):
-            # compared as integers: equal floats such as 0.0 and -0.0 may
-            # differ in their bytes, and so in the bytes of their products
-            if np.array_equal(_staged(self.vals[..., :m, :m], h, kind).view(np.int64),
-                              cut.view(np.int64)):
-                return act_values(inverse(h), self.out, kind)
-        return None
-
-
-def _base_correlate(
-    vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int, slots: dict | None = None,
-) -> np.ndarray:
+def _base_correlate(vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int) -> np.ndarray:
     """Strided cross-correlation of a padded (C, G, n, n) array with every
     transform of an (O, C, G, k, k) bank, summed in the coordinates of the
     untransformed bank ``w``; returns (O, |G|, o, o).
@@ -293,9 +245,7 @@ def _base_correlate(
     Slots are staged one at a time.  For a layer that keeps the rule
     (r = 0), slot g*q of the correlation of g * X stages the same bytes as
     slot q of X's and runs the same matmuls on them, so the layer commutes
-    with g bit for bit, whatever the rounding of each matmul.  ``slots``,
-    when given, collects every slot under the signature of its staged
-    operand, for a later call to look its cut input up in."""
+    with g bit for bit, whatever the rounding of each matmul."""
     o_ch, c, g, k, _ = w.shape
     n = vals.shape[-1]
     o = (n - k) // s + 1
@@ -308,9 +258,7 @@ def _base_correlate(
     # numpy's matmul takes an inner dimension of 1 through its own loop, not BLAS
     product = np.dot if c * g == 1 else np.matmul
     for q in elements(kind):
-        flat = _staged(read, q, kind)
-        if slots is not None:
-            slots.setdefault(_signature(flat), []).append(q)
+        flat = np.ascontiguousarray(act_values(inverse(q), read, kind)).reshape(c * g, m * m)
         for t in range(k * k):
             start = (t // k) * m + t % k
             prod = product(taps[t], flat[:, start : start + s * (span - 1) + 1 : s])
@@ -398,33 +346,30 @@ def _stacked(filters: FilterBank, kind: GroupKind) -> np.ndarray:
     return bank
 
 
-#: Memo keys of a bank besides the group kinds of its stacked banks.
+#: Memo key of a bank besides the group kinds of its stacked banks.
 _INTEGER_L1 = "integer l1"
-_BASE_CALL = "base call"
 
 
-class _BaseCall(NamedTuple):
-    """The base-coordinate call a bank remembers: its group kind, stride,
-    padding and input shape, weak references to its input and output
-    arrays, and its slots listed by the signature of their staged operands."""
-
-    key: tuple
-    input: weakref.ref
-    output: weakref.ref
-    slots: dict[bytes, list[GroupElement]]
-
-    def held(self) -> _Seen | None:
-        """The call for a later one to look its cut input up in, or None
-        once its input or its output has been freed."""
-        x, out = self.input(), self.output()
-        if x is None or out is None:
-            return None
-        return _Seen(_pad(x, self.key[2]), out, self.slots)
+def _moves_base_call(
+    vals: np.ndarray, kind: GroupKind, k: int, s: int, p: int, moved: tuple
+) -> bool:
+    """True iff ``moved`` is (g, x0, out0) with g an element of ``kind``
+    and the cut of the padded input ``vals`` is, byte for byte, g applied
+    to the cut of x0 padded by p.  Then slot q stages the operand of slot
+    g^-1 q of the call on x0, so the call's output is g applied to out0."""
+    g, x0, _ = moved
+    if g not in elements(kind):  # a z2 conv of r * x is not r * (its conv of x)
+        return False
+    m = s * ((vals.shape[-1] - k) // s) + k  # the rows any window reads
+    base = act_values(g, _pad(x0.values, p)[..., :m, :m], kind)
+    # compared as integers: equal floats such as 0.0 and -0.0 may differ in
+    # their bytes, and so in the bytes of their products
+    return np.array_equal(vals[..., :m, :m].view(np.int64), base.view(np.int64))
 
 
 def _group_conv(
     fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int, p: int,
-    *, fixed_order: bool = True,
+    *, fixed_order: bool = True, moved: tuple | None = None,
 ) -> FeatureMap:
     """The one body of conv2d, gconv_lift and gconv: output slot g is the
     correlation with transform_filters(g, filters, kind), for every g in
@@ -435,35 +380,29 @@ def _group_conv(
     coordinates by ``_base_correlate``, which makes a rule-exact layer
     commute with the group bit for bit at any magnitude.
 
-    While the call the bank remembers is held, a base-coordinate call with
-    its key may be its output moved, and no call is remembered; once it is
-    freed, the next base-coordinate call is remembered."""
+    ``moved=(g, x0, out0)`` names the input x0 and output out0 of this conv
+    on a base forward that ``fm`` may be g times.  A base-coordinate call
+    whose cut padded input is g applied to that of x0, byte for byte,
+    returns g applied to out0 and runs no matmul; any other call computes
+    every slot."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
     if not fixed_order or _exact_in_any_order(fm.values, filters):
         bank = _stacked(filters, kind)
         return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
-    key = (kind, s, p, fm.shape)
-    call = filters._memo.get(_BASE_CALL)
-    seen = call.held() if call else None
-    if seen is None:  # nothing held: remember this call
-        slots = {}
-        out = FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s, slots))
-        filters._memo[_BASE_CALL] = _BaseCall(
-            key, weakref.ref(fm.values), weakref.ref(out.values), slots)
-        return out
-    out = seen.reuse(vals, kind, filters.k, s) if call.key == key else None
-    if out is None:
-        out = _base_correlate(vals, filters.values, kind, s)
-    return FeatureMap._from_layer(out)
+    if moved is not None and _moves_base_call(vals, kind, filters.k, s, p, moved):
+        g, _, out0 = moved
+        return FeatureMap._from_layer(act_values(g, out0.values, kind))
+    return FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s))
 
 
 def conv2d(
-    fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0, *, fixed_order: bool = True
+    fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0,
+    *, fixed_order: bool = True, moved: tuple | None = None,
 ) -> FeatureMap:
     """Plain strided cross-correlation contracting channel and group axes;
     output side is floor((i + 2p - k)/s) + 1 and the output group axis is 1."""
-    return _group_conv(fm, filters, GroupKind.Z2, s, p, fixed_order=fixed_order)
+    return _group_conv(fm, filters, GroupKind.Z2, s, p, fixed_order=fixed_order, moved=moved)
 
 
 def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> FilterBank:
@@ -477,7 +416,7 @@ def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> 
 
 def gconv_lift(
     fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0,
-    *, fixed_order: bool = True,
+    *, fixed_order: bool = True, moved: tuple | None = None,
 ) -> FeatureMap:
     """Lifting group convolution: planar input, one output slot per group
     element, each the correlation with the g-transformed kernels."""
@@ -485,19 +424,19 @@ def gconv_lift(
         raise ShapeError("lifting requires a non-trivial group; use conv2d for z2")
     if fm.group_size != 1:
         raise ShapeError(f"lifting expects a planar input, got group axis {fm.group_size}")
-    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order)
+    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order, moved=moved)
 
 
 def gconv(
     fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0,
-    *, fixed_order: bool = True,
+    *, fixed_order: bool = True, moved: tuple | None = None,
 ) -> FeatureMap:
     """Group convolution on a group-valued input; preserves the group axis."""
     if kind is GroupKind.Z2:
         raise ShapeError("group convolution requires a non-trivial group")
     if fm.group_size != kind.size:
         raise ShapeError(f"expected group axis {kind.size}, got {fm.group_size}")
-    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order)
+    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order, moved=moved)
 
 
 def maxpool(fm: FeatureMap, k: int, s: int) -> FeatureMap:
@@ -620,15 +559,17 @@ def seed_network(net: Network, seed, integer_valued: bool = False) -> Network:
 
 
 def _apply(
-    layer: Layer, weights, fm: FeatureMap, kind: GroupKind, fixed_order: bool
+    layer: Layer, weights, fm: FeatureMap, kind: GroupKind, fixed_order: bool,
+    moved: tuple | None,
 ) -> FeatureMap:
     lk = layer.kind
     if lk is LayerKind.GCONV_LIFT:
-        return gconv_lift(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order)
+        return gconv_lift(fm, weights, kind, layer.s, layer.p,
+                          fixed_order=fixed_order, moved=moved)
     if lk is LayerKind.GCONV:
-        return gconv(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order)
+        return gconv(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order, moved=moved)
     if lk is LayerKind.CONV2D:
-        return conv2d(fm, weights, layer.s, layer.p, fixed_order=fixed_order)
+        return conv2d(fm, weights, layer.s, layer.p, fixed_order=fixed_order, moved=moved)
     if lk is LayerKind.MAXPOOL:
         return maxpool(fm, layer.k, layer.s)
     if lk is LayerKind.RELU:
@@ -644,7 +585,9 @@ def _apply(
     raise ShapeError(f"unknown layer kind {lk}")  # pragma: no cover
 
 
-def forward(net: Network, fm: FeatureMap, *, fixed_order: bool = True) -> list[FeatureMap]:
+def forward(
+    net: Network, fm: FeatureMap, *, fixed_order: bool = True, moved: tuple | None = None
+) -> list[FeatureMap]:
     """Evaluate the network, returning one activation per layer (final last).
 
     By default float convs, and integer ones past the Hoelder bound, sum in
@@ -656,6 +599,12 @@ def forward(net: Network, fm: FeatureMap, *, fixed_order: bool = True) -> list[F
     reads.  Integer operands within the bound give the same bits either
     way.  An empty network returns just the input.  Layer failures are
     re-raised with the layer index attached.
+
+    ``moved=(g, x, base)`` says that ``fm`` is g * ``x`` and ``base`` is
+    ``forward(net, x)``.  Each conv is then handed its layer's input and
+    output in ``base``, and a base-coordinate conv whose cut input is g
+    times the base one, byte for byte, moves the base output instead of
+    running its matmuls.  The result is the bytes of the plain forward.
     """
     if fm.height != net.input_size or fm.width != net.input_size:
         raise ShapeError(
@@ -667,8 +616,12 @@ def forward(net: Network, fm: FeatureMap, *, fixed_order: bool = True) -> list[F
     for idx, (layer, w) in enumerate(zip(net.layers, weights)):
         if w is None and layer.kind in WEIGHTED_KINDS:
             raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
+        call = None
+        if moved is not None:
+            g, x, base = moved
+            call = (g, base[idx - 1] if idx else x, base[idx])
         try:
-            current = _apply(layer, w, current, net.kind, fixed_order)
+            current = _apply(layer, w, current, net.kind, fixed_order, call)
         except ShapeError as exc:
             raise LayerError(f"layer {idx} ({layer.kind.value}): {exc}") from exc
         acts.append(current)

@@ -203,8 +203,11 @@ def profile_equivariance(
     Weights and the input are drawn deterministically from ``seed``.  For
     each requested group element g and every group-valued depth d the error
     compares the forward pass of the transformed input against the fully
-    transformed activation of the plain input.  One transformed forward is
-    held at a time; entries come out depth by depth, elements in order.
+    transformed activation of the plain input.  Each transformed forward
+    names its move, so its convs may move the base forward's outputs
+    instead of running their matmuls (see ``layers.forward``).  One
+    transformed forward is held at a time; entries come out depth by depth,
+    elements in order.
     """
     if group_elements is None:
         group_elements = tuple(g for g in elements(net.kind) if g != GroupElement(0))
@@ -216,7 +219,7 @@ def profile_equivariance(
     depths = [d for d, act in enumerate(base) if act.group_size > 1]
     errors = {}
     for g in group_elements:
-        moved = forward(seeded, act_spatial(g, x))
+        moved = forward(seeded, act_spatial(g, x), moved=(g, x, base))
         for d in depths:
             errors[d, g] = equivariance_error(moved[d], act_full(g, base[d], net.kind))
         del moved  # freed before the next forward starts
@@ -322,8 +325,9 @@ def invariance_sweep(
     filter's coordinates: on a network exact at every layer those rows are
     exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
     verdict and run with ``fixed_order=False``; their floats may differ in
-    the last bits.  A multiple of 360 degrees reuses the base forward, and the
-    other right-angle rows run while it is held, so their convs reuse its calls.
+    the last bits.  A multiple of 360 degrees reuses the base forward; the
+    other right-angle rows name their quarter turn, so their convs may move
+    the base forward's outputs (see ``layers.forward``).
 
     The off-grid inputs are rotated and circle-cropped together, in chunks
     of at most ROTATION_CHUNK_ELEMENTS elements, each one vectorised pass
@@ -346,11 +350,12 @@ def invariance_sweep(
     )
     angles = list(angles)
     cropped = circle_crop(x)
-    acts = forward(seeded, cropped)  # held, so the right-angle rows reuse its convs
+    acts = forward(seeded, cropped)
     base = acts[-1]
-    rows = {a: base if a % 360 == 0 else forward(seeded, circle_crop(rotate_bilinear(x, a)))[-1]
-            for a in angles if a % 90 == 0}
-    del cropped, acts  # freed before the off-grid rows, which reuse nothing
+    rows = {a: base if a % 360 == 0 else forward(
+        seeded, circle_crop(rotate_bilinear(x, a)),
+        moved=(GroupElement(int(a // 90) % 4), cropped, acts))[-1]
+        for a in angles if a % 90 == 0}
     off_grid = _cropped_rotations(x, [a for a in angles if a % 90 != 0])
     points = []
     for angle in angles:

@@ -101,16 +101,11 @@ class FilterBank:
 
     The kernel is square; ``in_group_size`` must match the group axis of the
     feature map the bank is applied to.  ``_memo`` is private to the layers
-    module and lives and dies with the bank.  The layers module keeps there:
-    per group kind, the read-only bank stacked under every element of the
-    group, built the first time a BLAS contraction needs it; the bank's
-    half of the Hoelder bound, its largest L1 norm if it is
-    integer-valued, computed on first use; and the one base-coordinate
-    call it remembers.  That call is kept as its group kind, stride,
-    padding and input shape, weak references to its input and output
-    arrays, and a signature of each slot's staged operand.  A later call
-    is that call's output, moved, only once its cut input equals a
-    remembered slot's operand, staged again, byte for byte.
+    module and lives and dies with the bank.  The layers module keeps there
+    only what depends on the bank alone: per group kind, the read-only bank
+    stacked under every element of the group, built the first time a BLAS
+    contraction needs it, and the bank's half of the Hoelder bound, its
+    largest L1 norm if it is integer-valued, computed on first use.
     """
 
     __slots__ = ("_values", "_memo")
@@ -149,13 +144,6 @@ class FilterBank:
     def __repr__(self) -> str:
         o, i, g, k, _ = self._values.shape
         return f"FilterBank(out={o}, in={i}, in_group={g}, k={k})"
-
-
-def make_feature_map(
-    channels: int, group_size: int, height: int, width: int, fill: float = 0.0
-) -> FeatureMap:
-    """Constant-filled feature map of the requested shape."""
-    return FeatureMap(np.full((channels, group_size, height, width), fill, dtype=np.float64))
 
 
 def random_values(rng: np.random.Generator, shape, integer_valued: bool = False) -> np.ndarray:

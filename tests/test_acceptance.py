@@ -29,7 +29,7 @@ from equicheck.metrics import (
     rotate_bilinear,
     rotation_commutation,
 )
-from equicheck.tensor import make_feature_map, max_abs_diff, random_feature_map
+from equicheck.tensor import FeatureMap, max_abs_diff, random_feature_map
 
 GRID = [
     (i, k, s)
@@ -161,8 +161,8 @@ def test_criterion_7_bilinear_consistency():
 
 
 def test_criterion_8_error_measure_unit_check():
-    zeros = make_feature_map(1, 4, 2, 2, 0.0)
-    ones = make_feature_map(1, 4, 2, 2, 1.0)
+    zeros = FeatureMap(np.zeros((1, 4, 2, 2)))
+    ones = FeatureMap(np.ones((1, 4, 2, 2)))
     value = equivariance_error(zeros, ones)
     ok = value == 0.25
     _report(8, f"error of zeros-vs-ones (1,4,2,2) = {value}", ok)

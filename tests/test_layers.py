@@ -2,8 +2,6 @@
 and exactness of whole-network equivariance in integer and float mode."""
 
 import contextlib
-import gc
-import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -60,7 +58,6 @@ from equicheck.layers import (
 from equicheck.tensor import (
     FeatureMap,
     FilterBank,
-    make_feature_map,
     max_abs_diff,
     random_feature_map,
     random_filter_bank,
@@ -92,23 +89,16 @@ def assert_equivariant_bytes(fn, kind, fm, w, s, p):
             act_full(g, out, kind).values.tobytes()
 
 
-def fresh_banks(net):
-    """The network with a new copy of every filter bank, which remembers no
-    earlier call, so each of its base-coordinate convs runs its products."""
-    return replace(net, weights=tuple(
-        FilterBank(w.values) if isinstance(w, FilterBank) else w for w in net.weights))
-
-
 def assert_forward_equivariant_bytes(net, x):
     """Every group-valued layer of forward(g*x) is g times that layer of
     forward(x), byte for byte, for every element g of the network's group.
-    Each moved forward reuses the calls of the held forward(x) where their
-    bytes agree, so it is run again on fresh banks, whose products are all
-    computed, and must give the same bytes at every layer."""
+    The moved forward runs twice: naming its move, so that its convs move
+    the base forward's outputs where their bytes agree, and plainly, so
+    that every product is computed; both give the same bytes at every layer."""
     base = forward(net, x)
     for g in elements(net.kind):
-        moved = forward(net, act_spatial(g, x))
-        computed = forward(fresh_banks(net), act_spatial(g, x))
+        moved = forward(net, act_spatial(g, x), moved=(g, x, base))
+        computed = forward(net, act_spatial(g, x))
         for depth, act in enumerate(base):
             assert moved[depth].values.tobytes() == computed[depth].values.tobytes(), \
                 (g.name, depth)
@@ -130,14 +120,14 @@ class TestConv2d:
         assert max_abs_diff(conv2d(fm, w), fm) == 0.0
 
     def test_all_ones_sum(self):
-        fm = make_feature_map(1, 1, 3, 3, 1.0)
+        fm = FeatureMap(np.ones((1, 1, 3, 3)))
         w = FilterBank(np.ones((1, 1, 1, 3, 3)))
         out = conv2d(fm, w)
         assert out.shape == (1, 1, 1, 1)
         assert out.values[0, 0, 0, 0] == 9.0
 
     def test_kernel_exceeds_padded_input(self):
-        fm = make_feature_map(1, 1, 2, 2, 1.0)
+        fm = FeatureMap(np.ones((1, 1, 2, 2)))
         w = FilterBank(np.ones((1, 1, 1, 3, 3)))
         with pytest.raises(ShapeError):
             conv2d(fm, w)
@@ -272,8 +262,8 @@ def per_slot_reference(fm, w, kind, s, p):
     return np.stack([per_position_reference(vals, b.values, s) for b in banks], axis=1)
 
 
-def run_conv(fn, kind, fm, w, s, p):
-    return conv2d(fm, w, s, p) if fn is conv2d else fn(fm, w, kind, s, p)
+def run_conv(fn, kind, fm, w, s, p, **kwargs):
+    return conv2d(fm, w, s, p, **kwargs) if fn is conv2d else fn(fm, w, kind, s, p, **kwargs)
 
 
 @st.composite
@@ -526,12 +516,13 @@ class TestExactnessGuard:
                 assert calls == [want, want]
 
 
-def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True):
+def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True, moved=None):
     """The conv body from before banks were stacked once: it stacks the
     transformed bank on every call.  Integer operands take the BLAS
     contraction as then; floats take the per-slot, per-position einsum over the
     transformed banks, the order every float conv ran in before float convs
-    summed in the base bank's coordinates."""
+    summed in the base bank's coordinates.  A named move is ignored: every
+    call computes its products."""
     assert fixed_order, "the reference has the fixed float order only"
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
@@ -678,10 +669,10 @@ class TestMaxpool:
     @pytest.mark.parametrize("k, s", [(0, 1), (2, 0), (-1, 2)])
     def test_bad_kernel_or_stride(self, k, s):
         with pytest.raises(ShapeError):
-            maxpool(make_feature_map(1, 1, 4, 4, 0.0), k, s)
+            maxpool(FeatureMap(np.zeros((1, 1, 4, 4))), k, s)
 
     def test_constant_map(self):
-        fm = make_feature_map(1, 4, 6, 6, 2.5)
+        fm = FeatureMap(np.full((1, 4, 6, 6), 2.5))
         out = maxpool(fm, 2, 2)
         assert out.shape == (1, 4, 3, 3)
         assert np.all(out.values == 2.5)
@@ -700,12 +691,12 @@ class TestMaxpool:
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
-            maxpool(make_feature_map(1, 1, 2, 2, 0.0), 3, 1)
+            maxpool(FeatureMap(np.zeros((1, 1, 2, 2))), 3, 1)
 
 
 class TestCosetMaxpool:
     def test_equal_slots(self):
-        fm = make_feature_map(2, 4, 3, 3, 1.25)
+        fm = FeatureMap(np.full((2, 4, 3, 3), 1.25))
         out = coset_maxpool(fm)
         assert out.shape == (2, 1, 3, 3)
         assert np.all(out.values == 1.25)
@@ -723,12 +714,12 @@ class TestCosetMaxpool:
 
     def test_planar_input_rejected(self):
         with pytest.raises(ShapeError):
-            coset_maxpool(make_feature_map(1, 1, 2, 2, 0.0))
+            coset_maxpool(FeatureMap(np.zeros((1, 1, 2, 2))))
 
 
 class TestGlobalAvgPool:
     def test_constant(self):
-        out = global_avg_pool(make_feature_map(1, 4, 5, 5, 3.5))
+        out = global_avg_pool(FeatureMap(np.full((1, 4, 5, 5), 3.5)))
         assert out.shape == (1, 4, 1, 1)
         assert np.all(out.values == 3.5)
 
@@ -759,7 +750,7 @@ class TestRelu:
 
 class TestCircleCrop:
     def test_one_by_one_unchanged(self):
-        fm = make_feature_map(1, 1, 1, 1, 7.0)
+        fm = FeatureMap(np.full((1, 1, 1, 1), 7.0))
         assert max_abs_diff(circle_crop(fm), fm) == 0.0
 
     def test_two_by_two_unchanged(self):
@@ -772,7 +763,7 @@ class TestCircleCrop:
         assert max_abs_diff(circle_crop(fm), fm) == 0.0
 
     def test_corners_zeroed_for_larger_even_sizes(self):
-        fm = make_feature_map(1, 1, 4, 4, 1.0)
+        fm = FeatureMap(np.ones((1, 1, 4, 4)))
         out = circle_crop(fm)
         assert out.values[0, 0, 0, 0] == 0.0
         assert out.values[0, 0, 1, 1] == 1.0
@@ -805,7 +796,7 @@ class TestDense:
 
     def test_size_mismatch(self):
         with pytest.raises(ShapeError):
-            dense(make_feature_map(1, 1, 2, 2, 0.0), np.ones((2, 5)))
+            dense(FeatureMap(np.zeros((1, 1, 2, 2))), np.ones((2, 5)))
 
     def test_loose_hoelder_bound_falls_back_to_exact_sum(self):
         # max|x| * ||w_o||_1 = 2**45 * 512 > 2**53, but each row sums to 2**52
@@ -963,20 +954,23 @@ class TestWholeNetworkEquivariance:
         assert positives >= 1
 
 
+
+
 @contextlib.contextmanager
 def counted_reuses():
-    """A list that gets one entry for every base-coordinate call that is
-    the call its bank remembers, moved, instead of computing its slots."""
+    """A list that gets one entry for every base-coordinate call that moves
+    the output of the base call its forward named, instead of computing its
+    slots."""
     reused = []
-    real = layers._Seen.reuse
+    real = layers._moves_base_call
 
-    def counting(self, *args):
-        got = real(self, *args)
-        if got is not None:
-            reused.append(got)
+    def counting(*args):
+        got = real(*args)
+        if got:
+            reused.append(args)
         return got
 
-    with mock.patch.object(layers._Seen, "reuse", counting):
+    with mock.patch.object(layers, "_moves_base_call", counting):
         yield reused
 
 
@@ -984,8 +978,7 @@ def counted_reuses():
 def reuse_stacks(draw):
     """A p4 or p4m stack: a lift, then gconv, maxpool and relu layers with
     k <= 3, s <= 2 and p <= 1 (pools unpadded), at a side of 6 to 15,
-    exact or not; a seed; and the number of entries a slot signature
-    samples, 1 to make signatures collide, or the default."""
+    exact or not; and a seed."""
     kind = draw(st.sampled_from([GroupKind.P4, GroupKind.P4M]))
 
     def kernel_layer(lk):
@@ -1003,14 +996,14 @@ def reuse_stacks(draw):
         infer_shapes(net)
     except LayerError:
         assume(False)
-    samples = draw(st.sampled_from([1, layers.SIGNATURE_SAMPLES]))
-    return net, draw(st.integers(0, 10_000)), samples
+    return net, draw(st.integers(0, 10_000))
 
 
 class TestSlotReuse:
-    """A base-coordinate call reuses the call its bank remembers only when
-    its cut input holds the bytes a remembered slot staged, so a forward
-    that reuses gives the bytes a forward on fresh banks computes."""
+    """A base-coordinate call of a forward that names its move (g, x, base)
+    moves the base call's output only when its cut padded input is g times
+    the base call's, byte for byte, so the forward gives the bytes of the
+    plain forward, which computes every product."""
 
     @staticmethod
     def seeded_input(net, seed, integer):
@@ -1025,45 +1018,47 @@ class TestSlotReuse:
 
     @settings(max_examples=80, deadline=None)
     @given(reuse_stacks())
-    def test_moved_forwards_match_fresh_banks(self, case):
-        net, seed, samples = case
+    def test_moved_forwards_match_plain_forwards(self, case):
+        net, seed = case
         for integer in (False, True):
             seeded, x = self.seeded_input(net, seed, integer)
-            fresh, _ = self.seeded_input(net, seed, integer)
-            with mock.patch.object(layers, "SIGNATURE_SAMPLES", samples), \
-                    counted_reuses() as reused:
-                base = forward(seeded, x)  # held, so the moved forwards look up its calls
+            with counted_reuses() as reused:
+                base = forward(seeded, x)
                 for g in elements(net.kind):
-                    moved = forward(seeded, act_spatial(g, x))
-                    computed = forward(fresh_banks(fresh), act_spatial(g, x))
+                    moved = forward(seeded, act_spatial(g, x), moved=(g, x, base))
+                    computed = forward(seeded, act_spatial(g, x))
                     for depth, (a, b) in enumerate(zip(moved, computed)):
                         assert a.values.tobytes() == b.values.tobytes(), (g.name, depth)
-            # the identity's forward at least restages the lift's bytes; an
+            # the identity's lift at least reads the base lift's bytes; an
             # integer lift whose weights drew all zeros stays within the bound
-            assert reused or layers._BASE_CALL not in seeded.weights[0]._memo
-            del base
+            assert reused or layers._exact_in_any_order(x.values, seeded.weights[0])
 
     @settings(max_examples=60, deadline=None)
     @given(reuse_stacks(), st.booleans())
     def test_no_reuse_is_lost(self, case, symmetric):
-        """Brute force: a call is reused exactly when some slot of it stages
-        the bytes some slot of the remembered call staged.  A symmetric
-        input, the largest of its eight moves, makes many slots agree."""
-        net, seed, samples = case
-        real = layers._Seen.reuse
+        """Brute force: a call is reused exactly when each of its slots q
+        stages the bytes slot g^-1 q of the base call staged, for the g its
+        forward named.  A symmetric input, the largest of its eight moves,
+        makes many slots agree."""
+        net, seed = case
+        real = layers._moves_base_call
         looked_up = []
 
-        def brute_force(seen, vals, kind, k, s):
-            got = real(seen, vals, kind, k, s)
+        def brute_force(vals, kind, k, s, p, moved):
+            got = real(vals, kind, k, s, p, moved)
+            g, x0, _ = moved
+            base = _pad(x0.values, p)
             m = s * ((vals.shape[-1] - k) // s) + k
 
             def operands(padded):
                 cut = padded[..., :m, :m]
-                return {np.ascontiguousarray(act_values(inverse(q), cut, kind)).tobytes()
+                return {q: np.ascontiguousarray(act_values(inverse(q), cut, kind)).tobytes()
                         for q in elements(kind)}
 
-            assert (got is not None) == bool(operands(seen.vals) & operands(vals))
-            looked_up.append(got is not None)
+            new, old = operands(vals), operands(base)
+            assert got == (g in elements(kind) and all(
+                new[q] == old[compose(inverse(g), q)] for q in elements(kind)))
+            looked_up.append(got)
             return got
 
         for integer in (False, True):
@@ -1071,16 +1066,14 @@ class TestSlotReuse:
             if symmetric:
                 x = FeatureMap(np.max([act_spatial(g, x).values for g in P4M], axis=0))
             looked_up.clear()
-            with mock.patch.object(layers, "SIGNATURE_SAMPLES", samples), \
-                    mock.patch.object(layers._Seen, "reuse", brute_force):
-                base = forward(seeded, x)  # held, so the moved forwards look up its calls
+            with mock.patch.object(layers, "_moves_base_call", brute_force):
+                base = forward(seeded, x)
                 for g in elements(net.kind):
-                    moved = forward(seeded, act_spatial(g, x))
-                    computed = forward(fresh_banks(seeded), act_spatial(g, x))
+                    moved = forward(seeded, act_spatial(g, x), moved=(g, x, base))
+                    computed = forward(seeded, act_spatial(g, x))
                     for depth, (a, b) in enumerate(zip(moved, computed)):
                         assert a.values.tobytes() == b.values.tobytes(), (g.name, depth)
-            assert looked_up or layers._BASE_CALL not in seeded.weights[0]._memo
-            del base
+            assert looked_up or layers._exact_in_any_order(x.values, seeded.weights[0])
 
     @pytest.mark.parametrize("argv, reused", [
         (["measure", "p4cnn"], 21),
@@ -1099,58 +1092,81 @@ class TestSlotReuse:
 
     @pytest.mark.parametrize("fill", [0.0, -1.5], ids=["zero", "constant"])
     def test_constant_inputs(self, fill):
-        # every slot of every conv stages the same bytes, so every signature agrees
+        # every map of the base forward is constant, so each moved input is
+        # the base input moved, and every conv of every element is reused
         net = seed_network(replace(build_network(P4CNN), kind=GroupKind.P4M), 5)
         x = FeatureMap(np.full((1, 1, 28, 28), fill))
         with counted_reuses() as reused:
-            base = forward(net, x)  # held, so the moved forwards look up its calls
-            for w in net.weights:
-                if isinstance(w, FilterBank):
-                    assert len(w._memo[layers._BASE_CALL].slots) == 1
+            base = forward(net, x)
             for g in P4M:
-                moved = forward(net, act_spatial(g, x))
-                computed = forward(fresh_banks(net), act_spatial(g, x))
+                moved = forward(net, act_spatial(g, x), moved=(g, x, base))
+                computed = forward(net, act_spatial(g, x))
                 assert [a.values.tobytes() for a in moved] == \
                     [a.values.tobytes() for a in computed]
         convs = sum(isinstance(w, FilterBank) for w in net.weights)
         assert len(reused) == len(P4M) * convs
-        del base
 
     @pytest.mark.parametrize("spike", [5.0, -0.0])
-    def test_same_signature_other_bytes_is_computed(self, spike):
-        # a z2 conv stages the cut input itself, and entry 1 is not sampled,
-        # so the spiked input has the signature of the zeros.  -0.0 equals
-        # 0.0 but is other bytes, so it is not reused either.  The weights
-        # are not integers, so the conv sums in base coordinates.
+    def test_other_bytes_are_computed(self, spike):
+        # the spiked input is r * zeros but for entry 1, which holds 5.0 or
+        # -0.0.  -0.0 equals 0.0 but is other bytes, so it is not reused
+        # either.  The weights are not integers, so the lift sums in base
+        # coordinates.
         w = FilterBank(np.full((2, 1, 1, 3, 3), -0.5))
         zeros = FeatureMap(np.zeros((1, 1, 20, 20)))
         spiked = np.zeros((1, 1, 20, 20))
         spiked[0, 0, 0, 1] = spike
-        held = conv2d(zeros, w)
-        assert w._memo[layers._BASE_CALL].held() is not None
+        base = gconv_lift(zeros, w, GroupKind.P4)
         with counted_reuses() as reused:
-            got = conv2d(FeatureMap(spiked), w)
+            got = gconv_lift(FeatureMap(spiked), w, GroupKind.P4, moved=(ROT90, zeros, base))
         assert reused == []
-        computed = conv2d(FeatureMap(spiked), FilterBank(w.values))
+        computed = gconv_lift(FeatureMap(spiked), w, GroupKind.P4)
         assert got.values.tobytes() == computed.values.tobytes()
-        assert (got.values.tobytes() != held.values.tobytes()) == (spike != 0.0)
+        assert (got.values.tobytes() != base.values.tobytes()) == (spike != 0.0)
         with counted_reuses() as reused:
-            again = conv2d(FeatureMap(np.zeros((1, 1, 20, 20))), w)
-        assert len(reused) == 1 and again.values.tobytes() == held.values.tobytes()
+            again = gconv_lift(zeros, w, GroupKind.P4, moved=(ROT90, zeros, base))
+        assert len(reused) == 1
+        assert again.values.tobytes() == act_full(ROT90, base, GroupKind.P4).values.tobytes()
 
-    def test_memo_keeps_no_activation_alive(self):
-        net = seed_network(build_network(P4CNN), 6)
+    @pytest.mark.parametrize("fn, kind, g", [(conv2d, GroupKind.Z2, ROT90),
+                                             (gconv_lift, GroupKind.P4, MIRROR)],
+                             ids=["z2-r", "p4-m"])
+    def test_element_outside_the_group_is_computed(self, fn, kind, g):
+        # the whole input is read, so the moved input is g times the base
+        # one; but g is not in the conv's group, so no slot of the moved
+        # call reads a base slot's bytes, and it is computed
+        w = random_filter_bank(3, 2, 1, 1, 3)
+        x = random_feature_map(4, 1, 1, 8, 8)
+        base = run_conv(fn, kind, x, w, 1, 0)
+        with counted_reuses() as reused:
+            got = run_conv(fn, kind, act_spatial(g, x), w, 1, 0, moved=(g, x, base))
+        assert reused == []
+        computed = run_conv(fn, kind, act_spatial(g, x), w, 1, 0)
+        assert got.values.tobytes() == computed.values.tobytes()
+
+    @pytest.mark.parametrize("net", SEEDED_NETS)
+    def test_memo_holds_only_stacked_banks_and_the_bound(self, net):
+        # plain, moved and BLAS-order forwards in both modes leave no
+        # activation in any bank's memo
+        for integer in (False, True):
+            seeded = seed_network(net, 6, integer)
+            x = random_feature_map([6, 1], 1, 1, 28, 28, integer)
+            base = forward(seeded, x)
+            forward(seeded, act_spatial(ROT90, x), moved=(ROT90, x, base))
+            forward(seeded, x, fixed_order=False)
+            for w in seeded.weights:
+                if isinstance(w, FilterBank):
+                    assert set(w._memo) - stacked_kinds(w) == {layers._INTEGER_L1}
+
+    def test_forward_without_moved_runs_every_product(self):
+        # the same input again, and every moved input without its move
+        # named: each conv computes its slots
+        net = seed_network(replace(build_network(P4CNN), kind=GroupKind.P4M), 6)
         x = random_feature_map([6, 1], 1, 1, 28, 28)
-        acts = forward(net, x)
-        refs = [weakref.ref(x.values)] + [weakref.ref(a.values) for a in acts]
-        calls = [w._memo[layers._BASE_CALL] for w in net.weights if isinstance(w, FilterBank)]
-        assert len(calls) == 7 and all(call.held() is not None for call in calls)
-        del x, acts
-        gc.collect()
-        assert all(ref() is None for ref in refs)
-        assert all(call.held() is None for call in calls)
-        # with nothing held, the next forward is remembered in their place
-        kept = forward(net, random_feature_map([6, 2], 1, 1, 28, 28))
-        assert all(w._memo[layers._BASE_CALL] not in calls
-                   for w in net.weights if isinstance(w, FilterBank))
-        del kept
+        with mock.patch.object(layers, "_base_correlate", wraps=_base_correlate) as correlate:
+            forward(net, x)
+            forward(net, x)
+            for g in P4M:
+                forward(net, act_spatial(g, x))
+        convs = sum(isinstance(w, FilterBank) for w in net.weights)
+        assert correlate.call_count == convs * (2 + len(P4M))

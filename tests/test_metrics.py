@@ -41,7 +41,7 @@ from equicheck.metrics import (
     rotate_bilinear,
     rotation_commutation,
 )
-from equicheck.tensor import FeatureMap, make_feature_map, max_abs_diff, random_feature_map
+from equicheck.tensor import FeatureMap, max_abs_diff, random_feature_map
 
 
 # The scalar patch maps the oracle once rebuilt its counterexamples with,
@@ -368,8 +368,8 @@ class TestEquivarianceError:
 
     def test_hand_computed_quarter(self):
         # 16 cells differing by 1: sqrt(16) / 16 = 0.25
-        zeros = make_feature_map(1, 4, 2, 2, 0.0)
-        ones = make_feature_map(1, 4, 2, 2, 1.0)
+        zeros = FeatureMap(np.zeros((1, 4, 2, 2)))
+        ones = FeatureMap(np.ones((1, 4, 2, 2)))
         assert equivariance_error(zeros, ones) == 0.25
 
     def test_symmetry(self):
@@ -387,7 +387,8 @@ class TestEquivarianceError:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            equivariance_error(make_feature_map(1, 1, 2, 2, 0.0), make_feature_map(1, 1, 3, 3, 0.0))
+            equivariance_error(FeatureMap(np.zeros((1, 1, 2, 2))),
+                               FeatureMap(np.zeros((1, 1, 3, 3))))
 
 
 def stride1_p4_net(input_size):
@@ -641,18 +642,20 @@ class TestInvarianceSweep:
                 assert math.isclose(p.discrepancy, want, rel_tol=1e-12, abs_tol=0.0)
 
     def test_only_off_grid_forwards_leave_the_fixed_order(self, monkeypatch):
-        orders = []
+        orders, moves = [], []
 
-        def recording_forward(net, fm, *, fixed_order=True):
+        def recording_forward(net, fm, *, fixed_order=True, moved=None):
             orders.append(fixed_order)
-            return forward(net, fm, fixed_order=fixed_order)
+            moves.append(None if moved is None else moved[0])
+            return forward(net, fm, fixed_order=fixed_order, moved=moved)
 
         monkeypatch.setattr(metrics, "forward", recording_forward)
         angles = [0.0, 45.0, 90.0, 360.0, 200.0, 270.0]
         points = invariance_sweep(build_network(TOY41), 2, angles)
-        # base, then 90 and 270 while the base is held, then 45 and 200; the
+        # base, then 90 and 270 as moves of the base, then 45 and 200; the
         # rows at 0 and 360 reuse the base forward
         assert orders == [True, True, True, False, False]
+        assert moves == [None, GroupElement(1), GroupElement(3), None, None]
         assert points[0].discrepancy == points[3].discrepancy == 0.0
 
     def test_angle_zero_is_exactly_zero(self):

@@ -9,7 +9,6 @@ from equicheck.errors import DimensionError, ShapeError
 from equicheck.tensor import (
     FeatureMap,
     FilterBank,
-    make_feature_map,
     max_abs_diff,
     random_feature_map,
     random_filter_bank,
@@ -17,30 +16,32 @@ from equicheck.tensor import (
 
 
 class TestMakeFeatureMap:
+    """Construction of feature maps, constant-filled ones among them."""
+
     def test_constant_fill(self):
-        fm = make_feature_map(1, 1, 2, 2, 0.0)
+        fm = FeatureMap(np.zeros((1, 1, 2, 2)))
         assert fm.shape == (1, 1, 2, 2)
         assert np.all(fm.values == 0.0)
 
     def test_size_and_fill(self):
-        fm = make_feature_map(1, 4, 3, 3, 1.0)
+        fm = FeatureMap(np.ones((1, 4, 3, 3)))
         assert fm.values.size == 36
         assert np.all(fm.values == 1.0)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(DimensionError):
-            make_feature_map(1, 1, 0, 5, 0.0)
+            FeatureMap(np.zeros((1, 1, 0, 5)))
 
     def test_bad_group_size_rejected(self):
         with pytest.raises(DimensionError):
-            make_feature_map(1, 3, 2, 2, 0.0)
+            FeatureMap(np.zeros((1, 3, 2, 2)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             FeatureMap(np.full((1, 1, 2, 2), np.nan))
 
     def test_values_read_only(self):
-        fm = make_feature_map(1, 1, 2, 2, 0.0)
+        fm = FeatureMap(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ValueError):
             fm.values[0, 0, 0, 0] = 1.0
 
@@ -107,13 +108,13 @@ class TestMaxAbsDiff:
         assert max_abs_diff(m, m) == 0.0
 
     def test_constant_difference(self):
-        zeros = make_feature_map(1, 1, 2, 2, 0.0)
-        ones = make_feature_map(1, 1, 2, 2, 1.0)
+        zeros = FeatureMap(np.zeros((1, 1, 2, 2)))
+        ones = FeatureMap(np.ones((1, 1, 2, 2)))
         assert max_abs_diff(zeros, ones) == 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            max_abs_diff(make_feature_map(1, 1, 2, 2, 0.0), make_feature_map(1, 1, 3, 3, 0.0))
+            max_abs_diff(FeatureMap(np.zeros((1, 1, 2, 2))), FeatureMap(np.zeros((1, 1, 3, 3))))
 
     @given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=30, derandomize=True)
