@@ -66,7 +66,6 @@ from .tensor import (
     FilterBank,
     max_abs_diff,
     random_feature_map,
-    random_filter_bank,
 )
 
 __version__ = "0.1.0"

@@ -69,7 +69,7 @@ MAX_SWEEP_ANGLES = 3600
 MAX_SUGGEST_SIZES = 1_000_000
 
 #: Most output cells one oracle grid may compare, summed over its (i, k, s)
-#: triples.
+#: triples once MAX_ORACLE_TRIPLES has bounded how many there are.
 MAX_ORACLE_CELLS = 1 << 21
 
 #: Most (i, k, s) triples one oracle grid may hold: each one costs about 2 KB
@@ -301,25 +301,6 @@ def _oracle_triples(i_lo: int, i_hi: int, k_lo: int, k_hi: int, s_lo: int, s_hi:
     return pairs * (s_hi - s_lo + 1)
 
 
-def _oracle_cells(i_lo: int, i_hi: int, k_lo: int, k_hi: int, s_lo: int, s_hi: int) -> int:
-    """Output cells of the oracle grid, the sum of ((i - k)//s + 1)^2 over
-    its triples, from the range bounds alone; any count above
-    MAX_ORACLE_CELLS is returned as MAX_ORACLE_CELLS + 1."""
-    # the pairs (i, k <= i) take every difference d = i - k in [d_lo, d_hi],
-    # and every triple has at least one cell: a wide grid is over the bound
-    # before anything is summed
-    d_lo, d_hi = max(0, i_lo - k_hi), i_hi - k_lo
-    if (d_hi - d_lo + 1) * (s_hi - s_lo + 1) > MAX_ORACLE_CELLS:
-        return MAX_ORACLE_CELLS + 1
-    total = 0
-    for d in range(d_lo, d_hi + 1):
-        pairs = min(k_hi, i_hi - d) - max(k_lo, i_lo - d) + 1
-        total += pairs * sum((d // s + 1) ** 2 for s in range(s_lo, s_hi + 1))
-        if total > MAX_ORACLE_CELLS:
-            return MAX_ORACLE_CELLS + 1
-    return total
-
-
 def cmd_oracle(args) -> int:
     i_lo, i_hi = _parse_range(args.i_range, "--i-range")
     k_lo, k_hi = _parse_range(args.k_range, "--k-range")
@@ -333,12 +314,12 @@ def cmd_oracle(args) -> int:
         raise EquicheckError(
             f"oracle ranges hold more than {MAX_ORACLE_TRIPLES} (i, k, s) triples"
         )
-    if _oracle_cells(i_lo, i_hi, k_lo, k_hi, s_lo, s_hi) > MAX_ORACLE_CELLS:
+    triples = [(i, k, s) for i in range(i_lo, i_hi + 1)
+               for k in range(k_lo, min(k_hi, i) + 1) for s in range(s_lo, s_hi + 1)]
+    if sum(((i - k) // s + 1) ** 2 for i, k, s in triples) > MAX_ORACLE_CELLS:
         raise EquicheckError(
             f"oracle ranges hold more than {MAX_ORACLE_CELLS} output cells to compare"
         )
-    triples = [(i, k, s) for i in range(i_lo, i_hi + 1)
-               for k in range(k_lo, min(k_hi, i) + 1) for s in range(s_lo, s_hi + 1)]
     cells = []
     agreements = 0
     for (i, k, s), verdict in zip(triples, commutation_grid(triples, SYMMETRIES[args.symmetry])):
@@ -399,8 +380,6 @@ def _seeded_command_network(args):
         raise EquicheckError(f"--seed must be non-negative, got {args.seed}")
     declared = _resolve_config(args.config)
     net = build_network(declared, args.input_size)
-    if net.input_size < 1:
-        raise EquicheckError(f"input size must be >= 1, got {net.input_size}")
     steps = list(walk_shapes(net.kind, net.layers, net.input_size, net.in_channels))
     held = net.in_channels * net.input_size**2 + sum(
         c * g * side * side for c, g, side in (step.out_shape for step in steps))

@@ -166,6 +166,8 @@ def load(path) -> Network:
 
 
 def build_network(net: Network, input_size: int | None = None) -> Network:
-    """``net`` once validated, resized to ``input_size`` if one is given."""
+    """``net`` resized to ``input_size`` if one is given, then validated."""
+    if input_size is not None:
+        net = replace(net, input_size=input_size)
     validate(net)
-    return net if input_size is None else replace(net, input_size=input_size)
+    return net

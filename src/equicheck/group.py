@@ -213,16 +213,6 @@ def mirror_index(n, x, y) -> tuple:
     return _mirror(n, x, y, x, y)[:2]
 
 
-def transform_index(g: GroupElement, n: int, x: int, y: int) -> tuple[int, int]:
-    """Apply a group element to one index: mirror first, then quarter turns."""
-    if g.mirrored:
-        x, y = mirror_index(n, x, y)
-    for _ in range(g.rotations):
-        x, y = rotate_index(n, x, y)
-    _check_index(n, x, y)
-    return (x, y)
-
-
 @dataclass(frozen=True)
 class IndexPatch:
     """Axis-aligned block of integer indices, stored as its two corners.
@@ -236,11 +226,6 @@ class IndexPatch:
 
     def __post_init__(self):
         check_corner_order(*self.top_left, *self.bottom_right)
-
-    def indices(self) -> list[tuple[int, int]]:
-        """All (col, row) pairs covered by the patch."""
-        (x1, y1), (x2, y2) = self.top_left, self.bottom_right
-        return [(x, y) for y in range(y1, y2 + 1) for x in range(x1, x2 + 1)]
 
 
 def act_values(g: GroupElement, vals: np.ndarray, kind: GroupKind | None = None) -> np.ndarray:

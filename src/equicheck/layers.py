@@ -146,13 +146,9 @@ def output_size(i: int, k: int, s: int, p: int = 0) -> int:
 
 def check_layer(i: int, k: int, s: int, p: int = 0) -> bool:
     """True iff this layer subsamples without breaking the group actions,
-    i.e. (i + 2p - k) mod s = 0."""
-    padded = i + 2 * p
-    if padded < k:
-        raise ShapeError(f"kernel {k} exceeds padded input {padded}")
-    if s < 1:
-        raise ShapeError(f"stride must be >= 1, got {s}")
-    return (padded - k) % s == 0
+    i.e. (i + 2p - k) mod s = 0; raises as :func:`output_size` does."""
+    output_size(i, k, s, p)
+    return (i + 2 * p - k) % s == 0
 
 
 class ShapeStep(NamedTuple):

@@ -172,19 +172,6 @@ def random_feature_map(
     return FeatureMap(random_values(np.random.default_rng(seed), shape, integer_valued))
 
 
-def random_filter_bank(
-    seed,
-    out_channels: int,
-    in_channels: int,
-    in_group_size: int,
-    k: int,
-    integer_valued: bool = False,
-) -> FilterBank:
-    """Seeded random filter bank; value ranges as in :func:`random_feature_map`."""
-    shape = (out_channels, in_channels, in_group_size, k, k)
-    return FilterBank(random_values(np.random.default_rng(seed), shape, integer_valued))
-
-
 def max_abs_diff(a: FeatureMap, b: FeatureMap) -> float:
     """Largest absolute entrywise difference; 0.0 iff the maps are identical."""
     if a.shape != b.shape:

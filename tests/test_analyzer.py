@@ -71,8 +71,12 @@ class TestOutputSize:
         assert output_size(i, k, s, p) == o
 
     def test_kernel_exceeds_padded_input(self):
-        with pytest.raises(ShapeError):
-            output_size(3, 4, 1, 0)
+        # and a stride below 1; check_layer raises the same error on the same inputs
+        for args, message in (((3, 4, 1, 0), "kernel 4 exceeds padded input 3"),
+                              ((5, 3, 0, 1), "stride must be >= 1, got 0")):
+            for fn in (output_size, check_layer):
+                with pytest.raises(ShapeError, match=message):
+                    fn(*args)
 
 
 class TestCheckLayer:

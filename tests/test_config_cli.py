@@ -63,6 +63,9 @@ def valid_configs(draw):
 #: The benchmark's p4m variant of p4cnn, a config file rather than a built-in.
 P4MCNN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "p4mcnn.json")
 
+#: The README, whose Library section shows the public names in use.
+README_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
 #: sha256 of the canonical config JSON, the ``config_digest`` of every report
 #: on these networks; a change to how an architecture is held must not move it.
 CONFIG_DIGESTS = {
@@ -191,6 +194,11 @@ class TestConfigRoundTrip:
         )
         with pytest.raises(ConfigError, match="square"):
             from_json(text)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_resized_network_is_validated(self, size):
+        with pytest.raises(ConfigError, match=f"input_size .* must be >= 1, got {size}"):
+            build_network(BUILTINS["p4cnn"], size)
 
 
 class TestGeneratedConfigs:
@@ -372,20 +380,6 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize(
         "ranges",
-        [(2, 12, 1, 4, 1, 3), (7, 9, 3, 9, 2, 5), (1, 3, 5, 9, 1, 2), (30, 40, 1, 3, 4, 9)],
-    )
-    def test_cell_count_is_exact(self, ranges):
-        i_lo, i_hi, k_lo, k_hi, s_lo, s_hi = ranges
-        brute = sum(
-            ((i - k) // s + 1) ** 2
-            for i in range(i_lo, i_hi + 1)
-            for k in range(k_lo, min(k_hi, i) + 1)
-            for s in range(s_lo, s_hi + 1)
-        )
-        assert cli._oracle_cells(*ranges) == brute
-
-    @pytest.mark.parametrize(
-        "ranges",
         [(2, 12, 1, 4, 1, 3), (7, 9, 3, 9, 2, 5), (1, 3, 5, 9, 1, 2), (30, 40, 1, 3, 4, 9),
          (5, 5, 5, 5, 1, 1), (1, 20, 4, 8, 3, 3), (2, 40, 1, 7, 1, 5)],
     )
@@ -405,7 +399,9 @@ class TestOracleCommand:
 
     def test_cell_bound_is_inclusive(self, monkeypatch, capsys):
         argv = ["oracle", "--i-range", "2:12", "--k-range", "1:4", "--s-range", "1:3"]
-        monkeypatch.setattr(cli, "MAX_ORACLE_CELLS", cli._oracle_cells(2, 12, 1, 4, 1, 3))
+        cells = sum(((i - k) // s + 1) ** 2 for i in range(2, 13)
+                    for k in range(1, min(4, i) + 1) for s in range(1, 4))
+        monkeypatch.setattr(cli, "MAX_ORACLE_CELLS", cells)
         assert run(argv) == 0
         monkeypatch.setattr(cli, "MAX_ORACLE_CELLS", cli.MAX_ORACLE_CELLS - 1)
         assert run(argv) == 2
@@ -748,3 +744,15 @@ class TestConsoleEntryPoints:
             text=True,
         )
         assert proc.returncode == 2
+
+
+def test_readme_library_block_runs_as_written(capsys):
+    # a name the README shows cannot disappear unnoticed
+    with open(README_PATH, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", text, re.S | re.M).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # the sizes its comment lists; i=5, k=2, s=2 breaks and p4cnn is exact at 30
+    assert lines[1] == "[28, 30, 32, 34, 36, 38, 40]"
+    assert lines[2].startswith("False ") and lines[3] == "0.0"

@@ -18,6 +18,7 @@ from equicheck.group import (
     IndexPatch,
     act_full,
     act_spatial,
+    act_values,
     compose,
     elements,
     group_permutation,
@@ -27,7 +28,6 @@ from equicheck.group import (
     rotate_corners,
     rotate_index,
     slot_index,
-    transform_index,
 )
 from equicheck.tensor import FeatureMap, max_abs_diff, random_feature_map
 
@@ -40,6 +40,12 @@ def all_patches(n):
             for x2 in range(x1, n):
                 for y2 in range(y1, n):
                     yield IndexPatch((x1, y1), (x2, y2))
+
+
+def cells(patch):
+    """Every (col, row) pair a patch covers."""
+    (x1, y1), (x2, y2) = patch.top_left, patch.bottom_right
+    return {(x, y) for y in range(y1, y2 + 1) for x in range(x1, x2 + 1)}
 
 
 class TestIndexMaps:
@@ -121,8 +127,8 @@ class TestPatchMaps:
                 for corner_map, index_map in ((rotate_corners, rotate_index),
                                               (mirror_corners, mirror_index)):
                     x1, y1, x2, y2 = corner_map(n, *corners(patch))
-                    mapped = {index_map(n, x, y) for (x, y) in patch.indices()}
-                    assert set(IndexPatch((x1, y1), (x2, y2)).indices()) == mapped
+                    mapped = {index_map(n, x, y) for (x, y) in cells(patch)}
+                    assert cells(IndexPatch((x1, y1), (x2, y2))) == mapped
 
     def test_invalid_patch(self):
         with pytest.raises(PatchError):
@@ -184,15 +190,14 @@ class TestAlgebra:
                     assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
     def test_algebra_matches_index_maps(self):
-        # the abstract product must act like composition of index maps
-        n = 6
-        for a in P4M:
-            for b in P4M:
-                ab = compose(a, b)
-                for x in range(n):
-                    for y in range(n):
-                        stepwise = transform_index(a, n, *transform_index(b, n, x, y))
-                        assert stepwise == transform_index(ab, n, x, y)
+        # the abstract product must act like composition of index maps, read
+        # off a grid whose entries name their own index
+        for n in (5, 6):
+            grid = np.arange(n * n).reshape(n, n)
+            for a in P4M:
+                for b in P4M:
+                    stepwise = act_values(a, act_values(b, grid))
+                    assert np.array_equal(stepwise, act_values(compose(a, b), grid))
 
     def test_names_round_trip(self):
         for g in P4M:
@@ -218,7 +223,10 @@ class TestActSpatial:
             expected = np.empty((5, 5))
             for y in range(5):
                 for x in range(5):
-                    gx, gy = transform_index(g, 5, x, y)
+                    # mirror first, then quarter turns
+                    gx, gy = mirror_index(5, x, y) if g.mirrored else (x, y)
+                    for _ in range(g.rotations):
+                        gx, gy = rotate_index(5, gx, gy)
                     expected[gy, gx] = fm.values[0, 0, y, x]
             assert np.array_equal(act_spatial(g, fm).values[0, 0], expected)
 

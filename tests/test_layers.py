@@ -60,11 +60,16 @@ from equicheck.tensor import (
     FilterBank,
     max_abs_diff,
     random_feature_map,
-    random_filter_bank,
+    random_values,
 )
 
 P4 = list(elements(GroupKind.P4))
 P4M = list(elements(GroupKind.P4M))
+
+
+def random_filter_bank(seed, o, c, g, k, integer_valued=False):
+    """Seeded (o, c, g, k, k) bank, drawn as random_feature_map draws a map."""
+    return FilterBank(random_values(np.random.default_rng(seed), (o, c, g, k, k), integer_valued))
 
 
 def assert_close(actual, expected):

@@ -86,7 +86,10 @@ class TestIndexPatch:
 
     def test_cardinality_is_k_squared(self):
         for (x, y, k, s) in [(0, 0, 3, 1), (2, 1, 4, 2), (5, 5, 1, 3)]:
-            assert len(index_patch(x, y, k, s).indices()) == k * k
+            patch = index_patch(x, y, k, s)
+            (x1, y1), (x2, y2) = patch.top_left, patch.bottom_right
+            cells = {(u, v) for v in range(y1, y2 + 1) for u in range(x1, x2 + 1)}
+            assert len(cells) == k * k
 
 
 class TestCommutationOracles:

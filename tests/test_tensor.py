@@ -11,7 +11,7 @@ from equicheck.tensor import (
     FilterBank,
     max_abs_diff,
     random_feature_map,
-    random_filter_bank,
+    random_values,
 )
 
 
@@ -85,10 +85,11 @@ class TestRandomFeatureMap:
         assert np.any(a.values != b.values)
 
     def test_filter_bank_variant(self):
-        w = random_filter_bank(5, 3, 2, 4, 3, integer_valued=True)
+        # a seeded bank is the same draw in five axes
+        w, again = (FilterBank(random_values(np.random.default_rng(5), (3, 2, 4, 3, 3), True))
+                    for _ in range(2))
         assert w.values.shape == (3, 2, 4, 3, 3)
         assert np.all(np.abs(w.values) <= 4)
-        again = random_filter_bank(5, 3, 2, 4, 3, integer_valued=True)
         assert np.array_equal(w.values, again.values)
 
 
