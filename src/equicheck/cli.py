@@ -45,7 +45,7 @@ from .analyzer import (
 )
 from .builtins import BUILTINS
 from .config import build_network, load, to_dict
-from .errors import EquicheckError
+from .errors import ActivationOverflow, EquicheckError
 from .group import GroupElement, GroupKind, elements
 from .layers import Network, weight_shape
 from .metrics import (
@@ -367,8 +367,10 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if agreement == 1.0 else EXIT_INEXACT
 
 
-def _truncation_text(truncated_at: int, what: str) -> str:
-    return f"truncated at layer {truncated_at}: its kernel outruns the input, so {what}"
+def _truncation_text(truncated_at: int, what: str, overflow: bool = False) -> str:
+    cause = (f"activations overflow float64 at layer {truncated_at}" if overflow
+             else "its kernel outruns the input")
+    return f"truncated at layer {truncated_at}: {cause}, so {what}"
 
 
 def _seeded_command_network(args):
@@ -417,8 +419,11 @@ def cmd_measure(args) -> int:
         ],
         "max_error": profile.max_error(),
     }
-    if truncated_at is not None:
-        payload["truncated_at"] = truncated_at
+    # an overflow comes before any layer the walk cut, as only those ran
+    overflow = profile.overflow_at is not None
+    stop = profile.overflow_at if overflow else truncated_at
+    if stop is not None:
+        payload["truncated_at"] = stop
     lines = [
         f"equivariance profile: {net.name} at {net.input_size}x{net.input_size}, "
         f"seed {args.seed}, {'integer' if args.integer_weights else 'float'} weights",
@@ -429,9 +434,11 @@ def cmd_measure(args) -> int:
     if not profile.entries:
         lines.append("  (no group-valued depths in this network)")
     lines.append(f"max error: {profile.max_error():.6g}")
-    if truncated_at is not None:
-        lines.append(_truncation_text(truncated_at, "only the layers before it were profiled"))
+    if stop is not None:
+        lines.append(_truncation_text(stop, "only the layers before it were profiled", overflow))
     _emit(_document("measure", payload, declared, args.seed), "\n".join(lines), args)
+    # an overflow leaves the verdict to the depths before it; a kernel that
+    # outruns the input is itself a break
     if truncated_at is not None or profile.max_error() != 0.0:
         return EXIT_INEXACT
     return EXIT_OK
@@ -455,9 +462,12 @@ def cmd_sweep(args) -> int:
             bisect.insort(angles, quarter)
     # the sweep compares network outputs, so a kernel that outruns the input
     # leaves nothing to run
-    points = []
+    points, overflow = [], False
     if truncated_at is None:
-        points = invariance_sweep(net, args.seed, angles, args.integer_weights)
+        try:
+            points = invariance_sweep(net, args.seed, angles, args.integer_weights)
+        except ActivationOverflow as exc:
+            truncated_at, overflow = exc.layer, True
     grid_aligned = [p for p in points if p.angle % 90 == 0]
     worst_aligned = max((p.discrepancy for p in grid_aligned), default=0.0)
     payload = {
@@ -477,7 +487,8 @@ def cmd_sweep(args) -> int:
         lines.append(f"{p.angle:>7.1f}  {p.discrepancy:>12.6g}")
     if truncated_at is not None:
         payload["truncated_at"] = truncated_at
-        lines.append(_truncation_text(truncated_at, "no forward pass was run"))
+        what = "no output was compared" if overflow else "no forward pass was run"
+        lines.append(_truncation_text(truncated_at, what, overflow))
     else:
         lines.append(f"max discrepancy at multiples of 90: {worst_aligned:.6g}")
     _emit(_document("sweep", payload, declared, args.seed), "\n".join(lines), args)

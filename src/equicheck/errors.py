@@ -9,6 +9,10 @@ class DimensionError(EquicheckError, ValueError):
     """A tensor was constructed with an invalid dimension."""
 
 
+class NonFiniteError(EquicheckError, ValueError):
+    """A feature map or filter bank would hold an infinite or NaN value."""
+
+
 class ShapeError(EquicheckError, ValueError):
     """Operands have incompatible shapes (or a kernel exceeds its input)."""
 
@@ -28,3 +32,11 @@ class ConfigError(EquicheckError, ValueError):
 class LayerError(EquicheckError, RuntimeError):
     """A layer failed during evaluation; the message carries the layer index."""
 
+
+class ActivationOverflow(EquicheckError):
+    """A forward pass gave a value that is not finite at layer ``layer``, as
+    integer activations past the float64 range do."""
+
+    def __init__(self, layer: int):
+        super().__init__(f"activations overflow float64 at layer {layer}")
+        self.layer = layer

@@ -258,8 +258,9 @@ def _square_values(fm: FeatureMap) -> np.ndarray:
 
 def act_spatial(g: GroupElement, fm: FeatureMap) -> FeatureMap:
     """Move every value from index p to index g(p); channel and group axes
-    are untouched.  Requires a square map."""
-    return FeatureMap(act_values(g, _square_values(fm)))
+    are untouched.  Requires a square map.  The moved values are not
+    scanned again, and the identity shares the read-only values of ``fm``."""
+    return FeatureMap._moved(act_values(g, _square_values(fm)))
 
 
 @functools.cache
@@ -286,8 +287,8 @@ def act_full(g: GroupElement, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
     with; it inverts via ``act_full(inverse(g), ...)``.
 
     The group axis is longer than 1, so ``act_values`` permutes into a
-    fresh array, which the map takes over without a copy; the identity
-    shares the read-only values of ``fm``."""
+    fresh array, which the map takes over without a copy or a finite scan;
+    the identity shares the read-only values of ``fm``."""
     if fm.group_size != kind.size:
         raise ShapeError(
             f"group axis {fm.group_size} does not match {kind.value} (size {kind.size})"
@@ -295,4 +296,4 @@ def act_full(g: GroupElement, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
     vals = _square_values(fm)
     if kind is GroupKind.Z2:
         raise GroupKindError("the trivial group has no group axis to permute")
-    return FeatureMap._from_layer(act_values(g, vals, kind))
+    return FeatureMap._moved(act_values(g, vals, kind))

@@ -41,15 +41,21 @@ product whatever its operands; its floats may differ in the last bits.
 The matmuls of a slot are a pure function of its staged operand, the bank
 and the stride, so a moved forward need not run them again on bytes the
 base forward has correlated.  The caller names the move:
-``forward(net, g * x, moved=(g, x, base))``, with ``base`` the forward of
-x, hands each conv the input and output of its layer in ``base``.  When
-the cut padded input of a base-coordinate call is, byte for byte, g
+``forward(net, g * x, moved=(g, x, base, g_base))``, with ``base`` the
+forward of x and ``g_base`` its group-valued maps moved by g, hands each
+conv the input of its layer in ``base`` and the moved output in
+``g_base``.  When the cut padded input of a call is, byte for byte, g
 applied to the cut padded base input, slot q stages the operand of base
 slot g^-1 q, so the output is g applied to the base output: one comparison
-and one move per call, the bytes the matmuls would give, with nothing
-inferred from the modular rule.  Otherwise every slot is computed.  The
-BLAS route on the stacked bank is left out: its window bytes differ
-between x and g * x.
+per call, and the moved map itself, the bytes the matmuls would give, with
+nothing inferred from the modular rule.  Otherwise every slot is computed.
+The BLAS route on the stacked bank takes the moved map on the same check:
+its integer sums within the bound are exact in any order, so they are the
+bytes of the moved base output too.  A relu, circle crop or global average
+pool whose input is a moved map returns the next one, as each moves with
+its input bit for bit; max pools are computed, as a tie of +0.0 and -0.0
+may resolve either way.  Each base map is thus moved once per element,
+and the caller compares the same maps.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -66,9 +72,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LayerError, ShapeError
+from .errors import LayerError, NonFiniteError, ShapeError
 from .group import (
-    IDENTITY, GroupElement, GroupKind, act_values, elements, inverse, slot_index,
+    IDENTITY, GroupElement, GroupKind, act_full, act_values, elements, inverse, slot_index,
 )
 from .tensor import EXACT_INT_LIMIT, FeatureMap, FilterBank, random_values
 
@@ -349,12 +355,14 @@ _INTEGER_L1 = "integer l1"
 def _moves_base_call(
     vals: np.ndarray, kind: GroupKind, k: int, s: int, p: int, moved: tuple
 ) -> bool:
-    """True iff ``moved`` is (g, x0, out0) with g an element of ``kind``
-    and the cut of the padded input ``vals`` is, byte for byte, g applied
-    to the cut of x0 padded by p.  Then slot q stages the operand of slot
-    g^-1 q of the call on x0, so the call's output is g applied to out0."""
-    g, x0, _ = moved
-    if g not in elements(kind):  # a z2 conv of r * x is not r * (its conv of x)
+    """True iff ``moved`` is (g, x0, g_out0) with g an element of ``kind``,
+    g_out0 a map, and the cut of the padded input ``vals`` is, byte for
+    byte, g applied to the cut of x0 padded by p.  Then slot q stages the
+    operand of slot g^-1 q of the call on x0, so the call's output is g
+    applied to the output of the call on x0."""
+    g, x0, g_out0 = moved
+    # a z2 conv of r * x is not r * (its conv of x)
+    if g_out0 is None or g not in elements(kind):
         return False
     m = s * ((vals.shape[-1] - k) // s) + k  # the rows any window reads
     base = act_values(g, _pad(x0.values, p)[..., :m, :m], kind)
@@ -376,19 +384,22 @@ def _group_conv(
     coordinates by ``_base_correlate``, which makes a rule-exact layer
     commute with the group bit for bit at any magnitude.
 
-    ``moved=(g, x0, out0)`` names the input x0 and output out0 of this conv
-    on a base forward that ``fm`` may be g times.  A base-coordinate call
-    whose cut padded input is g applied to that of x0, byte for byte,
-    returns g applied to out0 and runs no matmul; any other call computes
-    every slot."""
+    ``moved=(g, x0, g_out0)`` names the input x0 of this conv on a base
+    forward that ``fm`` may be g times, and g applied to that call's
+    output, or None.  A call whose cut padded input is g applied to that of
+    x0, byte for byte, returns the map g_out0 itself and runs no matmul,
+    whichever route it would take: base coordinates give the bytes of the
+    moved base call slot by slot, and integer sums within the bound are
+    exact in any order.  The check runs only when ``fixed_order`` is set;
+    any other call computes every slot."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
+    if fixed_order and moved is not None and _moves_base_call(
+            vals, kind, filters.k, s, p, moved):
+        return moved[2]
     if not fixed_order or _exact_in_any_order(fm.values, filters):
         bank = _stacked(filters, kind)
         return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
-    if moved is not None and _moves_base_call(vals, kind, filters.k, s, p, moved):
-        g, _, out0 = moved
-        return FeatureMap._from_layer(act_values(g, out0.values, kind))
     return FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s))
 
 
@@ -581,6 +592,12 @@ def _apply(
     raise ShapeError(f"unknown layer kind {lk}")  # pragma: no cover
 
 
+#: Layers whose output on g * a is g applied to their output on a, bit for
+#: bit, for every element g: they act entry by entry with a mask that every
+#: element keeps, or sum sorted values.
+_MOVE_WITH_INPUT = frozenset({LayerKind.RELU, LayerKind.CIRCLE_CROP, LayerKind.GLOBAL_AVG_POOL})
+
+
 def forward(
     net: Network, fm: FeatureMap, *, fixed_order: bool = True, moved: tuple | None = None
 ) -> list[FeatureMap]:
@@ -593,32 +610,53 @@ def forward(
     same function, but its last bits may differ and g*x may round
     differently from x, so it is for forwards whose floats no verdict
     reads.  Integer operands within the bound give the same bits either
-    way.  An empty network returns just the input.  Layer failures are
-    re-raised with the layer index attached.
+    way.  An empty network returns just the input.  The forward stops at
+    the first layer whose output holds a value that is not finite, such as
+    an integer activation past the float64 range, and returns the
+    activations before it, so a list shorter than the layers names that
+    layer by its length.  Other layer failures are re-raised with the layer
+    index attached.
 
-    ``moved=(g, x, base)`` says that ``fm`` is g * ``x`` and ``base`` is
-    ``forward(net, x)``.  Each conv is then handed its layer's input and
-    output in ``base``, and a base-coordinate conv whose cut input is g
-    times the base one, byte for byte, moves the base output instead of
-    running its matmuls.  The result is the bytes of the plain forward.
+    ``moved=(g, x, base, g_base)`` says that ``fm`` is g * ``x``, ``base``
+    is ``forward(net, x)`` and ``g_base[d]`` is ``act_full(g, base[d])``,
+    or None where the caller has not moved depth d; ``moved=(g, x, base)``
+    moves every group-valued depth of ``base`` first.  Each conv is handed
+    its layer's input in ``base`` and the moved output in ``g_base``; a
+    conv whose cut input is g times the base one, byte for byte, returns
+    that moved output instead of running its matmuls.  A relu, circle crop
+    or global average pool whose input is the moved map ``g_base[d - 1]``
+    itself returns ``g_base[d]``.  The result is the bytes of the plain
+    forward, and each layer it could take from ``g_base`` is that map.
     """
     if fm.height != net.input_size or fm.width != net.input_size:
         raise ShapeError(
             f"input is {fm.height}x{fm.width}, network declares {net.input_size}"
         )
+    if moved is not None:
+        g, x, base, *g_base = moved
+        g_base = g_base[0] if g_base else [
+            act_full(g, a, net.kind) if a.group_size > 1 else None for a in base]
     acts: list[FeatureMap] = []
     current = fm
     weights = net.weights or (None,) * len(net.layers)
-    for idx, (layer, w) in enumerate(zip(net.layers, weights)):
-        if w is None and layer.kind in WEIGHTED_KINDS:
-            raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
-        call = None
-        if moved is not None:
-            g, x, base = moved
-            call = (g, base[idx - 1] if idx else x, base[idx])
-        try:
-            current = _apply(layer, w, current, net.kind, fixed_order, call)
-        except ShapeError as exc:
-            raise LayerError(f"layer {idx} ({layer.kind.value}): {exc}") from exc
-        acts.append(current)
-    return acts if acts else [fm]
+    # an overflow shows as the non-finite output this forward stops at
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (layer, w) in enumerate(zip(net.layers, weights)):
+            if w is None and layer.kind in WEIGHTED_KINDS:
+                raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
+            call = None
+            if moved is not None:
+                if idx and layer.kind in _MOVE_WITH_INPUT and current is g_base[idx - 1] \
+                        and g_base[idx] is not None:
+                    current = g_base[idx]
+                    acts.append(current)
+                    continue
+                call = (g, base[idx - 1] if idx else x, g_base[idx])
+            try:
+                current = _apply(layer, w, current, net.kind, fixed_order, call)
+            except NonFiniteError:
+                break
+            except ShapeError as exc:
+                raise LayerError(f"layer {idx} ({layer.kind.value}): {exc}") from exc
+            acts.append(current)
+    return acts if net.layers else [fm]

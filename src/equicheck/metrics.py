@@ -20,13 +20,13 @@ one of the first side that has one raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .analyzer import output_size
-from .errors import ConfigError, ShapeError
+from .errors import ActivationOverflow, ConfigError, ShapeError
 from .group import (
     GroupElement,
     GroupKind,
@@ -183,10 +183,15 @@ class ProfileEntry:
 
 @dataclass(frozen=True)
 class EquivarianceProfile:
+    """Entries of the depths profiled; ``overflow_at`` is the first layer
+    at which a forward gave a value that is not finite, or None, and only
+    the depths before it are profiled."""
+
     network_id: str
     seed: int
     integer_valued: bool
     entries: tuple[ProfileEntry, ...]
+    overflow_at: int | None = None
 
     def max_error(self) -> float:
         return max((e.error for e in self.entries), default=0.0)
@@ -203,11 +208,18 @@ def profile_equivariance(
     Weights and the input are drawn deterministically from ``seed``.  For
     each requested group element g and every group-valued depth d the error
     compares the forward pass of the transformed input against the fully
-    transformed activation of the plain input.  Each transformed forward
-    names its move, so its convs may move the base forward's outputs
-    instead of running their matmuls (see ``layers.forward``).  One
+    transformed activation of the plain input, g * base[d].  Each
+    transformed activation is computed once, before the transformed
+    forward, which is handed the list of them with its move (see
+    ``layers.forward``): its convs and elementwise layers may return those
+    very maps instead of computing theirs, and a depth whose map is the
+    transformed activation itself reads 0.0 without a comparison.  One
     transformed forward is held at a time; entries come out depth by depth,
     elements in order.
+
+    A forward stops at the first layer whose output is not finite (an
+    integer activation past the float64 range); the profile then covers
+    the depths before the first such layer of any of its forwards.
     """
     if group_elements is None:
         group_elements = tuple(g for g in elements(net.kind) if g != GroupElement(0))
@@ -216,15 +228,24 @@ def profile_equivariance(
         [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued
     )
     base = forward(seeded, x)
-    depths = [d for d, act in enumerate(base) if act.group_size > 1]
+    reached = len(base) if net.layers else 0
+    if reached < len(net.layers):  # the moved forwards stop there too
+        seeded = replace(seeded, layers=seeded.layers[:reached], weights=seeded.weights[:reached])
+    depths = [d for d, act in enumerate(base[:reached]) if act.group_size > 1]
     errors = {}
     for g in group_elements:
-        moved = forward(seeded, act_spatial(g, x), moved=(g, x, base))
+        g_base = [act_full(g, act, net.kind) if act.group_size > 1 else None for act in base]
+        moved = forward(seeded, act_spatial(g, x), moved=(g, x, base, g_base))
+        reached = min(reached, len(moved))
         for d in depths:
-            errors[d, g] = equivariance_error(moved[d], act_full(g, base[d], net.kind))
-        del moved  # freed before the next forward starts
-    entries = tuple(ProfileEntry(d, g, errors[d, g]) for d in depths for g in group_elements)
-    return EquivarianceProfile(net.name, seed, integer_valued, entries)
+            if d < len(moved):
+                errors[d, g] = 0.0 if moved[d] is g_base[d] else equivariance_error(
+                    moved[d], g_base[d])
+        del moved, g_base  # freed before the next forward starts
+    entries = tuple(ProfileEntry(d, g, errors[d, g])
+                    for d in depths if d < reached for g in group_elements)
+    overflow_at = reached if reached < len(net.layers) else None
+    return EquivarianceProfile(net.name, seed, integer_valued, entries, overflow_at)
 
 
 def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
@@ -326,8 +347,13 @@ def invariance_sweep(
     exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
     verdict and run with ``fixed_order=False``; their floats may differ in
     the last bits.  A multiple of 360 degrees reuses the base forward; the
-    other right-angle rows name their quarter turn, so their convs may move
-    the base forward's outputs (see ``layers.forward``).
+    other right-angle rows name their quarter turn, so the forward moves the
+    base forward's maps once and its convs may return them (see
+    ``layers.forward``).
+
+    A forward that stops at a value that is not finite (see
+    ``layers.forward``) raises ActivationOverflow naming its layer, the
+    base forward's first.
 
     The off-grid inputs are rotated and circle-cropped together, in chunks
     of at most ROTATION_CHUNK_ELEMENTS elements, each one vectorised pass
@@ -351,15 +377,23 @@ def invariance_sweep(
     angles = list(angles)
     cropped = circle_crop(x)
     acts = forward(seeded, cropped)
-    base = acts[-1]
-    rows = {a: base if a % 360 == 0 else forward(
+    base = _final(seeded, acts)
+    rows = {a: base if a % 360 == 0 else _final(seeded, forward(
         seeded, circle_crop(rotate_bilinear(x, a)),
-        moved=(GroupElement(int(a // 90) % 4), cropped, acts))[-1]
+        moved=(GroupElement(int(a // 90) % 4), cropped, acts)))
         for a in angles if a % 90 == 0}
     off_grid = _cropped_rotations(x, [a for a in angles if a % 90 != 0])
     points = []
     for angle in angles:
-        rotated = rows[angle] if angle % 90 == 0 else forward(
-            seeded, next(off_grid), fixed_order=False)[-1]
+        rotated = rows[angle] if angle % 90 == 0 else _final(
+            seeded, forward(seeded, next(off_grid), fixed_order=False))
         points.append(SweepPoint(float(angle), max_abs_diff(base, rotated)))
     return points
+
+
+def _final(net: Network, acts) -> FeatureMap:
+    """The final activation of a forward of ``net``; ActivationOverflow if
+    the forward stopped before it."""
+    if len(acts) < len(net.layers):
+        raise ActivationOverflow(len(acts))
+    return acts[-1]

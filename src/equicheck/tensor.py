@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ShapeError
+from .errors import DimensionError, NonFiniteError, ShapeError
 
 VALID_GROUP_SIZES = (1, 4, 8)
 
@@ -22,14 +22,15 @@ VALID_GROUP_SIZES = (1, 4, 8)
 EXACT_INT_LIMIT = float(2**53)
 
 
-def _checked(arr: np.ndarray, ndim: int, what: str) -> np.ndarray:
-    """``arr`` itself, made read-only, once its shape and values pass."""
+def _checked(arr: np.ndarray, ndim: int, what: str, scan: bool = True) -> np.ndarray:
+    """``arr`` itself, made read-only, once its shape and, when ``scan`` is
+    set, its values pass."""
     if arr.ndim != ndim:
         raise DimensionError(f"{what} needs {ndim} axes, got {arr.ndim}")
     if any(d < 1 for d in arr.shape):
         raise DimensionError(f"{what} has a zero or negative dimension: {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
+    if scan and not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"{what} contains non-finite values")
     arr.flags.writeable = False
     return arr
 
@@ -51,6 +52,15 @@ class FeatureMap:
         still write to, or a view of one."""
         fm = cls.__new__(cls)
         fm._values = _map_values(np.asarray(values, dtype=np.float64, order="C"))
+        return fm
+
+    @classmethod
+    def _moved(cls, values: np.ndarray) -> "FeatureMap":
+        """Trusted constructor for the entries of a map, moved by a group
+        element: as ``_from_layer``, but the values are not scanned, since
+        they are the entries of a map that has passed the scan already."""
+        fm = cls.__new__(cls)
+        fm._values = _map_values(np.ascontiguousarray(values), scan=False)
         return fm
 
     @property
@@ -87,8 +97,8 @@ class FeatureMap:
         return f"FeatureMap(channels={c}, group={g}, size={h}x{w})"
 
 
-def _map_values(arr: np.ndarray) -> np.ndarray:
-    arr = _checked(arr, 4, "feature map")
+def _map_values(arr: np.ndarray, scan: bool = True) -> np.ndarray:
+    arr = _checked(arr, 4, "feature map", scan)
     if arr.shape[1] not in VALID_GROUP_SIZES:
         raise DimensionError(
             f"group axis must have length in {VALID_GROUP_SIZES}, got {arr.shape[1]}"

@@ -22,7 +22,7 @@ from equicheck.config import (
 from equicheck.errors import ConfigError
 from equicheck.group import GroupKind
 from equicheck.layers import (
-    Layer, LayerKind, Network, check_layer, forward, seed_network, walk_shapes,
+    Layer, LayerKind, Network, check_layer, circle_crop, forward, seed_network, walk_shapes,
 )
 from equicheck.metrics import mirror_commutation, rotation_commutation
 from equicheck.tensor import random_feature_map
@@ -671,6 +671,81 @@ class TestFloatVerdictsOfExactNetworks:
             code, doc = run_json(capsys, "sweep", str(path), "--angle-step", "90",
                                  "--seed", seed, *flags)
             assert (code, doc["result"]["max_discrepancy_90s"]) == (0, 0.0)
+
+
+#: Integer activations that pass the float64 range at depth, though the
+#: analyzer calls both networks exact at 4: 250 planar 1x1 convs of 64
+#: channels, and a p4 lift and 300 1x1 gconvs of 32, each with a head.
+DEEP_Z2 = Network(GroupKind.Z2, (
+    *(Layer(LayerKind.CONV2D, k=1, out_channels=64) for _ in range(250)),
+    Layer(LayerKind.GLOBAL_AVG_POOL), Layer(LayerKind.DENSE, out_channels=2),
+), 4, name="deep-z2")
+
+DEEP_P4 = Network(GroupKind.P4, (
+    Layer(LayerKind.GCONV_LIFT, k=1, out_channels=32),
+    *(Layer(LayerKind.GCONV, k=1, out_channels=32) for _ in range(300)),
+    Layer(LayerKind.COSET_MAXPOOL), Layer(LayerKind.GLOBAL_AVG_POOL),
+    Layer(LayerKind.DENSE, out_channels=2),
+), 4, name="deep-p4")
+
+
+class TestActivationOverflow:
+    """A forward stops at the first layer whose integer activations are not
+    finite; measure profiles the depths before it and keeps their verdict,
+    sweep reports the truncation and exits 1, and neither ends in a
+    traceback."""
+
+    @staticmethod
+    def base_stop(net, cropped):
+        seeded = seed_network(net, 0, True)
+        x = random_feature_map([0, 1], 1, 1, 4, 4, True)
+        acts = forward(seeded, circle_crop(x) if cropped else x)
+        assert len(acts) < len(net.layers)
+        # the layer the forward stopped at overflows on its own as well, and
+        # a forward that stops at its first layer returns no activation
+        stop = len(acts)
+        alone = replace(seeded, layers=seeded.layers[stop:stop + 1],
+                        weights=seeded.weights[stop:stop + 1], input_size=acts[-1].height)
+        assert forward(alone, acts[-1]) == []
+        return stop
+
+    @pytest.mark.parametrize("net", [DEEP_Z2, DEEP_P4], ids=["z2", "p4"])
+    def test_measure_gives_a_partial_report(self, capsys, tmp_path, net):
+        path = tmp_path / "deep.json"
+        path.write_text(to_json(net))
+        assert run(["analyze", str(path)]) == 0
+        capsys.readouterr()
+        stop = self.base_stop(net, cropped=False)
+        code, doc = run_json(capsys, "measure", str(path), "--integer-weights")
+        assert code == 0
+        result = doc["result"]
+        assert result["truncated_at"] == stop and result["max_error"] == 0.0
+        group_depths = set(range(stop)) if net.kind is GroupKind.P4 else set()
+        assert {e["layer"] for e in result["entries"]} == group_depths
+        code, text = run_cli(capsys, "measure", str(path), "--integer-weights")
+        assert code == 0
+        assert f"truncated at layer {stop}: activations overflow float64 at layer {stop}" in text
+
+    @pytest.mark.parametrize("net", [DEEP_Z2, DEEP_P4], ids=["z2", "p4"])
+    def test_sweep_reports_the_truncation(self, capsys, tmp_path, net):
+        path = tmp_path / "deep.json"
+        path.write_text(to_json(net))
+        stop = self.base_stop(net, cropped=True)
+        argv = ("sweep", str(path), "--integer-weights", "--angle-step", "90")
+        code, doc = run_json(capsys, *argv)
+        assert code == 1
+        result = doc["result"]
+        assert result["truncated_at"] == stop
+        assert result["rows"] == [] and result["max_discrepancy_90s"] is None
+        code, text = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"activations overflow float64 at layer {stop}" in text
+
+    def test_float_weights_stay_finite(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(to_json(DEEP_P4))
+        code, doc = run_json(capsys, "measure", str(path))
+        assert code == 0 and "truncated_at" not in doc["result"]
 
 
 def test_oracle_range_past_int64_is_named(capsys):

@@ -5,6 +5,8 @@ the array-level actions are checked against per-index application of the
 same maps, so the two routes stay independent.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -322,3 +324,12 @@ class TestActFull:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError, match="square"):
             act_full(ROT90, random_feature_map(0, 1, 4, 2, 3), GroupKind.P4)
+
+    def test_moved_maps_are_not_scanned_again(self):
+        # the entries of a checked map are finite wherever they move
+        fm = random_feature_map(19, 2, 8, 5, 5)
+        with mock.patch.object(np, "isfinite", side_effect=AssertionError("scanned")):
+            moved = [act_full(g, fm, GroupKind.P4M) for g in P4M]
+            moved += [act_spatial(g, fm) for g in P4M]
+        for out in moved:
+            assert out.values.flags.c_contiguous and not out.values.flags.writeable

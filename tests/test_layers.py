@@ -1086,14 +1086,39 @@ class TestSlotReuse:
         (["measure", P4MCNN_PATH], 49),
         (["sweep", "p4cnn", "--angle-step", "90"], 21),
         (["sweep", "p4cnn", "--angle-step", "90", "--input-size", "29"], 6),
-    ], ids=["measure-28", "measure-29", "measure-p4mcnn", "sweep-28", "sweep-29"])
+        (["measure", "p4cnn", "--integer-weights"], 21),
+        (["measure", "p4cnn", "--input-size", "29", "--integer-weights"], 6),
+        (["measure", P4MCNN_PATH, "--integer-weights"], 49),
+        (["sweep", "p4cnn", "--angle-step", "90", "--integer-weights"], 21),
+    ], ids=["measure-28", "measure-29", "measure-p4mcnn", "sweep-28", "sweep-29",
+            "measure-28-integer", "measure-29-integer", "measure-p4mcnn-integer",
+            "sweep-28-integer"])
     def test_builtin_reuse_counts(self, capsys, argv, reused):
         # at 28 every conv of every moved forward, 7 convs times 3 elements
         # on p4cnn and 7 times 7 on p4mcnn; at 29 only the lift and the gconv
-        # before the broken pool
+        # before the broken pool.  Integer convs within the Hoelder bound,
+        # which take the BLAS route, are reused alike
         with counted_reuses() as calls:
             run_cli(capsys, *argv, "--seed", "0")
         assert len(calls) == reused
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
+    def test_moved_forward_returns_the_moved_maps(self, integer):
+        # at 28 every conv, relu and global pool of a moved p4cnn forward is
+        # the moved base map the caller handed it; the pools are computed
+        net = seed_network(build_network(P4CNN), 2, integer)
+        x = random_feature_map([2, 1], 1, 1, 28, 28, integer)
+        base = forward(net, x)
+        shared = {LayerKind.GCONV_LIFT, LayerKind.GCONV, LayerKind.RELU,
+                  LayerKind.GLOBAL_AVG_POOL}
+        for g in P4[1:]:
+            g_base = [act_full(g, a, GroupKind.P4) if a.group_size > 1 else None
+                      for a in base]
+            moved = forward(net, act_spatial(g, x), moved=(g, x, base, g_base))
+            plain = forward(net, act_spatial(g, x))
+            for d, layer in enumerate(net.layers):
+                assert (moved[d] is g_base[d]) == (layer.kind in shared), (g.name, d)
+                assert moved[d].values.tobytes() == plain[d].values.tobytes(), (g.name, d)
 
     @pytest.mark.parametrize("fill", [0.0, -1.5], ids=["zero", "constant"])
     def test_constant_inputs(self, fill):
@@ -1122,16 +1147,18 @@ class TestSlotReuse:
         spiked = np.zeros((1, 1, 20, 20))
         spiked[0, 0, 0, 1] = spike
         base = gconv_lift(zeros, w, GroupKind.P4)
+        moved_base = act_full(ROT90, base, GroupKind.P4)
         with counted_reuses() as reused:
-            got = gconv_lift(FeatureMap(spiked), w, GroupKind.P4, moved=(ROT90, zeros, base))
+            got = gconv_lift(FeatureMap(spiked), w, GroupKind.P4,
+                             moved=(ROT90, zeros, moved_base))
         assert reused == []
         computed = gconv_lift(FeatureMap(spiked), w, GroupKind.P4)
         assert got.values.tobytes() == computed.values.tobytes()
         assert (got.values.tobytes() != base.values.tobytes()) == (spike != 0.0)
         with counted_reuses() as reused:
-            again = gconv_lift(zeros, w, GroupKind.P4, moved=(ROT90, zeros, base))
+            again = gconv_lift(zeros, w, GroupKind.P4, moved=(ROT90, zeros, moved_base))
         assert len(reused) == 1
-        assert again.values.tobytes() == act_full(ROT90, base, GroupKind.P4).values.tobytes()
+        assert again is moved_base  # the moved map itself, not a second move
 
     @pytest.mark.parametrize("fn, kind, g", [(conv2d, GroupKind.Z2, ROT90),
                                              (gconv_lift, GroupKind.P4, MIRROR)],

@@ -5,11 +5,14 @@ import functools
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_layers import reuse_stacks, scaled
 
 from equicheck import metrics
 from equicheck.analyzer import output_size
@@ -23,6 +26,7 @@ from equicheck.group import (
     act_full,
     act_spatial,
     check_corner_order,
+    elements,
     mirror_corners,
     mirror_index,
     rotate_corners,
@@ -483,6 +487,79 @@ class TestProfileEquivariance:
             input_size=8,
         )
         assert profile_equivariance(net, 0).entries == ()
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
+    def test_exact_network_compares_only_pooled_depths(self, integer):
+        # at 28 the moved forwards take every conv, relu and global pool
+        # from the moved base maps, so only the max-pooled depths, which
+        # are computed, are compared
+        net = build_network(P4CNN)
+        compared = []
+
+        def recording(a, b):
+            compared.append(a.shape)
+            return equivariance_error(a, b)
+
+        with mock.patch.object(metrics, "equivariance_error", recording):
+            profile = profile_equivariance(net, 3, integer_valued=integer)
+        assert profile.max_error() == 0.0 and profile.overflow_at is None
+        pools = [d for d, layer in enumerate(net.layers) if layer.kind is LayerKind.MAXPOOL]
+        assert len(compared) == 3 * len(pools) > 0
+
+
+PROFILE_TAILS = (
+    (), (Layer(LayerKind.CIRCLE_CROP),), (Layer(LayerKind.GLOBAL_AVG_POOL),),
+    (Layer(LayerKind.RELU), Layer(LayerKind.CIRCLE_CROP), Layer(LayerKind.GLOBAL_AVG_POOL)),
+    (Layer(LayerKind.COSET_MAXPOOL), Layer(LayerKind.GLOBAL_AVG_POOL),
+     Layer(LayerKind.DENSE, out_channels=2)),
+)
+
+
+@st.composite
+def profiled_stacks(draw):
+    """A generated p4 or p4m stack of test_layers, exact or not, with one
+    of PROFILE_TAILS appended; a seed; and the operands to draw: float,
+    integer, integer scaled past the Hoelder bound, or an all-zero input
+    whose zeros carry the signs of a seeded input."""
+    net, seed = draw(reuse_stacks())
+    tail = draw(st.sampled_from(PROFILE_TAILS))
+    operands = draw(st.sampled_from(["float", "integer", "scaled", "zero float", "zero integer"]))
+    return replace(net, layers=net.layers + tail), seed, operands
+
+
+def reference_profile(seeded, x, group_elements):
+    """(depth, element, error bytes) per group-valued depth and element,
+    from plain forwards of the moved inputs and the moved base maps."""
+    base = forward(seeded, x)
+    moved = {g: forward(seeded, act_spatial(g, x)) for g in group_elements}
+    return [(d, g, equivariance_error(moved[g][d], act_full(g, act, seeded.kind)).hex())
+            for d, act in enumerate(base) if act.group_size > 1 for g in group_elements]
+
+
+class TestProfileMatchesPlainForwards:
+    """The profile moves each base map once per element and hands the moved
+    maps to the moved forward; its errors are those of plain forwards,
+    float bytes and all."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(profiled_stacks())
+    def test_entries_are_those_of_plain_forwards(self, case):
+        net, seed, operands = case
+        integer = operands != "float" and operands != "zero float"
+        seeded = seed_network(net, seed, integer)
+        x = random_feature_map([seed, 1], net.in_channels, 1, net.input_size,
+                               net.input_size, integer)
+        if operands == "scaled":
+            seeded, x = scaled(seeded, 2.0**20), FeatureMap(x.values * 2.0**40)
+        elif operands.startswith("zero"):
+            x = FeatureMap(x.values * 0.0)  # -0.0 where x is negative
+        group_elements = elements(net.kind)  # the identity included
+        with mock.patch.object(metrics, "seed_network", lambda *args: seeded), \
+                mock.patch.object(metrics, "random_feature_map", lambda *args: x):
+            profile = profile_equivariance(net, seed, group_elements, integer)
+        assert profile.overflow_at is None
+        assert [(e.layer_index, e.element, e.error.hex()) for e in profile.entries] == \
+            reference_profile(seeded, x, group_elements)
 
 
 class TestRotateBilinear:

@@ -1,5 +1,7 @@
 """Feature-map container: construction, seeded randomness, diff metric."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,17 @@ class TestMakeFeatureMap:
             FeatureMap._from_layer(np.zeros((1, 3, 2, 2)))
         with pytest.raises(DimensionError):
             FeatureMap._from_layer(np.zeros((1, 2, 2)))
+
+    def test_moved_constructor_keeps_the_shape_checks_but_not_the_scan(self):
+        with pytest.raises(DimensionError):
+            FeatureMap._moved(np.zeros((1, 3, 2, 2)))
+        with pytest.raises(DimensionError):
+            FeatureMap._moved(np.zeros((1, 2, 2)))
+        flipped = np.arange(16.0).reshape(1, 4, 2, 2)[..., ::-1]
+        with mock.patch.object(np, "isfinite", side_effect=AssertionError("scanned")):
+            fm = FeatureMap._moved(flipped)
+        assert fm.values.flags.c_contiguous and not fm.values.flags.writeable
+        assert np.array_equal(fm.values, flipped)
 
     def test_trusted_constructor_takes_a_contiguous_array_as_is(self):
         built = np.zeros((1, 4, 2, 2))
