@@ -38,6 +38,7 @@ from .group import (
 from .layers import (
     Layer,
     LayerKind,
+    MovedMaps,
     Network,
     circle_crop,
     conv2d,

@@ -40,22 +40,9 @@ product whatever its operands; its floats may differ in the last bits.
 
 The matmuls of a slot are a pure function of its staged operand, the bank
 and the stride, so a moved forward need not run them again on bytes the
-base forward has correlated.  The caller names the move:
-``forward(net, g * x, moved=(g, x, base, g_base))``, with ``base`` the
-forward of x and ``g_base`` its group-valued maps moved by g, hands each
-conv the input of its layer in ``base`` and the moved output in
-``g_base``.  When the cut padded input of a call is, byte for byte, g
-applied to the cut padded base input, slot q stages the operand of base
-slot g^-1 q, so the output is g applied to the base output: one comparison
-per call, and the moved map itself, the bytes the matmuls would give, with
-nothing inferred from the modular rule.  Otherwise every slot is computed.
-The BLAS route on the stacked bank takes the moved map on the same check:
-its integer sums within the bound are exact in any order, so they are the
-bytes of the moved base output too.  A relu, circle crop or global average
-pool whose input is a moved map returns the next one, as each moves with
-its input bit for bit; max pools are computed, as a tie of +0.0 and -0.0
-may resolve either way.  Each base map is thus moved once per element,
-and the caller compares the same maps.
+base forward has correlated.  ``forward`` alone decides where a layer of
+a moved forward takes the moved base map instead of being computed, and
+``MovedMaps`` moves each base map at most once per element, on first use.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -352,20 +339,17 @@ def _stacked(filters: FilterBank, kind: GroupKind) -> np.ndarray:
 _INTEGER_L1 = "integer l1"
 
 
-def _moves_base_call(
-    vals: np.ndarray, kind: GroupKind, k: int, s: int, p: int, moved: tuple
-) -> bool:
-    """True iff ``moved`` is (g, x0, g_out0) with g an element of ``kind``,
-    g_out0 a map, and the cut of the padded input ``vals`` is, byte for
-    byte, g applied to the cut of x0 padded by p.  Then slot q stages the
-    operand of slot g^-1 q of the call on x0, so the call's output is g
-    applied to the output of the call on x0."""
-    g, x0, g_out0 = moved
-    # a z2 conv of r * x is not r * (its conv of x)
-    if g_out0 is None or g not in elements(kind):
+def _moves_base_call(fm: FeatureMap, x0: FeatureMap, layer: Layer, kind: GroupKind,
+                     g: GroupElement) -> bool:
+    """True iff g is an element of ``kind`` and the cut of ``fm`` padded by
+    the layer's p is, byte for byte, g applied to the cut of x0 padded
+    alike.  Then slot q of the conv on ``fm`` stages the operand of slot
+    g^-1 q of the conv on x0, so its output is g applied to that conv's."""
+    if g not in elements(kind):
         return False
-    m = s * ((vals.shape[-1] - k) // s) + k  # the rows any window reads
-    base = act_values(g, _pad(x0.values, p)[..., :m, :m], kind)
+    vals = _pad(fm.values, layer.p)
+    m = layer.s * ((vals.shape[-1] - layer.k) // layer.s) + layer.k  # the rows any window reads
+    base = act_values(g, _pad(x0.values, layer.p)[..., :m, :m], kind)
     # compared as integers: equal floats such as 0.0 and -0.0 may differ in
     # their bytes, and so in the bytes of their products
     return np.array_equal(vals[..., :m, :m].view(np.int64), base.view(np.int64))
@@ -373,30 +357,18 @@ def _moves_base_call(
 
 def _group_conv(
     fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int, p: int,
-    *, fixed_order: bool = True, moved: tuple | None = None,
+    *, fixed_order: bool = True,
 ) -> FeatureMap:
     """The one body of conv2d, gconv_lift and gconv: output slot g is the
-    correlation with transform_filters(g, filters, kind), for every g in
+    correlation with act_values(g, filters.values, kind), for every g in
     elements(kind); z2 is the one-slot case.  Integer operands within the
     Hoelder bound max|x| * max_o ||w_o||_1 < 2**53, and every operand when
     ``fixed_order`` is False, go through the BLAS ``_contract`` on the
     stacked bank.  Every other conv is summed in the base bank's
     coordinates by ``_base_correlate``, which makes a rule-exact layer
-    commute with the group bit for bit at any magnitude.
-
-    ``moved=(g, x0, g_out0)`` names the input x0 of this conv on a base
-    forward that ``fm`` may be g times, and g applied to that call's
-    output, or None.  A call whose cut padded input is g applied to that of
-    x0, byte for byte, returns the map g_out0 itself and runs no matmul,
-    whichever route it would take: base coordinates give the bytes of the
-    moved base call slot by slot, and integer sums within the bound are
-    exact in any order.  The check runs only when ``fixed_order`` is set;
-    any other call computes every slot."""
+    commute with the group bit for bit at any magnitude."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
-    if fixed_order and moved is not None and _moves_base_call(
-            vals, kind, filters.k, s, p, moved):
-        return moved[2]
     if not fixed_order or _exact_in_any_order(fm.values, filters):
         bank = _stacked(filters, kind)
         return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
@@ -405,11 +377,11 @@ def _group_conv(
 
 def conv2d(
     fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0,
-    *, fixed_order: bool = True, moved: tuple | None = None,
+    *, fixed_order: bool = True,
 ) -> FeatureMap:
     """Plain strided cross-correlation contracting channel and group axes;
     output side is floor((i + 2p - k)/s) + 1 and the output group axis is 1."""
-    return _group_conv(fm, filters, GroupKind.Z2, s, p, fixed_order=fixed_order, moved=moved)
+    return _group_conv(fm, filters, GroupKind.Z2, s, p, fixed_order=fixed_order)
 
 
 def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> FilterBank:
@@ -423,7 +395,7 @@ def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> 
 
 def gconv_lift(
     fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0,
-    *, fixed_order: bool = True, moved: tuple | None = None,
+    *, fixed_order: bool = True,
 ) -> FeatureMap:
     """Lifting group convolution: planar input, one output slot per group
     element, each the correlation with the g-transformed kernels."""
@@ -431,19 +403,19 @@ def gconv_lift(
         raise ShapeError("lifting requires a non-trivial group; use conv2d for z2")
     if fm.group_size != 1:
         raise ShapeError(f"lifting expects a planar input, got group axis {fm.group_size}")
-    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order, moved=moved)
+    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order)
 
 
 def gconv(
     fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0,
-    *, fixed_order: bool = True, moved: tuple | None = None,
+    *, fixed_order: bool = True,
 ) -> FeatureMap:
     """Group convolution on a group-valued input; preserves the group axis."""
     if kind is GroupKind.Z2:
         raise ShapeError("group convolution requires a non-trivial group")
     if fm.group_size != kind.size:
         raise ShapeError(f"expected group axis {kind.size}, got {fm.group_size}")
-    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order, moved=moved)
+    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order)
 
 
 def maxpool(fm: FeatureMap, k: int, s: int) -> FeatureMap:
@@ -566,17 +538,15 @@ def seed_network(net: Network, seed, integer_valued: bool = False) -> Network:
 
 
 def _apply(
-    layer: Layer, weights, fm: FeatureMap, kind: GroupKind, fixed_order: bool,
-    moved: tuple | None,
+    layer: Layer, weights, fm: FeatureMap, kind: GroupKind, fixed_order: bool
 ) -> FeatureMap:
     lk = layer.kind
     if lk is LayerKind.GCONV_LIFT:
-        return gconv_lift(fm, weights, kind, layer.s, layer.p,
-                          fixed_order=fixed_order, moved=moved)
+        return gconv_lift(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order)
     if lk is LayerKind.GCONV:
-        return gconv(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order, moved=moved)
+        return gconv(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order)
     if lk is LayerKind.CONV2D:
-        return conv2d(fm, weights, layer.s, layer.p, fixed_order=fixed_order, moved=moved)
+        return conv2d(fm, weights, layer.s, layer.p, fixed_order=fixed_order)
     if lk is LayerKind.MAXPOOL:
         return maxpool(fm, layer.k, layer.s)
     if lk is LayerKind.RELU:
@@ -596,6 +566,22 @@ def _apply(
 #: bit, for every element g: they act entry by entry with a mask that every
 #: element keeps, or sum sorted values.
 _MOVE_WITH_INPUT = frozenset({LayerKind.RELU, LayerKind.CIRCLE_CROP, LayerKind.GLOBAL_AVG_POOL})
+
+
+class MovedMaps:
+    """The maps of a base forward moved by g: ``maps[d]`` is
+    ``act_full(g, base[d], kind)``, moved on first use and kept, or None
+    where ``base[d]`` is planar."""
+
+    def __init__(self, g: GroupElement, base: list[FeatureMap], kind: GroupKind):
+        self.g, self.base, self.kind = g, base, kind
+        self._maps: dict[int, FeatureMap | None] = {}
+
+    def __getitem__(self, d: int) -> FeatureMap | None:
+        if d not in self._maps:
+            a = self.base[d]
+            self._maps[d] = act_full(self.g, a, self.kind) if a.group_size > 1 else None
+        return self._maps[d]
 
 
 def forward(
@@ -618,42 +604,45 @@ def forward(
     index attached.
 
     ``moved=(g, x, base, g_base)`` says that ``fm`` is g * ``x``, ``base``
-    is ``forward(net, x)`` and ``g_base[d]`` is ``act_full(g, base[d])``,
-    or None where the caller has not moved depth d; ``moved=(g, x, base)``
-    moves every group-valued depth of ``base`` first.  Each conv is handed
-    its layer's input in ``base`` and the moved output in ``g_base``; a
-    conv whose cut input is g times the base one, byte for byte, returns
-    that moved output instead of running its matmuls.  A relu, circle crop
-    or global average pool whose input is the moved map ``g_base[d - 1]``
-    itself returns ``g_base[d]``.  The result is the bytes of the plain
-    forward, and each layer it could take from ``g_base`` is that map.
+    is ``forward(net, x)`` and ``g_base`` is ``MovedMaps(g, base,
+    net.kind)``.  Here alone it is decided where a layer takes its moved
+    map ``g_base[d]`` instead of being computed.  A lift or group conv
+    takes it when its cut padded input is, byte for byte, g times the one
+    its layer read in ``base``: slot q then stages the operand of base slot
+    g^-1 q, and integer sums within the bound are exact in any order, so
+    either route gives those bytes.  A relu, circle crop or global average
+    pool takes it when the layer before took its own, as each moves with
+    its input bit for bit.  A max pool is computed, as a tie of +0.0 and
+    -0.0 may resolve either way, and so is a conv2d, whose output is
+    planar.  With ``fixed_order`` False every layer is computed.  The
+    result is the bytes of the plain forward, and only a layer that takes
+    its moved map moves it.
     """
     if fm.height != net.input_size or fm.width != net.input_size:
         raise ShapeError(
             f"input is {fm.height}x{fm.width}, network declares {net.input_size}"
         )
     if moved is not None:
-        g, x, base, *g_base = moved
-        g_base = g_base[0] if g_base else [
-            act_full(g, a, net.kind) if a.group_size > 1 else None for a in base]
+        g, x, base, g_base = moved
     acts: list[FeatureMap] = []
     current = fm
+    took = False  # whether the layer before took its moved map
     weights = net.weights or (None,) * len(net.layers)
     # an overflow shows as the non-finite output this forward stops at
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (layer, w) in enumerate(zip(net.layers, weights)):
             if w is None and layer.kind in WEIGHTED_KINDS:
                 raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
-            call = None
-            if moved is not None:
-                if idx and layer.kind in _MOVE_WITH_INPUT and current is g_base[idx - 1] \
-                        and g_base[idx] is not None:
-                    current = g_base[idx]
-                    acts.append(current)
-                    continue
-                call = (g, base[idx - 1] if idx else x, g_base[idx])
+            took = moved is not None and fixed_order and base[idx].group_size > 1 and (
+                took and layer.kind in _MOVE_WITH_INPUT
+                or layer.kind in CONV_KINDS
+                and _moves_base_call(current, base[idx - 1] if idx else x, layer, net.kind, g))
+            if took:
+                current = g_base[idx]
+                acts.append(current)
+                continue
             try:
-                current = _apply(layer, w, current, net.kind, fixed_order, call)
+                current = _apply(layer, w, current, net.kind, fixed_order)
             except NonFiniteError:
                 break
             except ShapeError as exc:

@@ -31,7 +31,6 @@ from .group import (
     GroupElement,
     GroupKind,
     IndexPatch,
-    act_full,
     act_spatial,
     check_corner_order,
     elements,
@@ -40,7 +39,7 @@ from .group import (
     rotate_corners,
     rotate_index,
 )
-from .layers import Network, circle_crop, disk_mask, forward, infer_shapes, seed_network
+from .layers import MovedMaps, Network, circle_crop, disk_mask, forward, infer_shapes, seed_network
 from .tensor import FeatureMap, max_abs_diff, random_feature_map
 
 
@@ -208,14 +207,12 @@ def profile_equivariance(
     Weights and the input are drawn deterministically from ``seed``.  For
     each requested group element g and every group-valued depth d the error
     compares the forward pass of the transformed input against the fully
-    transformed activation of the plain input, g * base[d].  Each
-    transformed activation is computed once, before the transformed
-    forward, which is handed the list of them with its move (see
-    ``layers.forward``): its convs and elementwise layers may return those
-    very maps instead of computing theirs, and a depth whose map is the
-    transformed activation itself reads 0.0 without a comparison.  One
-    transformed forward is held at a time; entries come out depth by depth,
-    elements in order.
+    transformed activation of the plain input, g * base[d], from the same
+    ``MovedMaps`` that the transformed forward's move names (see
+    ``layers.forward``): each is moved once, and a depth whose map is the
+    one the forward took reads 0.0 without a comparison.  One transformed
+    forward is held at a time; entries come out depth by depth, elements
+    in order.
 
     A forward stops at the first layer whose output is not finite (an
     integer activation past the float64 range); the profile then covers
@@ -234,7 +231,7 @@ def profile_equivariance(
     depths = [d for d, act in enumerate(base[:reached]) if act.group_size > 1]
     errors = {}
     for g in group_elements:
-        g_base = [act_full(g, act, net.kind) if act.group_size > 1 else None for act in base]
+        g_base = MovedMaps(g, base, net.kind)
         moved = forward(seeded, act_spatial(g, x), moved=(g, x, base, g_base))
         reached = min(reached, len(moved))
         for d in depths:
@@ -347,9 +344,9 @@ def invariance_sweep(
     exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
     verdict and run with ``fixed_order=False``; their floats may differ in
     the last bits.  A multiple of 360 degrees reuses the base forward; the
-    other right-angle rows name their quarter turn, so the forward moves the
-    base forward's maps once and its convs may return them (see
-    ``layers.forward``).
+    other right-angle rows name their quarter turn with ``MovedMaps``, so
+    their layers may take the base forward's maps, each moved when a layer
+    first takes it (see ``layers.forward``).
 
     A forward that stops at a value that is not finite (see
     ``layers.forward``) raises ActivationOverflow naming its layer, the
@@ -378,10 +375,10 @@ def invariance_sweep(
     cropped = circle_crop(x)
     acts = forward(seeded, cropped)
     base = _final(seeded, acts)
+    turns = {a: GroupElement(int(a // 90) % 4) for a in angles if a % 90 == 0}
     rows = {a: base if a % 360 == 0 else _final(seeded, forward(
         seeded, circle_crop(rotate_bilinear(x, a)),
-        moved=(GroupElement(int(a // 90) % 4), cropped, acts)))
-        for a in angles if a % 90 == 0}
+        moved=(g, cropped, acts, MovedMaps(g, acts, net.kind)))) for a, g in turns.items()}
     off_grid = _cropped_rotations(x, [a for a in angles if a % 90 != 0])
     points = []
     for angle in angles:

@@ -828,6 +828,7 @@ def test_readme_library_block_runs_as_written(capsys):
     block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", text, re.S | re.M).group(1)
     exec(compile(block, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    # the sizes its comment lists; i=5, k=2, s=2 breaks and p4cnn is exact at 30
+    # the sizes its comment lists; i=5, k=2, s=2 breaks and p4cnn is exact at 30,
+    # so the moved forward takes the moved lift and its logits are the base's
     assert lines[1] == "[28, 30, 32, 34, 36, 38, 40]"
-    assert lines[2].startswith("False ") and lines[3] == "0.0"
+    assert lines[2].startswith("False ") and lines[3] == "0.0" and lines[4] == "True True"

@@ -35,6 +35,7 @@ from equicheck.group import (
 from equicheck.layers import (
     Layer,
     LayerKind,
+    MovedMaps,
     Network,
     _base_correlate,
     _check_conv_args,
@@ -94,15 +95,21 @@ def assert_equivariant_bytes(fn, kind, fm, w, s, p):
             act_full(g, out, kind).values.tobytes()
 
 
+def moved_forward(net, g, x, base, **kwargs):
+    """The forward of g * x that names its move against ``base``."""
+    return forward(net, act_spatial(g, x), moved=(g, x, base, MovedMaps(g, base, net.kind)),
+                   **kwargs)
+
+
 def assert_forward_equivariant_bytes(net, x):
     """Every group-valued layer of forward(g*x) is g times that layer of
     forward(x), byte for byte, for every element g of the network's group.
-    The moved forward runs twice: naming its move, so that its convs move
-    the base forward's outputs where their bytes agree, and plainly, so
+    The moved forward runs twice: naming its move, so that its layers take
+    the base forward's moved maps where their bytes agree, and plainly, so
     that every product is computed; both give the same bytes at every layer."""
     base = forward(net, x)
     for g in elements(net.kind):
-        moved = forward(net, act_spatial(g, x), moved=(g, x, base))
+        moved = moved_forward(net, g, x, base)
         computed = forward(net, act_spatial(g, x))
         for depth, act in enumerate(base):
             assert moved[depth].values.tobytes() == computed[depth].values.tobytes(), \
@@ -521,13 +528,12 @@ class TestExactnessGuard:
                 assert calls == [want, want]
 
 
-def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True, moved=None):
+def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True):
     """The conv body from before banks were stacked once: it stacks the
     transformed bank on every call.  Integer operands take the BLAS
     contraction as then; floats take the per-slot, per-position einsum over the
     transformed banks, the order every float conv ran in before float convs
-    summed in the base bank's coordinates.  A named move is ignored: every
-    call computes its products."""
+    summed in the base bank's coordinates."""
     assert fixed_order, "the reference has the fixed float order only"
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
@@ -963,9 +969,9 @@ class TestWholeNetworkEquivariance:
 
 @contextlib.contextmanager
 def counted_reuses():
-    """A list that gets one entry for every base-coordinate call that moves
-    the output of the base call its forward named, instead of computing its
-    slots."""
+    """A list that gets one entry, the arguments of ``_moves_base_call``,
+    for every conv of a moved forward that takes its moved base map instead
+    of computing its slots."""
     reused = []
     real = layers._moves_base_call
 
@@ -1004,11 +1010,17 @@ def reuse_stacks(draw):
     return net, draw(st.integers(0, 10_000))
 
 
+def one_conv_network(fn, kind, w, side):
+    """A network of the one conv ``fn`` (k 3, stride 1, unpadded) with bank ``w``."""
+    lk = {conv2d: LayerKind.CONV2D, gconv_lift: LayerKind.GCONV_LIFT}[fn]
+    return Network(kind, (Layer(lk, k=3, out_channels=w.values.shape[0]),), side, weights=(w,))
+
+
 class TestSlotReuse:
-    """A base-coordinate call of a forward that names its move (g, x, base)
-    moves the base call's output only when its cut padded input is g times
-    the base call's, byte for byte, so the forward gives the bytes of the
-    plain forward, which computes every product."""
+    """A conv of a forward that names its move (g, x, base, g_base) takes
+    its moved base map only when its cut padded input is g times the base
+    call's, byte for byte, so the forward gives the bytes of the plain
+    forward, which computes every product."""
 
     @staticmethod
     def seeded_input(net, seed, integer):
@@ -1030,7 +1042,7 @@ class TestSlotReuse:
             with counted_reuses() as reused:
                 base = forward(seeded, x)
                 for g in elements(net.kind):
-                    moved = forward(seeded, act_spatial(g, x), moved=(g, x, base))
+                    moved = moved_forward(seeded, g, x, base)
                     computed = forward(seeded, act_spatial(g, x))
                     for depth, (a, b) in enumerate(zip(moved, computed)):
                         assert a.values.tobytes() == b.values.tobytes(), (g.name, depth)
@@ -1049,10 +1061,9 @@ class TestSlotReuse:
         real = layers._moves_base_call
         looked_up = []
 
-        def brute_force(vals, kind, k, s, p, moved):
-            got = real(vals, kind, k, s, p, moved)
-            g, x0, _ = moved
-            base = _pad(x0.values, p)
+        def brute_force(fm, x0, layer, kind, g):
+            got = real(fm, x0, layer, kind, g)
+            k, s, vals, base = layer.k, layer.s, _pad(fm.values, layer.p), _pad(x0.values, layer.p)
             m = s * ((vals.shape[-1] - k) // s) + k
 
             def operands(padded):
@@ -1074,7 +1085,7 @@ class TestSlotReuse:
             with mock.patch.object(layers, "_moves_base_call", brute_force):
                 base = forward(seeded, x)
                 for g in elements(net.kind):
-                    moved = forward(seeded, act_spatial(g, x), moved=(g, x, base))
+                    moved = moved_forward(seeded, g, x, base)
                     computed = forward(seeded, act_spatial(g, x))
                     for depth, (a, b) in enumerate(zip(moved, computed)):
                         assert a.values.tobytes() == b.values.tobytes(), (g.name, depth)
@@ -1097,10 +1108,48 @@ class TestSlotReuse:
         # at 28 every conv of every moved forward, 7 convs times 3 elements
         # on p4cnn and 7 times 7 on p4mcnn; at 29 only the lift and the gconv
         # before the broken pool.  Integer convs within the Hoelder bound,
-        # which take the BLAS route, are reused alike
-        with counted_reuses() as calls:
+        # which take the BLAS route, are reused alike.  Each command runs
+        # one forward per group element, and a reused conv never enters a
+        # conv function
+        entered = []
+
+        def entering(fn):
+            def conv(fm, *args, **kwargs):
+                entered.append(fm)
+                return fn(fm, *args, **kwargs)
+            return conv
+
+        with counted_reuses() as calls, mock.patch.multiple(
+                layers, **{fn.__name__: entering(fn) for fn in (conv2d, gconv_lift, gconv)}):
             run_cli(capsys, *argv, "--seed", "0")
         assert len(calls) == reused
+        assert len(entered) == 7 * (8 if P4MCNN_PATH in argv else 4) - reused
+        assert not {id(args[0]) for args in calls} & {id(fm) for fm in entered}
+
+    @pytest.mark.parametrize("argv, moves", [
+        (["sweep", "p4cnn", "--angle-step", "90"], 45),
+        (["sweep", "p4cnn", "--angle-step", "90", "--input-size", "29"], 12),
+        (["measure", "p4cnn"], 48),
+    ], ids=["sweep-28", "sweep-29", "measure-28"])
+    def test_maps_are_moved_on_first_use(self, capsys, argv, moves):
+        # a right-angle row moves the 15 group-valued depths of p4cnn that
+        # it takes, all but the max pool, at 28, and at 29 only the lift,
+        # relu, gconv and relu before the broken pool; measure compares all
+        # 16 group-valued depths, so it moves each once
+        with mock.patch.object(layers, "act_full", wraps=act_full) as moved:
+            run_cli(capsys, *argv, "--seed", "0")
+        assert moved.call_count == moves
+
+    def test_moved_maps_move_each_depth_once(self):
+        net = seed_network(toy_net(33), 1)
+        x = random_feature_map(2, 1, 1, 33, 33)
+        base = forward(net, x)
+        g_base = MovedMaps(ROT90, base, GroupKind.P4)
+        with mock.patch.object(layers, "act_full", wraps=act_full) as moved:
+            assert [g_base[d] is None for d in (0, 1, 2, 3)] == [False, False, True, True]
+            assert g_base[0] is g_base[0]
+        assert moved.call_count == 2
+        assert g_base[0].values.tobytes() == act_full(ROT90, base[0], GroupKind.P4).values.tobytes()
 
     @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
     def test_moved_forward_returns_the_moved_maps(self, integer):
@@ -1112,8 +1161,7 @@ class TestSlotReuse:
         shared = {LayerKind.GCONV_LIFT, LayerKind.GCONV, LayerKind.RELU,
                   LayerKind.GLOBAL_AVG_POOL}
         for g in P4[1:]:
-            g_base = [act_full(g, a, GroupKind.P4) if a.group_size > 1 else None
-                      for a in base]
+            g_base = MovedMaps(g, base, GroupKind.P4)
             moved = forward(net, act_spatial(g, x), moved=(g, x, base, g_base))
             plain = forward(net, act_spatial(g, x))
             for d, layer in enumerate(net.layers):
@@ -1123,16 +1171,18 @@ class TestSlotReuse:
     @pytest.mark.parametrize("fill", [0.0, -1.5], ids=["zero", "constant"])
     def test_constant_inputs(self, fill):
         # every map of the base forward is constant, so each moved input is
-        # the base input moved, and every conv of every element is reused
+        # the base input moved, and every conv of every element is reused;
+        # a forward in BLAS order computes every conv all the same
         net = seed_network(replace(build_network(P4CNN), kind=GroupKind.P4M), 5)
         x = FeatureMap(np.full((1, 1, 28, 28), fill))
         with counted_reuses() as reused:
             base = forward(net, x)
             for g in P4M:
-                moved = forward(net, act_spatial(g, x), moved=(g, x, base))
+                moved = moved_forward(net, g, x, base)
                 computed = forward(net, act_spatial(g, x))
                 assert [a.values.tobytes() for a in moved] == \
                     [a.values.tobytes() for a in computed]
+                moved_forward(net, g, x, base, fixed_order=False)
         convs = sum(isinstance(w, FilterBank) for w in net.weights)
         assert len(reused) == len(P4M) * convs
 
@@ -1143,22 +1193,22 @@ class TestSlotReuse:
         # either.  The weights are not integers, so the lift sums in base
         # coordinates.
         w = FilterBank(np.full((2, 1, 1, 3, 3), -0.5))
+        net = one_conv_network(gconv_lift, GroupKind.P4, w, 20)
         zeros = FeatureMap(np.zeros((1, 1, 20, 20)))
         spiked = np.zeros((1, 1, 20, 20))
         spiked[0, 0, 0, 1] = spike
-        base = gconv_lift(zeros, w, GroupKind.P4)
-        moved_base = act_full(ROT90, base, GroupKind.P4)
+        base = forward(net, zeros)
+        g_base = MovedMaps(ROT90, base, GroupKind.P4)
         with counted_reuses() as reused:
-            got = gconv_lift(FeatureMap(spiked), w, GroupKind.P4,
-                             moved=(ROT90, zeros, moved_base))
+            got = forward(net, FeatureMap(spiked), moved=(ROT90, zeros, base, g_base))[0]
         assert reused == []
-        computed = gconv_lift(FeatureMap(spiked), w, GroupKind.P4)
+        computed = forward(net, FeatureMap(spiked))[0]
         assert got.values.tobytes() == computed.values.tobytes()
-        assert (got.values.tobytes() != base.values.tobytes()) == (spike != 0.0)
+        assert (got.values.tobytes() != base[0].values.tobytes()) == (spike != 0.0)
         with counted_reuses() as reused:
-            again = gconv_lift(zeros, w, GroupKind.P4, moved=(ROT90, zeros, moved_base))
+            again = forward(net, zeros, moved=(ROT90, zeros, base, g_base))[0]
         assert len(reused) == 1
-        assert again is moved_base  # the moved map itself, not a second move
+        assert again is g_base[0]  # the moved map itself, not a second move
 
     @pytest.mark.parametrize("fn, kind, g", [(conv2d, GroupKind.Z2, ROT90),
                                              (gconv_lift, GroupKind.P4, MIRROR)],
@@ -1167,13 +1217,13 @@ class TestSlotReuse:
         # the whole input is read, so the moved input is g times the base
         # one; but g is not in the conv's group, so no slot of the moved
         # call reads a base slot's bytes, and it is computed
-        w = random_filter_bank(3, 2, 1, 1, 3)
+        net = one_conv_network(fn, kind, random_filter_bank(3, 2, 1, 1, 3), 8)
         x = random_feature_map(4, 1, 1, 8, 8)
-        base = run_conv(fn, kind, x, w, 1, 0)
+        base = forward(net, x)
         with counted_reuses() as reused:
-            got = run_conv(fn, kind, act_spatial(g, x), w, 1, 0, moved=(g, x, base))
+            got = moved_forward(net, g, x, base)[0]
         assert reused == []
-        computed = run_conv(fn, kind, act_spatial(g, x), w, 1, 0)
+        computed = forward(net, act_spatial(g, x))[0]
         assert got.values.tobytes() == computed.values.tobytes()
 
     @pytest.mark.parametrize("net", SEEDED_NETS)
@@ -1184,7 +1234,7 @@ class TestSlotReuse:
             seeded = seed_network(net, 6, integer)
             x = random_feature_map([6, 1], 1, 1, 28, 28, integer)
             base = forward(seeded, x)
-            forward(seeded, act_spatial(ROT90, x), moved=(ROT90, x, base))
+            moved_forward(seeded, ROT90, x, base)
             forward(seeded, x, fixed_order=False)
             for w in seeded.weights:
                 if isinstance(w, FilterBank):
