@@ -54,9 +54,6 @@ from .metrics import (
     invariance_sweep,
     profile_equivariance,
 )
-# perfbench/tracing.py hooks these two names here, so they stay importable;
-# cmd_oracle itself makes one commutation_grid call and never calls them
-from .metrics import mirror_commutation, rotation_commutation  # noqa: F401
 
 EXIT_OK = 0
 EXIT_INEXACT = 1

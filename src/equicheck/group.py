@@ -24,6 +24,8 @@ feature-map actions ``act_spatial``/``act_full`` and the moves inside a
 group convolution, of the bank it stacks (``layers._stacked``) and of the
 input and output slots of its base-coordinate sum
 (``layers._base_correlate``), are the same code on different leading axes.
+A FeatureMap is square by construction, so the map actions check no side
+of their own.
 
 A group element is stored in the normal form "mirror first, then
 ``rotations`` quarter turns".  The clockwise quarter turn is simply the
@@ -250,17 +252,11 @@ def act_values(g: GroupElement, vals: np.ndarray, kind: GroupKind | None = None)
     return vals
 
 
-def _square_values(fm: FeatureMap) -> np.ndarray:
-    if not fm.is_square:
-        raise ShapeError(f"spatial action needs a square map, got {fm.height}x{fm.width}")
-    return fm.values
-
-
 def act_spatial(g: GroupElement, fm: FeatureMap) -> FeatureMap:
     """Move every value from index p to index g(p); channel and group axes
-    are untouched.  Requires a square map.  The moved values are not
-    scanned again, and the identity shares the read-only values of ``fm``."""
-    return FeatureMap._moved(act_values(g, _square_values(fm)))
+    are untouched.  The moved values are not scanned again, and the
+    identity shares the read-only values of ``fm``."""
+    return FeatureMap._moved(act_values(g, fm.values))
 
 
 @functools.cache
@@ -293,7 +289,6 @@ def act_full(g: GroupElement, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
         raise ShapeError(
             f"group axis {fm.group_size} does not match {kind.value} (size {kind.size})"
         )
-    vals = _square_values(fm)
     if kind is GroupKind.Z2:
         raise GroupKindError("the trivial group has no group axis to permute")
-    return FeatureMap._moved(act_values(g, vals, kind))
+    return FeatureMap._moved(act_values(g, fm.values, kind))

@@ -41,8 +41,11 @@ product whatever its operands; its floats may differ in the last bits.
 The matmuls of a slot are a pure function of its staged operand, the bank
 and the stride, so a moved forward need not run them again on bytes the
 base forward has correlated.  ``forward`` alone decides where a layer of
-a moved forward takes the moved base map instead of being computed, and
-``MovedMaps`` moves each base map at most once per element, on first use.
+a moved forward takes the moved base map instead of being computed.  A
+move is one ``MovedMaps``, which names the element, the base input, its
+forward and the group kind once, and moves each base map at most once,
+on first use.  A FeatureMap is square by construction, so no layer checks
+that of its input.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -61,7 +64,7 @@ import numpy as np
 
 from .errors import LayerError, NonFiniteError, ShapeError
 from .group import (
-    IDENTITY, GroupElement, GroupKind, act_full, act_values, elements, inverse, slot_index,
+    GroupElement, GroupKind, act_full, act_values, elements, inverse, slot_index,
 )
 from .tensor import EXACT_INT_LIMIT, FeatureMap, FilterBank, random_values
 
@@ -260,27 +263,24 @@ def _base_correlate(vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int) ->
 
 
 def _contract(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
-    """Strided cross-correlation of a padded (C, G, h, w) array with a
-    stacked (|G|, O, C, G, kh, kw) bank as one BLAS matrix product; returns
-    (|G|, O, oh, ow).
+    """Strided cross-correlation of a padded (C, G, n, n) array with a
+    stacked (|G|, O, C, G, k, k) bank as one BLAS matrix product; returns
+    (|G|, O, o, o).
 
-    The windows are one strided view of ``vals``, axes (C, G, kh, kw, oh,
-    ow), copied once into the (C*G*kh*kw, oh*ow) matrix; the bank is the
-    left operand, viewed as (|G|*O, C*G*kh*kw).  The summation order is
+    The windows are one strided view of ``vals``, axes (C, G, k, k, o, o),
+    copied once into the (C*G*k*k, o*o) matrix; the bank is the left
+    operand, viewed as (|G|*O, C*G*k*k).  The summation order is
     BLAS's own, so it serves integer operands within the Hoelder bound,
     whose sums are exact in any order, and float operands whose last bits
     no verdict reads."""
-    slots, o_ch, c, g, kh, kw = bank.shape
-    h, w = vals.shape[-2:]
-    oh, ow = (h - kh) // s + 1, (w - kw) // s + 1
+    slots, o_ch, c, g, k, _ = bank.shape
+    o = (vals.shape[-1] - k) // s + 1
     sc, sg, sy, sx = vals.strides
     # a view on the buffer of the C-contiguous vals, which numpy bounds-checks
-    windows = np.ndarray(
-        (c, g, kh, kw, oh, ow), vals.dtype, vals, 0, (sc, sg, sy, sx, s * sy, s * sx)
-    )
-    taps = c * g * kh * kw
-    out = np.dot(bank.reshape(slots * o_ch, taps), windows.reshape(taps, oh * ow))
-    return out.reshape(slots, o_ch, oh, ow)
+    windows = np.ndarray((c, g, k, k, o, o), vals.dtype, vals, 0, (sc, sg, sy, sx, s * sy, s * sx))
+    taps = c * g * k * k
+    out = np.dot(bank.reshape(slots * o_ch, taps), windows.reshape(taps, o * o))
+    return out.reshape(slots, o_ch, o, o)
 
 
 def _pad(vals: np.ndarray, p: int) -> np.ndarray:
@@ -292,8 +292,6 @@ def _pad(vals: np.ndarray, p: int) -> np.ndarray:
 def _check_conv_args(fm: FeatureMap, filters: FilterBank, s: int, p: int) -> None:
     if s < 1 or p < 0:
         raise ShapeError(f"stride must be >= 1 and padding >= 0, got s={s}, p={p}")
-    if not fm.is_square:
-        raise ShapeError(f"convolution needs a square map, got {fm.height}x{fm.width}")
     if fm.group_size != filters.in_group_size:
         raise ShapeError(
             f"filter expects group axis {filters.in_group_size}, map has {fm.group_size}"
@@ -341,12 +339,10 @@ _INTEGER_L1 = "integer l1"
 
 def _moves_base_call(fm: FeatureMap, x0: FeatureMap, layer: Layer, kind: GroupKind,
                      g: GroupElement) -> bool:
-    """True iff g is an element of ``kind`` and the cut of ``fm`` padded by
-    the layer's p is, byte for byte, g applied to the cut of x0 padded
-    alike.  Then slot q of the conv on ``fm`` stages the operand of slot
+    """True iff the cut of ``fm`` padded by the layer's p is, byte for
+    byte, g applied to the cut of x0 padded alike, for an element g of
+    ``kind``.  Then slot q of the conv on ``fm`` stages the operand of slot
     g^-1 q of the conv on x0, so its output is g applied to that conv's."""
-    if g not in elements(kind):
-        return False
     vals = _pad(fm.values, layer.p)
     m = layer.s * ((vals.shape[-1] - layer.k) // layer.s) + layer.k  # the rows any window reads
     base = act_values(g, _pad(x0.values, layer.p)[..., :m, :m], kind)
@@ -384,15 +380,6 @@ def conv2d(
     return _group_conv(fm, filters, GroupKind.Z2, s, p, fixed_order=fixed_order)
 
 
-def transform_filters(g: GroupElement, filters: FilterBank, kind: GroupKind) -> FilterBank:
-    """Filter bank as seen by output slot g: kernels spatially transformed by
-    g and, for group-valued banks, the group axis permuted so that slot h
-    reads the original slot g^-1 h.  The identity returns the bank itself."""
-    if g == IDENTITY:
-        return filters
-    return FilterBank(act_values(g, filters.values, kind))
-
-
 def gconv_lift(
     fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0,
     *, fixed_order: bool = True,
@@ -428,16 +415,16 @@ def maxpool(fm: FeatureMap, k: int, s: int) -> FeatureMap:
     return either zero; ReLU outputs hold no -0.0."""
     if k < 1 or s < 1:
         raise ShapeError(f"pool needs k >= 1 and s >= 1, got k={k}, s={s}")
-    if min(fm.height, fm.width) < k:
-        raise ShapeError(f"pool kernel {k} exceeds input {fm.height}x{fm.width}")
+    n = fm.height
+    if n < k:
+        raise ShapeError(f"pool kernel {k} exceeds input {n}x{n}")
     vals = fm.values
-    end_y = s * ((fm.height - k) // s) + 1
-    end_x = s * ((fm.width - k) // s) + 1
-    out = vals[:, :, :end_y:s, :end_x:s].copy()
+    end = s * ((n - k) // s) + 1
+    out = vals[:, :, :end:s, :end:s].copy()
     for dy in range(k):
         for dx in range(k):
             if dy or dx:
-                np.maximum(out, vals[:, :, dy : dy + end_y : s, dx : dx + end_x : s], out=out)
+                np.maximum(out, vals[:, :, dy : dy + end : s, dx : dx + end : s], out=out)
     return FeatureMap._from_layer(out)
 
 
@@ -472,8 +459,6 @@ def circle_crop(fm: FeatureMap) -> FeatureMap:
     (2x-(n-1))^2 + (2y-(n-1))^2 <= n^2 so the mask is exactly symmetric
     under all eight p4m actions.
     """
-    if not fm.is_square:
-        raise ShapeError(f"circle crop needs a square map, got {fm.height}x{fm.width}")
     return FeatureMap._from_layer(np.where(disk_mask(fm.height), fm.values, 0.0))
 
 
@@ -569,12 +554,15 @@ _MOVE_WITH_INPUT = frozenset({LayerKind.RELU, LayerKind.CIRCLE_CROP, LayerKind.G
 
 
 class MovedMaps:
-    """The maps of a base forward moved by g: ``maps[d]`` is
+    """A move, the one object ``forward`` takes as ``moved``: the element g,
+    the base input x, its forward ``base`` through a network of group
+    ``kind``, and the maps of ``base`` moved by g.  ``maps[d]`` is
     ``act_full(g, base[d], kind)``, moved on first use and kept, or None
     where ``base[d]`` is planar."""
 
-    def __init__(self, g: GroupElement, base: list[FeatureMap], kind: GroupKind):
-        self.g, self.base, self.kind = g, base, kind
+    def __init__(self, g: GroupElement, x: FeatureMap, base: list[FeatureMap],
+                 kind: GroupKind):
+        self.g, self.x, self.base, self.kind = g, x, base, kind
         self._maps: dict[int, FeatureMap | None] = {}
 
     def __getitem__(self, d: int) -> FeatureMap | None:
@@ -585,7 +573,7 @@ class MovedMaps:
 
 
 def forward(
-    net: Network, fm: FeatureMap, *, fixed_order: bool = True, moved: tuple | None = None
+    net: Network, fm: FeatureMap, *, fixed_order: bool = True, moved: MovedMaps | None = None
 ) -> list[FeatureMap]:
     """Evaluate the network, returning one activation per layer (final last).
 
@@ -603,10 +591,11 @@ def forward(
     layer by its length.  Other layer failures are re-raised with the layer
     index attached.
 
-    ``moved=(g, x, base, g_base)`` says that ``fm`` is g * ``x``, ``base``
-    is ``forward(net, x)`` and ``g_base`` is ``MovedMaps(g, base,
-    net.kind)``.  Here alone it is decided where a layer takes its moved
-    map ``g_base[d]`` instead of being computed.  A lift or group conv
+    ``moved=MovedMaps(g, x, base, net.kind)`` says that ``fm`` is g *
+    ``x`` and ``base`` is ``forward(net, x)``; a move made for another
+    group kind raises LayerError.  Here alone it is decided where a layer
+    takes its moved map ``moved[d]`` instead of being computed, and only
+    when g is an element of the network's group.  A lift or group conv
     takes it when its cut padded input is, byte for byte, g times the one
     its layer read in ``base``: slot q then stages the operand of base slot
     g^-1 q, and integer sums within the bound are exact in any order, so
@@ -618,12 +607,13 @@ def forward(
     result is the bytes of the plain forward, and only a layer that takes
     its moved map moves it.
     """
-    if fm.height != net.input_size or fm.width != net.input_size:
-        raise ShapeError(
-            f"input is {fm.height}x{fm.width}, network declares {net.input_size}"
-        )
-    if moved is not None:
-        g, x, base, g_base = moved
+    n = fm.height
+    if n != net.input_size:
+        raise ShapeError(f"input is {n}x{n}, network declares {net.input_size}")
+    if moved is not None and moved.kind is not net.kind:
+        raise LayerError(f"a move for {moved.kind.value} given to a {net.kind.value} network")
+    if not (fixed_order and moved is not None and moved.g in elements(net.kind)):
+        moved = None  # every layer is computed
     acts: list[FeatureMap] = []
     current = fm
     took = False  # whether the layer before took its moved map
@@ -633,12 +623,12 @@ def forward(
         for idx, (layer, w) in enumerate(zip(net.layers, weights)):
             if w is None and layer.kind in WEIGHTED_KINDS:
                 raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
-            took = moved is not None and fixed_order and base[idx].group_size > 1 and (
+            took = moved is not None and moved.base[idx].group_size > 1 and (
                 took and layer.kind in _MOVE_WITH_INPUT
-                or layer.kind in CONV_KINDS
-                and _moves_base_call(current, base[idx - 1] if idx else x, layer, net.kind, g))
+                or layer.kind in CONV_KINDS and _moves_base_call(
+                    current, moved.base[idx - 1] if idx else moved.x, layer, net.kind, moved.g))
             if took:
-                current = g_base[idx]
+                current = moved[idx]
                 acts.append(current)
                 continue
             try:

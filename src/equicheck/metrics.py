@@ -207,8 +207,8 @@ def profile_equivariance(
     Weights and the input are drawn deterministically from ``seed``.  For
     each requested group element g and every group-valued depth d the error
     compares the forward pass of the transformed input against the fully
-    transformed activation of the plain input, g * base[d], from the same
-    ``MovedMaps`` that the transformed forward's move names (see
+    transformed activation of the plain input, g * base[d], from the
+    ``MovedMaps`` that is the transformed forward's move (see
     ``layers.forward``): each is moved once, and a depth whose map is the
     one the forward took reads 0.0 without a comparison.  One transformed
     forward is held at a time; entries come out depth by depth, elements
@@ -231,8 +231,8 @@ def profile_equivariance(
     depths = [d for d, act in enumerate(base[:reached]) if act.group_size > 1]
     errors = {}
     for g in group_elements:
-        g_base = MovedMaps(g, base, net.kind)
-        moved = forward(seeded, act_spatial(g, x), moved=(g, x, base, g_base))
+        g_base = MovedMaps(g, x, base, net.kind)
+        moved = forward(seeded, act_spatial(g, x), moved=g_base)
         reached = min(reached, len(moved))
         for d in depths:
             if d < len(moved):
@@ -246,7 +246,7 @@ def profile_equivariance(
 
 
 def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
-    """Rotate a square map counterclockwise about its center by any angle,
+    """Rotate a map counterclockwise about its center by any angle,
     sampling with bilinear interpolation and reading outside pixels as 0.
 
     Multiples of 90 degrees, 0 included, are the exact grid action: there
@@ -255,8 +255,6 @@ def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
     discrepancy.  Any other angle is the one-angle case of
     ``_rotate_values``.
     """
-    if not fm.is_square:
-        raise ShapeError(f"rotation needs a square map, got {fm.height}x{fm.width}")
     if angle_degrees % 90 == 0:
         return act_spatial(GroupElement(int(angle_degrees // 90) % 4), fm)
     return FeatureMap._from_layer(_rotate_values(fm.values, [angle_degrees])[:, :, 0])
@@ -344,7 +342,7 @@ def invariance_sweep(
     exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
     verdict and run with ``fixed_order=False``; their floats may differ in
     the last bits.  A multiple of 360 degrees reuses the base forward; the
-    other right-angle rows name their quarter turn with ``MovedMaps``, so
+    other right-angle rows pass their quarter turn as a ``MovedMaps``, so
     their layers may take the base forward's maps, each moved when a layer
     first takes it (see ``layers.forward``).
 
@@ -378,7 +376,7 @@ def invariance_sweep(
     turns = {a: GroupElement(int(a // 90) % 4) for a in angles if a % 90 == 0}
     rows = {a: base if a % 360 == 0 else _final(seeded, forward(
         seeded, circle_crop(rotate_bilinear(x, a)),
-        moved=(g, cropped, acts, MovedMaps(g, acts, net.kind)))) for a, g in turns.items()}
+        moved=MovedMaps(g, cropped, acts, net.kind))) for a, g in turns.items()}
     off_grid = _cropped_rotations(x, [a for a in angles if a % 90 != 0])
     points = []
     for angle in angles:

@@ -2,8 +2,10 @@
 
 Layout convention used everywhere in this package: a feature map is indexed
 ``(channel, group, row, col)`` with row 0 at the top and column 0 on the
-left.  The group axis has length 1 for plain planar maps, 4 for p4 maps and
-8 for p4m maps.  Values are float64; small-integer contents are stored
+left, and it is square: every constructor refuses an array whose row and
+col axes differ, so no function that takes a map checks that again.  The
+group axis has length 1 for plain planar maps, 4 for p4 maps and 8 for
+p4m maps.  Values are float64; small-integer contents are stored
 exactly, which is what makes the bit-exact equivariance assertions in the
 test suite meaningful.
 """
@@ -36,7 +38,8 @@ def _checked(arr: np.ndarray, ndim: int, what: str, scan: bool = True) -> np.nda
 
 
 class FeatureMap:
-    """Immutable activation tensor with axes (channel, group, row, col)."""
+    """Immutable square activation tensor with axes (channel, group, row,
+    col); the row and col axes have the same length, ``height``."""
 
     __slots__ = ("_values",)
 
@@ -65,7 +68,7 @@ class FeatureMap:
 
     @property
     def values(self) -> np.ndarray:
-        """Read-only float64 array of shape (channels, group, height, width)."""
+        """Read-only float64 array of shape (channels, group, n, n)."""
         return self._values
 
     @property
@@ -81,20 +84,12 @@ class FeatureMap:
         return self._values.shape[2]
 
     @property
-    def width(self) -> int:
-        return self._values.shape[3]
-
-    @property
     def shape(self) -> tuple[int, int, int, int]:
         return self._values.shape
 
-    @property
-    def is_square(self) -> bool:
-        return self.height == self.width
-
     def __repr__(self) -> str:
-        c, g, h, w = self.shape
-        return f"FeatureMap(channels={c}, group={g}, size={h}x{w})"
+        c, g, n, _ = self.shape
+        return f"FeatureMap(channels={c}, group={g}, size={n}x{n})"
 
 
 def _map_values(arr: np.ndarray, scan: bool = True) -> np.ndarray:
@@ -103,6 +98,8 @@ def _map_values(arr: np.ndarray, scan: bool = True) -> np.ndarray:
         raise DimensionError(
             f"group axis must have length in {VALID_GROUP_SIZES}, got {arr.shape[1]}"
         )
+    if arr.shape[2] != arr.shape[3]:
+        raise DimensionError(f"feature map must be square, got {arr.shape[2]}x{arr.shape[3]}")
     return arr
 
 

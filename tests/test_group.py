@@ -245,10 +245,6 @@ class TestActSpatial:
             out = act_spatial(g, fm)
             assert np.array_equal(np.sort(out.values, axis=None), np.sort(fm.values, axis=None))
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            act_spatial(ROT90, random_feature_map(0, 1, 1, 2, 3))
-
 
 class TestGroupPermutation:
     def test_identity_permutation(self):
@@ -320,10 +316,6 @@ class TestActFull:
     def test_mirrored_element_not_in_p4(self):
         with pytest.raises(GroupKindError):
             act_full(MIRROR, random_feature_map(0, 1, 4, 3, 3), GroupKind.P4)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError, match="square"):
-            act_full(ROT90, random_feature_map(0, 1, 4, 2, 3), GroupKind.P4)
 
     def test_moved_maps_are_not_scanned_again(self):
         # the entries of a checked map are finite wherever they move

@@ -54,7 +54,6 @@ from equicheck.layers import (
     maxpool,
     relu,
     seed_network,
-    transform_filters,
 )
 from equicheck.tensor import (
     FeatureMap,
@@ -97,8 +96,7 @@ def assert_equivariant_bytes(fn, kind, fm, w, s, p):
 
 def moved_forward(net, g, x, base, **kwargs):
     """The forward of g * x that names its move against ``base``."""
-    return forward(net, act_spatial(g, x), moved=(g, x, base, MovedMaps(g, base, net.kind)),
-                   **kwargs)
+    return forward(net, act_spatial(g, x), moved=MovedMaps(g, x, base, net.kind), **kwargs)
 
 
 def assert_forward_equivariant_bytes(net, x):
@@ -270,8 +268,9 @@ def per_slot_reference(fm, w, kind, s, p):
     """The per-slot composition every conv used to run: pad, then one
     per-kernel-position correlation per transformed bank."""
     vals = np.pad(fm.values, ((0, 0), (0, 0), (p, p), (p, p)))
-    banks = [w] if kind is GroupKind.Z2 else [transform_filters(g, w, kind) for g in elements(kind)]
-    return np.stack([per_position_reference(vals, b.values, s) for b in banks], axis=1)
+    banks = [w.values] if kind is GroupKind.Z2 else [
+        act_values(g, w.values, kind) for g in elements(kind)]
+    return np.stack([per_position_reference(vals, b, s) for b in banks], axis=1)
 
 
 def run_conv(fn, kind, fm, w, s, p, **kwargs):
@@ -352,15 +351,15 @@ def reference_contract(vals, bank, s):
 
 @st.composite
 def contract_cases(draw):
-    """A padded (C, G, h, w) input and a stacked (|G|, O, C, G, k, k) bank,
-    float or integer-valued each, with h, w >= k."""
+    """A padded (C, G, n, n) input and a stacked (|G|, O, C, G, k, k) bank,
+    float or integer-valued each, with n >= k."""
     slots, g = draw(st.sampled_from([1, 4, 8])), draw(st.sampled_from([1, 4, 8]))
     c, o, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     s, p = draw(st.integers(1, 4)), draw(st.integers(0, 2))
-    h, w = draw(st.integers(max(1, k - 2 * p), 12)), draw(st.integers(max(1, k - 2 * p), 12))
+    n = draw(st.integers(max(1, k - 2 * p), 12))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    x = rng.integers(-4, 5, (c, g, h, w)) if draw(st.booleans()) else rng.uniform(-1, 1, (c, g, h, w))
+    x = rng.integers(-4, 5, (c, g, n, n)) if draw(st.booleans()) else rng.uniform(-1, 1, (c, g, n, n))
     bank = (rng.integers(-4, 5, (slots, o, c, g, k, k)) if draw(st.booleans())
             else rng.uniform(-1, 1, (slots, o, c, g, k, k)))
     return _pad(np.asarray(x, dtype=np.float64), p), np.asarray(bank, dtype=np.float64), s
@@ -427,45 +426,29 @@ BANK_KINDS = [(GroupKind.P4, 1), (GroupKind.P4, 4), (GroupKind.P4M, 1), (GroupKi
 
 
 class TestTransformFilters:
-    """transform_filters is a group action on banks, planar or group-valued."""
+    """act_values on banks, which ``_stacked`` stacks, is a group action,
+    planar or group-valued."""
 
     @pytest.mark.parametrize("kind, group", BANK_KINDS)
     def test_composition(self, kind, group):
-        w = random_filter_bank([group, 3], 2, 3, group, 3)
+        w = random_filter_bank([group, 3], 2, 3, group, 3).values
         for a in elements(kind):
             for b in elements(kind):
-                lhs = transform_filters(a, transform_filters(b, w, kind), kind)
-                rhs = transform_filters(compose(a, b), w, kind)
-                assert np.array_equal(lhs.values, rhs.values)
+                lhs = act_values(a, act_values(b, w, kind), kind)
+                assert np.array_equal(lhs, act_values(compose(a, b), w, kind))
 
     @pytest.mark.parametrize("kind, group", BANK_KINDS)
     def test_inverse_round_trip(self, kind, group):
-        w = random_filter_bank([group, 5], 2, 3, group, 2)
+        w = random_filter_bank([group, 5], 2, 3, group, 2).values
         for g in elements(kind):
-            back = transform_filters(inverse(g), transform_filters(g, w, kind), kind)
-            assert np.array_equal(back.values, w.values)
+            assert np.array_equal(act_values(inverse(g), act_values(g, w, kind), kind), w)
 
     def test_group_axis_needs_the_element_in_the_group(self):
+        w = random_filter_bank(0, 1, 1, 4, 3).values
         with pytest.raises(GroupKindError):
-            transform_filters(MIRROR, random_filter_bank(0, 1, 1, 4, 3), GroupKind.P4)
+            act_values(MIRROR, w, GroupKind.P4)
         with pytest.raises(GroupKindError):
-            transform_filters(ROT90, random_filter_bank(0, 1, 1, 4, 3), GroupKind.Z2)
-
-
-class TestNonSquareMaps:
-    """Inputs are square; a non-square map is refused before any contraction,
-    whichever path its values would take."""
-
-    @pytest.mark.parametrize("integer", [True, False])
-    @pytest.mark.parametrize("height, width", [(7, 5), (5, 7)])
-    @pytest.mark.parametrize("fn, kind, group", [
-        (conv2d, GroupKind.Z2, 1), (gconv_lift, GroupKind.P4, 1), (gconv, GroupKind.P4, 4),
-    ])
-    def test_rejected(self, fn, kind, group, height, width, integer):
-        fm = random_feature_map(0, 1, group, height, width, integer)
-        w = random_filter_bank(1, 1, 1, group, 3, integer)
-        with pytest.raises(ShapeError, match="square"):
-            run_conv(fn, kind, fm, w, 1, 0)
+            act_values(ROT90, w, GroupKind.Z2)
 
 
 def spike_case(fill_all, group=1):
@@ -548,8 +531,8 @@ def reference_maxpool(fm, k, s):
     the sliding-window view."""
     if k < 1 or s < 1:
         raise ShapeError(f"pool needs k >= 1 and s >= 1, got k={k}, s={s}")
-    if min(fm.height, fm.width) < k:
-        raise ShapeError(f"pool kernel {k} exceeds input {fm.height}x{fm.width}")
+    if fm.height < k:
+        raise ShapeError(f"pool kernel {k} exceeds input {fm.height}x{fm.height}")
     windows = sliding_window_view(fm.values, (k, k), axis=(2, 3))
     return FeatureMap._from_layer(windows[:, :, ::s, ::s].max(axis=(4, 5)))
 
@@ -668,9 +651,9 @@ class TestMaxpool:
     def test_strided_maxima_match_window_reduction(self, k, s):
         rng = np.random.default_rng([k, s])
         for _ in range(4):
-            h, w = rng.integers(k, k + 9, size=2)
+            n = rng.integers(k, k + 9)
             # few distinct values, so windows tie; zeros of both signs
-            vals = rng.integers(-2, 3, size=(2, 4, h, w)) * rng.choice([-1.0, 1.0], size=(h, w))
+            vals = rng.integers(-2, 3, size=(2, 4, n, n)) * rng.choice([-1.0, 1.0], size=(n, n))
             out = maxpool(FeatureMap(vals), k, s).values
             assert np.array_equal(out, reference_maxpool(FeatureMap(vals), k, s).values)
             positive_zeros = FeatureMap(vals + 0.0)  # -0.0 + 0.0 is +0.0
@@ -791,10 +774,6 @@ class TestCircleCrop:
                 lhs = circle_crop(act_spatial(g, fm))
                 rhs = act_spatial(g, circle_crop(fm))
                 assert max_abs_diff(lhs, rhs) == 0.0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            circle_crop(random_feature_map(0, 1, 1, 2, 3))
 
 
 class TestDense:
@@ -1017,8 +996,8 @@ def one_conv_network(fn, kind, w, side):
 
 
 class TestSlotReuse:
-    """A conv of a forward that names its move (g, x, base, g_base) takes
-    its moved base map only when its cut padded input is g times the base
+    """A conv of a forward that names its move ``MovedMaps(g, x, base,
+    kind)`` takes its moved base map only when its cut padded input is g times the base
     call's, byte for byte, so the forward gives the bytes of the plain
     forward, which computes every product."""
 
@@ -1144,7 +1123,7 @@ class TestSlotReuse:
         net = seed_network(toy_net(33), 1)
         x = random_feature_map(2, 1, 1, 33, 33)
         base = forward(net, x)
-        g_base = MovedMaps(ROT90, base, GroupKind.P4)
+        g_base = MovedMaps(ROT90, x, base, GroupKind.P4)
         with mock.patch.object(layers, "act_full", wraps=act_full) as moved:
             assert [g_base[d] is None for d in (0, 1, 2, 3)] == [False, False, True, True]
             assert g_base[0] is g_base[0]
@@ -1161,8 +1140,8 @@ class TestSlotReuse:
         shared = {LayerKind.GCONV_LIFT, LayerKind.GCONV, LayerKind.RELU,
                   LayerKind.GLOBAL_AVG_POOL}
         for g in P4[1:]:
-            g_base = MovedMaps(g, base, GroupKind.P4)
-            moved = forward(net, act_spatial(g, x), moved=(g, x, base, g_base))
+            g_base = MovedMaps(g, x, base, GroupKind.P4)
+            moved = forward(net, act_spatial(g, x), moved=g_base)
             plain = forward(net, act_spatial(g, x))
             for d, layer in enumerate(net.layers):
                 assert (moved[d] is g_base[d]) == (layer.kind in shared), (g.name, d)
@@ -1198,15 +1177,15 @@ class TestSlotReuse:
         spiked = np.zeros((1, 1, 20, 20))
         spiked[0, 0, 0, 1] = spike
         base = forward(net, zeros)
-        g_base = MovedMaps(ROT90, base, GroupKind.P4)
+        g_base = MovedMaps(ROT90, zeros, base, GroupKind.P4)
         with counted_reuses() as reused:
-            got = forward(net, FeatureMap(spiked), moved=(ROT90, zeros, base, g_base))[0]
+            got = forward(net, FeatureMap(spiked), moved=g_base)[0]
         assert reused == []
         computed = forward(net, FeatureMap(spiked))[0]
         assert got.values.tobytes() == computed.values.tobytes()
         assert (got.values.tobytes() != base[0].values.tobytes()) == (spike != 0.0)
         with counted_reuses() as reused:
-            again = forward(net, zeros, moved=(ROT90, zeros, base, g_base))[0]
+            again = forward(net, zeros, moved=g_base)[0]
         assert len(reused) == 1
         assert again is g_base[0]  # the moved map itself, not a second move
 
@@ -1215,8 +1194,8 @@ class TestSlotReuse:
                              ids=["z2-r", "p4-m"])
     def test_element_outside_the_group_is_computed(self, fn, kind, g):
         # the whole input is read, so the moved input is g times the base
-        # one; but g is not in the conv's group, so no slot of the moved
-        # call reads a base slot's bytes, and it is computed
+        # one; but g is not in the network's group, so no slot of the moved
+        # call reads a base slot's bytes, and forward computes it
         net = one_conv_network(fn, kind, random_filter_bank(3, 2, 1, 1, 3), 8)
         x = random_feature_map(4, 1, 1, 8, 8)
         base = forward(net, x)
@@ -1225,6 +1204,20 @@ class TestSlotReuse:
         assert reused == []
         computed = forward(net, act_spatial(g, x))[0]
         assert got.values.tobytes() == computed.values.tobytes()
+
+    @pytest.mark.parametrize("kind, move_kind", [
+        (GroupKind.P4M, GroupKind.P4), (GroupKind.P4, GroupKind.P4M), (GroupKind.Z2, GroupKind.P4),
+    ], ids=["p4-move-to-p4m", "p4m-move-to-p4", "p4-move-to-z2"])
+    def test_move_for_another_group_kind_is_refused(self, kind, move_kind):
+        # its maps would be permuted for the wrong group, so no layer runs
+        net = build_network(Z2CNN if kind is GroupKind.Z2 else P4CNN)
+        net = seed_network(replace(net, kind=kind), 1)
+        x = random_feature_map(2, 1, 1, 28, 28)
+        base = forward(net, x)
+        move = MovedMaps(ROT90, x, base, move_kind)
+        with mock.patch.object(layers, "_apply") as apply, pytest.raises(LayerError, match="move"):
+            forward(net, act_spatial(ROT90, x), moved=move)
+        assert apply.call_count == 0
 
     @pytest.mark.parametrize("net", SEEDED_NETS)
     def test_memo_holds_only_stacked_banks_and_the_bound(self, net):

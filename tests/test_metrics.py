@@ -587,16 +587,10 @@ class TestRotateBilinear:
         assert np.all(np.isfinite(out.values))
         assert np.max(np.abs(out.values)) <= np.max(np.abs(fm.values)) + 1e-12
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            rotate_bilinear(random_feature_map(0, 1, 1, 2, 3), 10.0)
-
 
 def reference_rotate_bilinear(fm, angle_degrees):
     """The rotation from before off-grid angles were rotated together, kept
     verbatim: one angle per call."""
-    if not fm.is_square:
-        raise ShapeError(f"rotation needs a square map, got {fm.height}x{fm.width}")
     if angle_degrees % 90 == 0:
         return act_spatial(GroupElement(int(angle_degrees // 90) % 4), fm)
     n = fm.height
@@ -726,7 +720,7 @@ class TestInvarianceSweep:
 
         def recording_forward(net, fm, *, fixed_order=True, moved=None):
             orders.append(fixed_order)
-            moves.append(None if moved is None else moved[0])
+            moves.append(None if moved is None else moved.g)
             return forward(net, fm, fixed_order=fixed_order, moved=moved)
 
         monkeypatch.setattr(metrics, "forward", recording_forward)

@@ -34,6 +34,14 @@ class TestMakeFeatureMap:
         with pytest.raises(DimensionError):
             FeatureMap(np.zeros((1, 1, 0, 5)))
 
+    @pytest.mark.parametrize("construct", [FeatureMap, FeatureMap._from_layer, FeatureMap._moved],
+                             ids=["public", "from_layer", "moved"])
+    def test_non_square_rejected(self, construct):
+        # every map is square, so no function that takes one checks again
+        for rows, cols in ((2, 3), (3, 2), (1, 5)):
+            with pytest.raises(DimensionError, match="square"):
+                construct(np.zeros((1, 4, rows, cols)))
+
     def test_bad_group_size_rejected(self):
         with pytest.raises(DimensionError):
             FeatureMap(np.zeros((1, 3, 2, 2)))
