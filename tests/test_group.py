@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from equicheck.errors import GroupKindError, PatchError, ShapeError
+from equicheck.errors import DimensionError, GroupKindError, PatchError, ShapeError
 from equicheck.group import (
     IDENTITY,
     MIRROR,
@@ -245,6 +245,11 @@ class TestActSpatial:
             out = act_spatial(g, fm)
             assert np.array_equal(np.sort(out.values, axis=None), np.sort(fm.values, axis=None))
 
+    def test_non_square_rejected(self):
+        # a map is square by construction, so a non-square one never reaches the action
+        with pytest.raises(DimensionError, match="square"):
+            act_spatial(ROT90, random_feature_map(0, 1, 1, 2, 3))
+
 
 class TestGroupPermutation:
     def test_identity_permutation(self):
@@ -316,6 +321,11 @@ class TestActFull:
     def test_mirrored_element_not_in_p4(self):
         with pytest.raises(GroupKindError):
             act_full(MIRROR, random_feature_map(0, 1, 4, 3, 3), GroupKind.P4)
+
+    def test_non_square_rejected(self):
+        # a map is square by construction, so a non-square one never reaches the action
+        with pytest.raises(DimensionError, match="square"):
+            act_full(ROT90, random_feature_map(0, 1, 4, 2, 3), GroupKind.P4)
 
     def test_moved_maps_are_not_scanned_again(self):
         # the entries of a checked map are finite wherever they move

@@ -17,7 +17,7 @@ from equicheck import layers
 from equicheck.analyzer import exact_size_lattice
 from equicheck.builtins import P4CNN, Z2CNN
 from equicheck.config import build_network
-from equicheck.errors import GroupKindError, LayerError, ShapeError
+from equicheck.errors import DimensionError, GroupKindError, LayerError, ShapeError
 from equicheck.group import (
     IDENTITY,
     MIRROR,
@@ -451,6 +451,21 @@ class TestTransformFilters:
             act_values(ROT90, w, GroupKind.Z2)
 
 
+class TestNonSquareMaps:
+    """Inputs are square; a non-square map is refused when it is built, so
+    it never reaches a contraction, whichever path its values would take."""
+
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("height, width", [(7, 5), (5, 7)])
+    @pytest.mark.parametrize("fn, kind, group", [
+        (conv2d, GroupKind.Z2, 1), (gconv_lift, GroupKind.P4, 1), (gconv, GroupKind.P4, 4),
+    ])
+    def test_rejected(self, fn, kind, group, height, width, integer):
+        w = random_filter_bank(1, 1, 1, group, 3, integer)
+        with pytest.raises(DimensionError, match="square"):
+            run_conv(fn, kind, random_feature_map(0, 1, group, height, width, integer), w, 1, 0)
+
+
 def spike_case(fill_all, group=1):
     """3x3 integer input at 2**45 (one spike in slot 0 or everywhere), all
     weights 32; ``group`` is the length of both group axes."""
@@ -774,6 +789,11 @@ class TestCircleCrop:
                 lhs = circle_crop(act_spatial(g, fm))
                 rhs = act_spatial(g, circle_crop(fm))
                 assert max_abs_diff(lhs, rhs) == 0.0
+
+    def test_non_square_rejected(self):
+        # a map is square by construction, so a non-square one is never cropped
+        with pytest.raises(DimensionError, match="square"):
+            circle_crop(random_feature_map(0, 1, 1, 2, 3))
 
 
 class TestDense:

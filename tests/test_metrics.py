@@ -18,7 +18,7 @@ from equicheck import metrics
 from equicheck.analyzer import output_size
 from equicheck.builtins import P4CNN, TOY41
 from equicheck.config import build_network
-from equicheck.errors import ConfigError, PatchError, ShapeError
+from equicheck.errors import ConfigError, DimensionError, PatchError, ShapeError
 from equicheck.group import (
     GroupElement,
     GroupKind,
@@ -586,6 +586,11 @@ class TestRotateBilinear:
         out = rotate_bilinear(fm, 30.0)
         assert np.all(np.isfinite(out.values))
         assert np.max(np.abs(out.values)) <= np.max(np.abs(fm.values)) + 1e-12
+
+    def test_non_square_rejected(self):
+        # a map is square by construction, so a non-square one is never rotated
+        with pytest.raises(DimensionError, match="square"):
+            rotate_bilinear(random_feature_map(0, 1, 1, 2, 3), 10.0)
 
 
 def reference_rotate_bilinear(fm, angle_degrees):
