@@ -256,7 +256,7 @@ def act_spatial(g: GroupElement, fm: FeatureMap) -> FeatureMap:
     """Move every value from index p to index g(p); channel and group axes
     are untouched.  The moved values are not scanned again, and the
     identity shares the read-only values of ``fm``."""
-    return FeatureMap._moved(act_values(g, fm.values))
+    return FeatureMap._finite(act_values(g, fm.values))
 
 
 @functools.cache
@@ -291,4 +291,4 @@ def act_full(g: GroupElement, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
         )
     if kind is GroupKind.Z2:
         raise GroupKindError("the trivial group has no group axis to permute")
-    return FeatureMap._moved(act_values(g, fm.values, kind))
+    return FeatureMap._finite(act_values(g, fm.values, kind))

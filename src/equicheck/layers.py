@@ -43,9 +43,16 @@ and the stride, so a moved forward need not run them again on bytes the
 base forward has correlated.  ``forward`` alone decides where a layer of
 a moved forward takes the moved base map instead of being computed.  A
 move is one ``MovedMaps``, which names the element, the base input, its
-forward and the group kind once, and moves each base map at most once,
-on first use.  A FeatureMap is square by construction, so no layer checks
-that of its input.
+forward and the group kind once.  It hands out each moved base map once,
+and moves its entries on the first read of its values, so only a layer
+that is computed, or a conv whose input is compared byte for byte with
+the base one, moves a map.  After a layer that took its moved map, a conv
+whose padded input keeps the rule needs no comparison: its input is that
+moved map, and it reads all of it.  A FeatureMap is square by
+construction, so no layer checks that of its input.  Only convs, dense
+layers and global pools scan their outputs for values that are not
+finite; a relu, max pool, coset pool or circle crop of finite values is
+finite.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -425,7 +432,7 @@ def maxpool(fm: FeatureMap, k: int, s: int) -> FeatureMap:
         for dx in range(k):
             if dy or dx:
                 np.maximum(out, vals[:, :, dy : dy + end : s, dx : dx + end : s], out=out)
-    return FeatureMap._from_layer(out)
+    return FeatureMap._finite(out)
 
 
 def coset_maxpool(fm: FeatureMap) -> FeatureMap:
@@ -433,7 +440,7 @@ def coset_maxpool(fm: FeatureMap) -> FeatureMap:
     permutation part of the full action."""
     if fm.group_size == 1:
         raise ShapeError("coset pooling needs a group axis of length > 1")
-    return FeatureMap._from_layer(fm.values.max(axis=1, keepdims=True))
+    return FeatureMap._finite(fm.values.max(axis=1, keepdims=True))
 
 
 def global_avg_pool(fm: FeatureMap) -> FeatureMap:
@@ -448,7 +455,7 @@ def global_avg_pool(fm: FeatureMap) -> FeatureMap:
 
 
 def relu(fm: FeatureMap) -> FeatureMap:
-    return FeatureMap._from_layer(np.maximum(fm.values, 0.0))
+    return FeatureMap._finite(np.maximum(fm.values, 0.0))
 
 
 def circle_crop(fm: FeatureMap) -> FeatureMap:
@@ -459,7 +466,7 @@ def circle_crop(fm: FeatureMap) -> FeatureMap:
     (2x-(n-1))^2 + (2y-(n-1))^2 <= n^2 so the mask is exactly symmetric
     under all eight p4m actions.
     """
-    return FeatureMap._from_layer(np.where(disk_mask(fm.height), fm.values, 0.0))
+    return FeatureMap._finite(np.where(disk_mask(fm.height), fm.values, 0.0))
 
 
 def disk_mask(n: int) -> np.ndarray:
@@ -556,9 +563,11 @@ _MOVE_WITH_INPUT = frozenset({LayerKind.RELU, LayerKind.CIRCLE_CROP, LayerKind.G
 class MovedMaps:
     """A move, the one object ``forward`` takes as ``moved``: the element g,
     the base input x, its forward ``base`` through a network of group
-    ``kind``, and the maps of ``base`` moved by g.  ``maps[d]`` is
-    ``act_full(g, base[d], kind)``, moved on first use and kept, or None
-    where ``base[d]`` is planar."""
+    ``kind``, and the maps of ``base`` moved by g.  ``maps[d]`` is None
+    where ``base[d]`` is planar, and otherwise a map of ``base[d]``'s shape
+    with the entries of ``act_full(g, base[d], kind)``, handed out once and
+    kept; indexing moves nothing, and the entries are moved on the first
+    read of its values, once."""
 
     def __init__(self, g: GroupElement, x: FeatureMap, base: list[FeatureMap],
                  kind: GroupKind):
@@ -567,9 +576,28 @@ class MovedMaps:
 
     def __getitem__(self, d: int) -> FeatureMap | None:
         if d not in self._maps:
-            a = self.base[d]
-            self._maps[d] = act_full(self.g, a, self.kind) if a.group_size > 1 else None
+            a, g, kind = self.base[d], self.g, self.kind
+            self._maps[d] = FeatureMap._deferred(
+                a, lambda: act_full(g, a, kind)) if a.group_size > 1 else None
         return self._maps[d]
+
+
+def _takes(moved: MovedMaps, idx: int, layer: Layer, fm: FeatureMap, took: bool) -> bool:
+    """True iff layer ``idx`` of a forward that names ``moved``, given the
+    input ``fm``, takes its moved map; ``took`` says whether the layer
+    before took its own.  The rules are ``forward``'s."""
+    if idx >= len(moved.base) or moved.base[idx].group_size == 1:
+        return False
+    if layer.kind in _MOVE_WITH_INPUT:
+        return took
+    if layer.kind not in CONV_KINDS:
+        return False
+    x0 = moved.base[idx - 1] if idx else moved.x
+    # fm is then g * x0, so its padding keeps the rule and is g times x0's
+    # padding in full, byte for byte, without reading fm
+    if took and check_layer(x0.height, layer.k, layer.s, layer.p):
+        return True
+    return _moves_base_call(fm, x0, layer, moved.kind, moved.g)
 
 
 def forward(
@@ -599,13 +627,18 @@ def forward(
     takes it when its cut padded input is, byte for byte, g times the one
     its layer read in ``base``: slot q then stages the operand of base slot
     g^-1 q, and integer sums within the bound are exact in any order, so
-    either route gives those bytes.  A relu, circle crop or global average
-    pool takes it when the layer before took its own, as each moves with
-    its input bit for bit.  A max pool is computed, as a tie of +0.0 and
-    -0.0 may resolve either way, and so is a conv2d, whose output is
-    planar.  With ``fixed_order`` False every layer is computed.  The
-    result is the bytes of the plain forward, and only a layer that takes
-    its moved map moves it.
+    either route gives those bytes.  When the layer before took its own
+    map and the conv's padded base input keeps the rule, that holds by
+    construction: the input is g times the base one and the cut is all of
+    it, so the conv takes its map without comparing bytes; every other
+    conv compares them.  A relu, circle crop or global average pool takes
+    it when the layer before took its own, as each moves with its input
+    bit for bit.  A max pool is computed, as a tie of +0.0 and -0.0 may
+    resolve either way, and so is a conv2d, whose output is planar, and
+    every layer from the one ``base`` stopped at on.  With ``fixed_order``
+    False every layer is computed.  The result is the bytes of the plain
+    forward.  Taking a map does not move it: its entries are moved when a
+    computed layer, a comparison or the caller first reads its values.
     """
     n = fm.height
     if n != net.input_size:
@@ -623,10 +656,7 @@ def forward(
         for idx, (layer, w) in enumerate(zip(net.layers, weights)):
             if w is None and layer.kind in WEIGHTED_KINDS:
                 raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
-            took = moved is not None and moved.base[idx].group_size > 1 and (
-                took and layer.kind in _MOVE_WITH_INPUT
-                or layer.kind in CONV_KINDS and _moves_base_call(
-                    current, moved.base[idx - 1] if idx else moved.x, layer, net.kind, moved.g))
+            took = moved is not None and _takes(moved, idx, layer, current, took)
             if took:
                 current = moved[idx]
                 acts.append(current)

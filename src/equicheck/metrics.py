@@ -209,10 +209,11 @@ def profile_equivariance(
     compares the forward pass of the transformed input against the fully
     transformed activation of the plain input, g * base[d], from the
     ``MovedMaps`` that is the transformed forward's move (see
-    ``layers.forward``): each is moved once, and a depth whose map is the
-    one the forward took reads 0.0 without a comparison.  One transformed
-    forward is held at a time; entries come out depth by depth, elements
-    in order.
+    ``layers.forward``).  A depth whose map is the one the forward took
+    reads 0.0 without a comparison and without moving the map; every
+    other depth is compared with its moved map, which moves it unless a
+    layer has read it already.  One transformed forward is held at a
+    time; entries come out depth by depth, elements in order.
 
     A forward stops at the first layer whose output is not finite (an
     integer activation past the float64 range); the profile then covers
@@ -343,8 +344,9 @@ def invariance_sweep(
     verdict and run with ``fixed_order=False``; their floats may differ in
     the last bits.  A multiple of 360 degrees reuses the base forward; the
     other right-angle rows pass their quarter turn as a ``MovedMaps``, so
-    their layers may take the base forward's maps, each moved when a layer
-    first takes it (see ``layers.forward``).
+    their layers may take the base forward's maps, each moved only when a
+    computed layer or a byte comparison first reads it (see
+    ``layers.forward``).
 
     A forward that stops at a value that is not finite (see
     ``layers.forward``) raises ActivationOverflow naming its layer, the

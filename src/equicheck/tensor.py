@@ -58,13 +58,22 @@ class FeatureMap:
         return fm
 
     @classmethod
-    def _moved(cls, values: np.ndarray) -> "FeatureMap":
-        """Trusted constructor for the entries of a map, moved by a group
-        element: as ``_from_layer``, but the values are not scanned, since
-        they are the entries of a map that has passed the scan already."""
+    def _finite(cls, values: np.ndarray) -> "FeatureMap":
+        """Trusted constructor for an array that is finite by construction:
+        as ``_from_layer``, but the values are not scanned.  Pass it only
+        entries of maps that have passed the scan, moved, masked or
+        compared with each other or with 0, never a sum or product."""
         fm = cls.__new__(cls)
         fm._values = _map_values(np.ascontiguousarray(values), scan=False)
         return fm
+
+    @classmethod
+    def _deferred(cls, like: "FeatureMap", make) -> "FeatureMap":
+        """Trusted constructor for a map of ``like``'s shape whose values
+        are those of ``make()``, built on the first read of ``values``,
+        once; ``make`` must return a FeatureMap of that shape.  Reading the
+        shape builds nothing."""
+        return _DeferredMap(like.shape, make)
 
     @property
     def values(self) -> np.ndarray:
@@ -73,15 +82,15 @@ class FeatureMap:
 
     @property
     def channels(self) -> int:
-        return self._values.shape[0]
+        return self.shape[0]
 
     @property
     def group_size(self) -> int:
-        return self._values.shape[1]
+        return self.shape[1]
 
     @property
     def height(self) -> int:
-        return self._values.shape[2]
+        return self.shape[2]
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -90,6 +99,26 @@ class FeatureMap:
     def __repr__(self) -> str:
         c, g, n, _ = self.shape
         return f"FeatureMap(channels={c}, group={g}, size={n}x{n})"
+
+
+class _DeferredMap(FeatureMap):
+    """A FeatureMap built by ``FeatureMap._deferred``: ``_values`` is unset
+    until the first read of ``values`` sets it to ``make().values``."""
+
+    __slots__ = ("_shape", "_make")
+
+    def __init__(self, shape: tuple[int, int, int, int], make):
+        self._shape, self._make = shape, make
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._make is not None:
+            self._values, self._make = self._make().values, None
+        return self._values
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        return self._shape
 
 
 def _map_values(arr: np.ndarray, scan: bool = True) -> np.ndarray:

@@ -20,9 +20,10 @@ from equicheck.config import (
     FIELDS, build_network, from_dict, from_json, load, to_dict, to_json, validate,
 )
 from equicheck.errors import ConfigError
-from equicheck.group import GroupKind
+from equicheck.group import GroupKind, act_spatial, elements
 from equicheck.layers import (
-    Layer, LayerKind, Network, check_layer, circle_crop, forward, seed_network, walk_shapes,
+    Layer, LayerKind, MovedMaps, Network, check_layer, circle_crop, forward, seed_network,
+    walk_shapes,
 )
 from equicheck.metrics import mirror_commutation, rotation_commutation
 from equicheck.tensor import random_feature_map
@@ -740,6 +741,26 @@ class TestActivationOverflow:
         code, text = run_cli(capsys, *argv)
         assert code == 1
         assert f"activations overflow float64 at layer {stop}" in text
+
+    @pytest.mark.parametrize("net, stop", [(DEEP_Z2, 234), (DEEP_P4, 211)], ids=["z2", "p4"])
+    def test_forwards_stop_at_the_same_layer(self, net, stop):
+        # only convs, dense layers and global pools scan their outputs, as no
+        # other layer makes a value that is not finite of finite ones; the
+        # plain and cropped forwards stop where they did when every layer
+        # scanned its output (seed 0)
+        assert self.base_stop(net, cropped=False) == self.base_stop(net, cropped=True) == stop
+
+    def test_moved_forward_of_a_shorter_base_stops_where_it_overflows(self):
+        # the base forward stops before the network's end, so the moved
+        # forward computes the layer the base stopped at, and stops there too
+        seeded = seed_network(DEEP_P4, 0, True)
+        x = random_feature_map([0, 1], 1, 1, 4, 4, True)
+        base = forward(seeded, x)
+        for g in elements(GroupKind.P4):
+            moved = forward(seeded, act_spatial(g, x), moved=MovedMaps(g, x, base, GroupKind.P4))
+            plain = forward(seeded, act_spatial(g, x))
+            assert len(moved) == len(plain) == len(base) < len(DEEP_P4.layers), g.name
+            assert [a.values.tobytes() for a in moved] == [a.values.tobytes() for a in plain]
 
     def test_float_weights_stay_finite(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -2,6 +2,7 @@
 and exactness of whole-network equivariance in integer and float mode."""
 
 import contextlib
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -13,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from test_config_cli import P4MCNN_PATH, run_cli, valid_configs
 
-from equicheck import layers
+from equicheck import layers, metrics, tensor
 from equicheck.analyzer import exact_size_lattice
 from equicheck.builtins import P4CNN, Z2CNN
 from equicheck.config import build_network
@@ -881,6 +882,23 @@ class TestForward:
         with pytest.raises(LayerError, match="layer 0"):
             forward(net, bad)
 
+    def test_only_layers_that_can_overflow_scan_their_outputs(self):
+        # relu, max pool, coset pool and circle crop of finite maps are
+        # finite; a conv, dense layer or global pool may overflow
+        net = seed_network(build_network(P4CNN), 0)
+        x = random_feature_map(0, 1, 1, 28, 28)
+        real, scans = tensor._checked, []
+
+        def checked(arr, ndim, what, scan=True):
+            scans.append(scan)
+            return real(arr, ndim, what, scan)
+
+        with mock.patch.object(tensor, "_checked", checked):
+            acts = forward(net, x)
+        may_overflow = layers.CONV_KINDS | {LayerKind.DENSE, LayerKind.GLOBAL_AVG_POOL}
+        assert len(scans) == len(acts) == len(net.layers)
+        assert scans.count(True) == sum(lay.kind in may_overflow for lay in net.layers) == 9
+
     def test_input_size_checked(self):
         net = seed_network(toy_net(33), 0)
         with pytest.raises(ShapeError):
@@ -968,19 +986,26 @@ class TestWholeNetworkEquivariance:
 
 @contextlib.contextmanager
 def counted_reuses():
-    """A list that gets one entry, the arguments of ``_moves_base_call``,
-    for every conv of a moved forward that takes its moved base map instead
-    of computing its slots."""
+    """A list that gets one entry, the conv's input, for every conv of a
+    moved forward whose activation is the map its ``MovedMaps`` hands out
+    for that depth: the moved base map it took instead of computing its
+    slots.  Counted on the output of ``forward``, wherever it is called."""
     reused = []
-    real = layers._moves_base_call
+    real = layers.forward
 
-    def counting(*args):
-        got = real(*args)
-        if got:
-            reused.append(args)
-        return got
+    def counting(net, fm, **kwargs):
+        acts = real(net, fm, **kwargs)
+        move = kwargs.get("moved")
+        if move is not None:
+            reused.extend(acts[d - 1] if d else fm for d, (layer, act) in
+                          enumerate(zip(net.layers, acts))
+                          if layer.kind in layers.CONV_KINDS and d < len(move.base)
+                          and act is move[d])
+        return acts
 
-    with mock.patch.object(layers, "_moves_base_call", counting):
+    with mock.patch.object(layers, "forward", counting), \
+            mock.patch.object(metrics, "forward", counting), \
+            mock.patch.object(sys.modules[__name__], "forward", counting):
         yield reused
 
 
@@ -1090,6 +1115,64 @@ class TestSlotReuse:
                         assert a.values.tobytes() == b.values.tobytes(), (g.name, depth)
             assert looked_up or layers._exact_in_any_order(x.values, seeded.weights[0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(reuse_stacks())
+    def test_convs_taken_without_a_byte_check_pass_it(self, case):
+        """A conv takes its moved map without comparing bytes only where
+        the comparison, run on its input once that is read, passes.  Every
+        moved map reads the bytes ``act_full`` gives, and every moved
+        forward equals the plain one at every depth."""
+        net, seed = case
+        real = layers._moves_base_call
+        for integer in (False, True):
+            seeded, x = self.seeded_input(net, seed, integer)
+            base = forward(seeded, x)
+            for g in elements(net.kind):
+                compared = []
+
+                def recording(fm, x0, *args):
+                    compared.append(x0)
+                    return real(fm, x0, *args)
+
+                g_base = MovedMaps(g, x, base, net.kind)
+                with mock.patch.object(layers, "_moves_base_call", recording):
+                    moved = forward(seeded, act_spatial(g, x), moved=g_base)
+                computed = forward(seeded, act_spatial(g, x))
+                assert len(moved) == len(computed) == len(base)
+                for d, (layer, a, b) in enumerate(zip(seeded.layers, moved, computed)):
+                    assert a.values.tobytes() == b.values.tobytes(), (g.name, d)
+                    x0 = base[d - 1] if d else x
+                    if layer.kind in layers.CONV_KINDS and a is g_base[d] and \
+                            not any(c is x0 for c in compared):
+                        assert real(moved[d - 1], x0, layer, net.kind, g), (g.name, d)
+                for d, a in enumerate(base):
+                    if a.group_size > 1:
+                        assert g_base[d].values.tobytes() == \
+                            act_full(g, a, net.kind).values.tobytes(), (g.name, d)
+
+    @pytest.mark.parametrize("side, compared", [(28, [0, 5]), (29, [0, 5, 7, 9, 11, 13])])
+    def test_rule_proves_the_convs_after_a_take(self, side, compared):
+        # a conv after a layer that took its moved map, at a side that keeps
+        # the rule, takes its own without comparing bytes.  p4cnn compares
+        # the lift's input and the one after the max pool, which is
+        # computed; at 29 the max pool breaks the rule, so no later conv
+        # takes and each compares its input
+        net = seed_network(build_network(P4CNN, side), 2)
+        x = random_feature_map([2, 1], 1, 1, side, side)
+        base = forward(net, x)
+        depths = []
+        real = layers._moves_base_call
+
+        def recording(fm, x0, *args):
+            depths.append(0 if x0 is x else next(d + 1 for d, a in enumerate(base) if a is x0))
+            return real(fm, x0, *args)
+
+        for g in P4[1:]:
+            depths.clear()
+            with mock.patch.object(layers, "_moves_base_call", recording):
+                moved_forward(net, g, x, base)
+            assert depths == compared, g.name
+
     @pytest.mark.parametrize("argv, reused", [
         (["measure", "p4cnn"], 21),
         (["measure", "p4cnn", "--input-size", "29"], 6),
@@ -1123,23 +1206,27 @@ class TestSlotReuse:
             run_cli(capsys, *argv, "--seed", "0")
         assert len(calls) == reused
         assert len(entered) == 7 * (8 if P4MCNN_PATH in argv else 4) - reused
-        assert not {id(args[0]) for args in calls} & {id(fm) for fm in entered}
+        assert not {id(fm) for fm in calls} & {id(fm) for fm in entered}
 
     @pytest.mark.parametrize("argv, moves", [
-        (["sweep", "p4cnn", "--angle-step", "90"], 45),
-        (["sweep", "p4cnn", "--angle-step", "90", "--input-size", "29"], 12),
-        (["measure", "p4cnn"], 48),
+        (["sweep", "p4cnn", "--angle-step", "90"], 6),
+        (["sweep", "p4cnn", "--angle-step", "90", "--input-size", "29"], 3),
+        (["measure", "p4cnn"], 9),
     ], ids=["sweep-28", "sweep-29", "measure-28"])
     def test_maps_are_moved_on_first_use(self, capsys, argv, moves):
-        # a right-angle row moves the 15 group-valued depths of p4cnn that
-        # it takes, all but the max pool, at 28, and at 29 only the lift,
-        # relu, gconv and relu before the broken pool; measure compares all
-        # 16 group-valued depths, so it moves each once
+        # only a layer that is computed, or a conv whose input is compared
+        # byte for byte, reads a moved map.  A right-angle row of p4cnn at 28
+        # reads two, the relu's before the max pool and the global pool's
+        # before the coset pool; at 29 one, the relu's before the broken
+        # pool, after which no layer takes.  measure also compares the max
+        # pool's output with its moved map, so it reads three per element
         with mock.patch.object(layers, "act_full", wraps=act_full) as moved:
             run_cli(capsys, *argv, "--seed", "0")
         assert moved.call_count == moves
 
     def test_moved_maps_move_each_depth_once(self):
+        # indexing and the shape move nothing; the first read of a map's
+        # values moves it, once
         net = seed_network(toy_net(33), 1)
         x = random_feature_map(2, 1, 1, 33, 33)
         base = forward(net, x)
@@ -1147,8 +1234,14 @@ class TestSlotReuse:
         with mock.patch.object(layers, "act_full", wraps=act_full) as moved:
             assert [g_base[d] is None for d in (0, 1, 2, 3)] == [False, False, True, True]
             assert g_base[0] is g_base[0]
-        assert moved.call_count == 2
-        assert g_base[0].values.tobytes() == act_full(ROT90, base[0], GroupKind.P4).values.tobytes()
+            assert [g_base[d].shape for d in (0, 1)] == [base[0].shape, base[1].shape]
+            assert moved.call_count == 0
+            first = g_base[0].values
+            assert moved.call_count == 1
+            assert g_base[0].values is first
+            assert moved.call_count == 1
+        assert first.tobytes() == act_full(ROT90, base[0], GroupKind.P4).values.tobytes()
+        assert not first.flags.writeable
 
     @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
     def test_moved_forward_returns_the_moved_maps(self, integer):

@@ -34,8 +34,8 @@ class TestMakeFeatureMap:
         with pytest.raises(DimensionError):
             FeatureMap(np.zeros((1, 1, 0, 5)))
 
-    @pytest.mark.parametrize("construct", [FeatureMap, FeatureMap._from_layer, FeatureMap._moved],
-                             ids=["public", "from_layer", "moved"])
+    @pytest.mark.parametrize("construct", [FeatureMap, FeatureMap._from_layer, FeatureMap._finite],
+                             ids=["public", "from_layer", "finite"])
     def test_non_square_rejected(self, construct):
         # every map is square, so no function that takes one checks again
         for rows, cols in ((2, 3), (3, 2), (1, 5)):
@@ -72,14 +72,24 @@ class TestMakeFeatureMap:
 
     def test_moved_constructor_keeps_the_shape_checks_but_not_the_scan(self):
         with pytest.raises(DimensionError):
-            FeatureMap._moved(np.zeros((1, 3, 2, 2)))
+            FeatureMap._finite(np.zeros((1, 3, 2, 2)))
         with pytest.raises(DimensionError):
-            FeatureMap._moved(np.zeros((1, 2, 2)))
+            FeatureMap._finite(np.zeros((1, 2, 2)))
         flipped = np.arange(16.0).reshape(1, 4, 2, 2)[..., ::-1]
         with mock.patch.object(np, "isfinite", side_effect=AssertionError("scanned")):
-            fm = FeatureMap._moved(flipped)
+            fm = FeatureMap._finite(flipped)
         assert fm.values.flags.c_contiguous and not fm.values.flags.writeable
         assert np.array_equal(fm.values, flipped)
+
+    def test_deferred_constructor_builds_on_first_read(self):
+        like = FeatureMap(np.zeros((2, 4, 3, 3)))
+        made = FeatureMap(np.arange(72.0).reshape(2, 4, 3, 3))
+        make = mock.Mock(return_value=made)
+        fm = FeatureMap._deferred(like, make)
+        assert (fm.shape, fm.channels, fm.group_size, fm.height) == ((2, 4, 3, 3), 2, 4, 3)
+        assert make.call_count == 0
+        assert fm.values is made.values and fm.values is made.values
+        assert make.call_count == 1 and not fm.values.flags.writeable
 
     def test_trusted_constructor_takes_a_contiguous_array_as_is(self):
         built = np.zeros((1, 4, 2, 2))
