@@ -13,7 +13,7 @@ every other name is imported from its module.
 from .analyzer import analyze, exact_size_lattice
 from .config import build_network
 from .group import ROT90, act_spatial
-from .layers import MovedMaps, Network, forward, seed_network
+from .layers import Move, Network, forward, seed_network
 from .metrics import profile_equivariance, rotation_commutation
 from .tensor import random_feature_map
 

@@ -42,17 +42,16 @@ The matmuls of a slot are a pure function of its staged operand, the bank
 and the stride, so a moved forward need not run them again on bytes the
 base forward has correlated.  ``forward`` alone decides where a layer of
 a moved forward takes the moved base map instead of being computed.  A
-move is one ``MovedMaps``, which names the element, the base input, its
-forward and the group kind once.  It hands out each moved base map once,
-and moves its entries on the first read of its values, so only a layer
-that is computed, or a conv whose input is compared byte for byte with
-the base one, moves a map.  After a layer that took its moved map, a conv
-whose padded input keeps the rule needs no comparison: its input is that
-moved map, and it reads all of it.  A FeatureMap is square by
-construction, so no layer checks that of its input.  Only convs, dense
-layers and global pools scan their outputs for values that are not
-finite; a relu, max pool, coset pool or circle crop of finite values is
-finite.
+move is one ``Move``, which names the element, the base input and its
+forward once.  A layer that takes its map is marked None in the result,
+not moved, so only a layer that is computed, or a conv whose input is
+compared byte for byte with the base one, moves the map it reads, once.
+After a layer that took its moved map, a conv whose padded input keeps
+the rule needs no comparison: its input is that moved map, and it reads
+all of it.  A FeatureMap is square by construction, so no layer checks
+that of its input.  Only convs, dense layers and global pools scan their
+outputs for values that are not finite; a relu, max pool, coset pool or
+circle crop of finite values is finite.
 
 Layers are frozen specs; the weights a network is seeded with sit beside
 them on the Network, one entry per layer.  ``walk_shapes`` is the single
@@ -560,49 +559,41 @@ def _apply(
 _MOVE_WITH_INPUT = frozenset({LayerKind.RELU, LayerKind.CIRCLE_CROP, LayerKind.GLOBAL_AVG_POOL})
 
 
-class MovedMaps:
-    """A move, the one object ``forward`` takes as ``moved``: the element g,
-    the base input x, its forward ``base`` through a network of group
-    ``kind``, and the maps of ``base`` moved by g.  ``maps[d]`` is None
-    where ``base[d]`` is planar, and otherwise a map of ``base[d]``'s shape
-    with the entries of ``act_full(g, base[d], kind)``, handed out once and
-    kept; indexing moves nothing, and the entries are moved on the first
-    read of its values, once."""
+class Move(NamedTuple):
+    """A move, the one object ``forward`` takes as ``moved``: the element
+    g, the base input x and its forward ``base`` through the same network."""
 
-    def __init__(self, g: GroupElement, x: FeatureMap, base: list[FeatureMap],
-                 kind: GroupKind):
-        self.g, self.x, self.base, self.kind = g, x, base, kind
-        self._maps: dict[int, FeatureMap | None] = {}
-
-    def __getitem__(self, d: int) -> FeatureMap | None:
-        if d not in self._maps:
-            a, g, kind = self.base[d], self.g, self.kind
-            self._maps[d] = FeatureMap._deferred(
-                a, lambda: act_full(g, a, kind)) if a.group_size > 1 else None
-        return self._maps[d]
+    g: GroupElement
+    x: FeatureMap
+    base: list[FeatureMap]
 
 
-def _takes(moved: MovedMaps, idx: int, layer: Layer, fm: FeatureMap, took: bool) -> bool:
-    """True iff layer ``idx`` of a forward that names ``moved``, given the
-    input ``fm``, takes its moved map; ``took`` says whether the layer
-    before took its own.  The rules are ``forward``'s."""
+def _takes(moved: Move, kind: GroupKind, idx: int, layer: Layer,
+           fm: FeatureMap | None) -> tuple[bool, FeatureMap | None]:
+    """Whether layer ``idx`` of a forward that names ``moved`` takes its
+    moved map, and its input: ``fm``, or, where ``fm`` is None because the
+    layer before took its own, ``g * base[idx - 1]`` once a comparison has
+    moved it.  The rules are ``forward``'s."""
+    took = fm is None
     if idx >= len(moved.base) or moved.base[idx].group_size == 1:
-        return False
+        return False, fm
     if layer.kind in _MOVE_WITH_INPUT:
-        return took
+        return took, fm
     if layer.kind not in CONV_KINDS:
-        return False
+        return False, fm
     x0 = moved.base[idx - 1] if idx else moved.x
-    # fm is then g * x0, so its padding keeps the rule and is g times x0's
-    # padding in full, byte for byte, without reading fm
+    # the input is then g * x0, so its padding keeps the rule and is g times
+    # x0's padding in full, byte for byte, without moving x0
     if took and check_layer(x0.height, layer.k, layer.s, layer.p):
-        return True
-    return _moves_base_call(fm, x0, layer, moved.kind, moved.g)
+        return True, fm
+    if took:
+        fm = act_full(moved.g, x0, kind)
+    return _moves_base_call(fm, x0, layer, kind, moved.g), fm
 
 
 def forward(
-    net: Network, fm: FeatureMap, *, fixed_order: bool = True, moved: MovedMaps | None = None
-) -> list[FeatureMap]:
+    net: Network, fm: FeatureMap, *, fixed_order: bool = True, moved: Move | None = None
+) -> list[FeatureMap | None]:
     """Evaluate the network, returning one activation per layer (final last).
 
     By default float convs, and integer ones past the Hoelder bound, sum in
@@ -619,48 +610,48 @@ def forward(
     layer by its length.  Other layer failures are re-raised with the layer
     index attached.
 
-    ``moved=MovedMaps(g, x, base, net.kind)`` says that ``fm`` is g *
-    ``x`` and ``base`` is ``forward(net, x)``; a move made for another
-    group kind raises LayerError.  Here alone it is decided where a layer
-    takes its moved map ``moved[d]`` instead of being computed, and only
-    when g is an element of the network's group.  A lift or group conv
-    takes it when its cut padded input is, byte for byte, g times the one
-    its layer read in ``base``: slot q then stages the operand of base slot
-    g^-1 q, and integer sums within the bound are exact in any order, so
-    either route gives those bytes.  When the layer before took its own
-    map and the conv's padded base input keeps the rule, that holds by
-    construction: the input is g times the base one and the cut is all of
-    it, so the conv takes its map without comparing bytes; every other
-    conv compares them.  A relu, circle crop or global average pool takes
-    it when the layer before took its own, as each moves with its input
-    bit for bit.  A max pool is computed, as a tie of +0.0 and -0.0 may
-    resolve either way, and so is a conv2d, whose output is planar, and
-    every layer from the one ``base`` stopped at on.  With ``fixed_order``
-    False every layer is computed.  The result is the bytes of the plain
-    forward.  Taking a map does not move it: its entries are moved when a
-    computed layer, a comparison or the caller first reads its values.
+    ``moved=Move(g, x, base)`` says that ``fm`` is g * ``x`` and ``base``
+    is ``forward(net, x)``.  Here alone it is decided where a layer takes
+    g * ``base[d]`` instead of being computed, and only when g is an
+    element of the network's group; the result holds None at each depth
+    whose layer took it and the bytes of the plain forward at every other.
+    A lift or group conv takes it when its cut padded input is, byte for
+    byte, g times the one its layer read in ``base``: slot q then stages
+    the operand of base slot g^-1 q, and integer sums within the bound are
+    exact in any order, so either route gives those bytes.  When the layer
+    before took its own map and the conv's padded base input keeps the
+    rule, that holds by construction: the input is g times the base one
+    and the cut is all of it, so the conv takes its map without comparing
+    bytes; every other conv compares them.  A relu, circle crop or global
+    average pool takes it when the layer before took its own, as each
+    moves with its input bit for bit.  A max pool is computed, as a tie of
+    +0.0 and -0.0 may resolve either way, and so is a conv2d, whose output
+    is planar, and every layer from the one ``base`` stopped at on.  With
+    ``fixed_order`` False every layer is computed.  After a layer that
+    took its map, a computed layer or a conv's comparison reads g *
+    ``base[d - 1]``, moved there with ``act_full``, once.
     """
     n = fm.height
     if n != net.input_size:
         raise ShapeError(f"input is {n}x{n}, network declares {net.input_size}")
-    if moved is not None and moved.kind is not net.kind:
-        raise LayerError(f"a move for {moved.kind.value} given to a {net.kind.value} network")
     if not (fixed_order and moved is not None and moved.g in elements(net.kind)):
         moved = None  # every layer is computed
-    acts: list[FeatureMap] = []
-    current = fm
-    took = False  # whether the layer before took its moved map
+    acts: list[FeatureMap | None] = []
+    current = fm  # None after a layer that took its moved map
     weights = net.weights or (None,) * len(net.layers)
     # an overflow shows as the non-finite output this forward stops at
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (layer, w) in enumerate(zip(net.layers, weights)):
             if w is None and layer.kind in WEIGHTED_KINDS:
                 raise LayerError(f"layer {idx} ({layer.kind.value}): weights not set")
-            took = moved is not None and _takes(moved, idx, layer, current, took)
-            if took:
-                current = moved[idx]
-                acts.append(current)
-                continue
+            if moved is not None:
+                took, current = _takes(moved, net.kind, idx, layer, current)
+                if took:
+                    current = None
+                    acts.append(None)
+                    continue
+                if current is None:  # the layer reads the map the one before took
+                    current = act_full(moved.g, moved.base[idx - 1], net.kind)
             try:
                 current = _apply(layer, w, current, net.kind, fixed_order)
             except NonFiniteError:

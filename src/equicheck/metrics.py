@@ -31,6 +31,7 @@ from .group import (
     GroupElement,
     GroupKind,
     IndexPatch,
+    act_full,
     act_spatial,
     check_corner_order,
     elements,
@@ -39,7 +40,7 @@ from .group import (
     rotate_corners,
     rotate_index,
 )
-from .layers import MovedMaps, Network, circle_crop, disk_mask, forward, infer_shapes, seed_network
+from .layers import Move, Network, circle_crop, disk_mask, forward, infer_shapes, seed_network
 from .tensor import FeatureMap, max_abs_diff, random_feature_map
 
 
@@ -186,9 +187,6 @@ class EquivarianceProfile:
     at which a forward gave a value that is not finite, or None, and only
     the depths before it are profiled."""
 
-    network_id: str
-    seed: int
-    integer_valued: bool
     entries: tuple[ProfileEntry, ...]
     overflow_at: int | None = None
 
@@ -207,13 +205,13 @@ def profile_equivariance(
     Weights and the input are drawn deterministically from ``seed``.  For
     each requested group element g and every group-valued depth d the error
     compares the forward pass of the transformed input against the fully
-    transformed activation of the plain input, g * base[d], from the
-    ``MovedMaps`` that is the transformed forward's move (see
-    ``layers.forward``).  A depth whose map is the one the forward took
-    reads 0.0 without a comparison and without moving the map; every
-    other depth is compared with its moved map, which moves it unless a
-    layer has read it already.  One transformed forward is held at a
-    time; entries come out depth by depth, elements in order.
+    transformed activation of the plain input, g * base[d].  The
+    transformed forward names its move, ``Move(g, x, base)`` (see
+    ``layers.forward``), and holds None at each depth whose layer took
+    g * base[d]: that depth reads 0.0 without a comparison and without a
+    move.  Every other depth is compared with ``act_full(g, base[d])``,
+    moved for that comparison and freed after it.  One transformed forward
+    is held at a time; entries come out depth by depth, elements in order.
 
     A forward stops at the first layer whose output is not finite (an
     integer activation past the float64 range); the profile then covers
@@ -232,18 +230,17 @@ def profile_equivariance(
     depths = [d for d, act in enumerate(base[:reached]) if act.group_size > 1]
     errors = {}
     for g in group_elements:
-        g_base = MovedMaps(g, x, base, net.kind)
-        moved = forward(seeded, act_spatial(g, x), moved=g_base)
+        moved = forward(seeded, act_spatial(g, x), moved=Move(g, x, base))
         reached = min(reached, len(moved))
         for d in depths:
             if d < len(moved):
-                errors[d, g] = 0.0 if moved[d] is g_base[d] else equivariance_error(
-                    moved[d], g_base[d])
-        del moved, g_base  # freed before the next forward starts
+                errors[d, g] = 0.0 if moved[d] is None else equivariance_error(
+                    moved[d], act_full(g, base[d], net.kind))
+        del moved  # freed before the next forward starts
     entries = tuple(ProfileEntry(d, g, errors[d, g])
                     for d in depths if d < reached for g in group_elements)
     overflow_at = reached if reached < len(net.layers) else None
-    return EquivarianceProfile(net.name, seed, integer_valued, entries, overflow_at)
+    return EquivarianceProfile(entries, overflow_at)
 
 
 def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
@@ -343,9 +340,10 @@ def invariance_sweep(
     exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
     verdict and run with ``fixed_order=False``; their floats may differ in
     the last bits.  A multiple of 360 degrees reuses the base forward; the
-    other right-angle rows pass their quarter turn as a ``MovedMaps``, so
-    their layers may take the base forward's maps, each moved only when a
-    computed layer or a byte comparison first reads it (see
+    other right-angle rows move the cropped input by their quarter turn g,
+    which the disk mask keeps, and pass ``Move(g, cropped, base forward)``,
+    so their layers may take the base forward's maps; a map is moved only
+    where a computed layer or a byte comparison reads it (see
     ``layers.forward``).
 
     A forward that stops at a value that is not finite (see
@@ -376,9 +374,9 @@ def invariance_sweep(
     acts = forward(seeded, cropped)
     base = _final(seeded, acts)
     turns = {a: GroupElement(int(a // 90) % 4) for a in angles if a % 90 == 0}
-    rows = {a: base if a % 360 == 0 else _final(seeded, forward(
-        seeded, circle_crop(rotate_bilinear(x, a)),
-        moved=MovedMaps(g, cropped, acts, net.kind))) for a, g in turns.items()}
+    rows = {a: base if a % 360 == 0 else _final(
+        seeded, forward(seeded, act_spatial(g, cropped), moved=Move(g, cropped, acts)))
+        for a, g in turns.items()}
     off_grid = _cropped_rotations(x, [a for a in angles if a % 90 != 0])
     points = []
     for angle in angles:

@@ -67,14 +67,6 @@ class FeatureMap:
         fm._values = _map_values(np.ascontiguousarray(values), scan=False)
         return fm
 
-    @classmethod
-    def _deferred(cls, like: "FeatureMap", make) -> "FeatureMap":
-        """Trusted constructor for a map of ``like``'s shape whose values
-        are those of ``make()``, built on the first read of ``values``,
-        once; ``make`` must return a FeatureMap of that shape.  Reading the
-        shape builds nothing."""
-        return _DeferredMap(like.shape, make)
-
     @property
     def values(self) -> np.ndarray:
         """Read-only float64 array of shape (channels, group, n, n)."""
@@ -82,15 +74,15 @@ class FeatureMap:
 
     @property
     def channels(self) -> int:
-        return self.shape[0]
+        return self._values.shape[0]
 
     @property
     def group_size(self) -> int:
-        return self.shape[1]
+        return self._values.shape[1]
 
     @property
     def height(self) -> int:
-        return self.shape[2]
+        return self._values.shape[2]
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -99,26 +91,6 @@ class FeatureMap:
     def __repr__(self) -> str:
         c, g, n, _ = self.shape
         return f"FeatureMap(channels={c}, group={g}, size={n}x{n})"
-
-
-class _DeferredMap(FeatureMap):
-    """A FeatureMap built by ``FeatureMap._deferred``: ``_values`` is unset
-    until the first read of ``values`` sets it to ``make().values``."""
-
-    __slots__ = ("_shape", "_make")
-
-    def __init__(self, shape: tuple[int, int, int, int], make):
-        self._shape, self._make = shape, make
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._make is not None:
-            self._values, self._make = self._make().values, None
-        return self._values
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self._shape
 
 
 def _map_values(arr: np.ndarray, scan: bool = True) -> np.ndarray:

@@ -20,9 +20,9 @@ from equicheck.config import (
     FIELDS, build_network, from_dict, from_json, load, to_dict, to_json, validate,
 )
 from equicheck.errors import ConfigError
-from equicheck.group import GroupKind, act_spatial, elements
+from equicheck.group import GroupKind, act_full, act_spatial, elements
 from equicheck.layers import (
-    Layer, LayerKind, MovedMaps, Network, check_layer, circle_crop, forward, seed_network,
+    Layer, LayerKind, Move, Network, check_layer, circle_crop, forward, seed_network,
     walk_shapes,
 )
 from equicheck.metrics import mirror_commutation, rotation_commutation
@@ -757,10 +757,12 @@ class TestActivationOverflow:
         x = random_feature_map([0, 1], 1, 1, 4, 4, True)
         base = forward(seeded, x)
         for g in elements(GroupKind.P4):
-            moved = forward(seeded, act_spatial(g, x), moved=MovedMaps(g, x, base, GroupKind.P4))
+            moved = forward(seeded, act_spatial(g, x), moved=Move(g, x, base))
             plain = forward(seeded, act_spatial(g, x))
             assert len(moved) == len(plain) == len(base) < len(DEEP_P4.layers), g.name
-            assert [a.values.tobytes() for a in moved] == [a.values.tobytes() for a in plain]
+            for d, (a, b) in enumerate(zip(moved, plain)):
+                want = act_full(g, base[d], GroupKind.P4) if a is None else a
+                assert want.values.tobytes() == b.values.tobytes(), (g.name, d)
 
     def test_float_weights_stay_finite(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

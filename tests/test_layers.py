@@ -36,7 +36,7 @@ from equicheck.group import (
 from equicheck.layers import (
     Layer,
     LayerKind,
-    MovedMaps,
+    Move,
     Network,
     _base_correlate,
     _check_conv_args,
@@ -97,25 +97,34 @@ def assert_equivariant_bytes(fn, kind, fm, w, s, p):
 
 def moved_forward(net, g, x, base, **kwargs):
     """The forward of g * x that names its move against ``base``."""
-    return forward(net, act_spatial(g, x), moved=MovedMaps(g, x, base, net.kind), **kwargs)
+    return forward(net, act_spatial(g, x), moved=Move(g, x, base), **kwargs)
+
+
+def assert_plain_bytes(moved, computed, base, g, kind):
+    """The moved forward of g * x gives the bytes of the plain one,
+    ``computed``, at every depth, and marks None only a depth where those
+    are g times the base map's."""
+    assert len(moved) == len(computed)
+    for d, (a, b) in enumerate(zip(moved, computed)):
+        want = act_full(g, base[d], kind) if a is None else a
+        assert want.values.tobytes() == b.values.tobytes(), (g.name, d)
 
 
 def assert_forward_equivariant_bytes(net, x):
     """Every group-valued layer of forward(g*x) is g times that layer of
     forward(x), byte for byte, for every element g of the network's group.
-    The moved forward runs twice: naming its move, so that its layers take
-    the base forward's moved maps where their bytes agree, and plainly, so
-    that every product is computed; both give the same bytes at every layer."""
+    The forward of g*x runs twice: naming its move, so that a layer whose
+    input agrees with its base input takes g times its base map and reads
+    None, and plainly, so that every product is computed; the first gives
+    the second's bytes at every other layer."""
     base = forward(net, x)
     for g in elements(net.kind):
-        moved = moved_forward(net, g, x, base)
         computed = forward(net, act_spatial(g, x))
+        assert_plain_bytes(moved_forward(net, g, x, base), computed, base, g, net.kind)
         for depth, act in enumerate(base):
-            assert moved[depth].values.tobytes() == computed[depth].values.tobytes(), \
-                (g.name, depth)
             if act.group_size > 1:
                 want = act_full(g, act, net.kind).values.tobytes()
-                assert moved[depth].values.tobytes() == want, (g.name, depth)
+                assert computed[depth].values.tobytes() == want, (g.name, depth)
 
 
 class TestConv2d:
@@ -987,20 +996,17 @@ class TestWholeNetworkEquivariance:
 @contextlib.contextmanager
 def counted_reuses():
     """A list that gets one entry, the conv's input, for every conv of a
-    moved forward whose activation is the map its ``MovedMaps`` hands out
-    for that depth: the moved base map it took instead of computing its
-    slots.  Counted on the output of ``forward``, wherever it is called."""
+    moved forward whose activation is None: the moved base map it took
+    instead of computing its slots.  Counted on the output of ``forward``,
+    wherever it is called."""
     reused = []
     real = layers.forward
 
     def counting(net, fm, **kwargs):
         acts = real(net, fm, **kwargs)
-        move = kwargs.get("moved")
-        if move is not None:
-            reused.extend(acts[d - 1] if d else fm for d, (layer, act) in
-                          enumerate(zip(net.layers, acts))
-                          if layer.kind in layers.CONV_KINDS and d < len(move.base)
-                          and act is move[d])
+        reused.extend(acts[d - 1] if d else fm for d, (layer, act) in
+                      enumerate(zip(net.layers, acts))
+                      if layer.kind in layers.CONV_KINDS and act is None)
         return acts
 
     with mock.patch.object(layers, "forward", counting), \
@@ -1041,10 +1047,10 @@ def one_conv_network(fn, kind, w, side):
 
 
 class TestSlotReuse:
-    """A conv of a forward that names its move ``MovedMaps(g, x, base,
-    kind)`` takes its moved base map only when its cut padded input is g times the base
-    call's, byte for byte, so the forward gives the bytes of the plain
-    forward, which computes every product."""
+    """A conv of a forward that names its move ``Move(g, x, base)`` takes
+    its moved base map, and reads None, only when its cut padded input is g
+    times the base call's, byte for byte, so the forward gives the bytes of
+    the plain forward, which computes every product."""
 
     @staticmethod
     def seeded_input(net, seed, integer):
@@ -1068,8 +1074,7 @@ class TestSlotReuse:
                 for g in elements(net.kind):
                     moved = moved_forward(seeded, g, x, base)
                     computed = forward(seeded, act_spatial(g, x))
-                    for depth, (a, b) in enumerate(zip(moved, computed)):
-                        assert a.values.tobytes() == b.values.tobytes(), (g.name, depth)
+                    assert_plain_bytes(moved, computed, base, g, net.kind)
             # the identity's lift at least reads the base lift's bytes; an
             # integer lift whose weights drew all zeros stays within the bound
             assert reused or layers._exact_in_any_order(x.values, seeded.weights[0])
@@ -1111,17 +1116,15 @@ class TestSlotReuse:
                 for g in elements(net.kind):
                     moved = moved_forward(seeded, g, x, base)
                     computed = forward(seeded, act_spatial(g, x))
-                    for depth, (a, b) in enumerate(zip(moved, computed)):
-                        assert a.values.tobytes() == b.values.tobytes(), (g.name, depth)
+                    assert_plain_bytes(moved, computed, base, g, net.kind)
             assert looked_up or layers._exact_in_any_order(x.values, seeded.weights[0])
 
     @settings(max_examples=60, deadline=None)
     @given(reuse_stacks())
     def test_convs_taken_without_a_byte_check_pass_it(self, case):
         """A conv takes its moved map without comparing bytes only where
-        the comparison, run on its input once that is read, passes.  Every
-        moved map reads the bytes ``act_full`` gives, and every moved
-        forward equals the plain one at every depth."""
+        the comparison, run on its input moved by ``act_full``, passes, and
+        every moved forward gives the plain one's bytes at every depth."""
         net, seed = case
         real = layers._moves_base_call
         for integer in (False, True):
@@ -1134,21 +1137,17 @@ class TestSlotReuse:
                     compared.append(x0)
                     return real(fm, x0, *args)
 
-                g_base = MovedMaps(g, x, base, net.kind)
                 with mock.patch.object(layers, "_moves_base_call", recording):
-                    moved = forward(seeded, act_spatial(g, x), moved=g_base)
+                    moved = moved_forward(seeded, g, x, base)
                 computed = forward(seeded, act_spatial(g, x))
-                assert len(moved) == len(computed) == len(base)
-                for d, (layer, a, b) in enumerate(zip(seeded.layers, moved, computed)):
-                    assert a.values.tobytes() == b.values.tobytes(), (g.name, d)
+                assert len(base) == len(computed)
+                assert_plain_bytes(moved, computed, base, g, net.kind)
+                for d, (layer, a) in enumerate(zip(seeded.layers, moved)):
                     x0 = base[d - 1] if d else x
-                    if layer.kind in layers.CONV_KINDS and a is g_base[d] and \
+                    if layer.kind in layers.CONV_KINDS and a is None and \
                             not any(c is x0 for c in compared):
-                        assert real(moved[d - 1], x0, layer, net.kind, g), (g.name, d)
-                for d, a in enumerate(base):
-                    if a.group_size > 1:
-                        assert g_base[d].values.tobytes() == \
-                            act_full(g, a, net.kind).values.tobytes(), (g.name, d)
+                        fm = act_full(g, x0, net.kind)
+                        assert real(fm, x0, layer, net.kind, g), (g.name, d)
 
     @pytest.mark.parametrize("side, compared", [(28, [0, 5]), (29, [0, 5, 7, 9, 11, 13])])
     def test_rule_proves_the_convs_after_a_take(self, side, compared):
@@ -1215,50 +1214,31 @@ class TestSlotReuse:
     ], ids=["sweep-28", "sweep-29", "measure-28"])
     def test_maps_are_moved_on_first_use(self, capsys, argv, moves):
         # only a layer that is computed, or a conv whose input is compared
-        # byte for byte, reads a moved map.  A right-angle row of p4cnn at 28
-        # reads two, the relu's before the max pool and the global pool's
+        # byte for byte, moves the map the layer before took, and measure
+        # moves each depth it compares.  A right-angle row of p4cnn at 28
+        # moves two, the relu's before the max pool and the global pool's
         # before the coset pool; at 29 one, the relu's before the broken
         # pool, after which no layer takes.  measure also compares the max
-        # pool's output with its moved map, so it reads three per element
-        with mock.patch.object(layers, "act_full", wraps=act_full) as moved:
+        # pool's output with its moved map, so it moves three per element
+        with mock.patch.object(layers, "act_full", wraps=act_full) as moved, \
+                mock.patch.object(metrics, "act_full", moved):
             run_cli(capsys, *argv, "--seed", "0")
         assert moved.call_count == moves
 
-    def test_moved_maps_move_each_depth_once(self):
-        # indexing and the shape move nothing; the first read of a map's
-        # values moves it, once
-        net = seed_network(toy_net(33), 1)
-        x = random_feature_map(2, 1, 1, 33, 33)
-        base = forward(net, x)
-        g_base = MovedMaps(ROT90, x, base, GroupKind.P4)
-        with mock.patch.object(layers, "act_full", wraps=act_full) as moved:
-            assert [g_base[d] is None for d in (0, 1, 2, 3)] == [False, False, True, True]
-            assert g_base[0] is g_base[0]
-            assert [g_base[d].shape for d in (0, 1)] == [base[0].shape, base[1].shape]
-            assert moved.call_count == 0
-            first = g_base[0].values
-            assert moved.call_count == 1
-            assert g_base[0].values is first
-            assert moved.call_count == 1
-        assert first.tobytes() == act_full(ROT90, base[0], GroupKind.P4).values.tobytes()
-        assert not first.flags.writeable
-
     @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
     def test_moved_forward_returns_the_moved_maps(self, integer):
-        # at 28 every conv, relu and global pool of a moved p4cnn forward is
-        # the moved base map the caller handed it; the pools are computed
+        # at 28 every conv, relu and global pool of a moved p4cnn forward
+        # takes its moved base map and reads None; the pools are computed
         net = seed_network(build_network(P4CNN), 2, integer)
         x = random_feature_map([2, 1], 1, 1, 28, 28, integer)
         base = forward(net, x)
         shared = {LayerKind.GCONV_LIFT, LayerKind.GCONV, LayerKind.RELU,
                   LayerKind.GLOBAL_AVG_POOL}
         for g in P4[1:]:
-            g_base = MovedMaps(g, x, base, GroupKind.P4)
-            moved = forward(net, act_spatial(g, x), moved=g_base)
-            plain = forward(net, act_spatial(g, x))
+            moved = moved_forward(net, g, x, base)
+            assert_plain_bytes(moved, forward(net, act_spatial(g, x)), base, g, net.kind)
             for d, layer in enumerate(net.layers):
-                assert (moved[d] is g_base[d]) == (layer.kind in shared), (g.name, d)
-                assert moved[d].values.tobytes() == plain[d].values.tobytes(), (g.name, d)
+                assert (moved[d] is None) == (layer.kind in shared), (g.name, d)
 
     @pytest.mark.parametrize("fill", [0.0, -1.5], ids=["zero", "constant"])
     def test_constant_inputs(self, fill):
@@ -1271,9 +1251,7 @@ class TestSlotReuse:
             base = forward(net, x)
             for g in P4M:
                 moved = moved_forward(net, g, x, base)
-                computed = forward(net, act_spatial(g, x))
-                assert [a.values.tobytes() for a in moved] == \
-                    [a.values.tobytes() for a in computed]
+                assert_plain_bytes(moved, forward(net, act_spatial(g, x)), base, g, net.kind)
                 moved_forward(net, g, x, base, fixed_order=False)
         convs = sum(isinstance(w, FilterBank) for w in net.weights)
         assert len(reused) == len(P4M) * convs
@@ -1290,17 +1268,17 @@ class TestSlotReuse:
         spiked = np.zeros((1, 1, 20, 20))
         spiked[0, 0, 0, 1] = spike
         base = forward(net, zeros)
-        g_base = MovedMaps(ROT90, zeros, base, GroupKind.P4)
+        move = Move(ROT90, zeros, base)
         with counted_reuses() as reused:
-            got = forward(net, FeatureMap(spiked), moved=g_base)[0]
+            got = forward(net, FeatureMap(spiked), moved=move)[0]
         assert reused == []
         computed = forward(net, FeatureMap(spiked))[0]
         assert got.values.tobytes() == computed.values.tobytes()
         assert (got.values.tobytes() != base[0].values.tobytes()) == (spike != 0.0)
         with counted_reuses() as reused:
-            again = forward(net, zeros, moved=g_base)[0]
+            again = forward(net, zeros, moved=move)[0]
         assert len(reused) == 1
-        assert again is g_base[0]  # the moved map itself, not a second move
+        assert again is None  # taken, not moved
 
     @pytest.mark.parametrize("fn, kind, g", [(conv2d, GroupKind.Z2, ROT90),
                                              (gconv_lift, GroupKind.P4, MIRROR)],
@@ -1317,20 +1295,6 @@ class TestSlotReuse:
         assert reused == []
         computed = forward(net, act_spatial(g, x))[0]
         assert got.values.tobytes() == computed.values.tobytes()
-
-    @pytest.mark.parametrize("kind, move_kind", [
-        (GroupKind.P4M, GroupKind.P4), (GroupKind.P4, GroupKind.P4M), (GroupKind.Z2, GroupKind.P4),
-    ], ids=["p4-move-to-p4m", "p4m-move-to-p4", "p4-move-to-z2"])
-    def test_move_for_another_group_kind_is_refused(self, kind, move_kind):
-        # its maps would be permuted for the wrong group, so no layer runs
-        net = build_network(Z2CNN if kind is GroupKind.Z2 else P4CNN)
-        net = seed_network(replace(net, kind=kind), 1)
-        x = random_feature_map(2, 1, 1, 28, 28)
-        base = forward(net, x)
-        move = MovedMaps(ROT90, x, base, move_kind)
-        with mock.patch.object(layers, "_apply") as apply, pytest.raises(LayerError, match="move"):
-            forward(net, act_spatial(ROT90, x), moved=move)
-        assert apply.call_count == 0
 
     @pytest.mark.parametrize("net", SEEDED_NETS)
     def test_memo_holds_only_stacked_banks_and_the_bound(self, net):

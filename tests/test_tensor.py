@@ -81,16 +81,6 @@ class TestMakeFeatureMap:
         assert fm.values.flags.c_contiguous and not fm.values.flags.writeable
         assert np.array_equal(fm.values, flipped)
 
-    def test_deferred_constructor_builds_on_first_read(self):
-        like = FeatureMap(np.zeros((2, 4, 3, 3)))
-        made = FeatureMap(np.arange(72.0).reshape(2, 4, 3, 3))
-        make = mock.Mock(return_value=made)
-        fm = FeatureMap._deferred(like, make)
-        assert (fm.shape, fm.channels, fm.group_size, fm.height) == ((2, 4, 3, 3), 2, 4, 3)
-        assert make.call_count == 0
-        assert fm.values is made.values and fm.values is made.values
-        assert make.call_count == 1 and not fm.values.flags.writeable
-
     def test_trusted_constructor_takes_a_contiguous_array_as_is(self):
         built = np.zeros((1, 4, 2, 2))
         fm = FeatureMap._from_layer(built)
