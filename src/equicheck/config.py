@@ -149,7 +149,9 @@ def to_json(net: Network) -> str:
 def from_json(text: str) -> Network:
     try:
         return from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # malformed JSON, or an integer past int's digit limit
         raise ConfigError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         # parsing, or the repr of a nested value in a message

@@ -98,8 +98,6 @@ class GroupElement:
 
 IDENTITY = GroupElement(0)
 ROT90 = GroupElement(1)
-ROT180 = GroupElement(2)
-ROT270 = GroupElement(3)
 MIRROR = GroupElement(0, True)
 
 

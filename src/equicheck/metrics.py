@@ -14,7 +14,10 @@ corner maps that transform a single patch (``group.rotate_corners`` and
 counterexample's corners are read from the arrays that flagged it.  Sides
 run in order of first appearance, so of several invalid triples the first
 one of the first side that has one raises.
-``rotation_commutation`` and ``mirror_commutation`` are one-triple grids.
+``rotation_commutation`` is the one-triple grid of the quarter turn.
+
+The sweep's off-grid rotations are all ``_rotate_values``; rotating one map
+by one angle is its one-angle case.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .analyzer import output_size
 from .errors import ActivationOverflow, ConfigError, ShapeError
 from .group import (
     GroupElement,
-    GroupKind,
     IndexPatch,
     act_full,
     act_spatial,
@@ -159,11 +161,6 @@ def rotation_commutation(i: int, k: int, s: int) -> CommutationVerdict:
     return commutation_grid([(i, k, s)], SYMMETRIES["rot"])[0]
 
 
-def mirror_commutation(i: int, k: int, s: int) -> CommutationVerdict:
-    """Same check for the horizontal mirror."""
-    return commutation_grid([(i, k, s)], SYMMETRIES["mirror"])[0]
-
-
 def equivariance_error(a: FeatureMap, b: FeatureMap) -> float:
     """Error between two same-shape maps: sqrt of the summed squared
     differences divided by the element count (spatial, group and channel
@@ -243,31 +240,19 @@ def profile_equivariance(
     return EquivarianceProfile(entries, overflow_at)
 
 
-def rotate_bilinear(fm: FeatureMap, angle_degrees: float) -> FeatureMap:
-    """Rotate a map counterclockwise about its center by any angle,
-    sampling with bilinear interpolation and reading outside pixels as 0.
-
-    Multiples of 90 degrees, 0 included, are the exact grid action: there
-    cos and sin would leave ~1e-16 interpolation weights, which would blur
-    the input by that much and give an exact network a nonzero right-angle
-    discrepancy.  Any other angle is the one-angle case of
-    ``_rotate_values``.
-    """
-    if angle_degrees % 90 == 0:
-        return act_spatial(GroupElement(int(angle_degrees // 90) % 4), fm)
-    return FeatureMap._from_layer(_rotate_values(fm.values, [angle_degrees])[:, :, 0])
-
-
 def _rotate_values(vals: np.ndarray, angles) -> np.ndarray:
     """Bilinear rotations of a square (C, G, n, n) array by every angle (in
-    degrees, counterclockwise), in one pass; returns (C, G, len(angles), n, n),
-    the angle axis third.
+    degrees, counterclockwise, about the center), in one pass, reading
+    outside pixels as 0; returns (C, G, len(angles), n, n), the angle axis
+    third.  This is the one definition of the sweep's off-grid rotation:
+    rotating one map by one angle is the one-angle case.
 
     Each angle's cos and sin are Python scalars, and every element goes
     through the same operations in the same order whatever the other
     angles are, so a rotation's bits do not depend on the angles it is
-    computed with.  Grid angles get no special case here: they leave
-    ~1e-16 interpolation weights."""
+    computed with.  Right angles get no special case: they leave ~1e-16
+    interpolation weights, so the sweep moves its right-angle inputs by
+    the exact grid action instead."""
     n = vals.shape[-1]
     trig = [(math.cos(t), math.sin(t)) for t in map(math.radians, angles)]
     cos_t, sin_t = np.array(trig, dtype=np.float64).T.reshape(2, -1, 1, 1)
@@ -304,11 +289,12 @@ ROTATION_CHUNK_ELEMENTS = 1 << 13
 
 
 def _cropped_rotations(x: FeatureMap, angles):
-    """Yield ``circle_crop(rotate_bilinear(x, a))`` for every off-grid
-    angle a, in order, bit for bit: the angles are rotated and cropped in
-    chunks of at most ROTATION_CHUNK_ELEMENTS elements (one angle at least),
-    each one pass of ``_rotate_values``, and a chunk is computed only when
-    the maps before it have been taken."""
+    """Yield the circle crop of the one-angle rotation
+    ``_rotate_values(x.values, [a])`` for every off-grid angle a, in order,
+    bit for bit: the angles are rotated and cropped in chunks of at most
+    ROTATION_CHUNK_ELEMENTS elements (one angle at least), each one pass of
+    ``_rotate_values``, and a chunk is computed only when the maps before
+    it have been taken."""
     per_chunk = max(1, ROTATION_CHUNK_ELEMENTS // x.values.size)
     inside = disk_mask(x.height)
     for start in range(0, len(angles), per_chunk):
@@ -352,9 +338,9 @@ def invariance_sweep(
 
     The off-grid inputs are rotated and circle-cropped together, in chunks
     of at most ROTATION_CHUNK_ELEMENTS elements, each one vectorised pass
-    of the body of ``rotate_bilinear``; every input is bit for bit the one
-    ``circle_crop(rotate_bilinear(x, angle))`` gives, and at most one chunk
-    of them is held at a time.
+    of ``_rotate_values``; every input is bit for bit the circle crop of
+    its one-angle case ``_rotate_values(x.values, [angle])``, and at most
+    one chunk of them is held at a time.
     """
     final_c, final_g, final_side = infer_shapes(net)[-1] if net.layers else (
         net.in_channels, 1, net.input_size

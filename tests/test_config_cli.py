@@ -1,11 +1,15 @@
 """Config serialization round-trips and the command-line contract
 (subcommands, report documents, exit codes)."""
 
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
@@ -25,8 +29,14 @@ from equicheck.layers import (
     Layer, LayerKind, Move, Network, check_layer, circle_crop, forward, seed_network,
     walk_shapes,
 )
-from equicheck.metrics import mirror_commutation, rotation_commutation
+from equicheck.metrics import SYMMETRIES, commutation_grid, rotation_commutation
 from equicheck.tensor import random_feature_map
+
+
+def mirror_commutation(i, k, s):
+    """The oracle's verdict for one (i, k, s) triple under the mirror, the
+    counterpart of ``rotation_commutation``."""
+    return commutation_grid([(i, k, s)], SYMMETRIES["mirror"])[0]
 
 
 @st.composite
@@ -577,6 +587,7 @@ class TestReportDocument:
         ["analyze", "NULL_NAME"],
         ["analyze", "MISSPELLED"],
         ["measure", "MISSPELLED"],
+        ["analyze", "BIG_INT"],
     ],
 )
 def test_bad_input_exits_two_with_message(capsys, tmp_path, argv):
@@ -593,8 +604,9 @@ HUGE_DENSE = Network(GroupKind.Z2, (Layer(LayerKind.DENSE, out_channels=1 << 24)
 
 #: Config files the bad-input cases name by key: one too big to draw, one
 #: that is not UTF-8, one nested past the JSON parser's recursion limit, a
-#: ReLU given a kernel size, a network whose name is null, and one whose
-#: ``in_channels`` is misspelled.
+#: ReLU given a kernel size, a network whose name is null, one whose
+#: ``in_channels`` is misspelled, and one whose input size has more digits
+#: than Python converts to an int.
 BAD_FILES = {
     "HUGE_DENSE": to_json(HUGE_DENSE).encode(),
     "NOT_UTF8": b"\xff\xfe",
@@ -605,7 +617,17 @@ BAD_FILES = {
                              "layers": [{"kind": "relu"}]}).encode(),
     "MISSPELLED": json.dumps({"name": "rgb", "group": "z2", "input_size": 4, "in_chanels": 3,
                               "layers": [{"kind": "conv2d", "k": 1, "out_channels": 1}]}).encode(),
+    "BIG_INT": b'{"name": "big", "group": "z2", "input_size": ' + b"9" * 5000
+               + b', "layers": [{"kind": "relu"}]}',
 }
+
+
+def test_integer_past_the_digit_limit_is_invalid_json():
+    with pytest.raises(ConfigError, match="^invalid JSON: "):
+        from_json(BAD_FILES["BIG_INT"].decode())
+    # a ConfigError of the config's own fields keeps its message
+    with pytest.raises(ConfigError, match="^name must be a string, got None$"):
+        from_json(BAD_FILES["NULL_NAME"].decode())
 
 
 @pytest.mark.parametrize("command", ["measure", "sweep"])
@@ -855,3 +877,62 @@ def test_readme_library_block_runs_as_written(capsys):
     # so the moved forward takes the moved lift and its logits are the base's
     assert lines[1] == "[28, 30, 32, 34, 36, 38, 40]"
     assert lines[2].startswith("False ") and lines[3] == "0.0" and lines[4] == "True True"
+
+
+def test_readme_cli_block_runs_as_documented(monkeypatch, tmp_path, capsys):
+    # each line exits with the code its "# exit N" comment gives, 0 without one
+    with open(README_PATH, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", text, re.S | re.M).group(1)
+    deep = Network(GroupKind.Z2, (
+        *(Layer(LayerKind.CONV2D, k=1, out_channels=64) for _ in range(250)),
+        Layer(LayerKind.GLOBAL_AVG_POOL), Layer(LayerKind.DENSE, out_channels=2),
+    ), 4, name="deep")
+    (tmp_path / "deep.json").write_text(to_json(deep))
+    monkeypatch.chdir(tmp_path)
+    lines = block.splitlines()
+    assert len(lines) == 16
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "equicheck"
+        want = re.match(r" exit (\d)", comment)
+        assert run(argv[1:]) == (int(want.group(1)) if want else 0), line
+        capsys.readouterr()
+
+
+def run_captured(*argv):
+    """Exit code, stdout and stderr of one ``cli.run``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliContract:
+    """Clauses of the CLI contract that hold on every generated network:
+    ``cli.run`` never raises, each exit code agrees with its document, and
+    a network the analyzer calls exact passes ``measure``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_configs(), st.integers(1, 24), st.integers(0, 50), st.booleans())
+    def test_exit_codes_agree_with_documents(self, cfg, size, seed, integer):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(to_json(cfg))
+            common = [path, "--input-size", str(size), "--format", "structured"]
+            seeded = [*common, "--seed", str(seed)] + (["--integer-weights"] if integer else [])
+            code, out, _ = run_captured("analyze", *common)
+            exact = json.loads(out)["result"]["exact"]
+            assert code == (0 if exact else 1)
+            code, out, _ = run_captured("measure", *seeded)
+            assert code in (0, 1)
+            assert code == 1 or json.loads(out)["result"]["max_error"] == 0.0
+            assert code == 0 or not exact
+            code, out, err = run_captured("sweep", *seeded, "--angle-step", "90")
+            if code == 2:
+                assert err.startswith("error: ") and "invariant head" in err
+            else:
+                worst = json.loads(out)["result"]["max_discrepancy_90s"]
+                assert code == (0 if worst == 0.0 else 1)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_config_cli import mirror_commutation
 from test_layers import reuse_stacks, scaled
 
 from equicheck import metrics
@@ -39,10 +40,8 @@ from equicheck.metrics import (
     Counterexample,
     equivariance_error,
     invariance_sweep,
-    mirror_commutation,
     profile_equivariance,
     Symmetry,
-    rotate_bilinear,
     rotation_commutation,
 )
 from equicheck.tensor import FeatureMap, max_abs_diff, random_feature_map
@@ -562,35 +561,31 @@ class TestProfileMatchesPlainForwards:
             reference_profile(seeded, x, group_elements)
 
 
+def rotate_one(fm, angle_degrees):
+    """``fm`` rotated by one angle: the one-angle case of the rotation pass."""
+    return FeatureMap(metrics._rotate_values(fm.values, [angle_degrees])[:, :, 0])
+
+
 class TestRotateBilinear:
     def test_zero_angle_is_bitwise_identity(self):
         fm = random_feature_map(0, 2, 1, 7, 7)
-        out = rotate_bilinear(fm, 0.0)
+        out = rotate_one(fm, 0.0)
         assert np.array_equal(out.values, fm.values)
-
-    @pytest.mark.parametrize("n", [7, 8])
-    @pytest.mark.parametrize("quarters", [1, 2, 3])
-    def test_right_angles_match_grid_action(self, n, quarters):
-        """Quarter turns are the exact grid action, bit for bit."""
-        fm = random_feature_map(n, 1, 1, n, n)
-        out = rotate_bilinear(fm, 90.0 * quarters)
-        expected = act_spatial(GroupElement(quarters), fm)
-        assert max_abs_diff(out, expected) == 0.0
 
     def test_full_turn(self):
         fm = random_feature_map(5, 1, 1, 6, 6)
-        assert max_abs_diff(rotate_bilinear(fm, 360.0), fm) <= 1e-9
+        assert max_abs_diff(rotate_one(fm, 360.0), fm) <= 1e-9
 
     def test_off_grid_angle_stays_finite_and_bounded(self):
         fm = random_feature_map(6, 1, 1, 9, 9)
-        out = rotate_bilinear(fm, 30.0)
+        out = rotate_one(fm, 30.0)
         assert np.all(np.isfinite(out.values))
         assert np.max(np.abs(out.values)) <= np.max(np.abs(fm.values)) + 1e-12
 
     def test_non_square_rejected(self):
         # a map is square by construction, so a non-square one is never rotated
         with pytest.raises(DimensionError, match="square"):
-            rotate_bilinear(random_feature_map(0, 1, 1, 2, 3), 10.0)
+            rotate_one(random_feature_map(0, 1, 1, 2, 3), 10.0)
 
 
 def reference_rotate_bilinear(fm, angle_degrees):
@@ -637,7 +632,7 @@ OFF_GRID = [-725.5, -30.0, -0.001, 0.5, 5.0, 30.0, 45.0, 89.99999999999999, 90.0
 
 class TestRotationPass:
     """The off-grid angles of a sweep are rotated and cropped together, in
-    chunks, by the one body ``rotate_bilinear`` runs on a single angle."""
+    chunks, by the one body that also rotates a single angle."""
 
     @pytest.mark.parametrize("c, g, n", [(1, 1, 7), (1, 1, 8), (2, 4, 9), (3, 8, 6), (1, 1, 28)])
     def test_one_pass_matches_per_angle_rotation(self, c, g, n):
@@ -647,7 +642,7 @@ class TestRotationPass:
         for j, angle in enumerate(OFF_GRID):
             want = reference_rotate_bilinear(fm, angle).values.tobytes()
             assert together[:, :, j].tobytes() == want
-            assert rotate_bilinear(fm, angle).values.tobytes() == want
+            assert rotate_one(fm, angle).values.tobytes() == want
 
     @pytest.mark.parametrize("budget", [1, 100, 3 * 49, metrics.ROTATION_CHUNK_ELEMENTS])
     @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
