@@ -30,6 +30,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 import numpy as np
 
@@ -195,14 +196,16 @@ class _DocumentEncoder(json.JSONEncoder):
         return [_dumps_indent2(o) + "\n"]
 
 
-def _emit(doc: dict, text: str, args) -> None:
+def _emit(doc: dict, text: Callable[[], str], args) -> None:
+    """Write the document to ``--out`` and print it or the text, which is
+    built only when it is printed."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, cls=_DocumentEncoder)
     if args.format == "structured":
         json.dump(doc, sys.stdout, cls=_DocumentEncoder)
     else:
-        print(text)
+        print(text())
 
 
 def _parse_elements(raw: str | None, kind: GroupKind) -> tuple[GroupElement, ...]:
@@ -219,11 +222,23 @@ def _parse_elements(raw: str | None, kind: GroupKind) -> tuple[GroupElement, ...
     return tuple(out)
 
 
+def _int_text(n: int) -> str:
+    """A non-negative int in decimal, or by its digit count when it has more
+    digits than Python turns into text."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or n < 10 ** limit:
+        return str(n)
+    digits = int(n.bit_length() * math.log10(2)) + 1  # the count, or one more
+    if n < 10 ** (digits - 1):
+        digits -= 1
+    return f"<a {digits}-digit integer>"
+
+
 def _lattice_text(lattice: SizeLattice | None) -> str:
     if lattice is None:
         return "exact sizes: none"
-    return (f"exact sizes: i ≥ {lattice.minimum}, "
-            f"i ≡ {lattice.residue} (mod {lattice.modulus})")
+    return (f"exact sizes: i ≥ {_int_text(lattice.minimum)}, "
+            f"i ≡ {_int_text(lattice.residue)} (mod {_int_text(lattice.modulus)})")
 
 
 def _analysis_text(net: Network, report: AnalysisReport,
@@ -256,7 +271,7 @@ def cmd_analyze(args) -> int:
     report = analyze(net, input_size)
     payload = {"name": net.name, "group": net.kind.value, **asdict(report)}
     doc = _document("analyze", payload, net)
-    _emit(doc, _analysis_text(net, report, exact_size_lattice(net)), args)
+    _emit(doc, lambda: _analysis_text(net, report, exact_size_lattice(net)), args)
     return EXIT_OK if report.exact else EXIT_INEXACT
 
 
@@ -272,7 +287,7 @@ def cmd_suggest(args) -> int:
         f"exact input sizes for {net.name} in [{args.lo}, {args.hi}]: "
         + (", ".join(str(s) for s in sizes) if sizes else "none")
     )
-    _emit(_document("suggest", payload, net), text, args)
+    _emit(_document("suggest", payload, net), lambda: text, args)
     return EXIT_OK
 
 
@@ -360,7 +375,7 @@ def cmd_oracle(args) -> int:
         ce = cells[0]["counterexample"]
         lines.append(f"counterexample at output index {tuple(ce['output_index'])}: "
                      f"{ce['via_output']} vs {ce['via_input']}")
-    _emit(_document("oracle", payload), "\n".join(lines), args)
+    _emit(_document("oracle", payload), lambda: "\n".join(lines), args)
     return EXIT_OK if agreement == 1.0 else EXIT_INEXACT
 
 
@@ -433,7 +448,7 @@ def cmd_measure(args) -> int:
     lines.append(f"max error: {profile.max_error():.6g}")
     if stop is not None:
         lines.append(_truncation_text(stop, "only the layers before it were profiled", overflow))
-    _emit(_document("measure", payload, declared, args.seed), "\n".join(lines), args)
+    _emit(_document("measure", payload, declared, args.seed), lambda: "\n".join(lines), args)
     # an overflow leaves the verdict to the depths before it; a kernel that
     # outruns the input is itself a break
     if truncated_at is not None or profile.max_error() != 0.0:
@@ -488,7 +503,7 @@ def cmd_sweep(args) -> int:
         lines.append(_truncation_text(truncated_at, what, overflow))
     else:
         lines.append(f"max discrepancy at multiples of 90: {worst_aligned:.6g}")
-    _emit(_document("sweep", payload, declared, args.seed), "\n".join(lines), args)
+    _emit(_document("sweep", payload, declared, args.seed), lambda: "\n".join(lines), args)
     if truncated_at is None and worst_aligned == 0.0:
         return EXIT_OK
     return EXIT_INEXACT
@@ -504,7 +519,7 @@ def cmd_list_builtins(args) -> int:
     lines = [f"{'name':<14} {'group':<5} {'input':>5} {'layers':>7}"]
     for r in rows:
         lines.append(f"{r['name']:<14} {r['group']:<5} {r['input_size']:>5} {r['layers']:>7}")
-    _emit(_document("list-builtins", payload), "\n".join(lines), args)
+    _emit(_document("list-builtins", payload), lambda: "\n".join(lines), args)
     return EXIT_OK
 
 

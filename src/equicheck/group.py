@@ -24,8 +24,10 @@ feature-map actions ``act_spatial``/``act_full`` and the moves inside a
 group convolution, of the bank it stacks (``layers._stacked``) and of the
 input and output slots of its base-coordinate sum
 (``layers._base_correlate``), are the same code on different leading axes.
-A FeatureMap is square by construction, so the map actions check no side
-of their own.
+Quarter turns and mirrors are basic slices and axis swaps, so they are
+strided views of the array they move; only the permutation of a group
+axis longer than 1 copies.  A FeatureMap is square by construction, so
+the map actions check no side of their own.
 
 A group element is stored in the normal form "mirror first, then
 ``rotations`` quarter turns".  The clockwise quarter turn is simply the
@@ -53,9 +55,9 @@ class GroupKind(enum.Enum):
     P4 = "p4"
     P4M = "p4m"
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
-        return {GroupKind.Z2: 1, GroupKind.P4: 4, GroupKind.P4M: 8}[self]
+        return {"z2": 1, "p4": 4, "p4m": 8}[self.value]
 
     @classmethod
     def from_label(cls, label: str) -> "GroupKind":
@@ -101,12 +103,15 @@ ROT90 = GroupElement(1)
 MIRROR = GroupElement(0, True)
 
 
+@functools.cache
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group product a*b, i.e. the map "apply b, then a"."""
+    """Group product a*b, i.e. the map "apply b, then a"; memoized, like
+    ``inverse`` and ``elements``, since elements are frozen."""
     sign = -1 if a.mirrored else 1
     return GroupElement((a.rotations + sign * b.rotations) % 4, a.mirrored ^ b.mirrored)
 
 
+@functools.cache
 def inverse(a: GroupElement) -> GroupElement:
     """Inverse element; mirrored elements are involutions."""
     if a.mirrored:
@@ -114,6 +119,7 @@ def inverse(a: GroupElement) -> GroupElement:
     return GroupElement((-a.rotations) % 4)
 
 
+@functools.cache
 def elements(kind: GroupKind) -> tuple[GroupElement, ...]:
     """All elements of the group in canonical slot order."""
     rots = tuple(GroupElement(a) for a in range(4))
@@ -235,14 +241,20 @@ def act_values(g: GroupElement, vals: np.ndarray, kind: GroupKind | None = None)
     axis is longer than 1, send slot h to slot ``g*h`` of ``kind``.
 
     Feature maps (C, G, n, n) and filter banks (O, C, G, k, k) share it.
-    Entries only move, so the result is a view of ``vals`` unless the group
-    axis is permuted; the identity returns ``vals`` itself."""
+    Entries only move: the mirror and the quarter turns are the slices and
+    axis swaps ``np.rot90`` takes, without its per-call argument handling,
+    so the result is a strided view of ``vals`` unless the group axis is
+    permuted into a fresh array; the identity returns ``vals`` itself."""
     if g == IDENTITY:
         return vals
     if g.mirrored:
         vals = vals[..., ::-1]
-    if g.rotations:
-        vals = np.rot90(vals, g.rotations, axes=(-2, -1))
+    if g.rotations == 1:
+        vals = vals[..., ::-1].swapaxes(-2, -1)
+    elif g.rotations == 2:
+        vals = vals[..., ::-1, ::-1]
+    elif g.rotations == 3:
+        vals = vals.swapaxes(-2, -1)[..., ::-1]
     if kind is not None and vals.shape[-3] > 1:
         moved = np.empty(vals.shape, dtype=vals.dtype)
         moved[..., group_permutation(g, kind), :, :] = vals

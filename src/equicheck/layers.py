@@ -28,11 +28,12 @@ Every other conv, float operands and integer ones past the bound alike,
 sums in the base filter's coordinates.  Slot g moves the input instead
 of the bank: it is g applied to the correlation of g^-1 * x with the
 untransformed bank, one BLAS matmul per kernel position, the position sums
-added in raster order.  When a layer keeps the rule (i + 2p - k) mod s = 0,
-slot h*g of the layer on h * x reads the same bytes as slot g on x and
-runs the same matmuls on them, so the layer commutes with h bit for bit:
-a network exact at every layer gives equivariance errors of exactly 0.0,
-at any depth, width or weight scale, in float and integer mode alike.
+added in raster order into one accumulator.  When a layer keeps the rule
+(i + 2p - k) mod s = 0, slot h*g of the layer on h * x reads the same
+bytes as slot g on x and runs the same matmuls on them, so the layer
+commutes with h bit for bit: a network exact at every layer gives
+equivariance errors of exactly 0.0, at any depth, width or weight scale,
+in float and integer mode alike.
 Global average pooling sums sorted values, so it keeps that property.  A
 forward whose floats no verdict reads, such as an off-grid angle of the
 invariance sweep, passes ``fixed_order=False`` and takes that one BLAS
@@ -238,7 +239,10 @@ def _base_correlate(vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int) ->
     cell (y, x) at offset y*m + x; the m - o columns past the right edge of
     each row are computed and dropped.  Each position is one BLAS matmul
     with the bank's (O, C*G) matrix at that position, and the position sums
-    are added in raster order.
+    are added in raster order into one accumulator: the first position's
+    matmul writes into it, each later one into a product buffer that is
+    then added to it.  Both buffers serve every slot, and the output cells
+    are read through a strided (O, o, o) view of the accumulator.
 
     Slots are staged one at a time.  For a layer that keeps the rule
     (r = 0), slot g*q of the correlation of g * X stages the same bytes as
@@ -252,19 +256,23 @@ def _base_correlate(vals: np.ndarray, w: np.ndarray, kind: GroupKind, s: int) ->
     read = vals[..., :m, :m]
     taps = w.transpose(3, 4, 0, 1, 2).reshape(k * k, o_ch, c * g)
     out = np.empty((o_ch, kind.size, o, o))
-    acc = np.empty((o_ch, o * m))
+    acc, prod = np.empty((o_ch, span)), np.empty((o_ch, span))
+    # output cell (y, x) sits at accumulator entry y*m + x
+    sc, sx = acc.strides
+    cells = np.ndarray((o_ch, o, o), acc.dtype, acc, 0, (sc, m * sx, sx))
     # numpy's matmul takes an inner dimension of 1 through its own loop, not BLAS
     product = np.dot if c * g == 1 else np.matmul
     for q in elements(kind):
         flat = np.ascontiguousarray(act_values(inverse(q), read, kind)).reshape(c * g, m * m)
         for t in range(k * k):
             start = (t // k) * m + t % k
-            prod = product(taps[t], flat[:, start : start + s * (span - 1) + 1 : s])
+            window = flat[:, start : start + s * (span - 1) + 1 : s]
             if t:
-                acc[:, :span] += prod
+                product(taps[t], window, out=prod)
+                acc += prod
             else:
-                acc[:, :span] = prod
-        out[:, slot_index(q)] = act_values(q, acc.reshape(o_ch, o, m)[..., :o])
+                product(taps[t], window, out=acc)
+        out[:, slot_index(q)] = act_values(q, cells)
     return out
 
 

@@ -268,6 +268,30 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "exact sizes: none" in out.splitlines()
 
+    def test_lattice_past_the_digit_limit_is_spelled_by_its_length(
+            self, capsys, tmp_path, monkeypatch):
+        # the exact sizes of 5000 stride-10 pools repeat every 10^5000
+        path = tmp_path / "deep-pool.json"
+        path.write_text(json.dumps({
+            "name": "deep-pool", "group": "z2", "input_size": 10,
+            "layers": [{"kind": "maxpool", "k": 1, "s": 10}] * 5000,
+        }))
+        code, out = run_cli(capsys, "analyze", str(path))
+        assert code == 1
+        assert "exact sizes: i ≥ 1, i ≡ 1 (mod <a 5001-digit integer>)" in out.splitlines()
+        # a document is printed without building the text
+        monkeypatch.setattr(cli, "_analysis_text", None)
+        code, doc = run_json(capsys, "analyze", str(path))
+        assert code == 1
+        assert doc["result"]["violations"] == [0]
+
+    @pytest.mark.parametrize("digits", [1, 4300, 4301, 5001])
+    def test_integers_past_the_digit_limit_are_spelled_by_their_length(self, digits):
+        limit = sys.get_int_max_str_digits()
+        for n in (10 ** (digits - 1), 10 ** digits - 1):
+            want = str(n) if not limit or digits <= limit else f"<a {digits}-digit integer>"
+            assert cli._int_text(n) == want
+
     def test_approximate_exits_one(self, capsys):
         code, doc = run_json(capsys, "analyze", "p4cnn", "--input-size", "27")
         assert code == 1

@@ -251,6 +251,71 @@ class TestActSpatial:
             act_spatial(ROT90, random_feature_map(0, 1, 1, 2, 3))
 
 
+def rot90_reference(g, vals):
+    """The action as numpy's rot90 and flip spelled it, before ``act_values``
+    took their slices itself."""
+    return np.rot90(np.flip(vals, -1) if g.mirrored else vals, g.rotations, axes=(-2, -1))
+
+
+def action_operands(rank, group, strided):
+    """A (..., G, 5, 5) array of distinct floats, its leading axes of length
+    2, C-contiguous or a strided, partly reversed view of a larger one."""
+    lead = (2,) * (rank - 3)
+    if not strided:
+        return np.arange(np.prod(lead + (group, 5, 5)), dtype=np.float64).reshape(
+            lead + (group, 5, 5)) - 40.5
+    base = np.arange(np.prod(lead + (group, 11, 12)), dtype=np.float64).reshape(
+        lead + (group, 11, 12))
+    return base[..., ::-2, 1::2].swapaxes(-2, -1)[..., ::-1, :][..., :5, 1:]
+
+
+class TestActValues:
+    """Quarter turns and mirrors are strided views of the input with the
+    bytes np.rot90 gave; only the group-axis permutation copies."""
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    @pytest.mark.parametrize("g", P4M, ids=str)
+    def test_views_with_the_bytes_of_rot90(self, g, rank, strided):
+        for group in (1, 8):
+            vals = action_operands(rank, group, strided)
+            got, want = act_values(g, vals), rot90_reference(g, vals)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, vals)
+            if g == IDENTITY:
+                assert got is vals and act_values(g, vals, GroupKind.P4M) is vals
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    @pytest.mark.parametrize("kind", [GroupKind.P4, GroupKind.P4M], ids=str)
+    def test_group_axis_permutation(self, kind, rank, strided):
+        vals = action_operands(rank, kind.size, strided)
+        for g in elements(kind):
+            moved = rot90_reference(g, vals)
+            want = np.empty_like(moved)
+            for h in elements(kind):
+                want[..., slot_index(compose(g, h)), :, :] = moved[..., slot_index(h), :, :]
+            got = act_values(g, vals, kind)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            # a planar group axis has nothing to permute, so the move stays a view
+            planar = vals[..., :1, :, :]
+            assert np.shares_memory(act_values(g, planar, kind), planar)
+
+    def test_memoized_algebra_matches_the_formulas(self):
+        elems = [GroupElement(slot % 4, slot >= 4) for slot in range(8)]
+        for kind in GroupKind:
+            assert kind.size == {"z2": 1, "p4": 4, "p4m": 8}[kind.value]
+            assert elements(kind) == tuple(elems[: kind.size]) == elements(kind)
+        for a in elems:
+            want = a if a.mirrored else GroupElement((-a.rotations) % 4)
+            assert inverse(a) == want == inverse(a)
+            for b in elems:
+                sign = -1 if a.mirrored else 1
+                want = GroupElement((a.rotations + sign * b.rotations) % 4,
+                                    a.mirrored != b.mirrored)
+                assert compose(a, b) == want == compose(a, b)
+
+
 class TestGroupPermutation:
     def test_identity_permutation(self):
         assert np.array_equal(group_permutation(IDENTITY, GroupKind.P4), [0, 1, 2, 3])

@@ -403,6 +403,52 @@ def reversed_axes(g, n):
     return bool(moved[1, 0] < moved[0, 0]), bool(moved[0, 1] < moved[0, 0])
 
 
+def reference_base_correlate(vals, w, kind, s):
+    """The base-coordinate sum from before it kept one accumulator and one
+    product buffer per call, kept verbatim: a fresh product per kernel
+    position, added into a (O, o*m) accumulator."""
+    o_ch, c, g, k, _ = w.shape
+    n = vals.shape[-1]
+    o = (n - k) // s + 1
+    m = s * (o - 1) + k
+    span = (o - 1) * m + o
+    read = vals[..., :m, :m]
+    taps = w.transpose(3, 4, 0, 1, 2).reshape(k * k, o_ch, c * g)
+    out = np.empty((o_ch, kind.size, o, o))
+    acc = np.empty((o_ch, o * m))
+    # numpy's matmul takes an inner dimension of 1 through its own loop, not BLAS
+    product = np.dot if c * g == 1 else np.matmul
+    for q in elements(kind):
+        flat = np.ascontiguousarray(act_values(inverse(q), read, kind)).reshape(c * g, m * m)
+        for t in range(k * k):
+            start = (t // k) * m + t % k
+            prod = product(taps[t], flat[:, start : start + s * (span - 1) + 1 : s])
+            if t:
+                acc[:, :span] += prod
+            else:
+                acc[:, :span] = prod
+        out[:, slot_index(q)] = act_values(q, acc.reshape(o_ch, o, m)[..., :o])
+    return out
+
+
+@st.composite
+def base_correlate_cases(draw):
+    """A padded (C, G, n, n) input and an (O, C, G, k, k) bank for a group
+    kind, planar or group-valued, float or integer-valued each, with n >= k;
+    a stride that does not divide n - k cuts the input."""
+    kind = draw(st.sampled_from(list(GroupKind)))
+    g = draw(st.sampled_from(sorted({1, kind.size})))
+    c, o, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    s, p = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    n = draw(st.integers(max(1, k - 2 * p), 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (rng.integers(-4, 5, (c, g, n, n)) if draw(st.booleans())
+         else rng.uniform(-1, 1, (c, g, n, n)))
+    w = (rng.integers(-4, 5, (o, c, g, k, k)) if draw(st.booleans())
+         else rng.uniform(-1, 1, (o, c, g, k, k)))
+    return _pad(np.asarray(x, dtype=np.float64), p), np.asarray(w, dtype=np.float64), kind, s
+
+
 class TestBaseCoordinates:
     """Slot q of a float conv is q applied to the correlation of the input
     moved by q^-1 with the untransformed bank, the moved input cropped by
@@ -429,6 +475,15 @@ class TestBaseCoordinates:
             got = _base_correlate(vals, w, GroupKind.P4M, s)[:, slot_index(g)]
             # integer values, so every summation order gives the same numbers
             assert np.array_equal(got, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(base_correlate_cases())
+    def test_matches_the_per_position_products(self, case):
+        vals, w, kind, s = case
+        want = reference_base_correlate(vals, w, kind, s)
+        got = _base_correlate(vals, w, kind, s)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 #: (kind, in-group size): planar and group-valued banks of p4 and p4m.
