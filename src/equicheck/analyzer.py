@@ -25,7 +25,9 @@ from .errors import ShapeError
 from .layers import Network
 # The rule itself lives beside the walk; it is re-exported as part of the
 # analyzer's interface.
-from .layers import SPATIAL_KINDS, LayerKind, check_layer, output_size, walk_shapes  # noqa: F401
+from .layers import (  # noqa: F401
+    SPATIAL_KINDS, LayerKind, check_layer, output_size, untransformed_conv, walk_shapes,
+)
 
 #: Half-width of the input-size window scanned for suggestions.
 DEFAULT_SUGGEST_RADIUS = 4
@@ -96,8 +98,11 @@ def exact_size_lattice(net: Network) -> SizeLattice | None:
     size or for none.  The backward pass finds the smallest input side that
     lets every later kernel fit; a head layer needs only side 1 but can give
     only side 1, so a later kernel that needs more leaves no exact size.
+    A conv2d with k > 1 in a p4 or p4m network leaves none either.
     """
     validate(net)
+    if any(untransformed_conv(net.kind, layer) for layer in net.layers):
+        return None
     residue, modulus, slope, offset = 0, 1, 1, 0
     for layer in net.layers:
         if layer.kind in _HEAD_KINDS:

@@ -16,6 +16,16 @@ other value to the stdlib.  ``json.dump`` stays the call that writes a
 document (it is handed an encoder class that returns the text as one
 chunk), so anything that wraps ``cli.json`` to time emission, as
 perfbench/tracing.py does, still sees every document written.
+
+An ``oracle`` document is built in one pass: each cell's indent-2 text is
+one %-template, for a cell that holds or for one that breaks, filled from
+(i, k, s), its three booleans and the ten ints of its counterexample.
+_indent2 lays both templates out once, at import, from a model cell, so
+the layout is still the encoder's.  Each cell enters the ``cells`` list as
+a ``_Fragment``, a str subclass that _indent2 emits verbatim.  The one
+condition on a fragment: it never reaches the stdlib, which would encode
+it as a JSON string, so a document that holds one must not take
+``_dumps_indent2``'s fallback.
 """
 
 from __future__ import annotations
@@ -130,6 +140,12 @@ def _float_text(f: float) -> str:
     return float.__repr__(f)
 
 
+class _Fragment(str):
+    """JSON text already laid out at its place in a document, which _indent2
+    emits verbatim.  The stdlib would encode it as a JSON string, so a
+    document that holds one must never reach the stdlib fallback."""
+
+
 #: The text of each JSON scalar, looked up by exact type.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
@@ -137,6 +153,7 @@ _SCALAR_TEXT = {
     float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
+    _Fragment: lambda f: f,
 }
 
 
@@ -313,6 +330,23 @@ def _oracle_triples(i_lo: int, i_hi: int, k_lo: int, k_hi: int, s_lo: int, s_hi:
     return pairs * (s_hi - s_lo + 1)
 
 
+def _oracle_cell_templates() -> tuple[str, str]:
+    """The %-templates of an oracle cell that holds and of one that breaks,
+    laid out by _indent2 where a cell sits, in ``doc["result"]["cells"]``.
+    Both take i, k, s and the texts of holds, condition and agree; the second
+    then takes the ten ints of the counterexample in document order."""
+    d, b = _Fragment("%d"), _Fragment("%s")
+    cell = {"i": d, "k": d, "s": d, "holds": b, "condition": b, "agree": b}
+    corners = [[d, d], [d, d]]
+    broken = {**cell, "counterexample": {
+        "output_index": [d, d], "via_output": corners, "via_input": corners}}
+    pad = "\n" + "  " * 3  # the indent of the cells list's items
+    return _indent2(cell, pad), _indent2(broken, pad)
+
+
+_HOLDS_CELL, _BROKEN_CELL = _oracle_cell_templates()
+
+
 def cmd_oracle(args) -> int:
     i_lo, i_hi = _parse_range(args.i_range, "--i-range")
     k_lo, k_hi = _parse_range(args.k_range, "--k-range")
@@ -332,28 +366,27 @@ def cmd_oracle(args) -> int:
         raise EquicheckError(
             f"oracle ranges hold more than {MAX_ORACLE_CELLS} output cells to compare"
         )
-    cells = []
-    agreements = 0
-    for (i, k, s), verdict in zip(triples, commutation_grid(triples, SYMMETRIES[args.symmetry])):
+    if not triples:
+        raise EquicheckError("the requested ranges contain no valid (i, k, s) cells")
+    verdicts = commutation_grid(triples, SYMMETRIES[args.symmetry])
+    json_bool = _SCALAR_TEXT[bool]
+    cells, disagreements, holds = [], [], 0
+    for (i, k, s), verdict in zip(triples, verdicts):
         condition = check_layer(i, k, s, 0)
         agree = verdict.holds == condition
-        agreements += agree
-        cell = {"i": i, "k": k, "s": s, "holds": verdict.holds,
-                "condition": condition, "agree": agree}
-        if verdict.counterexample is not None:
-            ce = verdict.counterexample
-            cell["counterexample"] = {
-                "output_index": list(ce.output_index),
-                "via_output": [list(ce.patch_via_output.top_left),
-                               list(ce.patch_via_output.bottom_right)],
-                "via_input": [list(ce.patch_via_input.top_left),
-                              list(ce.patch_via_input.bottom_right)],
-            }
-        cells.append(cell)
-    if not cells:
-        raise EquicheckError("the requested ranges contain no valid (i, k, s) cells")
-    agreement = agreements / len(cells)
-    holds = sum(c["holds"] for c in cells)
+        flags = json_bool(verdict.holds), json_bool(condition), json_bool(agree)
+        ce = verdict.counterexample
+        if ce is None:
+            cell = _HOLDS_CELL % (i, k, s, *flags)
+        else:
+            out, inp = ce.patch_via_output, ce.patch_via_input
+            cell = _BROKEN_CELL % (i, k, s, *flags, *ce.output_index, *out.top_left,
+                                   *out.bottom_right, *inp.top_left, *inp.bottom_right)
+        cells.append(_Fragment(cell))
+        holds += verdict.holds
+        if not agree:
+            disagreements.append((i, k, s))
+    agreement = (len(cells) - len(disagreements)) / len(cells)
     payload = {
         "symmetry": args.symmetry,
         "i_range": [i_lo, i_hi], "k_range": [k_lo, k_hi], "s_range": [s_lo, s_hi],
@@ -362,20 +395,23 @@ def cmd_oracle(args) -> int:
         "holds_count": holds,
         "agreement": agreement,
     }
-    lines = [
-        f"{args.symmetry} commutation oracle over i in [{i_lo},{i_hi}], "
-        f"k in [{k_lo},{k_hi}], s in [{s_lo},{s_hi}]",
-        f"cells: {len(cells)}  commuting: {holds}  broken: {len(cells) - holds}",
-        f"agreement with (i - k) mod s = 0 rule: {agreement:.1%} {_mark(agreement == 1.0)}",
-    ]
-    for c in cells:
-        if not c["agree"]:
-            lines.append(f"  DISAGREES: i={c['i']} k={c['k']} s={c['s']}")
-    if len(cells) == 1 and "counterexample" in cells[0]:
-        ce = cells[0]["counterexample"]
-        lines.append(f"counterexample at output index {tuple(ce['output_index'])}: "
-                     f"{ce['via_output']} vs {ce['via_input']}")
-    _emit(_document("oracle", payload), lambda: "\n".join(lines), args)
+
+    def text() -> str:
+        lines = [
+            f"{args.symmetry} commutation oracle over i in [{i_lo},{i_hi}], "
+            f"k in [{k_lo},{k_hi}], s in [{s_lo},{s_hi}]",
+            f"cells: {len(cells)}  commuting: {holds}  broken: {len(cells) - holds}",
+            f"agreement with (i - k) mod s = 0 rule: {agreement:.1%} {_mark(agreement == 1.0)}",
+        ]
+        lines += [f"  DISAGREES: i={i} k={k} s={s}" for i, k, s in disagreements]
+        if len(cells) == 1 and (ce := verdicts[0].counterexample) is not None:
+            out, inp = ce.patch_via_output, ce.patch_via_input
+            lines.append(f"counterexample at output index {ce.output_index}: "
+                         f"{[list(out.top_left), list(out.bottom_right)]} vs "
+                         f"{[list(inp.top_left), list(inp.bottom_right)]}")
+        return "\n".join(lines)
+
+    _emit(_document("oracle", payload), text, args)
     return EXIT_OK if agreement == 1.0 else EXIT_INEXACT
 
 

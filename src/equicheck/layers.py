@@ -154,6 +154,12 @@ def check_layer(i: int, k: int, s: int, p: int = 0) -> bool:
     return (i + 2 * p - k) % s == 0
 
 
+def untransformed_conv(group: GroupKind, layer: Layer) -> bool:
+    """True for a conv2d with k > 1 in a p4 or p4m network: its filters are
+    never transformed, so it is not equivariant at any input size."""
+    return layer.kind is LayerKind.CONV2D and group is not GroupKind.Z2 and layer.k > 1
+
+
 class ShapeStep(NamedTuple):
     """One layer of a shape walk.  Shapes are (channels, group, side); an
     output side of 0 marks the layer whose kernel outruns its padded input."""
@@ -169,6 +175,8 @@ class ShapeStep(NamedTuple):
 def walk_shapes(group: GroupKind, layers, input_size: int, in_channels: int = 1):
     """Yield one ShapeStep per layer, starting from a planar input of side
     ``input_size``, and apply the exactness test to every spatial layer.
+    A conv2d with k > 1 in a p4 or p4m network fails it whatever its sides
+    (``untransformed_conv``).
 
     A layer whose kernel outruns its padded input fails the test, says so in
     its note and leaves side 0; the walk goes on past it only so that the
@@ -215,6 +223,10 @@ def walk_shapes(group: GroupKind, layers, input_size: int, in_channels: int = 1)
                 note = "" if ok else (
                     f"({padded} - {layer.k}) mod {layer.s} = {(padded - layer.k) % layer.s}")
                 side = output_size(side, layer.k, layer.s, layer.p)
+        if untransformed_conv(group, layer):
+            ok = False
+            broken = f"filters never transformed, so a k{layer.k} conv2d breaks {group.value}"
+            note = f"{note}; {broken}" if note else broken
         yield ShapeStep(layer, shape_in, padded, (c, g, side), ok, note)
 
 

@@ -5,7 +5,7 @@ architectures and against a per-size walk on generated ones."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_config_cli import valid_configs
+from test_config_cli import conv2d_stem, valid_configs
 
 from equicheck.analyzer import (
     SizeLattice,
@@ -173,6 +173,44 @@ class TestSuggestInputSizes:
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):
             suggest_input_sizes(MAXPOOL_ONLY, 5, 4)
+
+
+CONV2D_AFTER_COSET = Network(GroupKind.P4, (
+    Layer(LayerKind.GCONV_LIFT, k=3, out_channels=2),
+    Layer(LayerKind.COSET_MAXPOOL),
+    Layer(LayerKind.CONV2D, k=3, out_channels=2),
+    Layer(LayerKind.GLOBAL_AVG_POOL),
+    Layer(LayerKind.DENSE, out_channels=2),
+), 9, name="conv2d-after-coset")
+
+
+class TestUntransformedConv2d:
+    """A conv2d's filters are never transformed, so in a p4 or p4m network
+    one with k > 1 is not equivariant at any size; a k1 conv2d mixes
+    channels pointwise and is."""
+
+    @pytest.mark.parametrize("net, layer", [
+        (conv2d_stem(3), 0), (conv2d_stem(2, GroupKind.P4M), 0), (CONV2D_AFTER_COSET, 2),
+    ], ids=["p4-k3-stem", "p4m-k2-stem", "k3-after-coset"])
+    def test_flagged_at_every_size(self, net, layer):
+        report = analyze(net, 9)
+        assert not report.exact
+        assert report.violations == (layer,)
+        assert "filters never transformed" in report.trace[layer].note
+        assert exact_size_lattice(net) is None
+        assert suggest_input_sizes(net, 1, 40) == []
+        assert per_size_reference(net, 1, 40) == []
+
+    def test_stride_note_is_kept(self):
+        net = Network(GroupKind.P4, (Layer(LayerKind.CONV2D, k=3, s=2, out_channels=1),), 8)
+        assert analyze(net, 8).trace[0].note == (
+            "(8 - 3) mod 2 = 1; filters never transformed, so a k3 conv2d breaks p4")
+
+    def test_k1_stem_stays_exact(self):
+        net = conv2d_stem(1)
+        assert analyze(net, 9).exact
+        assert exact_size_lattice(net) == SizeLattice(0, 1, 3)
+        assert suggest_input_sizes(net, 1, 20) == list(range(3, 21))
 
 
 class TestExactSizeLattice:

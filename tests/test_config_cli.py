@@ -233,6 +233,18 @@ class TestGeneratedConfigs:
             ]
 
 
+def conv2d_stem(k, group=GroupKind.P4):
+    """A small invariant group network at 9 with a conv2d stem of kernel k
+    before its lift."""
+    return Network(group, (
+        Layer(LayerKind.CONV2D, k=k, out_channels=2),
+        Layer(LayerKind.GCONV_LIFT, k=3, out_channels=2),
+        Layer(LayerKind.GLOBAL_AVG_POOL),
+        Layer(LayerKind.COSET_MAXPOOL),
+        Layer(LayerKind.DENSE, out_channels=2),
+    ), 9, name="stem")
+
+
 def run_cli(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
@@ -329,6 +341,20 @@ class TestAnalyzeCommand:
     def test_no_ansi_when_not_a_tty(self, capsys):
         _, out = run_cli(capsys, "analyze", "p4cnn")
         assert "\033[" not in out
+
+    @pytest.mark.parametrize("k, want", [(3, 1), (1, 0)], ids=["k3-stem", "k1-stem"])
+    def test_conv2d_stem_verdicts_agree(self, capsys, tmp_path, k, want):
+        # a k3 conv2d's filters are never transformed, so the stem breaks p4
+        # at every size; a k1 one mixes channels pointwise
+        path = tmp_path / "stem.json"
+        path.write_text(to_json(conv2d_stem(k)))
+        assert run_cli(capsys, "analyze", str(path))[0] == want
+        assert run_cli(capsys, "measure", str(path))[0] == want
+        assert run_cli(capsys, "measure", str(path), "--integer-weights")[0] == want
+        assert run_cli(capsys, "sweep", str(path), "--angle-step", "90",
+                       "--integer-weights")[0] == want
+        _, doc = run_json(capsys, "suggest", str(path), "1", "20")
+        assert doc["result"]["exact_sizes"] == ([] if want else list(range(3, 21)))
 
 
 class TestSuggestCommand:
@@ -913,9 +939,10 @@ def test_readme_cli_block_runs_as_documented(monkeypatch, tmp_path, capsys):
         Layer(LayerKind.GLOBAL_AVG_POOL), Layer(LayerKind.DENSE, out_channels=2),
     ), 4, name="deep")
     (tmp_path / "deep.json").write_text(to_json(deep))
+    (tmp_path / "stem.json").write_text(to_json(conv2d_stem(3)))
     monkeypatch.chdir(tmp_path)
     lines = block.splitlines()
-    assert len(lines) == 16
+    assert len(lines) == 17
     for line in lines:
         command, _, comment = line.partition("#")
         argv = shlex.split(command)

@@ -2,10 +2,13 @@
 ``json`` it stands in for, and the bytes each command writes."""
 
 import hashlib
+import io
 import json
 import math
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicheck import cli
-from equicheck.cli import run
+from equicheck.analyzer import check_layer
+from equicheck.cli import (
+    EXIT_INEXACT,
+    EXIT_OK,
+    MAX_ORACLE_CELLS,
+    MAX_ORACLE_TRIPLES,
+    _document,
+    _mark,
+    _oracle_triples,
+    _parse_range,
+    run,
+)
+from equicheck.errors import EquicheckError
+from equicheck.metrics import SYMMETRIES, commutation_grid
 
 #: Strings json escapes: control characters, DEL, the two line separators
 #: JavaScript treats as newlines, non-ASCII, astral and lone surrogates.
@@ -152,6 +168,23 @@ def test_oracle_documents_keep_their_bytes(capsys, grid, symmetry, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_the_rule_grid_oracle_command_stays_small(capsys):
+    # the whole command: grid, cell texts, document text and the captured
+    # output, about 2.33 MiB (2.31 MiB when each cell was a dict); a first
+    # run also builds the parser, so it runs untraced
+    argv = ["oracle", *RULE_GRID, "--format", "structured"]
+    run(argv)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out) > 400_000
+    assert peak <= 2.6 * 2**20
+
+
 def test_encoding_the_rule_grid_document_stays_small(capsys):
     # the nested joins peak at about 1.44 MiB on this 0.46 MB document; one
     # flat list of pieces joined once would take over 3 MiB
@@ -189,3 +222,118 @@ def test_each_document_is_written_by_json_dump(monkeypatch, capsys, tmp_path):
     assert run(["analyze", "toy41", "--format", "structured", "--out", str(path)]) == 0
     assert proxy.dump_calls == 2
     assert path.read_text() == capsys.readouterr().out
+
+
+def reference_oracle_document(args):
+    """The ``cmd_oracle`` body from before each cell was written as text,
+    kept verbatim but for its end: a dict per cell and a nested list per
+    corner pair, encoded by walking them.  Returns the document, the text
+    form and the exit code instead of emitting them."""
+    i_lo, i_hi = _parse_range(args.i_range, "--i-range")
+    k_lo, k_hi = _parse_range(args.k_range, "--k-range")
+    s_lo, s_hi = _parse_range(args.s_range, "--s-range")
+    # k <= i, so the i and s bounds cap every index the cell arrays hold
+    limit = int(np.iinfo(np.int64).max)
+    for field, hi in (("--i-range", i_hi), ("--s-range", s_hi)):
+        if hi > limit:
+            raise EquicheckError(f"{field} bound {hi} exceeds the int64 limit {limit}")
+    if _oracle_triples(i_lo, i_hi, k_lo, k_hi, s_lo, s_hi) > MAX_ORACLE_TRIPLES:
+        raise EquicheckError(
+            f"oracle ranges hold more than {MAX_ORACLE_TRIPLES} (i, k, s) triples"
+        )
+    triples = [(i, k, s) for i in range(i_lo, i_hi + 1)
+               for k in range(k_lo, min(k_hi, i) + 1) for s in range(s_lo, s_hi + 1)]
+    if sum(((i - k) // s + 1) ** 2 for i, k, s in triples) > MAX_ORACLE_CELLS:
+        raise EquicheckError(
+            f"oracle ranges hold more than {MAX_ORACLE_CELLS} output cells to compare"
+        )
+    cells = []
+    agreements = 0
+    for (i, k, s), verdict in zip(triples, commutation_grid(triples, SYMMETRIES[args.symmetry])):
+        condition = check_layer(i, k, s, 0)
+        agree = verdict.holds == condition
+        agreements += agree
+        cell = {"i": i, "k": k, "s": s, "holds": verdict.holds,
+                "condition": condition, "agree": agree}
+        if verdict.counterexample is not None:
+            ce = verdict.counterexample
+            cell["counterexample"] = {
+                "output_index": list(ce.output_index),
+                "via_output": [list(ce.patch_via_output.top_left),
+                               list(ce.patch_via_output.bottom_right)],
+                "via_input": [list(ce.patch_via_input.top_left),
+                              list(ce.patch_via_input.bottom_right)],
+            }
+        cells.append(cell)
+    if not cells:
+        raise EquicheckError("the requested ranges contain no valid (i, k, s) cells")
+    agreement = agreements / len(cells)
+    holds = sum(c["holds"] for c in cells)
+    payload = {
+        "symmetry": args.symmetry,
+        "i_range": [i_lo, i_hi], "k_range": [k_lo, k_hi], "s_range": [s_lo, s_hi],
+        "cells": cells,
+        "total": len(cells),
+        "holds_count": holds,
+        "agreement": agreement,
+    }
+    lines = [
+        f"{args.symmetry} commutation oracle over i in [{i_lo},{i_hi}], "
+        f"k in [{k_lo},{k_hi}], s in [{s_lo},{s_hi}]",
+        f"cells: {len(cells)}  commuting: {holds}  broken: {len(cells) - holds}",
+        f"agreement with (i - k) mod s = 0 rule: {agreement:.1%} {_mark(agreement == 1.0)}",
+    ]
+    for c in cells:
+        if not c["agree"]:
+            lines.append(f"  DISAGREES: i={c['i']} k={c['k']} s={c['s']}")
+    if len(cells) == 1 and "counterexample" in cells[0]:
+        ce = cells[0]["counterexample"]
+        lines.append(f"counterexample at output index {tuple(ce['output_index'])}: "
+                     f"{ce['via_output']} vs {ce['via_input']}")
+    return (_document("oracle", payload), "\n".join(lines),
+            EXIT_OK if agreement == 1.0 else EXIT_INEXACT)
+
+
+@st.composite
+def oracle_grids(draw):
+    """Oracle ranges over i 1-48, k 1-9 and s 1-6, a third of them a single
+    (i, k, s) triple, with a symmetry."""
+    single = draw(st.integers(0, 2)) == 0
+    ranges = []
+    for flag, top in (("--i-range", 48), ("--k-range", 9), ("--s-range", 6)):
+        lo = draw(st.integers(1, top))
+        hi = lo if single else draw(st.integers(lo, top))
+        ranges += [flag, f"{lo}:{hi}"]
+    return ["oracle", *ranges, "--symmetry", draw(st.sampled_from(sorted(SYMMETRIES)))]
+
+
+def _no_stdlib_fallback(*args, **kwargs):
+    raise AssertionError("an oracle document reached the stdlib encoder")
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_grids())
+def test_oracle_matches_the_dict_building_reference(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # the cell texts are str subclasses, which the stdlib would quote: a
+    # document that holds them must never reach _dumps_indent2's fallback
+    with redirect_stdout(out), redirect_stderr(err), \
+            mock.patch.object(cli.json, "dumps", _no_stdlib_fallback):
+        try:
+            want = reference_oracle_document(cli._build_parser().parse_args(argv))
+        except EquicheckError as exc:
+            want = exc
+        code = run(argv + ["--format", "structured"])
+        structured = out.getvalue()
+        out.seek(0)
+        out.truncate()
+        assert run(argv) == code
+        if isinstance(want, EquicheckError):
+            assert code == 2 and structured == out.getvalue() == ""
+            assert err.getvalue() == f"error: {want}\n" * 2
+            return
+        doc, text, exit_code = want
+        assert code == exit_code
+        assert structured == cli._dumps_indent2(doc) + "\n"
+    assert out.getvalue() == text + "\n"
+    assert err.getvalue() == ""
