@@ -19,7 +19,10 @@ perfbench/tracing.py does, still sees every document written.
 
 An ``oracle`` document is built in one pass: each cell's indent-2 text is
 one %-template, for a cell that holds or for one that breaks, filled from
-(i, k, s), its three booleans and the ten ints of its counterexample.
+(i, k, s), its three booleans and, for a broken cell, the ten ints of its
+commutation row (``metrics.commutation_rows``), in document order; no
+verdict or patch object is built per triple.  The text form's
+counterexample line is read from the same row.
 _indent2 lays both templates out once, at import, from a model cell, so
 the layout is still the encoder's.  Each cell enters the ``cells`` list as
 a ``_Fragment``, a str subclass that _indent2 emits verbatim.  The one
@@ -61,7 +64,7 @@ from .group import GroupElement, GroupKind, elements
 from .layers import Network, weight_shape
 from .metrics import (
     SYMMETRIES,
-    commutation_grid,
+    commutation_rows,
     invariance_sweep,
     profile_equivariance,
 )
@@ -80,8 +83,9 @@ MAX_SUGGEST_SIZES = 1_000_000
 #: triples once MAX_ORACLE_TRIPLES has bounded how many there are.
 MAX_ORACLE_CELLS = 1 << 21
 
-#: Most (i, k, s) triples one oracle grid may hold: each one costs about 2 KB
-#: of records and text in the report, however few cells it has.
+#: Most (i, k, s) triples one oracle grid may hold: each one costs about 2.6 KB
+#: of peak memory in a structured report, 0.6 KB of it document text, however
+#: few cells it has.
 MAX_ORACLE_TRIPLES = 1 << 15
 
 #: Most activation elements one forward pass may hold, summed over the input
@@ -368,22 +372,20 @@ def cmd_oracle(args) -> int:
         )
     if not triples:
         raise EquicheckError("the requested ranges contain no valid (i, k, s) cells")
-    verdicts = commutation_grid(triples, SYMMETRIES[args.symmetry])
+    rows = commutation_rows(triples, SYMMETRIES[args.symmetry])
     json_bool = _SCALAR_TEXT[bool]
     cells, disagreements, holds = [], [], 0
-    for (i, k, s), verdict in zip(triples, verdicts):
+    for (i, k, s), row in zip(triples, rows):
+        commutes = row is None
         condition = check_layer(i, k, s, 0)
-        agree = verdict.holds == condition
-        flags = json_bool(verdict.holds), json_bool(condition), json_bool(agree)
-        ce = verdict.counterexample
-        if ce is None:
+        agree = commutes == condition
+        flags = json_bool(commutes), json_bool(condition), json_bool(agree)
+        if commutes:
             cell = _HOLDS_CELL % (i, k, s, *flags)
         else:
-            out, inp = ce.patch_via_output, ce.patch_via_input
-            cell = _BROKEN_CELL % (i, k, s, *flags, *ce.output_index, *out.top_left,
-                                   *out.bottom_right, *inp.top_left, *inp.bottom_right)
+            cell = _BROKEN_CELL % (i, k, s, *flags, *row)
         cells.append(_Fragment(cell))
-        holds += verdict.holds
+        holds += commutes
         if not agree:
             disagreements.append((i, k, s))
     agreement = (len(cells) - len(disagreements)) / len(cells)
@@ -404,11 +406,10 @@ def cmd_oracle(args) -> int:
             f"agreement with (i - k) mod s = 0 rule: {agreement:.1%} {_mark(agreement == 1.0)}",
         ]
         lines += [f"  DISAGREES: i={i} k={k} s={s}" for i, k, s in disagreements]
-        if len(cells) == 1 and (ce := verdicts[0].counterexample) is not None:
-            out, inp = ce.patch_via_output, ce.patch_via_input
-            lines.append(f"counterexample at output index {ce.output_index}: "
-                         f"{[list(out.top_left), list(out.bottom_right)]} vs "
-                         f"{[list(inp.top_left), list(inp.bottom_right)]}")
+        if len(cells) == 1 and (row := rows[0]) is not None:
+            lines.append(f"counterexample at output index {row[:2]}: "
+                         f"{[list(row[2:4]), list(row[4:6])]} vs "
+                         f"{[list(row[6:8]), list(row[8:10])]}")
         return "\n".join(lines)
 
     _emit(_document("oracle", payload), text, args)

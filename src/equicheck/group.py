@@ -150,7 +150,8 @@ def _first(mask, *coords) -> tuple[int, ...] | None:
 
 
 def _outside(n, x, y):
-    return (x < 0) | (x >= n) | (y < 0) | (y >= n)
+    # each axis first, so only the last OR runs at the broadcast shape
+    return ((x < 0) | (x >= n)) | ((y < 0) | (y >= n))
 
 
 def _check_index(n, x, y) -> None:

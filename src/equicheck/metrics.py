@@ -6,15 +6,19 @@ oracles here enumerate index patches geometrically, while the analyzer's
 grid of (input, kernel, stride) triples is what the test suite verifies
 exhaustively.
 
-The oracle (``commutation_grid``) takes a whole list of triples, groups
+The oracle (``commutation_rows``) takes a whole list of triples, groups
 them by output side and compares each chunk of one side, at most
 ``ORACLE_BLOCK`` cells, in one int-array broadcast, through the same
 corner maps that transform a single patch (``group.rotate_corners`` and
-``group.mirror_corners``); the modular rule is never evaluated.  A
-counterexample's corners are read from the arrays that flagged it.  Sides
+``group.mirror_corners``); the modular rule is never evaluated.  Each
+triple gets a row: None if it holds, else the ten ints of its first
+mismatch, read from the arrays that flagged it and corner-order checked
+per chunk, in one array call, as an ``IndexPatch`` checks its own.  Sides
 run in order of first appearance, so of several invalid triples the first
-one of the first side that has one raises.
-``rotation_commutation`` is the one-triple grid of the quarter turn.
+one of the first side that has one raises.  ``cli.cmd_oracle`` fills its
+cells from the rows; ``commutation_grid`` turns them into verdicts for
+library callers, and ``rotation_commutation`` is its one-triple grid of
+the quarter turn.
 
 The sweep's off-grid rotations are all ``_rotate_values``; rotating one map
 by one angle is its one-angle case.
@@ -91,49 +95,51 @@ SYMMETRIES = {
 }
 
 
-def commutation_grid(triples, symmetry: Symmetry) -> list[CommutationVerdict]:
-    """Commutation verdict of every (i, k, s) triple, in order: whether, at
+def commutation_rows(triples, symmetry: Symmetry) -> list[tuple[int, ...] | None]:
+    """Commutation row of every (i, k, s) triple, in order: None if, at
     every output cell, the patch of the mapped output index equals the
-    mapped patch of the cell.
+    mapped patch of the cell; else the ten ints (x, y, ox1, oy1, ox2, oy2,
+    ix1, iy1, ix2, iy2) of its first mismatch, the output index and the
+    corners of the patch via the output and via the input.
 
     The triples are grouped by output side, sides in the order they first
     appear and triples in list order within each.  A chunk is whole triples
     of one side, at most ORACLE_BLOCK cells and at least one triple,
     compared in one broadcast; a larger triple runs alone, in bands of
     whole rows (one at least), and stops at its first band that mismatches.
-    A triple's counterexample is its first mismatching cell in row-major
-    order, with the corners read from the arrays that flagged it.
+    A triple's row is its first mismatching cell in row-major order, with
+    the corners read from the arrays that flagged it.
 
     Every output side is computed first, so a ShapeError comes before any
-    cell is compared.  The maps then raise on the first bad cell in the
-    order above: the first invalid triple of the first side that has one."""
+    cell is compared.  The maps and the corner-order check of the via-input
+    corners then raise on the first bad cell in the order above: the first
+    invalid triple of the first side that has one."""
     triples = list(triples)
     sides = [output_size(i, k, s) for i, k, s in triples]
     by_side = {}
     for t, n in enumerate(sides):
         by_side.setdefault(n, []).append(t)
-    found = {}  # triple position -> verdict of a triple that breaks
+    found = [None] * len(triples)
     for n, members in by_side.items():
         per_chunk = max(1, ORACLE_BLOCK // (n * n))
         band = max(1, min(n, ORACLE_BLOCK // n))  # below n only for a triple alone
         for start in range(0, len(members), per_chunk):
             chunk = members[start : start + per_chunk]
+            chunk_iks = np.array([triples[t] for t in chunk], dtype=np.int64)
             for y0 in range(0, n, band):
                 rows = np.arange(y0, min(y0 + band, n), dtype=np.int64)
-                broken = _first_mismatches(symmetry, n, triples, chunk, rows)
-                if broken:
-                    found.update(broken)
+                if _first_mismatches(symmetry, n, chunk, chunk_iks, rows, found):
                     break
-    holds = CommutationVerdict(True)
-    return [found.get(t, holds) for t in range(len(triples))]
+    return found
 
 
-def _first_mismatches(symmetry: Symmetry, n: int, triples, chunk, rows) -> dict:
-    """Verdicts of the triples at positions ``chunk``, all of output side n,
-    that break on output ``rows``, keyed by position: one broadcast with i,
-    k and s of shape (T, 1, 1), the rows (1, R, 1) and the columns
-    (1, 1, n), so most corner arithmetic is on T*n-sized operands."""
-    i, k, s = np.array([triples[t] for t in chunk], dtype=np.int64).T.reshape(3, -1, 1, 1)
+def _first_mismatches(symmetry: Symmetry, n: int, chunk, iks, rows, found) -> bool:
+    """Write into ``found`` the row of each triple at positions ``chunk``,
+    all of output side n with (i, k, s) the rows of ``iks``, that breaks on
+    output ``rows``; True if one does.  One broadcast with i, k and s of
+    shape (T, 1, 1), the rows (1, R, 1) and the columns (1, 1, n), so most
+    corner arithmetic is on T*n-sized operands."""
+    i, k, s = iks.T.reshape(3, -1, 1, 1)
     x = np.arange(n, dtype=np.int64).reshape(1, 1, n)
     y = rows.reshape(1, -1, 1)
     ox1, oy1, ox2, oy2 = via_output = _patch_corners(*symmetry.index_map(n, x, y), k, s)
@@ -144,14 +150,30 @@ def _first_mismatches(symmetry: Symmetry, n: int, triples, chunk, rows) -> dict:
     first = differs.argmax(axis=1)
     broken = differs[np.arange(len(chunk)), first].nonzero()[0]
     if not broken.size:
-        return {}
+        return False
     r, c = np.divmod(first[broken], n)
-    corners = [np.broadcast_to(v, shape)[broken, r, c].tolist() for v in via_output + via_input]
-    found = {}
-    for b, cx, cy, *v in zip(broken.tolist(), c.tolist(), rows[r].tolist(), *corners):
-        patches = IndexPatch(tuple(v[0:2]), tuple(v[2:4])), IndexPatch(tuple(v[4:6]), tuple(v[6:8]))
-        found[chunk[b]] = CommutationVerdict(False, Counterexample((cx, cy), *patches))
-    return found
+    corners = [np.broadcast_to(v, shape)[broken, r, c] for v in via_output + via_input]
+    check_corner_order(*corners[4:])  # the via-output ones passed _patch_corners
+    for b, row in zip(broken.tolist(), zip(c.tolist(), rows[r].tolist(),
+                                           *(v.tolist() for v in corners))):
+        found[chunk[b]] = row
+    return True
+
+
+def _verdict(row) -> CommutationVerdict:
+    """The verdict of one commutation row, its patches validated."""
+    if row is None:
+        return CommutationVerdict(True)
+    x, y, ox1, oy1, ox2, oy2, ix1, iy1, ix2, iy2 = row
+    return CommutationVerdict(False, Counterexample(
+        (x, y), IndexPatch((ox1, oy1), (ox2, oy2)), IndexPatch((ix1, iy1), (ix2, iy2))))
+
+
+def commutation_grid(triples, symmetry: Symmetry) -> list[CommutationVerdict]:
+    """Commutation verdict of every (i, k, s) triple, in order: the rows of
+    :func:`commutation_rows` as verdicts, each counterexample's two patches
+    built from its row.  Raises as that function does."""
+    return [_verdict(row) for row in commutation_rows(triples, symmetry)]
 
 
 def rotation_commutation(i: int, k: int, s: int) -> CommutationVerdict:

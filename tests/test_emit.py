@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicheck import cli
+from equicheck import cli, metrics
 from equicheck.analyzer import check_layer
 from equicheck.cli import (
     EXIT_INEXACT,
@@ -170,8 +170,8 @@ def test_oracle_documents_keep_their_bytes(capsys, grid, symmetry, digest):
 
 def test_the_rule_grid_oracle_command_stays_small(capsys):
     # the whole command: grid, cell texts, document text and the captured
-    # output, about 2.33 MiB (2.31 MiB when each cell was a dict); a first
-    # run also builds the parser, so it runs untraced
+    # output, about 2.01 MiB; a first run also builds the parser, so it
+    # runs untraced
     argv = ["oracle", *RULE_GRID, "--format", "structured"]
     run(argv)
     capsys.readouterr()
@@ -292,6 +292,25 @@ def reference_oracle_document(args):
                      f"{ce['via_output']} vs {ce['via_input']}")
     return (_document("oracle", payload), "\n".join(lines),
             EXIT_OK if agreement == 1.0 else EXIT_INEXACT)
+
+
+def _no_verdict_objects(*args, **kwargs):
+    raise AssertionError("the oracle command built a per-triple verdict object")
+
+
+def test_the_oracle_command_builds_no_verdict_objects(monkeypatch, capsys):
+    # cells and the counterexample line are filled from commutation rows;
+    # the reference reads verdicts, so it runs before the patch
+    single = ["oracle", "--i-range", "3:3", "--k-range", "2:2", "--s-range", "2:2"]
+    want = [reference_oracle_document(cli._build_parser().parse_args(argv))
+            for argv in (["oracle", *RULE_GRID], single)]
+    for name in ("IndexPatch", "Counterexample", "CommutationVerdict"):
+        monkeypatch.setattr(metrics, name, _no_verdict_objects)
+    assert run(["oracle", *RULE_GRID, "--format", "structured"]) == want[0][2]
+    assert capsys.readouterr().out == cli._dumps_indent2(want[0][0]) + "\n"
+    assert run(single) == want[1][2]
+    assert capsys.readouterr().out == want[1][1] + "\n"
+    assert "counterexample at output index (0, 0)" in want[1][1]
 
 
 @st.composite

@@ -209,18 +209,23 @@ class TestOracleMatchesPerCellLoop:
         assert str(got.value) == str(expected.value)
 
     def test_grid_memory_stays_bounded(self):
-        # every side here is at most 40, so each chunk is small; the peak,
-        # about 0.5 MiB, is mostly the 1290 verdicts
+        # every side here is at most 40, so each chunk is small.  The verdicts
+        # peak at about 0.57 MiB on a first call.  The rows they are built
+        # from, measured second, peak at about 0.17 MiB, most of it the 695
+        # ten-int rows of the broken triples
         triples = [(i, k, s) for i in range(2, 41) for k in range(1, min(i, 7) + 1)
                    for s in range(1, 6)]
-        tracemalloc.start()
-        try:
-            verdicts = metrics.commutation_grid(triples, SYMMETRIES["rot"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(verdicts) == 1290
-        assert peak < 4 * 2**20
+        peaks = []
+        for oracle in (metrics.commutation_grid, metrics.commutation_rows):
+            tracemalloc.start()
+            try:
+                got = oracle(triples, SYMMETRIES["rot"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(got) == 1290
+        assert peaks[0] < 4 * 2**20
+        assert peaks[1] < 0.25 * 2**20
 
     def test_memory_stays_bounded(self):
         # one full o*o int64 array would be 2049**2 * 8 bytes = 33.6 MB
@@ -311,6 +316,18 @@ class TestCommutationGrid:
 
     def test_empty_grid(self):
         assert metrics.commutation_grid([], SYMMETRIES["rot"]) == []
+        assert metrics.commutation_rows([], SYMMETRIES["rot"]) == []
+
+    def test_triple_past_int64_raises_where_its_chunk_runs(self):
+        # each chunk's int array is built when the chunk runs, so a triple
+        # past int64 raises only when its side is reached: side 6 runs first
+        with pytest.raises(PatchError) as expected:
+            per_cell_commutation(5, 0, 1, rotate_index, rotate_patch)
+        with pytest.raises(PatchError) as got:
+            metrics.commutation_rows([(5, 0, 1), (2**64, 1, 1)], SYMMETRIES["rot"])
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(OverflowError):
+            metrics.commutation_rows([(4, 2, 2), (2**64, 1, 1)], SYMMETRIES["rot"])
 
     @pytest.mark.parametrize("symmetry, index_map, patch_map", SYMMETRY_MAPS)
     def test_first_invalid_triple_of_the_first_side_raises(self, symmetry, index_map, patch_map):
@@ -365,6 +382,54 @@ class TestGridProperty:
             patch.setattr(metrics, "ORACLE_BLOCK", block)
             got = metrics.commutation_grid(triples, symmetry)
         assert got == per_cell_grid(triples, index_map, patch_map)
+
+
+def disordered_corners(n, x1, y1, x2, y2):
+    """The quarter turn, with the columns of its corners swapped for the
+    patch at (7, 1): out of order wherever that patch is wider than one."""
+    hit = (x1 == 7) & (y1 == 1)
+    rx1, ry1, rx2, ry2 = rotate_corners(n, x1, y1, x2, y2)
+    return np.where(hit, rx2, rx1), ry1, np.where(hit, rx1, rx2), ry2
+
+
+def disordered_patch(n, patch):
+    x1, y1, x2, y2 = disordered_corners(n, *patch.top_left, *patch.bottom_right)
+    return IndexPatch((int(x1), int(y1)), (int(x2), int(y2)))
+
+
+class TestCommutationRows:
+    """The rows are the grid's one implementation: its verdicts are built
+    from them, and they keep the corner-order check a patch makes."""
+
+    @pytest.mark.parametrize("symmetry", [
+        pytest.param(SYMMETRIES["rot"], id="rot"),
+        pytest.param(SYMMETRIES["mirror"], id="mirror"),
+        pytest.param(PLANTED, id="planted"),
+    ])
+    @settings(max_examples=100, deadline=None)
+    @given(triples=triple_lists(), block=st.integers(1, 256) | st.just(metrics.ORACLE_BLOCK))
+    def test_verdicts_are_the_rows(self, symmetry, triples, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "ORACLE_BLOCK", block)
+            got = metrics.commutation_grid(triples, symmetry)
+            rows = metrics.commutation_rows(triples, symmetry)
+        assert got == [metrics._verdict(row) for row in rows]
+        assert all(row is None or (len(row) == 10 and all(type(v) is int for v in row))
+                   for row in rows)
+
+    @pytest.mark.parametrize("block", [1, 7, metrics.ORACLE_BLOCK])
+    def test_out_of_order_via_input_corners_raise_like_a_patch(self, monkeypatch, block):
+        # (9, 2, 1) holds but for the planted cell (7, 1), whose via-input
+        # corners come out as (2, 0) and (1, 1); (4, 2, 2) holds
+        monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
+        with pytest.raises(PatchError) as expected:
+            per_cell_commutation(9, 2, 1, rotate_index, disordered_patch)
+        assert str(expected.value) == "corners out of order: (2, 0) vs (1, 1)"
+        disordered = Symmetry(rotate_index, disordered_corners)
+        for oracle in (metrics.commutation_rows, metrics.commutation_grid):
+            with pytest.raises(PatchError) as got:
+                oracle([(4, 2, 2), (9, 2, 1)], disordered)
+            assert str(got.value) == str(expected.value)
 
 
 class TestEquivarianceError:
