@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -165,6 +166,43 @@ def test_oracle_documents_keep_their_bytes(capsys, grid, symmetry, digest):
     # digests recorded with the scalar-rebuild oracle: how the grid is
     # chunked, and where a counterexample is read from, move no byte
     assert run(["oracle", *grid, "--symmetry", symmetry, "--format", "structured"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+P4MCNN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "p4mcnn.json")
+
+
+#: (argv, exit code, sha256 of the structured document) of documents in
+#: integer mode, or in float mode where every value is 0.0, so that no byte
+#: depends on the BLAS thread count.
+MEASURE_AND_SWEEP_DOCUMENTS = [
+    (["measure", "p4cnn"], 0,
+     "2acc38c65a686354f7e466b41f20a165e513961bcbab38ee744a73ea45395488"),
+    (["measure", "p4cnn", "--integer-weights", "--input-size", "29"], 1,
+     "ac473ad090a29be7d56cd01aa618045aeb5b9be519f0d835a9477f7616e0b1e7"),
+    (["measure", "toy41", "--input-size", "32", "--integer-weights"], 1,
+     "d5643006c9cff03af1a65e0699fd66254a6c337947ca1c74d4ac3f58a2244461"),
+    (["measure", P4MCNN, "--input-size", "29", "--integer-weights", "--elements", "m,mr3"], 1,
+     "916f370c7b7c7cf3f7cca289bd9369bec81ece6ffb37048e163d2b5bf7be62be"),
+    (["measure", "z2cnn", "--integer-weights"], 0,
+     "8474c91731a6b10d0f438367ff4297e599f5d0dc4692439f5bea5255d27817eb"),
+    (["sweep", "p4cnn", "--angle-step", "90"], 0,
+     "7c18b908b4ed2c7d6060dab6d3127bde14a3c54a25eacedcaa73ca4b6dfd1993"),
+    (["sweep", "p4cnn", "--input-size", "29", "--angle-step", "90", "--integer-weights"], 1,
+     "1de35e8b2f194b0986c6cc6c2c9c2374a2c85e52f453e3c1243964cc7fbc0444"),
+    (["sweep", "toy41", "--input-size", "32", "--angle-step", "90", "--integer-weights"], 1,
+     "64a112cca4de0b93e4851da78ea17f448790cb78ce57a5e7cfdd92e71e7b8ec0"),
+    (["sweep", P4MCNN, "--input-size", "29", "--angle-step", "90", "--integer-weights"], 1,
+     "61933ae0817a870393fe1b4267963c05aaca6824739298821a0ceac56cf66032"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", MEASURE_AND_SWEEP_DOCUMENTS,
+                         ids=[" ".join(argv).replace(P4MCNN, "p4mcnn.json")
+                              for argv, _, _ in MEASURE_AND_SWEEP_DOCUMENTS])
+def test_measure_and_sweep_documents_keep_their_bytes(capsys, argv, code, digest):
+    # the CI runs this under 1 and 2 BLAS threads
+    assert run(argv + ["--format", "structured"]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

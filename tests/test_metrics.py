@@ -780,6 +780,17 @@ class TestInvarianceSweep:
             else:  # BLAS order: the last bits may move
                 assert math.isclose(p.discrepancy, want, rel_tol=1e-12, abs_tol=0.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(reuse_stacks())
+    def test_right_angle_rows_of_generated_stacks_match_fixed_order_forwards(self, case):
+        net, seed = case
+        net = replace(net, layers=net.layers + PROFILE_TAILS[-1])
+        angles = [0.0, 90.0, 180.0, 270.0]
+        for integer in (False, True):
+            points = invariance_sweep(net, seed, angles, integer)
+            expected = per_angle_sweep(net, seed, angles, integer, True)
+            assert [p.discrepancy.hex() for p in points] == [want.hex() for want in expected]
+
     def test_only_off_grid_forwards_leave_the_fixed_order(self, monkeypatch):
         orders, moves = [], []
 
