@@ -20,8 +20,14 @@ cells from the rows; ``commutation_grid`` turns them into verdicts for
 library callers, and ``rotation_commutation`` is its one-triple grid of
 the quarter turn.
 
-The sweep's off-grid rotations are all ``_rotate_values``; rotating one map
-by one angle is its one-angle case.
+``measure`` and the sweep's right-angle rows read one comparison,
+``_compare_moved``: the forward of g * x that names its move against g
+times the base forward, at the depths a caller asks for.
+``profile_equivariance`` reads the group-valued depths of the raw input
+with ``equivariance_error``; ``invariance_sweep`` reads the final depth of
+the cropped input with ``max_abs_diff``.  The sweep's off-grid rotations
+are all ``_rotate_values``; rotating one map by one angle is its one-angle
+case.
 """
 
 from __future__ import annotations
@@ -193,6 +199,31 @@ def equivariance_error(a: FeatureMap, b: FeatureMap) -> float:
     return float(np.sqrt(np.sum(diff * diff)) / diff.size)
 
 
+def _seeded_input(net: Network, seed: int, integer_valued: bool) -> tuple[Network, FeatureMap]:
+    """The network with its weights and the input drawn from ``seed``."""
+    return seed_network(net, seed, integer_valued), random_feature_map(
+        [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued)
+
+
+def _compare_moved(seeded: Network, x: FeatureMap, base: list[FeatureMap], g: GroupElement,
+                   depths, error: Callable) -> tuple[int, dict[int, float]]:
+    """The one comparison of a moved forward with the moved base maps, read
+    by ``measure`` and by the sweep's right-angle rows.
+
+    Runs the forward of g * x that names ``Move(g, x, base)``, ``base``
+    being the forward of x (see ``layers.forward``), and returns how many
+    depths it reached and, for each of ``depths`` that it reached,
+    ``error(moved[d], g * base[d])``: g acts with ``act_full`` on a
+    group-valued map and with ``act_spatial`` on a planar one.  A depth
+    whose layer took g * base[d] reads 0.0, without a comparison and
+    without a move; any other base map is moved for its comparison only.
+    The forward is freed when this returns."""
+    moved = forward(seeded, act_spatial(g, x), moved=Move(g, x, base))
+    return len(moved), {d: 0.0 if moved[d] is None else error(
+        moved[d], act_full(g, base[d], seeded.kind) if base[d].group_size > 1
+        else act_spatial(g, base[d])) for d in depths if d < len(moved)}
+
+
 @dataclass(frozen=True)
 class ProfileEntry:
     layer_index: int
@@ -221,16 +252,11 @@ def profile_equivariance(
 ) -> EquivarianceProfile:
     """Measure the per-depth equivariance error of a randomly weighted net.
 
-    Weights and the input are drawn deterministically from ``seed``.  For
-    each requested group element g and every group-valued depth d the error
-    compares the forward pass of the transformed input against the fully
-    transformed activation of the plain input, g * base[d].  The
-    transformed forward names its move, ``Move(g, x, base)`` (see
-    ``layers.forward``), and holds None at each depth whose layer took
-    g * base[d]: that depth reads 0.0 without a comparison and without a
-    move.  Every other depth is compared with ``act_full(g, base[d])``,
-    moved for that comparison and freed after it.  One transformed forward
-    is held at a time; entries come out depth by depth, elements in order.
+    Weights and the input are drawn deterministically from ``seed``.  Each
+    requested group element g reads ``_compare_moved`` on the raw input at
+    every group-valued depth d, with ``equivariance_error`` against the
+    fully transformed activation g * base[d].  One moved forward is held
+    at a time; entries come out depth by depth, elements in order.
 
     A forward stops at the first layer whose output is not finite (an
     integer activation past the float64 range); the profile then covers
@@ -238,10 +264,7 @@ def profile_equivariance(
     """
     if group_elements is None:
         group_elements = tuple(g for g in elements(net.kind) if g != GroupElement(0))
-    seeded = seed_network(net, seed, integer_valued)
-    x = random_feature_map(
-        [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued
-    )
+    seeded, x = _seeded_input(net, seed, integer_valued)
     base = forward(seeded, x)
     reached = len(base) if net.layers else 0
     if reached < len(net.layers):  # the moved forwards stop there too
@@ -249,14 +272,9 @@ def profile_equivariance(
     depths = [d for d, act in enumerate(base[:reached]) if act.group_size > 1]
     errors = {}
     for g in group_elements:
-        moved = forward(seeded, act_spatial(g, x), moved=Move(g, x, base))
-        reached = min(reached, len(moved))
-        for d in depths:
-            if d < len(moved):
-                errors[d, g] = 0.0 if moved[d] is None else equivariance_error(
-                    moved[d], act_full(g, base[d], net.kind))
-        del moved  # freed before the next forward starts
-    entries = tuple(ProfileEntry(d, g, errors[d, g])
+        moved_reached, errors[g] = _compare_moved(seeded, x, base, g, depths, equivariance_error)
+        reached = min(reached, moved_reached)
+    entries = tuple(ProfileEntry(d, g, errors[g][d])
                     for d in depths if d < reached for g in group_elements)
     overflow_at = reached if reached < len(net.layers) else None
     return EquivarianceProfile(entries, overflow_at)
@@ -347,12 +365,12 @@ def invariance_sweep(
     filter's coordinates: on a network exact at every layer those rows are
     exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
     verdict and run with ``fixed_order=False``; their floats may differ in
-    the last bits.  A multiple of 360 degrees reuses the base forward; the
-    other right-angle rows move the cropped input by their quarter turn g,
-    which the disk mask keeps, and pass ``Move(g, cropped, base forward)``,
-    so their layers may take the base forward's maps; a map is moved only
-    where a computed layer or a byte comparison reads it (see
-    ``layers.forward``).
+    the last bits.  A multiple of 360 degrees reads 0.0 off the base
+    forward.  Every other right-angle row reads ``_compare_moved`` on the
+    cropped input, which the disk mask keeps under its quarter turn g, at
+    the final depth, with ``max_abs_diff``: one moved forward per distinct
+    quarter turn.  g moves no value of the invariant 1x1 head, so the row
+    is the max absolute difference of the final activations.
 
     A forward that stops at a value that is not finite (see
     ``layers.forward``) raises ActivationOverflow naming its layer, the
@@ -373,25 +391,24 @@ def invariance_sweep(
             f"(got group axis {final_g}, side {final_side}); "
             "end the network with coset and global pooling"
         )
-    seeded = seed_network(net, seed, integer_valued)
-    x = random_feature_map(
-        [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued
-    )
+    seeded, x = _seeded_input(net, seed, integer_valued)
     angles = list(angles)
     cropped = circle_crop(x)
     acts = forward(seeded, cropped)
     base = _final(seeded, acts)
+    last = len(acts) - 1
     turns = {a: GroupElement(int(a // 90) % 4) for a in angles if a % 90 == 0}
-    rows = {a: base if a % 360 == 0 else _final(
-        seeded, forward(seeded, act_spatial(g, cropped), moved=Move(g, cropped, acts)))
-        for a, g in turns.items()}
+    rows = {GroupElement(0): 0.0}  # the base forward's own row
+    for g in turns.values():
+        if g not in rows:
+            reached, errors = _compare_moved(seeded, cropped, acts, g, [last], max_abs_diff)
+            if reached < len(seeded.layers):
+                raise ActivationOverflow(reached)
+            rows[g] = errors[last]
     off_grid = _cropped_rotations(x, [a for a in angles if a % 90 != 0])
-    points = []
-    for angle in angles:
-        rotated = rows[angle] if angle % 90 == 0 else _final(
-            seeded, forward(seeded, next(off_grid), fixed_order=False))
-        points.append(SweepPoint(float(angle), max_abs_diff(base, rotated)))
-    return points
+    return [SweepPoint(float(a), rows[turns[a]] if a % 90 == 0 else max_abs_diff(
+        base, _final(seeded, forward(seeded, next(off_grid), fixed_order=False))))
+        for a in angles]
 
 
 def _final(net: Network, acts) -> FeatureMap:

@@ -800,13 +800,15 @@ class TestInvarianceSweep:
             return forward(net, fm, fixed_order=fixed_order, moved=moved)
 
         monkeypatch.setattr(metrics, "forward", recording_forward)
-        angles = [0.0, 45.0, 90.0, 360.0, 200.0, 270.0]
+        angles = [0.0, 45.0, 90.0, 360.0, 200.0, 270.0, 450.0]
         points = invariance_sweep(build_network(TOY41), 2, angles)
         # base, then 90 and 270 as moves of the base, then 45 and 200; the
-        # rows at 0 and 360 reuse the base forward
+        # rows at 0 and 360 reuse the base forward, the row at 450 the one
+        # at 90: one forward per distinct quarter turn
         assert orders == [True, True, True, False, False]
         assert moves == [None, GroupElement(1), GroupElement(3), None, None]
         assert points[0].discrepancy == points[3].discrepancy == 0.0
+        assert points[6].discrepancy == points[2].discrepancy
 
     def test_angle_zero_is_exactly_zero(self):
         net = build_network(TOY41)
