@@ -20,9 +20,8 @@ perfbench/tracing.py does, still sees every document written.
 An ``oracle`` document is built in one pass: each cell's indent-2 text is
 one %-template, for a cell that holds or for one that breaks, filled from
 (i, k, s), its three booleans and, for a broken cell, the ten ints of its
-commutation row (``metrics.commutation_rows``), in document order; no
-verdict or patch object is built per triple.  The text form's
-counterexample line is read from the same row.
+commutation row (``metrics.commutation_rows``), in document order.  The
+text form's counterexample line is read from the same row.
 _indent2 lays both templates out once, at import, from a model cell, so
 the layout is still the encoder's.  Each cell enters the ``cells`` list as
 a ``_Fragment``, a str subclass that _indent2 emits verbatim.  The one

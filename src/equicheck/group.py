@@ -10,8 +10,10 @@ the horizontal mirror is
 
     M_n(x, y) = (n-1-x, y).
 
-Each map is written once, on the two corners of an index patch
-(``rotate_corners``, ``mirror_corners``); the index maps are the same
+Each map is written once, on the two corners of an index patch, its
+top-left (x1, y1) and bottom-right (x2, y2) written as the four ints
+``(x1, y1, x2, y2)`` (``rotate_corners``, ``mirror_corners``;
+``check_corner_order`` checks their order); the index maps are the same
 formula on one-cell patches.  The corner and index maps and their range
 checks work elementwise on int arrays as well as on ints, the grid side
 included, so the commutation oracle can check the output cells of many
@@ -218,21 +220,6 @@ def mirror_index(n, x, y) -> tuple:
     arrays too, as :func:`rotate_index`."""
     _check_index(n, x, y)
     return _mirror(n, x, y, x, y)[:2]
-
-
-@dataclass(frozen=True)
-class IndexPatch:
-    """Axis-aligned block of integer indices, stored as its two corners.
-
-    ``top_left`` and ``bottom_right`` are (col, row) pairs;  the patch
-    contains every integer pair between them, inclusive.
-    """
-
-    top_left: tuple[int, int]
-    bottom_right: tuple[int, int]
-
-    def __post_init__(self):
-        check_corner_order(*self.top_left, *self.bottom_right)
 
 
 def act_values(g: GroupElement, vals: np.ndarray, kind: GroupKind | None = None) -> np.ndarray:

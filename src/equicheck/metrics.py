@@ -11,14 +11,15 @@ them by output side and compares each chunk of one side, at most
 ``ORACLE_BLOCK`` cells, in one int-array broadcast, through the same
 corner maps that transform a single patch (``group.rotate_corners`` and
 ``group.mirror_corners``); the modular rule is never evaluated.  Each
-triple gets a row: None if it holds, else the ten ints of its first
-mismatch, read from the arrays that flagged it and corner-order checked
-per chunk, in one array call, as an ``IndexPatch`` checks its own.  Sides
-run in order of first appearance, so of several invalid triples the first
-one of the first side that has one raises.  ``cli.cmd_oracle`` fills its
-cells from the rows; ``commutation_grid`` turns them into verdicts for
-library callers, and ``rotation_commutation`` is its one-triple grid of
-the quarter turn.
+triple gets a row: None if it holds, else the ten ints
+``(x, y, ox1, oy1, ox2, oy2, ix1, iy1, ix2, iy2)`` of its first mismatch,
+the output index and the corners of the patch via the output and via the
+input, read from the arrays that flagged it; the via-input corners are
+corner-order checked per chunk, in one array call.  Sides run in order of
+first appearance, so of several invalid triples the first one of the
+first side that has one raises.  ``cli.cmd_oracle`` fills its cells from
+the rows, and ``rotation_commutation`` is the row of one triple under the
+quarter turn.
 
 ``measure`` and the sweep's right-angle rows read one comparison,
 ``_compare_moved``: the forward of g * x that names its move against g
@@ -42,7 +43,6 @@ from .analyzer import output_size
 from .errors import ActivationOverflow, ConfigError, ShapeError
 from .group import (
     GroupElement,
-    IndexPatch,
     act_full,
     act_spatial,
     check_corner_order,
@@ -68,22 +68,6 @@ def _patch_corners(x, y, k, s) -> tuple:
     corners = (x1, y1, x1 + (k - 1), y1 + (k - 1))
     check_corner_order(*corners)
     return corners
-
-
-@dataclass(frozen=True)
-class Counterexample:
-    """First output index where patch-then-transform and transform-then-patch
-    disagree, with the two mismatching patches."""
-
-    output_index: tuple[int, int]
-    patch_via_output: IndexPatch
-    patch_via_input: IndexPatch
-
-
-@dataclass(frozen=True)
-class CommutationVerdict:
-    holds: bool
-    counterexample: Counterexample | None = None
 
 
 class Symmetry(NamedTuple):
@@ -166,27 +150,13 @@ def _first_mismatches(symmetry: Symmetry, n: int, chunk, iks, rows, found) -> bo
     return True
 
 
-def _verdict(row) -> CommutationVerdict:
-    """The verdict of one commutation row, its patches validated."""
-    if row is None:
-        return CommutationVerdict(True)
-    x, y, ox1, oy1, ox2, oy2, ix1, iy1, ix2, iy2 = row
-    return CommutationVerdict(False, Counterexample(
-        (x, y), IndexPatch((ox1, oy1), (ox2, oy2)), IndexPatch((ix1, iy1), (ix2, iy2))))
-
-
-def commutation_grid(triples, symmetry: Symmetry) -> list[CommutationVerdict]:
-    """Commutation verdict of every (i, k, s) triple, in order: the rows of
-    :func:`commutation_rows` as verdicts, each counterexample's two patches
-    built from its row.  Raises as that function does."""
-    return [_verdict(row) for row in commutation_rows(triples, symmetry)]
-
-
-def rotation_commutation(i: int, k: int, s: int) -> CommutationVerdict:
+def rotation_commutation(i: int, k: int, s: int) -> tuple[int, ...] | None:
     """Brute-force check that sampling indices commute with the quarter turn:
     for every output cell, the patch of the rotated output index must equal
-    the rotated patch of the original index."""
-    return commutation_grid([(i, k, s)], SYMMETRIES["rot"])[0]
+    the rotated patch of the original index.  Returns the triple's
+    commutation row: None if it holds, else the ten ints (x, y, ox1, oy1,
+    ox2, oy2, ix1, iy1, ix2, iy2) of its first mismatch."""
+    return commutation_rows([(i, k, s)], SYMMETRIES["rot"])[0]
 
 
 def equivariance_error(a: FeatureMap, b: FeatureMap) -> float:

@@ -50,8 +50,8 @@ def test_criterion_1_theorem_equivalence_exhaustive():
     start = time.perf_counter()
     mismatches = []
     for i, k, s in GRID:
-        rot = rotation_commutation(i, k, s).holds
-        mir = mirror_commutation(i, k, s).holds
+        rot = rotation_commutation(i, k, s) is None
+        mir = mirror_commutation(i, k, s) is None
         rule = (i - k) % s == 0
         if rot != rule or mir != rot:
             mismatches.append((i, k, s, rot, mir, rule))

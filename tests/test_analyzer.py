@@ -98,7 +98,7 @@ class TestCheckLayer:
         for i in range(2, 25):
             for k in range(1, min(5, i) + 1):
                 for s in range(1, 5):
-                    assert check_layer(i, k, s, 0) == rotation_commutation(i, k, s).holds
+                    assert check_layer(i, k, s, 0) == (rotation_commutation(i, k, s) is None)
 
 
 class TestAnalyze:

@@ -29,14 +29,14 @@ from equicheck.layers import (
     Layer, LayerKind, Move, Network, check_layer, circle_crop, forward, seed_network,
     walk_shapes,
 )
-from equicheck.metrics import SYMMETRIES, commutation_grid, rotation_commutation
+from equicheck.metrics import SYMMETRIES, commutation_rows, rotation_commutation
 from equicheck.tensor import random_feature_map
 
 
 def mirror_commutation(i, k, s):
-    """The oracle's verdict for one (i, k, s) triple under the mirror, the
+    """The oracle's row for one (i, k, s) triple under the mirror, the
     counterpart of ``rotation_commutation``."""
-    return commutation_grid([(i, k, s)], SYMMETRIES["mirror"])[0]
+    return commutation_rows([(i, k, s)], SYMMETRIES["mirror"])[0]
 
 
 @st.composite
@@ -411,17 +411,14 @@ class TestOracleCommand:
         for i in range(i_lo, i_hi + 1):
             for k in range(k_lo, min(k_hi, i) + 1):
                 for s in range(s_lo, s_hi + 1):
-                    verdict, condition = oracle(i, k, s), check_layer(i, k, s, 0)
-                    cell = {"i": i, "k": k, "s": s, "holds": verdict.holds,
-                            "condition": condition, "agree": verdict.holds == condition}
-                    if verdict.counterexample is not None:
-                        ce = verdict.counterexample
+                    row, condition = oracle(i, k, s), check_layer(i, k, s, 0)
+                    cell = {"i": i, "k": k, "s": s, "holds": row is None,
+                            "condition": condition, "agree": (row is None) == condition}
+                    if row is not None:
                         cell["counterexample"] = {
-                            "output_index": list(ce.output_index),
-                            "via_output": [list(ce.patch_via_output.top_left),
-                                           list(ce.patch_via_output.bottom_right)],
-                            "via_input": [list(ce.patch_via_input.top_left),
-                                          list(ce.patch_via_input.bottom_right)],
+                            "output_index": list(row[0:2]),
+                            "via_output": [list(row[2:4]), list(row[4:6])],
+                            "via_input": [list(row[6:8]), list(row[8:10])],
                         }
                     cells.append(cell)
         agreement = sum(c["agree"] for c in cells) / len(cells)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicheck import cli, metrics
+from equicheck import cli
 from equicheck.analyzer import check_layer
 from equicheck.cli import (
     EXIT_INEXACT,
@@ -30,7 +30,7 @@ from equicheck.cli import (
     run,
 )
 from equicheck.errors import EquicheckError
-from equicheck.metrics import SYMMETRIES, commutation_grid
+from equicheck.metrics import SYMMETRIES, commutation_rows
 
 #: Strings json escapes: control characters, DEL, the two line separators
 #: JavaScript treats as newlines, non-ASCII, astral and lone surrogates.
@@ -263,10 +263,10 @@ def test_each_document_is_written_by_json_dump(monkeypatch, capsys, tmp_path):
 
 
 def reference_oracle_document(args):
-    """The ``cmd_oracle`` body from before each cell was written as text,
-    kept verbatim but for its end: a dict per cell and a nested list per
-    corner pair, encoded by walking them.  Returns the document, the text
-    form and the exit code instead of emitting them."""
+    """The ``cmd_oracle`` body from before each cell was written as text: a
+    dict per cell and a nested list per corner pair, filled from the
+    commutation rows and encoded by walking them.  Returns the document,
+    the text form and the exit code instead of emitting them."""
     i_lo, i_hi = _parse_range(args.i_range, "--i-range")
     k_lo, k_hi = _parse_range(args.k_range, "--k-range")
     s_lo, s_hi = _parse_range(args.s_range, "--s-range")
@@ -287,20 +287,17 @@ def reference_oracle_document(args):
         )
     cells = []
     agreements = 0
-    for (i, k, s), verdict in zip(triples, commutation_grid(triples, SYMMETRIES[args.symmetry])):
+    for (i, k, s), row in zip(triples, commutation_rows(triples, SYMMETRIES[args.symmetry])):
         condition = check_layer(i, k, s, 0)
-        agree = verdict.holds == condition
+        agree = (row is None) == condition
         agreements += agree
-        cell = {"i": i, "k": k, "s": s, "holds": verdict.holds,
+        cell = {"i": i, "k": k, "s": s, "holds": row is None,
                 "condition": condition, "agree": agree}
-        if verdict.counterexample is not None:
-            ce = verdict.counterexample
+        if row is not None:
             cell["counterexample"] = {
-                "output_index": list(ce.output_index),
-                "via_output": [list(ce.patch_via_output.top_left),
-                               list(ce.patch_via_output.bottom_right)],
-                "via_input": [list(ce.patch_via_input.top_left),
-                              list(ce.patch_via_input.bottom_right)],
+                "output_index": list(row[0:2]),
+                "via_output": [list(row[2:4]), list(row[4:6])],
+                "via_input": [list(row[6:8]), list(row[8:10])],
             }
         cells.append(cell)
     if not cells:
@@ -330,25 +327,6 @@ def reference_oracle_document(args):
                      f"{ce['via_output']} vs {ce['via_input']}")
     return (_document("oracle", payload), "\n".join(lines),
             EXIT_OK if agreement == 1.0 else EXIT_INEXACT)
-
-
-def _no_verdict_objects(*args, **kwargs):
-    raise AssertionError("the oracle command built a per-triple verdict object")
-
-
-def test_the_oracle_command_builds_no_verdict_objects(monkeypatch, capsys):
-    # cells and the counterexample line are filled from commutation rows;
-    # the reference reads verdicts, so it runs before the patch
-    single = ["oracle", "--i-range", "3:3", "--k-range", "2:2", "--s-range", "2:2"]
-    want = [reference_oracle_document(cli._build_parser().parse_args(argv))
-            for argv in (["oracle", *RULE_GRID], single)]
-    for name in ("IndexPatch", "Counterexample", "CommutationVerdict"):
-        monkeypatch.setattr(metrics, name, _no_verdict_objects)
-    assert run(["oracle", *RULE_GRID, "--format", "structured"]) == want[0][2]
-    assert capsys.readouterr().out == cli._dumps_indent2(want[0][0]) + "\n"
-    assert run(single) == want[1][2]
-    assert capsys.readouterr().out == want[1][1] + "\n"
-    assert "counterexample at output index (0, 0)" in want[1][1]
 
 
 @st.composite

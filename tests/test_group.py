@@ -17,10 +17,10 @@ from equicheck.group import (
     ROT90,
     GroupElement,
     GroupKind,
-    IndexPatch,
     act_full,
     act_spatial,
     act_values,
+    check_corner_order,
     compose,
     elements,
     group_permutation,
@@ -37,16 +37,17 @@ P4M = list(elements(GroupKind.P4M))
 
 
 def all_patches(n):
+    """Every patch of an n-sized grid, as its corners (x1, y1, x2, y2)."""
     for x1 in range(n):
         for y1 in range(n):
             for x2 in range(x1, n):
                 for y2 in range(y1, n):
-                    yield IndexPatch((x1, y1), (x2, y2))
+                    yield (x1, y1, x2, y2)
 
 
 def cells(patch):
     """Every (col, row) pair a patch covers."""
-    (x1, y1), (x2, y2) = patch.top_left, patch.bottom_right
+    x1, y1, x2, y2 = patch
     return {(x, y) for y in range(y1, y2 + 1) for x in range(x1, x2 + 1)}
 
 
@@ -91,10 +92,6 @@ class TestIndexMaps:
             mirror_index(3, 0, -1)
 
 
-def corners(patch):
-    return patch.top_left + patch.bottom_right
-
-
 class TestPatchMaps:
     """The corner maps on whole patches."""
 
@@ -109,10 +106,10 @@ class TestPatchMaps:
     def test_rotate_order_four_exhaustive(self):
         for n in range(1, 9):
             for patch in all_patches(n):
-                p = corners(patch)
+                p = patch
                 for _ in range(4):
                     p = rotate_corners(n, *p)
-                assert p == corners(patch)
+                assert p == patch
 
     def test_mirror_patch_example(self):
         assert mirror_corners(5, 0, 0, 1, 1) == (3, 0, 4, 1)
@@ -120,7 +117,7 @@ class TestPatchMaps:
     def test_mirror_involution_exhaustive(self):
         for n in range(1, 9):
             for patch in all_patches(n):
-                assert mirror_corners(n, *mirror_corners(n, *corners(patch))) == corners(patch)
+                assert mirror_corners(n, *mirror_corners(n, *patch)) == patch
 
     def test_patch_maps_match_pointwise_index_sets(self):
         # mapping the corners must equal mapping the patch's index set
@@ -128,13 +125,15 @@ class TestPatchMaps:
             for patch in all_patches(n):
                 for corner_map, index_map in ((rotate_corners, rotate_index),
                                               (mirror_corners, mirror_index)):
-                    x1, y1, x2, y2 = corner_map(n, *corners(patch))
+                    mapped_patch = corner_map(n, *patch)
                     mapped = {index_map(n, x, y) for (x, y) in cells(patch)}
-                    assert cells(IndexPatch((x1, y1), (x2, y2))) == mapped
+                    check_corner_order(*mapped_patch)
+                    assert cells(mapped_patch) == mapped
 
     def test_invalid_patch(self):
-        with pytest.raises(PatchError):
-            IndexPatch((2, 0), (1, 1))
+        with pytest.raises(PatchError) as err:
+            check_corner_order(2, 0, 1, 1)
+        assert str(err.value) == "corners out of order: (2, 0) vs (1, 1)"
         with pytest.raises(PatchError):
             rotate_corners(3, 0, 0, 3, 3)
 
@@ -146,7 +145,7 @@ class TestArrayMaps:
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_corner_maps_match_patch_maps(self, n):
         # the array maps against the scalar maps, patch by patch
-        patches = [corners(p) for p in all_patches(n)]
+        patches = list(all_patches(n))
         columns = [np.array(c) for c in zip(*patches)]
         for corner_map in (rotate_corners, mirror_corners):
             mapped = np.stack(corner_map(n, *columns), axis=1)

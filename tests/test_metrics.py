@@ -23,7 +23,6 @@ from equicheck.errors import ConfigError, DimensionError, PatchError, ShapeError
 from equicheck.group import (
     GroupElement,
     GroupKind,
-    IndexPatch,
     act_full,
     act_spatial,
     check_corner_order,
@@ -36,8 +35,6 @@ from equicheck.group import (
 from equicheck.layers import Layer, LayerKind, Network, circle_crop, forward, seed_network
 from equicheck.metrics import (
     SYMMETRIES,
-    CommutationVerdict,
-    Counterexample,
     equivariance_error,
     invariance_sweep,
     profile_equivariance,
@@ -48,7 +45,8 @@ from equicheck.tensor import FeatureMap, max_abs_diff, random_feature_map
 
 
 # The scalar patch maps the oracle once rebuilt its counterexamples with,
-# kept verbatim as the per-cell reference: one IndexPatch per call.
+# kept as the per-cell reference: one patch per call, as its corners
+# (x1, y1, x2, y2), checked with check_corner_order.
 
 
 def _patch_corners(x, y, k, s) -> tuple:
@@ -60,65 +58,66 @@ def _patch_corners(x, y, k, s) -> tuple:
     return corners
 
 
-def index_patch(x: int, y: int, k: int, s: int) -> IndexPatch:
+def checked_patch(x1, y1, x2, y2) -> tuple[int, int, int, int]:
+    """A patch's corners as Python ints; PatchError if they are out of order."""
+    check_corner_order(x1, y1, x2, y2)
+    return int(x1), int(y1), int(x2), int(y2)
+
+
+def index_patch(x: int, y: int, k: int, s: int) -> tuple[int, int, int, int]:
     """Input indices read by a stride-s, size-k kernel for output cell (x, y)."""
     if x < 0 or y < 0:
         raise ValueError(f"output index must be non-negative, got ({x}, {y})")
-    x1, y1, x2, y2 = _patch_corners(x, y, k, s)
-    return IndexPatch((x1, y1), (x2, y2))
+    return checked_patch(*_patch_corners(x, y, k, s))
 
 
-def rotate_patch(n: int, patch: IndexPatch) -> IndexPatch:
+def rotate_patch(n: int, patch: tuple) -> tuple[int, int, int, int]:
     """Quarter-turn map on a whole patch, via :func:`rotate_corners`."""
-    x1, y1, x2, y2 = rotate_corners(n, *patch.top_left, *patch.bottom_right)
-    return IndexPatch((x1, y1), (x2, y2))
+    return checked_patch(*rotate_corners(n, *patch))
 
 
-def mirror_patch(n: int, patch: IndexPatch) -> IndexPatch:
+def mirror_patch(n: int, patch: tuple) -> tuple[int, int, int, int]:
     """Horizontal mirror of a whole patch, via :func:`mirror_corners`."""
-    x1, y1, x2, y2 = mirror_corners(n, *patch.top_left, *patch.bottom_right)
-    return IndexPatch((x1, y1), (x2, y2))
+    return checked_patch(*mirror_corners(n, *patch))
 
 
-class TestIndexPatch:
+class TestCellPatch:
     def test_origin_cell(self):
-        assert index_patch(0, 0, 2, 2) == IndexPatch((0, 0), (1, 1))
+        assert index_patch(0, 0, 2, 2) == (0, 0, 1, 1)
 
     def test_strided_cell(self):
-        assert index_patch(1, 0, 2, 2) == IndexPatch((2, 0), (3, 1))
+        assert index_patch(1, 0, 2, 2) == (2, 0, 3, 1)
 
     def test_cardinality_is_k_squared(self):
         for (x, y, k, s) in [(0, 0, 3, 1), (2, 1, 4, 2), (5, 5, 1, 3)]:
-            patch = index_patch(x, y, k, s)
-            (x1, y1), (x2, y2) = patch.top_left, patch.bottom_right
+            x1, y1, x2, y2 = index_patch(x, y, k, s)
             cells = {(u, v) for v in range(y1, y2 + 1) for u in range(x1, x2 + 1)}
             assert len(cells) == k * k
 
 
 class TestCommutationOracles:
     def test_five_two_two_breaks(self):
-        verdict = rotation_commutation(5, 2, 2)
-        assert verdict.holds is False
-        assert verdict.counterexample is not None
+        # the output index, then the corners of the patch via the output
+        # and via the input; (3, 2, 2) is the CI's counterexample line
+        assert rotation_commutation(5, 2, 2) == (0, 0, 0, 2, 1, 3, 0, 3, 1, 4)
+        assert rotation_commutation(3, 2, 2) == (0, 0, 0, 0, 1, 1, 0, 1, 1, 2)
 
     def test_four_two_two_holds(self):
-        verdict = rotation_commutation(4, 2, 2)
-        assert verdict.holds is True
-        assert verdict.counterexample is None
+        assert rotation_commutation(4, 2, 2) is None
 
     def test_paper_toy_sizes(self):
-        assert rotation_commutation(33, 3, 2).holds is True
-        assert rotation_commutation(32, 3, 2).holds is False
+        assert rotation_commutation(33, 3, 2) is None
+        assert rotation_commutation(32, 3, 2) is not None
 
     def test_mirror_small_cases(self):
-        assert mirror_commutation(5, 2, 2).holds is False
-        assert mirror_commutation(4, 2, 2).holds is True
+        assert mirror_commutation(5, 2, 2) is not None
+        assert mirror_commutation(4, 2, 2) is None
 
     def test_mirror_matches_rotation_on_grid(self):
         for i in range(2, 25):
             for k in range(1, min(5, i) + 1):
                 for s in range(1, 5):
-                    assert mirror_commutation(i, k, s).holds == rotation_commutation(i, k, s).holds
+                    assert (mirror_commutation(i, k, s) is None) == (rotation_commutation(i, k, s) is None)
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
@@ -127,7 +126,8 @@ class TestCommutationOracles:
 
 def per_cell_commutation(i, k, s, index_map, patch_map):
     """Reference oracle: one scalar patch comparison per output cell, in
-    row-major order, stopping at the first mismatch."""
+    row-major order, stopping at the first mismatch.  Returns the triple's
+    row: None, or the output index and the two patches' corners."""
     o = output_size(i, k, s)
     for y in range(o):
         for x in range(o):
@@ -135,8 +135,8 @@ def per_cell_commutation(i, k, s, index_map, patch_map):
             via_output = index_patch(ox, oy, k, s)
             via_input = patch_map(i, index_patch(x, y, k, s))
             if via_output != via_input:
-                return CommutationVerdict(False, Counterexample((x, y), via_output, via_input))
-    return CommutationVerdict(True)
+                return (x, y, *via_output, *via_input)
+    return None
 
 
 ORACLES = [
@@ -153,16 +153,14 @@ def planted_corners(n, x1, y1, x2, y2):
 
 
 def planted_patch(n, patch):
-    rx1, ry1, rx2, ry2 = planted_corners(n, *patch.top_left, *patch.bottom_right)
-    return IndexPatch((rx1, ry1), (rx2, ry2))
+    return checked_patch(*planted_corners(n, *patch))
 
 
 PLANTED = Symmetry(rotate_index, planted_corners)
 
 
 class TestOracleMatchesPerCellLoop:
-    """The array oracle against the per-cell loop, verdict and counterexample
-    alike."""
+    """The array oracle against the per-cell loop, row for row."""
 
     @pytest.mark.parametrize("oracle, index_map, patch_map", ORACLES)
     def test_grid(self, oracle, index_map, patch_map):
@@ -190,8 +188,8 @@ class TestOracleMatchesPerCellLoop:
         # row-major order, (2, 3) in column-major order.
         monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
         expected = per_cell_commutation(9, 1, 1, rotate_index, planted_patch)
-        assert expected.counterexample.output_index == (7, 1)
-        (got,) = metrics.commutation_grid([(9, 1, 1)], PLANTED)
+        assert expected[:2] == (7, 1)
+        (got,) = metrics.commutation_rows([(9, 1, 1)], PLANTED)
         assert got == expected
 
     @pytest.mark.parametrize("oracle, index_map, patch_map", ORACLES)
@@ -209,33 +207,29 @@ class TestOracleMatchesPerCellLoop:
         assert str(got.value) == str(expected.value)
 
     def test_grid_memory_stays_bounded(self):
-        # every side here is at most 40, so each chunk is small.  The verdicts
-        # peak at about 0.57 MiB on a first call.  The rows they are built
-        # from, measured second, peak at about 0.17 MiB, most of it the 695
-        # ten-int rows of the broken triples
+        # every side here is at most 40, so each chunk is small.  The rows
+        # peak at about 0.2 MiB on a first call and 0.14 MiB after it, most
+        # of it the 695 ten-int rows of the broken triples
         triples = [(i, k, s) for i in range(2, 41) for k in range(1, min(i, 7) + 1)
                    for s in range(1, 6)]
-        peaks = []
-        for oracle in (metrics.commutation_grid, metrics.commutation_rows):
-            tracemalloc.start()
-            try:
-                got = oracle(triples, SYMMETRIES["rot"])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert len(got) == 1290
-        assert peaks[0] < 4 * 2**20
-        assert peaks[1] < 0.25 * 2**20
+        tracemalloc.start()
+        try:
+            got = metrics.commutation_rows(triples, SYMMETRIES["rot"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 1290
+        assert peak < 0.25 * 2**20
 
     def test_memory_stays_bounded(self):
         # one full o*o int64 array would be 2049**2 * 8 bytes = 33.6 MB
         tracemalloc.start()
         try:
-            holds = rotation_commutation(2049, 1, 1).holds
+            row = rotation_commutation(2049, 1, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert holds is True
+        assert row is None
         assert peak < 16 * 2**20
 
 
@@ -261,7 +255,7 @@ class TestCommutationGrid:
     @pytest.mark.parametrize("symmetry, index_map, patch_map", SYMMETRY_MAPS)
     def test_matches_per_cell_loop(self, monkeypatch, block, symmetry, index_map, patch_map):
         monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
-        got = metrics.commutation_grid(GRID, SYMMETRIES[symmetry])
+        got = metrics.commutation_rows(GRID, SYMMETRIES[symmetry])
         assert got == per_cell_grid(GRID, index_map, patch_map)
 
     # blocks this small take seconds on GRID, so they run on a smaller one
@@ -269,7 +263,7 @@ class TestCommutationGrid:
     @pytest.mark.parametrize("symmetry, index_map, patch_map", SYMMETRY_MAPS)
     def test_small_blocks_split_triples(self, monkeypatch, block, symmetry, index_map, patch_map):
         monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
-        got = metrics.commutation_grid(SMALL_GRID, SYMMETRIES[symmetry])
+        got = metrics.commutation_rows(SMALL_GRID, SYMMETRIES[symmetry])
         assert got == per_cell_grid(SMALL_GRID, index_map, patch_map)
 
     @pytest.mark.parametrize("block", [1, 3, 7, 20, 50, metrics.ORACLE_BLOCK])
@@ -281,11 +275,9 @@ class TestCommutationGrid:
         # boundary.
         monkeypatch.setattr(metrics, "ORACLE_BLOCK", block)
         triples = [(4, 1, 1), (3, 1, 1), (9, 1, 1)]
-        got = metrics.commutation_grid(triples, PLANTED)
+        got = metrics.commutation_rows(triples, PLANTED)
         assert got == [per_cell_commutation(*t, rotate_index, planted_patch) for t in triples]
-        assert [v.counterexample.output_index if v.counterexample else None for v in got] == [
-            (2, 3), None, (7, 1)
-        ]
+        assert [None if row is None else row[:2] for row in got] == [(2, 3), None, (7, 1)]
 
     def test_broken_triple_stops_at_its_first_mismatching_block(self, monkeypatch):
         # (21, 2, 2) has 100 cells and breaks at its first, so only its first
@@ -298,8 +290,8 @@ class TestCommutationGrid:
 
         monkeypatch.setattr(metrics, "ORACLE_BLOCK", 10)
         counting = Symmetry(rotate_index, counting_corners)
-        got = metrics.commutation_grid([(21, 2, 2), (4, 2, 2)], counting)
-        assert [v.holds for v in got] == [False, True]
+        got = metrics.commutation_rows([(21, 2, 2), (4, 2, 2)], counting)
+        assert [row is None for row in got] == [False, True]
         assert cells == [10, 4]
 
     @pytest.mark.parametrize("symmetry, index_map, patch_map", SYMMETRY_MAPS)
@@ -311,11 +303,10 @@ class TestCommutationGrid:
         with pytest.raises(error) as expected:
             per_cell_commutation(*args, index_map, patch_map)
         with pytest.raises(error) as got:
-            metrics.commutation_grid([(4, 2, 2), (5, 2, 2), (9, 3, 1), args], SYMMETRIES[symmetry])
+            metrics.commutation_rows([(4, 2, 2), (5, 2, 2), (9, 3, 1), args], SYMMETRIES[symmetry])
         assert str(got.value) == str(expected.value)
 
     def test_empty_grid(self):
-        assert metrics.commutation_grid([], SYMMETRIES["rot"]) == []
         assert metrics.commutation_rows([], SYMMETRIES["rot"]) == []
 
     def test_triple_past_int64_raises_where_its_chunk_runs(self):
@@ -338,7 +329,7 @@ class TestCommutationGrid:
         with pytest.raises(PatchError) as other:
             per_cell_commutation(5, 0, 1, index_map, patch_map)
         with pytest.raises(PatchError) as got:
-            metrics.commutation_grid([(4, 2, 2), (5, 0, 1), (1, 0, 1)], SYMMETRIES[symmetry])
+            metrics.commutation_rows([(4, 2, 2), (5, 0, 1), (1, 0, 1)], SYMMETRIES[symmetry])
         assert str(got.value) == str(expected.value) != str(other.value)
 
     def test_wide_triple_runs_in_small_bands(self):
@@ -346,11 +337,11 @@ class TestCommutationGrid:
         # 0.11 MiB; bands of eight times the cells peak at 0.27 MiB
         tracemalloc.start()
         try:
-            (verdict,) = metrics.commutation_grid([(2049, 1, 1)], SYMMETRIES["rot"])
+            (row,) = metrics.commutation_rows([(2049, 1, 1)], SYMMETRIES["rot"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert verdict.holds is True
+        assert row is None
         assert peak < 0.25 * 2**20
 
 
@@ -368,7 +359,8 @@ def triple_lists(draw):
 
 
 class TestGridProperty:
-    """Random triple lists and chunk bounds against the per-cell loop."""
+    """Random triple lists and chunk bounds against the per-cell loop: the
+    same rows, each None or ten Python ints."""
 
     @pytest.mark.parametrize("symmetry, index_map, patch_map", [
         pytest.param(SYMMETRIES["rot"], rotate_index, rotate_patch, id="rot"),
@@ -380,8 +372,10 @@ class TestGridProperty:
     def test_matches_per_cell_loop(self, symmetry, index_map, patch_map, triples, block):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "ORACLE_BLOCK", block)
-            got = metrics.commutation_grid(triples, symmetry)
+            got = metrics.commutation_rows(triples, symmetry)
         assert got == per_cell_grid(triples, index_map, patch_map)
+        assert all(row is None or (len(row) == 10 and all(type(v) is int for v in row))
+                   for row in got)
 
 
 def disordered_corners(n, x1, y1, x2, y2):
@@ -393,29 +387,12 @@ def disordered_corners(n, x1, y1, x2, y2):
 
 
 def disordered_patch(n, patch):
-    x1, y1, x2, y2 = disordered_corners(n, *patch.top_left, *patch.bottom_right)
-    return IndexPatch((int(x1), int(y1)), (int(x2), int(y2)))
+    return checked_patch(*disordered_corners(n, *patch))
 
 
 class TestCommutationRows:
-    """The rows are the grid's one implementation: its verdicts are built
-    from them, and they keep the corner-order check a patch makes."""
-
-    @pytest.mark.parametrize("symmetry", [
-        pytest.param(SYMMETRIES["rot"], id="rot"),
-        pytest.param(SYMMETRIES["mirror"], id="mirror"),
-        pytest.param(PLANTED, id="planted"),
-    ])
-    @settings(max_examples=100, deadline=None)
-    @given(triples=triple_lists(), block=st.integers(1, 256) | st.just(metrics.ORACLE_BLOCK))
-    def test_verdicts_are_the_rows(self, symmetry, triples, block):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(metrics, "ORACLE_BLOCK", block)
-            got = metrics.commutation_grid(triples, symmetry)
-            rows = metrics.commutation_rows(triples, symmetry)
-        assert got == [metrics._verdict(row) for row in rows]
-        assert all(row is None or (len(row) == 10 and all(type(v) is int for v in row))
-                   for row in rows)
+    """The rows keep the corner-order check the reference makes on each
+    via-input patch."""
 
     @pytest.mark.parametrize("block", [1, 7, metrics.ORACLE_BLOCK])
     def test_out_of_order_via_input_corners_raise_like_a_patch(self, monkeypatch, block):
@@ -426,10 +403,9 @@ class TestCommutationRows:
             per_cell_commutation(9, 2, 1, rotate_index, disordered_patch)
         assert str(expected.value) == "corners out of order: (2, 0) vs (1, 1)"
         disordered = Symmetry(rotate_index, disordered_corners)
-        for oracle in (metrics.commutation_rows, metrics.commutation_grid):
-            with pytest.raises(PatchError) as got:
-                oracle([(4, 2, 2), (9, 2, 1)], disordered)
-            assert str(got.value) == str(expected.value)
+        with pytest.raises(PatchError) as got:
+            metrics.commutation_rows([(4, 2, 2), (9, 2, 1)], disordered)
+        assert str(got.value) == str(expected.value)
 
 
 class TestEquivarianceError:
