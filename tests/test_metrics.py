@@ -391,8 +391,28 @@ def disordered_patch(n, patch):
 
 
 class TestCommutationRows:
-    """The rows keep the corner-order check the reference makes on each
-    via-input patch."""
+    """A batch's rows are those of its triples run one at a time, and they
+    keep the corner-order check the reference makes on each via-input
+    patch."""
+
+    @pytest.mark.parametrize("symmetry", [
+        pytest.param(SYMMETRIES["rot"], id="rot"),
+        pytest.param(SYMMETRIES["mirror"], id="mirror"),
+        pytest.param(PLANTED, id="planted"),
+    ])
+    @settings(max_examples=100, deadline=None)
+    @given(triples=triple_lists(), block=st.integers(1, 256) | st.just(metrics.ORACLE_BLOCK))
+    def test_verdicts_are_the_rows(self, symmetry, triples, block):
+        # a triple's verdict is its own row, whatever triples share its chunks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "ORACLE_BLOCK", block)
+            rows = metrics.commutation_rows(triples, symmetry)
+            alone = [metrics.commutation_rows([t], symmetry)[0] for t in triples]
+        assert rows == alone
+        assert all(row is None or (len(row) == 10 and all(type(v) is int for v in row))
+                   for row in rows)
+        if symmetry is SYMMETRIES["rot"]:
+            assert rows == [rotation_commutation(*t) for t in triples]
 
     @pytest.mark.parametrize("block", [1, 7, metrics.ORACLE_BLOCK])
     def test_out_of_order_via_input_corners_raise_like_a_patch(self, monkeypatch, block):
