@@ -34,10 +34,9 @@ bytes as slot g on x and runs the same matmuls on them, so the layer
 commutes with h bit for bit: a network exact at every layer gives
 equivariance errors of exactly 0.0, at any depth, width or weight scale,
 in float and integer mode alike.
-Global average pooling sums sorted values, so it keeps that property.  A
-forward whose floats no verdict reads, such as an off-grid angle of the
-invariance sweep, passes ``fixed_order=False`` and takes that one BLAS
-product whatever its operands; its floats may differ in the last bits.
+Global average pooling sums sorted values, so it keeps that property.
+Every forward takes one of these two routes, so no float depends on the
+BLAS thread count.
 
 The matmuls of a slot are a pure function of its staged operand, the bank
 and the stride, so a moved forward need not run them again on bytes the
@@ -296,9 +295,8 @@ def _contract(vals: np.ndarray, bank: np.ndarray, s: int) -> np.ndarray:
     The windows are one strided view of ``vals``, axes (C, G, k, k, o, o),
     copied once into the (C*G*k*k, o*o) matrix; the bank is the left
     operand, viewed as (|G|*O, C*G*k*k).  The summation order is
-    BLAS's own, so it serves integer operands within the Hoelder bound,
-    whose sums are exact in any order, and float operands whose last bits
-    no verdict reads."""
+    BLAS's own, so it serves only integer operands within the Hoelder
+    bound, whose every partial sum is exact in any order."""
     slots, o_ch, c, g, k, _ = bank.shape
     o = (vals.shape[-1] - k) // s + 1
     sc, sg, sy, sx = vals.strides
@@ -378,37 +376,33 @@ def _moves_base_call(fm: FeatureMap, x0: FeatureMap, layer: Layer, kind: GroupKi
 
 
 def _group_conv(
-    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int, p: int,
-    *, fixed_order: bool = True,
+    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int, p: int
 ) -> FeatureMap:
     """The one body of conv2d, gconv_lift and gconv: output slot g is the
     correlation with act_values(g, filters.values, kind), for every g in
     elements(kind); z2 is the one-slot case.  Integer operands within the
-    Hoelder bound max|x| * max_o ||w_o||_1 < 2**53, and every operand when
-    ``fixed_order`` is False, go through the BLAS ``_contract`` on the
-    stacked bank.  Every other conv is summed in the base bank's
-    coordinates by ``_base_correlate``, which makes a rule-exact layer
-    commute with the group bit for bit at any magnitude."""
+    Hoelder bound max|x| * max_o ||w_o||_1 < 2**53 go through the BLAS
+    ``_contract`` on the stacked bank, whose sums are exact in any order.
+    Every other conv is summed in the base bank's coordinates by
+    ``_base_correlate``, which makes a rule-exact layer commute with the
+    group bit for bit at any magnitude; neither route's bits depend on the
+    BLAS thread count."""
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
-    if not fixed_order or _exact_in_any_order(fm.values, filters):
+    if _exact_in_any_order(fm.values, filters):
         bank = _stacked(filters, kind)
         return FeatureMap._from_layer(_contract(vals, bank, s).transpose(1, 0, 2, 3))
     return FeatureMap._from_layer(_base_correlate(vals, filters.values, kind, s))
 
 
-def conv2d(
-    fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0,
-    *, fixed_order: bool = True,
-) -> FeatureMap:
+def conv2d(fm: FeatureMap, filters: FilterBank, s: int = 1, p: int = 0) -> FeatureMap:
     """Plain strided cross-correlation contracting channel and group axes;
     output side is floor((i + 2p - k)/s) + 1 and the output group axis is 1."""
-    return _group_conv(fm, filters, GroupKind.Z2, s, p, fixed_order=fixed_order)
+    return _group_conv(fm, filters, GroupKind.Z2, s, p)
 
 
 def gconv_lift(
-    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0,
-    *, fixed_order: bool = True,
+    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0
 ) -> FeatureMap:
     """Lifting group convolution: planar input, one output slot per group
     element, each the correlation with the g-transformed kernels."""
@@ -416,19 +410,18 @@ def gconv_lift(
         raise ShapeError("lifting requires a non-trivial group; use conv2d for z2")
     if fm.group_size != 1:
         raise ShapeError(f"lifting expects a planar input, got group axis {fm.group_size}")
-    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order)
+    return _group_conv(fm, filters, kind, s, p)
 
 
 def gconv(
-    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0,
-    *, fixed_order: bool = True,
+    fm: FeatureMap, filters: FilterBank, kind: GroupKind, s: int = 1, p: int = 0
 ) -> FeatureMap:
     """Group convolution on a group-valued input; preserves the group axis."""
     if kind is GroupKind.Z2:
         raise ShapeError("group convolution requires a non-trivial group")
     if fm.group_size != kind.size:
         raise ShapeError(f"expected group axis {kind.size}, got {fm.group_size}")
-    return _group_conv(fm, filters, kind, s, p, fixed_order=fixed_order)
+    return _group_conv(fm, filters, kind, s, p)
 
 
 def maxpool(fm: FeatureMap, k: int, s: int) -> FeatureMap:
@@ -548,16 +541,14 @@ def seed_network(net: Network, seed, integer_valued: bool = False) -> Network:
     return replace(net, weights=tuple(weights))
 
 
-def _apply(
-    layer: Layer, weights, fm: FeatureMap, kind: GroupKind, fixed_order: bool
-) -> FeatureMap:
+def _apply(layer: Layer, weights, fm: FeatureMap, kind: GroupKind) -> FeatureMap:
     lk = layer.kind
     if lk is LayerKind.GCONV_LIFT:
-        return gconv_lift(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order)
+        return gconv_lift(fm, weights, kind, layer.s, layer.p)
     if lk is LayerKind.GCONV:
-        return gconv(fm, weights, kind, layer.s, layer.p, fixed_order=fixed_order)
+        return gconv(fm, weights, kind, layer.s, layer.p)
     if lk is LayerKind.CONV2D:
-        return conv2d(fm, weights, layer.s, layer.p, fixed_order=fixed_order)
+        return conv2d(fm, weights, layer.s, layer.p)
     if lk is LayerKind.MAXPOOL:
         return maxpool(fm, layer.k, layer.s)
     if lk is LayerKind.RELU:
@@ -612,23 +603,19 @@ def _takes(moved: Move, kind: GroupKind, idx: int, layer: Layer,
 
 
 def forward(
-    net: Network, fm: FeatureMap, *, fixed_order: bool = True, moved: Move | None = None
+    net: Network, fm: FeatureMap, *, moved: Move | None = None
 ) -> list[FeatureMap | None]:
     """Evaluate the network, returning one activation per layer (final last).
 
-    By default float convs, and integer ones past the Hoelder bound, sum in
-    the base filter's coordinates, so a network that keeps the rule at
-    every layer commutes with the group bit for bit.  With ``fixed_order``
-    False they use BLAS's summation order on the stacked bank instead: the
-    same function, but its last bits may differ and g*x may round
-    differently from x, so it is for forwards whose floats no verdict
-    reads.  Integer operands within the bound give the same bits either
-    way.  An empty network returns just the input.  The forward stops at
-    the first layer whose output holds a value that is not finite, such as
-    an integer activation past the float64 range, and returns the
-    activations before it, so a list shorter than the layers names that
-    layer by its length.  Other layer failures are re-raised with the layer
-    index attached.
+    Float convs, and integer ones past the Hoelder bound, sum in the base
+    filter's coordinates, so a network that keeps the rule at every layer
+    commutes with the group bit for bit, and no activation depends on the
+    BLAS thread count.  An empty network returns just the input.  The
+    forward stops at the first layer whose output holds a value that is not
+    finite, such as an integer activation past the float64 range, and
+    returns the activations before it, so a list shorter than the layers
+    names that layer by its length.  Other layer failures are re-raised
+    with the layer index attached.
 
     ``moved=Move(g, x, base)`` says that ``fm`` is g * ``x`` and ``base``
     is ``forward(net, x)``.  Here alone it is decided where a layer takes
@@ -646,15 +633,14 @@ def forward(
     average pool takes it when the layer before took its own, as each
     moves with its input bit for bit.  A max pool is computed, as a tie of
     +0.0 and -0.0 may resolve either way, and so is a conv2d, whose output
-    is planar, and every layer from the one ``base`` stopped at on.  With
-    ``fixed_order`` False every layer is computed.  After a layer that
-    took its map, a computed layer or a conv's comparison reads g *
-    ``base[d - 1]``, moved there with ``act_full``, once.
+    is planar, and every layer from the one ``base`` stopped at on.  After
+    a layer that took its map, a computed layer or a conv's comparison
+    reads g * ``base[d - 1]``, moved there with ``act_full``, once.
     """
     n = fm.height
     if n != net.input_size:
         raise ShapeError(f"input is {n}x{n}, network declares {net.input_size}")
-    if not (fixed_order and moved is not None and moved.g in elements(net.kind)):
+    if moved is not None and moved.g not in elements(net.kind):
         moved = None  # every layer is computed
     acts: list[FeatureMap | None] = []
     current = fm  # None after a layer that took its moved map
@@ -673,7 +659,7 @@ def forward(
                 if current is None:  # the layer reads the map the one before took
                     current = act_full(moved.g, moved.base[idx - 1], net.kind)
             try:
-                current = _apply(layer, w, current, net.kind, fixed_order)
+                current = _apply(layer, w, current, net.kind)
             except NonFiniteError:
                 break
             except ShapeError as exc:

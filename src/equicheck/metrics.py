@@ -21,14 +21,16 @@ first side that has one raises.  ``cli.cmd_oracle`` fills its cells from
 the rows, and ``rotation_commutation`` is the row of one triple under the
 quarter turn.
 
-``measure`` and the sweep's right-angle rows read one comparison,
-``_compare_moved``: the forward of g * x that names its move against g
-times the base forward, at the depths a caller asks for.
-``profile_equivariance`` reads the group-valued depths of the raw input
-with ``equivariance_error``; ``invariance_sweep`` reads the final depth of
-the cropped input with ``max_abs_diff``.  The sweep's off-grid rotations
-are all ``_rotate_values``; rotating one map by one angle is its one-angle
-case.
+``measure`` reads ``_compare_moved``: the forward of g * x that names its
+move against g times the base forward, at the group-valued depths of the
+raw input, with ``equivariance_error``.  ``invariance_sweep`` reads every
+angle as a quarter turn of its residue modulo 90 degrees: one plain forward
+per distinct residue, the right angles' being the base forward of the
+cropped input, and one moved forward per distinct quarter turn of it, each
+row the ``max_abs_diff`` of its final map and the base one.  Every forward
+sums in a fixed order, so no row depends on the BLAS thread count.  The
+sweep's off-grid rotations are all ``_rotate_values``; rotating one map by
+one angle is its one-angle case.
 """
 
 from __future__ import annotations
@@ -177,8 +179,8 @@ def _seeded_input(net: Network, seed: int, integer_valued: bool) -> tuple[Networ
 
 def _compare_moved(seeded: Network, x: FeatureMap, base: list[FeatureMap], g: GroupElement,
                    depths, error: Callable) -> tuple[int, dict[int, float]]:
-    """The one comparison of a moved forward with the moved base maps, read
-    by ``measure`` and by the sweep's right-angle rows.
+    """The comparison of a moved forward with the moved base maps that
+    ``measure`` reads.
 
     Runs the forward of g * x that names ``Move(g, x, base)``, ``base``
     being the forward of x (see ``layers.forward``), and returns how many
@@ -300,7 +302,7 @@ ROTATION_CHUNK_ELEMENTS = 1 << 13
 
 def _cropped_rotations(x: FeatureMap, angles):
     """Yield the circle crop of the one-angle rotation
-    ``_rotate_values(x.values, [a])`` for every off-grid angle a, in order,
+    ``_rotate_values(x.values, [a])`` for every angle a, in order,
     bit for bit: the angles are rotated and cropped in chunks of at most
     ROTATION_CHUNK_ELEMENTS elements (one angle at least), each one pass of
     ``_rotate_values``, and a chunk is computed only when the maps before
@@ -330,27 +332,34 @@ def invariance_sweep(
     difference of the final activations.  Requires a network whose head is
     invariant-shaped (group axis reduced to 1, spatial extent 1x1).
 
-    The verdict reads the rows at multiples of 90 degrees, so those
-    forwards and the base forward sum their float convs in the base
-    filter's coordinates: on a network exact at every layer those rows are
-    exactly 0.0 in float mode as in integer mode.  Off-grid rows carry no
-    verdict and run with ``fixed_order=False``; their floats may differ in
-    the last bits.  A multiple of 360 degrees reads 0.0 off the base
-    forward.  Every other right-angle row reads ``_compare_moved`` on the
-    cropped input, which the disk mask keeps under its quarter turn g, at
-    the final depth, with ``max_abs_diff``: one moved forward per distinct
-    quarter turn.  g moves no value of the invariant 1x1 head, so the row
-    is the max absolute difference of the final activations.
+    An angle a is the quarter turn r^q of its residue rho = a % 90, with
+    q = int(a // 90) % 4, and its input is r^q applied to y_rho, the
+    cropped input for rho = 0 and the circle crop of the one-angle
+    rotation ``_rotate_values(x.values, [rho])`` for any other residue;
+    the disk mask keeps every quarter turn.  Each distinct residue gets
+    one plain forward of y_rho, the base forward for rho = 0, and each
+    distinct (rho, q > 0) one forward of r^q * y_rho that names
+    ``Move(r^q, y_rho, acts_rho)`` (see ``layers.forward``).  r^q moves
+    no value of the invariant 1x1 head, so where the head took its moved
+    map the final map is acts_rho's own.  Every row is the max absolute
+    difference of the base forward's final map and the angle's, so 0
+    degrees reads 0.0.
+
+    Every forward sums its float convs in the base filter's coordinates,
+    so the rows do not depend on the BLAS thread count, and on a network
+    exact at every layer the rows at a and a + 90 are equal bit for bit,
+    the right-angle ones 0.0, in float mode as in integer mode.
 
     A forward that stops at a value that is not finite (see
-    ``layers.forward``) raises ActivationOverflow naming its layer, the
-    base forward's first.
+    ``layers.forward``) raises ActivationOverflow naming its layer: the
+    base forward's first, then residue by residue in order of first
+    appearance, each plain forward before its quarter turns.
 
-    The off-grid inputs are rotated and circle-cropped together, in chunks
-    of at most ROTATION_CHUNK_ELEMENTS elements, each one vectorised pass
-    of ``_rotate_values``; every input is bit for bit the circle crop of
-    its one-angle case ``_rotate_values(x.values, [angle])``, and at most
-    one chunk of them is held at a time.
+    The off-grid residues are rotated and circle-cropped together, in
+    chunks of at most ROTATION_CHUNK_ELEMENTS elements, each one vectorised
+    pass of ``_rotate_values``, and at most one chunk of them is held at a
+    time.  Past the base forward only its final map is kept, and a
+    residue holds its own forward and one moved forward at a time.
     """
     final_c, final_g, final_side = infer_shapes(net)[-1] if net.layers else (
         net.in_channels, 1, net.input_size
@@ -363,22 +372,26 @@ def invariance_sweep(
         )
     seeded, x = _seeded_input(net, seed, integer_valued)
     angles = list(angles)
-    cropped = circle_crop(x)
-    acts = forward(seeded, cropped)
-    base = _final(seeded, acts)
-    last = len(acts) - 1
-    turns = {a: GroupElement(int(a // 90) % 4) for a in angles if a % 90 == 0}
-    rows = {GroupElement(0): 0.0}  # the base forward's own row
-    for g in turns.values():
-        if g not in rows:
-            reached, errors = _compare_moved(seeded, cropped, acts, g, [last], max_abs_diff)
-            if reached < len(seeded.layers):
-                raise ActivationOverflow(reached)
-            rows[g] = errors[last]
-    off_grid = _cropped_rotations(x, [a for a in angles if a % 90 != 0])
-    return [SweepPoint(float(a), rows[turns[a]] if a % 90 == 0 else max_abs_diff(
-        base, _final(seeded, forward(seeded, next(off_grid), fixed_order=False))))
-        for a in angles]
+    turns = {0: {}}  # residue -> its quarter turns, each in order of first appearance
+    for a in angles:
+        turns.setdefault(a % 90, {})[int(a // 90) % 4] = None
+    off_grid = _cropped_rotations(x, [r for r in turns if r])
+    rows = {}
+    for r, quarter_turns in turns.items():
+        y = circle_crop(x) if r == 0 else next(off_grid)
+        acts = forward(seeded, y)
+        final = _final(seeded, acts)
+        if r == 0:
+            base = final
+        for q in quarter_turns:
+            turned = None
+            if q:  # only the final map of the moved forward is kept
+                g = GroupElement(q)
+                turned = _final(seeded, forward(seeded, act_spatial(g, y), moved=Move(g, y, acts)))
+            # None where the head took its moved map: the residue's own
+            rows[r, q] = max_abs_diff(base, final if turned is None else turned)
+        del acts  # freed before the next residue's forward
+    return [SweepPoint(float(a), rows[a % 90, int(a // 90) % 4]) for a in angles]
 
 
 def _final(net: Network, acts) -> FeatureMap:

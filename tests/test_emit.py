@@ -172,9 +172,10 @@ def test_oracle_documents_keep_their_bytes(capsys, grid, symmetry, digest):
 P4MCNN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "p4mcnn.json")
 
 
-#: (argv, exit code, sha256 of the structured document) of documents in
-#: integer mode, or in float mode where every value is 0.0, so that no byte
-#: depends on the BLAS thread count.
+#: (argv, exit code, sha256 of the structured document) of measure and
+#: sweep documents, off-grid sweep rows in both modes included.  No byte
+#: depends on the BLAS thread count: integer sums within 2**53 are exact in
+#: any order, and every other conv sums in a fixed order.
 MEASURE_AND_SWEEP_DOCUMENTS = [
     (["measure", "p4cnn"], 0,
      "2acc38c65a686354f7e466b41f20a165e513961bcbab38ee744a73ea45395488"),
@@ -194,6 +195,16 @@ MEASURE_AND_SWEEP_DOCUMENTS = [
      "64a112cca4de0b93e4851da78ea17f448790cb78ce57a5e7cfdd92e71e7b8ec0"),
     (["sweep", P4MCNN, "--input-size", "29", "--angle-step", "90", "--integer-weights"], 1,
      "61933ae0817a870393fe1b4267963c05aaca6824739298821a0ceac56cf66032"),
+    (["sweep", "p4cnn", "--angle-step", "5"], 0,
+     "3ac9e4f610aaacb87f16487a9b1d0c3a7eeb54b5f4e99c344b56713ea1fd4c4e"),
+    (["sweep", "p4cnn", "--angle-step", "5", "--integer-weights"], 0,
+     "a16efa063aa7e76ac3d05a8eaf470101a9d18b049841eb4858cc60ea6f77b57f"),
+    (["sweep", "p4cnn", "--input-size", "29", "--angle-step", "5"], 1,
+     "3939ea5209f80499ae6ed4419ea4465202935139e706716274d4ce7cec9c03f5"),
+    (["sweep", "toy41", "--input-size", "32", "--angle-step", "5", "--integer-weights"], 1,
+     "b20e98bb88958f38a136d7b3331c89fd5059803eb72311749a62451418c4edc7"),
+    (["sweep", P4MCNN, "--angle-step", "5"], 0,
+     "bcd778b262afd8d69b5a46301b6d44ff187da08470069a201544e5030519b939"),
 ]
 
 

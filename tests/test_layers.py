@@ -95,9 +95,9 @@ def assert_equivariant_bytes(fn, kind, fm, w, s, p):
             act_full(g, out, kind).values.tobytes()
 
 
-def moved_forward(net, g, x, base, **kwargs):
+def moved_forward(net, g, x, base):
     """The forward of g * x that names its move against ``base``."""
-    return forward(net, act_spatial(g, x), moved=Move(g, x, base), **kwargs)
+    return forward(net, act_spatial(g, x), moved=Move(g, x, base))
 
 
 def assert_plain_bytes(moved, computed, base, g, kind):
@@ -283,8 +283,8 @@ def per_slot_reference(fm, w, kind, s, p):
     return np.stack([per_position_reference(vals, b, s) for b in banks], axis=1)
 
 
-def run_conv(fn, kind, fm, w, s, p, **kwargs):
-    return conv2d(fm, w, s, p, **kwargs) if fn is conv2d else fn(fm, w, kind, s, p, **kwargs)
+def run_conv(fn, kind, fm, w, s, p):
+    return conv2d(fm, w, s, p) if fn is conv2d else fn(fm, w, kind, s, p)
 
 
 @st.composite
@@ -584,20 +584,18 @@ class TestExactnessGuard:
         for l1, route in ((255.0, "_contract"), (256.0, "_base_correlate")):
             w = np.zeros((1, 1, 1, 3, 3))
             w[..., 0, 0] = l1
-            for fixed_order, want in ((True, route), (False, "_contract")):
-                calls.clear()
-                conv2d(fm, FilterBank(w), fixed_order=fixed_order)
-                gconv_lift(fm, FilterBank(w), GroupKind.P4, fixed_order=fixed_order)
-                assert calls == [want, want]
+            calls.clear()
+            conv2d(fm, FilterBank(w))
+            gconv_lift(fm, FilterBank(w), GroupKind.P4)
+            assert calls == [route, route]
 
 
-def reference_group_conv(fm, filters, kind, s, p, *, fixed_order=True):
+def reference_group_conv(fm, filters, kind, s, p):
     """The conv body from before banks were stacked once: it stacks the
     transformed bank on every call.  Integer operands take the BLAS
     contraction as then; floats take the per-slot, per-position einsum over the
     transformed banks, the order every float conv ran in before float convs
     summed in the base bank's coordinates."""
-    assert fixed_order, "the reference has the fixed float order only"
     _check_conv_args(fm, filters, s, p)
     vals = _pad(fm.values, p)
     bank = np.stack([act_values(g, filters.values, kind) for g in elements(kind)])
@@ -654,28 +652,6 @@ class TestStackedBanks:
         else:
             for a, e in zip(first, expected):
                 assert_close(a.values, e.values)
-
-    @pytest.mark.parametrize("net", SEEDED_NETS)
-    def test_integer_forward_does_not_depend_on_the_order_flag(self, net):
-        seeded = seed_network(net, 4, integer_valued=True)
-        x = random_feature_map([4, 1], 1, 1, net.input_size, net.input_size, True)
-        fixed, blas = forward(seeded, x), forward(seeded, x, fixed_order=False)
-        assert [a.values.tobytes() for a in blas] == [a.values.tobytes() for a in fixed]
-
-    @pytest.mark.parametrize("net", SEEDED_NETS)
-    def test_float_forward_without_fixed_order_uses_blas(self, monkeypatch, net):
-        seeded = seed_network(net, 4)
-        x = random_feature_map([4, 1], 1, 1, net.input_size, net.input_size)
-        fixed = forward(seeded, x)
-
-        def no_fixed_order(*args):
-            raise AssertionError("fixed-order contraction called")
-
-        monkeypatch.setattr(layers, "_base_correlate", no_fixed_order)
-        blas = forward(seeded, x, fixed_order=False)
-        for a, b in zip(blas, fixed):
-            scale = np.abs(b.values).max()
-            np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
     def test_one_bank_under_several_kinds(self, integer):
@@ -1298,8 +1274,7 @@ class TestSlotReuse:
     @pytest.mark.parametrize("fill", [0.0, -1.5], ids=["zero", "constant"])
     def test_constant_inputs(self, fill):
         # every map of the base forward is constant, so each moved input is
-        # the base input moved, and every conv of every element is reused;
-        # a forward in BLAS order computes every conv all the same
+        # the base input moved, and every conv of every element is reused
         net = seed_network(replace(build_network(P4CNN), kind=GroupKind.P4M), 5)
         x = FeatureMap(np.full((1, 1, 28, 28), fill))
         with counted_reuses() as reused:
@@ -1307,7 +1282,6 @@ class TestSlotReuse:
             for g in P4M:
                 moved = moved_forward(net, g, x, base)
                 assert_plain_bytes(moved, forward(net, act_spatial(g, x)), base, g, net.kind)
-                moved_forward(net, g, x, base, fixed_order=False)
         convs = sum(isinstance(w, FilterBank) for w in net.weights)
         assert len(reused) == len(P4M) * convs
 
@@ -1353,14 +1327,13 @@ class TestSlotReuse:
 
     @pytest.mark.parametrize("net", SEEDED_NETS)
     def test_memo_holds_only_stacked_banks_and_the_bound(self, net):
-        # plain, moved and BLAS-order forwards in both modes leave no
-        # activation in any bank's memo
+        # plain and moved forwards in both modes leave no activation in any
+        # bank's memo
         for integer in (False, True):
             seeded = seed_network(net, 6, integer)
             x = random_feature_map([6, 1], 1, 1, 28, 28, integer)
             base = forward(seeded, x)
             moved_forward(seeded, ROT90, x, base)
-            forward(seeded, x, fixed_order=False)
             for w in seeded.weights:
                 if isinstance(w, FilterBank):
                     assert set(w._memo) - stacked_kinds(w) == {layers._INTEGER_L1}

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_config_cli import mirror_commutation
 from test_layers import reuse_stacks, scaled
 
-from equicheck import metrics
+from equicheck import layers, metrics
 from equicheck.analyzer import output_size
 from equicheck.builtins import P4CNN, TOY41
 from equicheck.config import build_network
@@ -736,31 +736,54 @@ class TestRotationPass:
         assert peak < 2 * 2**20
 
 
-def per_angle_sweep(net, seed, angles, integer_valued, off_grid_fixed_order):
-    """The sweep's rows as one loop over the angles, kept as a reference:
-    every angle, 0 included, is rotated by the per-angle reference rotation,
-    cropped and run through its own forward; off-grid forwards take
-    ``fixed_order=off_grid_fixed_order``, right angles the fixed order."""
+def reference_sweep(net, seed, angles, integer_valued, rotated):
+    """Sweep rows as one loop over the angles: the input of angle a is
+    ``rotated(x, a)``, run through a plain forward of its own, 0 included,
+    and its row is the max absolute difference of its final map and the
+    base forward's, the forward of the cropped input."""
     seeded = seed_network(net, seed, integer_valued)
     x = random_feature_map(
         [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued
     )
     base = forward(seeded, circle_crop(x))[-1]
-    return [max_abs_diff(base, forward(seeded, circle_crop(reference_rotate_bilinear(x, a)),
-                                       fixed_order=off_grid_fixed_order or a % 90 == 0)[-1])
-            for a in angles]
+    return [max_abs_diff(base, forward(seeded, rotated(x, a))[-1]) for a in angles]
+
+
+def per_angle_sweep(net, seed, angles, integer_valued):
+    """The sweep's rows, kept as a reference: angle a is the quarter turn
+    r^q, q = int(a // 90) % 4, of the crop of the per-angle reference
+    rotation by its residue a % 90."""
+    return reference_sweep(net, seed, angles, integer_valued, lambda x, a: act_spatial(
+        GroupElement(int(a // 90) % 4), circle_crop(reference_rotate_bilinear(x, a % 90))))
+
+
+def direct_angle_sweep(net, seed, angles, integer_valued):
+    """The rows with every input the crop of the per-angle reference
+    rotation by the angle itself, not by its residue."""
+    return reference_sweep(net, seed, angles, integer_valued,
+                           lambda x, a: circle_crop(reference_rotate_bilinear(x, a)))
+
+
+#: The sweep's built-ins: exact ones and, at 29 and 32, ones whose moved
+#: forwards compute some layers.
+SWEEP_NETS = [
+    pytest.param(P4CNN, None, id="p4cnn"),
+    pytest.param(TOY41, None, id="toy41"),
+    pytest.param(P4CNN, 29, id="p4cnn-29"),
+    pytest.param(TOY41, 32, id="toy41-32"),
+]
 
 
 class TestInvarianceSweep:
     @pytest.mark.parametrize("budget", [1, metrics.ROTATION_CHUNK_ELEMENTS])
     @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
-    @pytest.mark.parametrize("config", [P4CNN, TOY41], ids=["p4cnn", "toy41"])
-    def test_rows_match_per_angle_rotations(self, monkeypatch, config, integer, budget):
+    @pytest.mark.parametrize("config, size", SWEEP_NETS)
+    def test_rows_match_per_angle_rotations(self, monkeypatch, config, size, integer, budget):
         monkeypatch.setattr(metrics, "ROTATION_CHUNK_ELEMENTS", budget)
-        net, seed = build_network(config), 7
+        net, seed = build_network(config, size), 7
         angles = sorted(set(np.arange(0.0, 360.0, 5.0).tolist() + OFF_GRID))
         points = invariance_sweep(net, seed, angles, integer)
-        expected = per_angle_sweep(net, seed, angles, integer, False)
+        expected = per_angle_sweep(net, seed, angles, integer)
         assert [p.discrepancy.hex() for p in points] == [want.hex() for want in expected]
 
     @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
@@ -768,12 +791,12 @@ class TestInvarianceSweep:
     def test_rows_match_fixed_order_forwards(self, config, integer):
         net, seed, angles = build_network(config), 5, [15.0 * i for i in range(24)]
         points = invariance_sweep(net, seed, angles, integer)
-        expected = per_angle_sweep(net, seed, angles, integer, True)
+        expected = direct_angle_sweep(net, seed, angles, integer)
         assert [p.angle for p in points] == angles
         for p, want in zip(points, expected):
             if p.angle % 90 == 0:  # the rows a verdict reads: bit for bit
                 assert p.discrepancy.hex() == want.hex()
-            else:  # BLAS order: the last bits may move
+            else:  # a quarter turn of the residue's rotation: the last bits may move
                 assert math.isclose(p.discrepancy, want, rel_tol=1e-12, abs_tol=0.0)
 
     @settings(max_examples=80, deadline=None)
@@ -784,27 +807,60 @@ class TestInvarianceSweep:
         angles = [0.0, 90.0, 180.0, 270.0]
         for integer in (False, True):
             points = invariance_sweep(net, seed, angles, integer)
-            expected = per_angle_sweep(net, seed, angles, integer, True)
+            expected = per_angle_sweep(net, seed, angles, integer)
             assert [p.discrepancy.hex() for p in points] == [want.hex() for want in expected]
 
     def test_only_off_grid_forwards_leave_the_fixed_order(self, monkeypatch):
-        orders, moves = [], []
+        # no forward leaves the fixed order any more: each distinct residue
+        # gets one plain forward, and each distinct (residue, quarter turn)
+        # one move of it
+        calls = []
 
-        def recording_forward(net, fm, *, fixed_order=True, moved=None):
-            orders.append(fixed_order)
-            moves.append(None if moved is None else moved.g)
-            return forward(net, fm, fixed_order=fixed_order, moved=moved)
+        def recording_forward(net, fm, *, moved=None):
+            calls.append(None if moved is None else moved.g)
+            return forward(net, fm, moved=moved)
+
+        def no_blas(*args):
+            raise AssertionError("float operands took the BLAS contraction")
 
         monkeypatch.setattr(metrics, "forward", recording_forward)
-        angles = [0.0, 45.0, 90.0, 360.0, 200.0, 270.0, 450.0]
+        monkeypatch.setattr(layers, "_contract", no_blas)
+        angles = [0.0, 45.0, 90.0, 360.0, 200.0, 270.0, 450.0, 135.0, 20.0, 315.0, 380.0]
         points = invariance_sweep(build_network(TOY41), 2, angles)
-        # base, then 90 and 270 as moves of the base, then 45 and 200; the
-        # rows at 0 and 360 reuse the base forward, the row at 450 the one
-        # at 90: one forward per distinct quarter turn
-        assert orders == [True, True, True, False, False]
-        assert moves == [None, GroupElement(1), GroupElement(3), None, None]
+        # residue 0 first: the base forward, then its turns 1 and 3; then
+        # 45 with its turns 1 and 3, then 20 with its turn 2; 360 reuses
+        # the base forward, 450 the turn at 90, and 380 the forward at 20
+        r1, r2, r3 = GroupElement(1), GroupElement(2), GroupElement(3)
+        assert calls == [None, r1, r3, None, r1, r3, None, r2]
         assert points[0].discrepancy == points[3].discrepancy == 0.0
         assert points[6].discrepancy == points[2].discrepancy
+        assert points[10].discrepancy == points[8].discrepancy
+
+    def test_exact_net_rows_repeat_every_quarter_turn(self):
+        # p4cnn keeps the rule at 28: each moved forward takes its head's
+        # map, so the row at a + 90 is the row at a, bit for bit
+        net, angles = build_network(P4CNN), np.arange(0.0, 360.0, 5.0).tolist()
+        for integer in (False, True):
+            rows = [p.discrepancy for p in invariance_sweep(net, 3, angles, integer)]
+            assert rows[:18] * 4 == rows
+            assert rows[0] == 0.0 and min(rows[1:18]) > 0.0
+
+    def test_at_most_two_forwards_are_held(self):
+        # a float p4cnn forward at 28 holds 1.14 MiB of activations.  The
+        # sweep keeps one residue's forward and one moved forward alive, and
+        # the moved ones take nearly every map, so it peaks at about 1.5 MiB;
+        # a third live forward would pass 2 MiB.  A first, short sweep makes
+        # the allocations that a first call makes once.
+        net = build_network(P4CNN)
+        angles = np.arange(0.0, 360.0, 5.0).tolist()
+        invariance_sweep(net, 0, angles[:2])
+        tracemalloc.start()
+        try:
+            invariance_sweep(net, 0, angles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_angle_zero_is_exactly_zero(self):
         net = build_network(TOY41)
