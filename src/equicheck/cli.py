@@ -11,11 +11,13 @@ A structured document is exactly ``json.dumps(doc, indent=2)`` and a
 newline, written in one call.  The stdlib encodes an indented document in
 pure Python, one generator token at a time, which made emission a large
 share of an ``oracle`` command; ``_indent2`` builds the same text with
-``str.join`` for the exact JSON types a document holds and leaves any
-other value to the stdlib.  ``json.dump`` stays the call that writes a
-document (it is handed an encoder class that returns the text as one
-chunk), so anything that wraps ``cli.json`` to time emission, as
-perfbench/tracing.py does, still sees every document written.
+``str.join``.  It encodes only the exact JSON types a document holds, and
+every document is built of those alone (a numpy scalar is converted where
+it enters one), so there is no other encoder.  ``json.dump`` stays the
+call that writes a document (it is handed an encoder class that returns
+the text as one chunk), so anything that wraps ``cli.json`` to time
+emission, as perfbench/tracing.py does, still sees every document
+written.
 
 An ``oracle`` document is built in one pass: each cell's indent-2 text is
 one %-template, for a cell that holds or for one that breaks, filled from
@@ -24,10 +26,7 @@ commutation row (``metrics.commutation_rows``), in document order.  The
 text form's counterexample line is read from the same row.
 _indent2 lays both templates out once, at import, from a model cell, so
 the layout is still the encoder's.  Each cell enters the ``cells`` list as
-a ``_Fragment``, a str subclass that _indent2 emits verbatim.  The one
-condition on a fragment: it never reaches the stdlib, which would encode
-it as a JSON string, so a document that holds one must not take
-``_dumps_indent2``'s fallback.
+a ``_Fragment``, a str subclass that _indent2 emits verbatim.
 """
 
 from __future__ import annotations
@@ -145,8 +144,7 @@ def _float_text(f: float) -> str:
 
 class _Fragment(str):
     """JSON text already laid out at its place in a document, which _indent2
-    emits verbatim.  The stdlib would encode it as a JSON string, so a
-    document that holds one must never reach the stdlib fallback."""
+    emits verbatim."""
 
 
 #: The text of each JSON scalar, looked up by exact type.
@@ -160,18 +158,14 @@ _SCALAR_TEXT = {
 }
 
 
-class _OffTable(Exception):
-    """A value _indent2 leaves to the stdlib: a type outside _SCALAR_TEXT and
-    the three containers (such as np.float64), or a dict key that is not a str."""
-
-
 def _indent2(o, pad: str = "\n") -> str:
     """The text of ``json.dumps(o, indent=2)``, each container built with one
     ``str.join``; ``pad`` is a newline and the indent of ``o``'s own level.
 
-    Only exact types are encoded here: the scalars of _SCALAR_TEXT, lists,
-    tuples and str-keyed dicts.  Anything else raises _OffTable.  The loops
-    look scalars up inline and recurse only for anything else.
+    Only exact types are encoded: the scalars of _SCALAR_TEXT, lists,
+    tuples and str-keyed dicts.  Anything else, such as np.float64 or a
+    key that is not a str, raises TypeError.  The loops look scalars up
+    inline and recurse only for anything else.
     """
     cls = type(o)
     text = _SCALAR_TEXT.get(cls)
@@ -185,26 +179,16 @@ def _indent2(o, pad: str = "\n") -> str:
         parts = [text(v) if (text := scalar(type(v))) else _indent2(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
     if cls is not dict:
-        raise _OffTable
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
     if not o:
         return "{}"
     parts = []
     for k, v in o.items():
         if type(k) is not str:
-            raise _OffTable
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
         text = scalar(type(v))
         parts.append(encode_basestring_ascii(k) + ": " + (text(v) if text else _indent2(v, inner)))
     return "{" + inner + ("," + inner).join(parts) + pad + "}"
-
-
-def _dumps_indent2(o) -> str:
-    """``json.dumps(o, indent=2)``: by _indent2, or by the stdlib for a value
-    _indent2 leaves to it, a cycle or nesting past the recursion limit, so
-    the text and any error are the stdlib's own."""
-    try:
-        return _indent2(o)
-    except (_OffTable, RecursionError):
-        return json.dumps(o, indent=2)
 
 
 class _DocumentEncoder(json.JSONEncoder):
@@ -213,7 +197,7 @@ class _DocumentEncoder(json.JSONEncoder):
     ``cli.json.dump`` times each emission, encoding included."""
 
     def iterencode(self, o, _one_shot=False):
-        return [_dumps_indent2(o) + "\n"]
+        return [_indent2(o) + "\n"]
 
 
 def _emit(doc: dict, text: Callable[[], str], args) -> None:
@@ -510,20 +494,20 @@ def cmd_sweep(args) -> int:
             bisect.insort(angles, quarter)
     # the sweep compares network outputs, so a kernel that outruns the input
     # leaves nothing to run
-    points, overflow = [], False
+    rows, overflow = [], False
     if truncated_at is None:
         try:
-            points = invariance_sweep(net, args.seed, angles, args.integer_weights)
+            rows = list(zip(angles, invariance_sweep(net, args.seed, angles, args.integer_weights)))
         except ActivationOverflow as exc:
             truncated_at, overflow = exc.layer, True
-    grid_aligned = [p for p in points if p.angle % 90 == 0]
-    worst_aligned = max((p.discrepancy for p in grid_aligned), default=0.0)
+    worst_aligned = max((d for a, d in rows if a % 90 == 0), default=0.0)
     payload = {
         "name": net.name,
         "input_size": net.input_size,
         "seed": args.seed,
         "integer_weights": args.integer_weights,
-        "rows": [{"angle": float(p.angle), "discrepancy": p.discrepancy} for p in points],
+        # float(a): the angles are np.float64, which _indent2 does not encode
+        "rows": [{"angle": float(a), "discrepancy": d} for a, d in rows],
         "max_discrepancy_90s": None if truncated_at is not None else worst_aligned,
     }
     lines = [
@@ -531,8 +515,8 @@ def cmd_sweep(args) -> int:
         f"seed {args.seed} (inputs circle-cropped)",
         f"{'angle':>7}  {'discrepancy':>12}",
     ]
-    for p in points:
-        lines.append(f"{p.angle:>7.1f}  {p.discrepancy:>12.6g}")
+    for a, d in rows:
+        lines.append(f"{a:>7.1f}  {d:>12.6g}")
     if truncated_at is not None:
         payload["truncated_at"] = truncated_at
         what = "no output was compared" if overflow else "no forward pass was run"

@@ -21,16 +21,18 @@ first side that has one raises.  ``cli.cmd_oracle`` fills its cells from
 the rows, and ``rotation_commutation`` is the row of one triple under the
 quarter turn.
 
-``measure`` reads ``_compare_moved``: the forward of g * x that names its
-move against g times the base forward, at the group-valued depths of the
-raw input, with ``equivariance_error``.  ``invariance_sweep`` reads every
-angle as a quarter turn of its residue modulo 90 degrees: one plain forward
-per distinct residue, the right angles' being the base forward of the
-cropped input, and one moved forward per distinct quarter turn of it, each
-row the ``max_abs_diff`` of its final map and the base one.  Every forward
-sums in a fixed order, so no row depends on the BLAS thread count.  The
-sweep's off-grid rotations are all ``_rotate_values``; rotating one map by
-one angle is its one-angle case.
+``profile_equivariance`` compares, for each group element g, the forward
+of g * x that names its move against g times the base forward, at the
+group-valued depths of the raw input, with ``equivariance_error``; a
+depth whose layer took its moved map reads 0.0.  ``invariance_sweep``
+returns one float row per angle, in order, and reads every angle as a
+quarter turn of its residue modulo 90 degrees: one plain forward per
+distinct residue, the right angles' being the base forward of the
+cropped input, and one moved forward per distinct quarter turn of it,
+each row the ``max_abs_diff`` of its final map and the base one.  Every
+forward sums in a fixed order, so no row depends on the BLAS thread
+count.  The sweep's off-grid rotations are all ``_rotate_values``;
+rotating one map by one angle is its one-angle case.
 """
 
 from __future__ import annotations
@@ -177,25 +179,6 @@ def _seeded_input(net: Network, seed: int, integer_valued: bool) -> tuple[Networ
         [seed, 1], net.in_channels, 1, net.input_size, net.input_size, integer_valued)
 
 
-def _compare_moved(seeded: Network, x: FeatureMap, base: list[FeatureMap], g: GroupElement,
-                   depths, error: Callable) -> tuple[int, dict[int, float]]:
-    """The comparison of a moved forward with the moved base maps that
-    ``measure`` reads.
-
-    Runs the forward of g * x that names ``Move(g, x, base)``, ``base``
-    being the forward of x (see ``layers.forward``), and returns how many
-    depths it reached and, for each of ``depths`` that it reached,
-    ``error(moved[d], g * base[d])``: g acts with ``act_full`` on a
-    group-valued map and with ``act_spatial`` on a planar one.  A depth
-    whose layer took g * base[d] reads 0.0, without a comparison and
-    without a move; any other base map is moved for its comparison only.
-    The forward is freed when this returns."""
-    moved = forward(seeded, act_spatial(g, x), moved=Move(g, x, base))
-    return len(moved), {d: 0.0 if moved[d] is None else error(
-        moved[d], act_full(g, base[d], seeded.kind) if base[d].group_size > 1
-        else act_spatial(g, base[d])) for d in depths if d < len(moved)}
-
-
 @dataclass(frozen=True)
 class ProfileEntry:
     layer_index: int
@@ -225,10 +208,14 @@ def profile_equivariance(
     """Measure the per-depth equivariance error of a randomly weighted net.
 
     Weights and the input are drawn deterministically from ``seed``.  Each
-    requested group element g reads ``_compare_moved`` on the raw input at
-    every group-valued depth d, with ``equivariance_error`` against the
-    fully transformed activation g * base[d].  One moved forward is held
-    at a time; entries come out depth by depth, elements in order.
+    requested group element g runs one forward of g * x that names
+    ``Move(g, x, base)``, ``base`` being the forward of x (see
+    ``layers.forward``).  At every group-valued depth d it reached, a depth
+    whose layer took its moved map reads 0.0, without a comparison and
+    without a move; any other reads ``equivariance_error`` of the moved
+    forward's map against the fully transformed activation g * base[d].
+    One moved forward is held at a time; entries come out depth by depth,
+    elements in order.
 
     A forward stops at the first layer whose output is not finite (an
     integer activation past the float64 range); the profile then covers
@@ -244,8 +231,11 @@ def profile_equivariance(
     depths = [d for d, act in enumerate(base[:reached]) if act.group_size > 1]
     errors = {}
     for g in group_elements:
-        moved_reached, errors[g] = _compare_moved(seeded, x, base, g, depths, equivariance_error)
-        reached = min(reached, moved_reached)
+        moved = forward(seeded, act_spatial(g, x), moved=Move(g, x, base))
+        reached = min(reached, len(moved))
+        errors[g] = {d: 0.0 if moved[d] is None else equivariance_error(
+            moved[d], act_full(g, base[d], net.kind)) for d in depths if d < len(moved)}
+        del moved  # freed before the next element's forward
     entries = tuple(ProfileEntry(d, g, errors[g][d])
                     for d in depths if d < reached for g in group_elements)
     overflow_at = reached if reached < len(net.layers) else None
@@ -316,16 +306,11 @@ def _cropped_rotations(x: FeatureMap, angles):
             yield FeatureMap._from_layer(cropped[:, :, j])
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    angle: float
-    discrepancy: float
-
-
 def invariance_sweep(
     net: Network, seed: int, angles, integer_valued: bool = False
-) -> list[SweepPoint]:
-    """Final-output discrepancy between a map and its rotated copies.
+) -> list[float]:
+    """Final-output discrepancy between a map and its rotated copies, one
+    float per angle, in order.
 
     Both inputs pass through the inscribed-circle crop so that off-grid
     angles introduce no corner artifacts; discrepancy is the max absolute
@@ -391,7 +376,7 @@ def invariance_sweep(
             # None where the head took its moved map: the residue's own
             rows[r, q] = max_abs_diff(base, final if turned is None else turned)
         del acts  # freed before the next residue's forward
-    return [SweepPoint(float(a), rows[a % 90, int(a // 90) % 4]) for a in angles]
+    return [rows[a % 90, int(a // 90) % 4] for a in angles]
 
 
 def _final(net: Network, acts) -> FeatureMap:

@@ -157,7 +157,7 @@ def test_criterion_7_bilinear_consistency():
             expected = act_spatial(GroupElement(quarters), fm)
             worst = max(worst, max_abs_diff(rotated, expected))
     sweep = invariance_sweep(build_network(TOY41), 0, [0.0], integer_valued=True)
-    ok = worst <= 1e-9 and sweep[0].discrepancy == 0.0
+    ok = worst <= 1e-9 and sweep == [0.0]
     _report(7, f"bilinear right angles within 1e-9 (worst {worst:.2e}), sweep@0 exact", ok)
 
 

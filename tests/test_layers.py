@@ -1106,9 +1106,8 @@ class TestSlotReuse:
                     moved = moved_forward(seeded, g, x, base)
                     computed = forward(seeded, act_spatial(g, x))
                     assert_plain_bytes(moved, computed, base, g, net.kind)
-            # the identity's lift at least reads the base lift's bytes; an
-            # integer lift whose weights drew all zeros stays within the bound
-            assert reused or layers._exact_in_any_order(x.values, seeded.weights[0])
+            # the identity's lift always takes the base lift's map
+            assert reused
 
     @settings(max_examples=60, deadline=None)
     @given(reuse_stacks(), st.booleans())
@@ -1148,7 +1147,8 @@ class TestSlotReuse:
                     moved = moved_forward(seeded, g, x, base)
                     computed = forward(seeded, act_spatial(g, x))
                     assert_plain_bytes(moved, computed, base, g, net.kind)
-            assert looked_up or layers._exact_in_any_order(x.values, seeded.weights[0])
+            # the identity's lift always compares its input
+            assert looked_up
 
     @settings(max_examples=60, deadline=None)
     @given(reuse_stacks())

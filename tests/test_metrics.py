@@ -782,22 +782,22 @@ class TestInvarianceSweep:
         monkeypatch.setattr(metrics, "ROTATION_CHUNK_ELEMENTS", budget)
         net, seed = build_network(config, size), 7
         angles = sorted(set(np.arange(0.0, 360.0, 5.0).tolist() + OFF_GRID))
-        points = invariance_sweep(net, seed, angles, integer)
+        rows = invariance_sweep(net, seed, angles, integer)
         expected = per_angle_sweep(net, seed, angles, integer)
-        assert [p.discrepancy.hex() for p in points] == [want.hex() for want in expected]
+        assert [row.hex() for row in rows] == [want.hex() for want in expected]
 
     @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
     @pytest.mark.parametrize("config", [P4CNN, TOY41], ids=["p4cnn", "toy41"])
     def test_rows_match_fixed_order_forwards(self, config, integer):
         net, seed, angles = build_network(config), 5, [15.0 * i for i in range(24)]
-        points = invariance_sweep(net, seed, angles, integer)
+        rows = invariance_sweep(net, seed, angles, integer)
         expected = direct_angle_sweep(net, seed, angles, integer)
-        assert [p.angle for p in points] == angles
-        for p, want in zip(points, expected):
-            if p.angle % 90 == 0:  # the rows a verdict reads: bit for bit
-                assert p.discrepancy.hex() == want.hex()
+        assert len(rows) == len(angles)
+        for a, row, want in zip(angles, rows, expected):
+            if a % 90 == 0:  # the rows a verdict reads: bit for bit
+                assert row.hex() == want.hex()
             else:  # a quarter turn of the residue's rotation: the last bits may move
-                assert math.isclose(p.discrepancy, want, rel_tol=1e-12, abs_tol=0.0)
+                assert math.isclose(row, want, rel_tol=1e-12, abs_tol=0.0)
 
     @settings(max_examples=80, deadline=None)
     @given(reuse_stacks())
@@ -806,9 +806,9 @@ class TestInvarianceSweep:
         net = replace(net, layers=net.layers + PROFILE_TAILS[-1])
         angles = [0.0, 90.0, 180.0, 270.0]
         for integer in (False, True):
-            points = invariance_sweep(net, seed, angles, integer)
+            rows = invariance_sweep(net, seed, angles, integer)
             expected = per_angle_sweep(net, seed, angles, integer)
-            assert [p.discrepancy.hex() for p in points] == [want.hex() for want in expected]
+            assert [row.hex() for row in rows] == [want.hex() for want in expected]
 
     def test_only_off_grid_forwards_leave_the_fixed_order(self, monkeypatch):
         # no forward leaves the fixed order any more: each distinct residue
@@ -826,22 +826,22 @@ class TestInvarianceSweep:
         monkeypatch.setattr(metrics, "forward", recording_forward)
         monkeypatch.setattr(layers, "_contract", no_blas)
         angles = [0.0, 45.0, 90.0, 360.0, 200.0, 270.0, 450.0, 135.0, 20.0, 315.0, 380.0]
-        points = invariance_sweep(build_network(TOY41), 2, angles)
+        rows = invariance_sweep(build_network(TOY41), 2, angles)
         # residue 0 first: the base forward, then its turns 1 and 3; then
         # 45 with its turns 1 and 3, then 20 with its turn 2; 360 reuses
         # the base forward, 450 the turn at 90, and 380 the forward at 20
         r1, r2, r3 = GroupElement(1), GroupElement(2), GroupElement(3)
         assert calls == [None, r1, r3, None, r1, r3, None, r2]
-        assert points[0].discrepancy == points[3].discrepancy == 0.0
-        assert points[6].discrepancy == points[2].discrepancy
-        assert points[10].discrepancy == points[8].discrepancy
+        assert rows[0] == rows[3] == 0.0
+        assert rows[6] == rows[2]
+        assert rows[10] == rows[8]
 
     def test_exact_net_rows_repeat_every_quarter_turn(self):
         # p4cnn keeps the rule at 28: each moved forward takes its head's
         # map, so the row at a + 90 is the row at a, bit for bit
         net, angles = build_network(P4CNN), np.arange(0.0, 360.0, 5.0).tolist()
         for integer in (False, True):
-            rows = [p.discrepancy for p in invariance_sweep(net, 3, angles, integer)]
+            rows = invariance_sweep(net, 3, angles, integer)
             assert rows[:18] * 4 == rows
             assert rows[0] == 0.0 and min(rows[1:18]) > 0.0
 
@@ -864,18 +864,17 @@ class TestInvarianceSweep:
 
     def test_angle_zero_is_exactly_zero(self):
         net = build_network(TOY41)
-        points = invariance_sweep(net, 0, [0.0], integer_valued=True)
-        assert points[0].discrepancy == 0.0
+        assert invariance_sweep(net, 0, [0.0], integer_valued=True) == [0.0]
 
     def test_exact_net_invariant_at_right_angles(self):
         net = build_network(TOY41)
-        points = invariance_sweep(net, 1, [90.0, 180.0, 270.0], integer_valued=True)
-        assert all(p.discrepancy <= 1e-9 for p in points)
+        rows = invariance_sweep(net, 1, [90.0, 180.0, 270.0], integer_valued=True)
+        assert len(rows) == 3 and all(row <= 1e-9 for row in rows)
 
     def test_broken_net_detects_rotation(self):
         net = build_network(TOY41, input_size=32)
         positives = sum(
-            invariance_sweep(net, seed, [90.0], integer_valued=True)[0].discrepancy > 1e-9
+            invariance_sweep(net, seed, [90.0], integer_valued=True)[0] > 1e-9
             for seed in range(10)
         )
         assert positives >= 1
